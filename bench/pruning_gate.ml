@@ -12,6 +12,8 @@
      - inv_chain_identical (the chain under --prune=invariants
        --order=gain is bit-identical to the plain diagnosis).
 
+   Corpus-wide summary rows (bug ids starting with '_', such as
+   "_engine") carry no per-bug schedule counts and are not bug rows.
    The per-bug comparison is written to ARTIFACT (default
    pruning_parity.json) for CI upload; any violation exits 1. *)
 
@@ -86,7 +88,14 @@ let () =
   let bench_file =
     match List.rev !files with [ f ] -> f | _ -> usage ()
   in
-  let rows = rows_of (read_doc bench_file) in
+  let rows =
+    List.filter
+      (fun row ->
+        match Option.bind (J.member "bug" row) J.to_str with
+        | Some b -> not (String.length b > 0 && b.[0] = '_')
+        | None -> true)
+      (rows_of (read_doc bench_file))
+  in
   let violations = ref [] in
   let out_rows =
     List.map

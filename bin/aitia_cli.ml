@@ -681,12 +681,6 @@ let batch_cmd =
       | Ok rqs -> rqs
       | Error e -> usage_error "bad manifest %s: %s" manifest e
     in
-    Option.iter
-      (fun dir ->
-        if not (Sys.file_exists dir) then
-          try Sys.mkdir dir 0o755
-          with Sys_error e -> usage_error "cannot create %s: %s" dir e)
-      journal_dir;
     let resolve id =
       Option.map
         (fun (b : Bugs.Bug.t) -> (b.case (), b.max_interleavings))

@@ -24,15 +24,31 @@ val prunable : verdict -> string option
 (** The reason to record when the flip can be skipped; [None] for
     {!Unknown}. *)
 
+type ctx
+(** What the analysis needs of one failing trace, whatever the flip: the
+    event array, the iid→index table and the dynamic backward slice
+    from the faulting event.  Immutable once built, so it may be shared
+    by every flip of an analysis and read concurrently. *)
+
+val context : Ksim.Machine.event list -> ctx
+(** [context trace] indexes and slices the failing sequence (faulting
+    event last). *)
+
+val events : ctx -> Ksim.Machine.event array
+(** The failing sequence, in trace order. *)
+
+val index_of : ctx -> Ksim.Access.Iid.t -> int option
+(** Trace index of the (first) event with this iid. *)
+
 val analyze :
-  trace:Ksim.Machine.event list ->
+  ctx ->
   plan:Ksim.Access.Iid.t list ->
   first:Ksim.Access.t ->
   second:Ksim.Access.t ->
   verdict
-(** [trace] is the failing sequence (faulting event last); [plan] is the
-    total order the flip would enforce; [first]/[second] are the racing
-    endpoints being reversed. *)
+(** [plan] is the total order the flip would enforce on the context's
+    trace; [first]/[second] are the racing endpoints being reversed.
+    Only plan-dependent work is done per call. *)
 
 val nesting_depth : Ksim.Machine.event list -> Ksim.Access.Iid.t -> int
 (** Critical-section nesting of an event: locks its thread holds when it

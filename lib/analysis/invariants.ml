@@ -69,7 +69,7 @@ type engine = {
   prologue : int list;
   max_steps : int;
   rel : Absdom.t;
-  (* Plan digest -> shared proof (None: no proof, the flip executes). *)
+  (* Plan key -> shared proof (None: no proof, the flip executes). *)
   families : (string, (string * certificate) option) Hashtbl.t;
   mutable derivations : int;  (* proofs derived (family hits excluded) *)
   mutable replays : int;  (* replay-rule machine re-derivations *)
@@ -89,9 +89,22 @@ let create ?(max_steps = default_max_steps) ?(prologue = [])
 
 let relevance e = e.rel
 
-let plan_digest (plan : Iid.t list) =
-  Digest.to_hex
-    (Digest.string (String.concat ";" (List.map Iid.to_string plan)))
+(* The families-table key of a plan: each iid as its tid, label length,
+   label and occurrence.  The length prefix makes the encoding
+   injective, so distinct plans never share a key. *)
+let plan_key (plan : Iid.t list) =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (iid : Iid.t) ->
+      Buffer.add_string b (string_of_int iid.tid);
+      Buffer.add_char b ':';
+      Buffer.add_string b (string_of_int (String.length iid.label));
+      Buffer.add_char b ':';
+      Buffer.add_string b iid.label;
+      Buffer.add_string b (string_of_int iid.occ);
+      Buffer.add_char b ';')
+    plan;
+  Buffer.contents b
 
 (* --- the replay rule: an exact mirror of plan enforcement ------------- *)
 
@@ -238,118 +251,111 @@ let replay (e : engine) ~(plan : Iid.t list) ~(run_through_budget : int) :
    relevance closure (globals alias only themselves, so the
    abstraction is exact there; heap locations go to the replay rule,
    where object lifetime is tracked concretely). *)
-let segment (e : engine) ~(trace : Ksim.Machine.event list)
-    ~(plan : Iid.t list) : (string * (int * int) option * string list) option
-    =
-  let events = Array.of_list trace in
+let segment (e : engine) ~(ctx : Flipfeas.ctx) ~(plan : Iid.t list) :
+    (string * (int * int) option * string list) option =
+  let events = Flipfeas.events ctx in
   let n = Array.length events in
-  if n = 0 then None
+  let plan_arr = Array.of_list plan in
+  if n = 0 || Array.length plan_arr <> n then None
   else
-    let index : (Iid.t, int) Hashtbl.t = Hashtbl.create (2 * n) in
+    (* Plan position per trace index, trace index per plan position. *)
+    let pos = Array.make n (-1) in
+    let at = Array.make n (-1) in
+    let ok = ref true in
     Array.iteri
-      (fun i (ev : Ksim.Machine.event) -> Hashtbl.replace index ev.iid i)
-      events;
-    let plan_arr = Array.of_list plan in
-    if
-      Array.length plan_arr <> n
-      || Array.exists (fun iid -> not (Hashtbl.mem index iid)) plan_arr
-    then None
+      (fun p iid ->
+        match Flipfeas.index_of ctx iid with
+        | Some i when pos.(i) < 0 ->
+          pos.(i) <- p;
+          at.(p) <- i
+        | Some _ | None -> ok := false)
+      plan_arr;
+    if not !ok then None
     else
-      let pos = Array.make n (-1) in
-      let dup = ref false in
-      Array.iteri
-        (fun p iid ->
-          let i = Hashtbl.find index iid in
-          if pos.(i) >= 0 then dup := true;
-          pos.(i) <- p)
-        plan_arr;
-      if !dup then None
+      (* Per-thread program order must survive the permutation. *)
+      let thread_order_kept =
+        let last : (int, int) Hashtbl.t = Hashtbl.create 8 in
+        Array.for_all
+          (fun i ->
+            let tid = events.(i).Ksim.Machine.iid.Iid.tid in
+            let ok =
+              match Hashtbl.find_opt last tid with
+              | Some prev -> prev < i
+              | None -> true
+            in
+            Hashtbl.replace last tid i;
+            ok)
+          at
+      in
+      if not thread_order_kept then None
       else
-        (* Per-thread program order must survive the permutation. *)
-        let thread_order_kept =
-          let last : (int, int) Hashtbl.t = Hashtbl.create 8 in
+        let lock_ok =
+          let holders : (string, unit) Hashtbl.t = Hashtbl.create 4 in
           Array.for_all
-            (fun (iid : Iid.t) ->
-              let i = Hashtbl.find index iid in
-              let ok =
-                match Hashtbl.find_opt last iid.Iid.tid with
-                | Some prev -> prev < i
-                | None -> true
-              in
-              Hashtbl.replace last iid.Iid.tid i;
-              ok)
-            plan_arr
+            (fun i ->
+              match events.(i).Ksim.Machine.lock_op with
+              | Some (l, `Acquire) ->
+                if Hashtbl.mem holders l then false
+                else (
+                  Hashtbl.replace holders l ();
+                  true)
+              | Some (l, `Release) ->
+                Hashtbl.remove holders l;
+                true
+              | None -> true)
+            at
         in
-        if not thread_order_kept then None
+        if not lock_ok then None
         else
-          let lock_ok =
-            let holders : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-            Array.for_all
-              (fun (iid : Iid.t) ->
-                let ev = events.(Hashtbl.find index iid) in
-                match ev.lock_op with
-                | Some (l, `Acquire) ->
-                  if Hashtbl.mem holders l then false
-                  else (
-                    Hashtbl.replace holders l ();
-                    true)
-                | Some (l, `Release) ->
-                  Hashtbl.remove holders l;
-                  true
-                | None -> true)
-              plan_arr
-          in
-          if not lock_ok then None
-          else
-            let displaced = ref [] in
-            Array.iteri
-              (fun i p -> if p <> i then displaced := i :: !displaced)
-              pos;
-            match !displaced with
-            | [] ->
+          let displaced = ref [] in
+          Array.iteri
+            (fun i p -> if p <> i then displaced := i :: !displaced)
+            pos;
+          match !displaced with
+          | [] ->
+            Some
+              ( "empty displaced window: the plan replays the failing \
+                 sequence",
+                None,
+                [] )
+          | d ->
+            let lo = List.fold_left min n d
+            and hi = List.fold_left max (-1) d in
+            let ok = ref true in
+            let locs = ref [] in
+            List.iter
+              (fun i ->
+                let ev = events.(i) in
+                if ev.Ksim.Machine.spawned <> [] then ok := false;
+                match ev.Ksim.Machine.access with
+                | None -> ()
+                | Some a -> (
+                  match Absdom.abstract a.Ksim.Access.addr with
+                  | Absaddr.Global _ as g ->
+                    if Absdom.mem_abs e.rel g then ok := false
+                    else if
+                      not (List.mem (Absaddr.to_string g) !locs)
+                    then locs := Absaddr.to_string g :: !locs
+                  | Absaddr.Field _ | Absaddr.Slot | Absaddr.Whole ->
+                    ok := false))
+              d;
+            if not !ok then None
+            else
               Some
-                ( "empty displaced window: the plan replays the failing \
-                   sequence",
-                  None,
-                  [] )
-            | d ->
-              let lo = List.fold_left min n d
-              and hi = List.fold_left max (-1) d in
-              let ok = ref true in
-              let locs = ref [] in
-              List.iter
-                (fun i ->
-                  let ev = events.(i) in
-                  if ev.Ksim.Machine.spawned <> [] then ok := false;
-                  match ev.Ksim.Machine.access with
-                  | None -> ()
-                  | Some a -> (
-                    match Absdom.abstract a.Ksim.Access.addr with
-                    | Absaddr.Global _ as g ->
-                      if Absdom.mem_abs e.rel g then ok := false
-                      else if
-                        not (List.mem (Absaddr.to_string g) !locs)
-                      then locs := Absaddr.to_string g :: !locs
-                    | Absaddr.Field _ | Absaddr.Slot | Absaddr.Whole ->
-                      ok := false))
-                d;
-              if not !ok then None
-              else
-                Some
-                  ( Fmt.str
-                      "displaced window [%d,%d] touches only \
-                       failure-irrelevant globals"
-                      lo hi,
-                    Some (lo, hi),
-                    List.sort String.compare !locs )
+                ( Fmt.str
+                    "displaced window [%d,%d] touches only \
+                     failure-irrelevant globals"
+                    lo hi,
+                  Some (lo, hi),
+                  List.sort String.compare !locs )
 
 (* --- the prune cascade ------------------------------------------------- *)
 
-let derive (e : engine) ~(key : string) ~(trace : Ksim.Machine.event list)
+let derive (e : engine) ~(key : string) ~(ctx : Flipfeas.ctx)
     ~(plan : Iid.t list) ~(run_through_budget : int) :
     (string * certificate) option =
   e.derivations <- e.derivations + 1;
-  match segment e ~trace ~plan with
+  match segment e ~ctx ~plan with
   | Some (why, window, displaced) ->
     Some
       ( "invariant segment: " ^ why,
@@ -386,12 +392,12 @@ let derive (e : engine) ~(key : string) ~(trace : Ksim.Machine.event list)
         (cert Replay
            "invariant replay: the enforced order diverges (step limit)"))
 
-let prune (e : engine) ~(key : string) ~(trace : Ksim.Machine.event list)
+let prune (e : engine) ~(key : string) ~(ctx : Flipfeas.ctx)
     ~(plan : Iid.t list) ~(run_through_budget : int) :
     (string * certificate) option =
   Telemetry.Probe.count "analysis.invariant_queries";
-  let digest = plan_digest plan in
-  match Hashtbl.find_opt e.families digest with
+  let pk = plan_key plan in
+  match Hashtbl.find_opt e.families pk with
   | Some cached ->
     Telemetry.Probe.count "analysis.invariant_family_hits";
     Option.map
@@ -400,19 +406,16 @@ let prune (e : engine) ~(key : string) ~(trace : Ksim.Machine.event list)
         else ("invariant family: shares the proof of " ^ c.cert_key, c))
       cached
   | None ->
-    let res = derive e ~key ~trace ~plan ~run_through_budget in
-    Hashtbl.replace e.families digest res;
+    let res = derive e ~key ~ctx ~plan ~run_through_budget in
+    Hashtbl.replace e.families pk res;
     res
 
 (* Re-derive a certificate from scratch and compare the evidence: the
    rule, the predicted verdict class, the replay length, the window and
    the sampled state fingerprints must all reproduce. *)
-let check (e : engine) ~(trace : Ksim.Machine.event list)
-    ~(plan : Iid.t list) ~(run_through_budget : int) (c : certificate) :
-    bool =
-  match
-    derive e ~key:c.cert_key ~trace ~plan ~run_through_budget
-  with
+let check (e : engine) ~(ctx : Flipfeas.ctx) ~(plan : Iid.t list)
+    ~(run_through_budget : int) (c : certificate) : bool =
+  match derive e ~key:c.cert_key ~ctx ~plan ~run_through_budget with
   | None -> false
   | Some (_, c') ->
     (match (c.cert_rule, c'.cert_rule) with

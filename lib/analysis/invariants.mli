@@ -51,23 +51,28 @@ val create :
 val relevance : engine -> Absdom.t
 (** The failure-relevance closure the segment rule reasons over. *)
 
+val plan_key : Ksim.Access.Iid.t list -> string
+(** The families-table key of a plan; distinct plans get distinct
+    keys. *)
+
 val prune :
   engine ->
   key:string ->
-  trace:Ksim.Machine.event list ->
+  ctx:Flipfeas.ctx ->
   plan:Ksim.Access.Iid.t list ->
   run_through_budget:int ->
   (string * certificate) option
 (** [Some (reason, certificate)] when the flip identified by [key]
-    (with failing [trace] and flip [plan]) provably cannot complete;
-    [None] when it must execute.  Reasons are prefixed ["invariant
-    segment:"], ["invariant replay:"] or ["invariant family:"].
-    Results are cached per plan digest, so flip families sharing a plan
-    are discharged by a single derivation. *)
+    (with the failing trace's [ctx] and flip [plan]) provably cannot
+    complete; [None] when it must execute.  Reasons are prefixed
+    ["invariant segment:"], ["invariant replay:"] or ["invariant
+    family:"].  Results are cached per {!plan_key}, so flip families
+    sharing a plan are discharged by a single derivation.  One engine
+    serves one failing trace: the cache does not key on [ctx]. *)
 
 val check :
   engine ->
-  trace:Ksim.Machine.event list ->
+  ctx:Flipfeas.ctx ->
   plan:Ksim.Access.Iid.t list ->
   run_through_budget:int ->
   certificate ->

@@ -250,10 +250,26 @@ let exit_of_report (r : Diagnose.report) : int =
 
 let run ?(jobs = 1) ?journal_dir ?(resume = false) ~resolve
     (requests : request list) : summary =
+  (* Create a missing journal directory once, before any worker runs.
+     Failing to create it fails only the requests that journal there. *)
+  let dir_error =
+    match journal_dir with
+    | Some dir when not (Sys.file_exists dir) -> (
+      try
+        Sys.mkdir dir 0o755;
+        None
+      with Sys_error e ->
+        Some (Fmt.str "cannot create journal directory %s: %s" dir e))
+    | Some _ | None -> None
+  in
   let exec (rq : request) : outcome =
     let t0 = Unix.gettimeofday () in
     Log.info (fun m -> m "request %s: diagnosing %s" rq.rq_id rq.rq_bug);
-    let result = run_request ?journal_dir ~resume ~resolve rq in
+    let result =
+      match (dir_error, rq.rq_journal) with
+      | Some e, None -> Error e
+      | _ -> run_request ?journal_dir ~resume ~resolve rq
+    in
     let elapsed = Unix.gettimeofday () -. t0 in
     match result with
     | Ok report ->

@@ -72,10 +72,12 @@ val run :
     compose.  [resolve] maps a bug id to its case and default
     interleaving bound ([None] → request error, exit 2).
     [journal_dir] gives every request an isolated journal at
-    [<dir>/<id>.journal.json] (created if absent); [resume] loads those
-    journals instead of truncating them.  A request failure — bad
-    configuration or an escaped exception — is confined to its outcome;
-    the rest of the batch still runs. *)
+    [<dir>/<id>.journal.json].  A missing [dir] is created (one level)
+    before any request runs; if that fails, each request journaling
+    there fails with exit 2.  [resume] loads those journals instead of
+    truncating them.  A request failure — bad configuration or an
+    escaped exception — is confined to its outcome; the rest of the
+    batch still runs. *)
 
 val summary_to_json : summary -> string
 (** The consolidated report: [{"exit": N, "requests": [...]}] with one

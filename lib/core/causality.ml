@@ -94,10 +94,10 @@ type section = {
   cs_stop : int option;     (* trace index of the Unlock event *)
 }
 
-let critical_sections (trace : Ksim.Machine.event list) : section list =
+let critical_sections (ctx : Analysis.Flipfeas.ctx) : section list =
   let open_cs : (int * string, int) Hashtbl.t = Hashtbl.create 8 in
   let out = ref [] in
-  List.iteri
+  Array.iteri
     (fun i (e : Ksim.Machine.event) ->
       match e.lock_op with
       | Some (l, `Acquire) -> Hashtbl.replace open_cs (e.iid.Iid.tid, l) i
@@ -111,7 +111,7 @@ let critical_sections (trace : Ksim.Machine.event list) : section list =
             :: !out
         | None -> ())
       | None -> ())
-    trace;
+    (Analysis.Flipfeas.events ctx);
   Hashtbl.iter
     (fun (tid, l) start ->
       out := { cs_tid = tid; cs_lock = l; cs_start = start; cs_stop = None }
@@ -128,14 +128,6 @@ let section_containing sections ~tid ~index =
 
 (* --- flip-plan construction ------------------------------------------- *)
 
-let index_of_iid trace iid =
-  let rec go i = function
-    | [] -> None
-    | (e : Ksim.Machine.event) :: rest ->
-      if Iid.equal e.iid iid then Some i else go (i + 1) rest
-  in
-  go 0 trace
-
 (* Build the diagnosis schedule enforcing [r.second] before [r.first]
    while preserving the rest of the failing sequence.  When both
    endpoints sit in critical sections of the same lock, the sections are
@@ -143,18 +135,17 @@ let index_of_iid trace iid =
    the failure halted the machine) the second instruction is inserted
    before the first; run-through in the plan policy walks its thread to
    that instruction. *)
-let flip_plan (trace : Ksim.Machine.event list) (r : Race.t) :
-    Schedule.plan =
-  let iids = List.map (fun (e : Ksim.Machine.event) -> e.iid) trace in
-  let arr = Array.of_list iids in
+let flip_plan (ctx : Analysis.Flipfeas.ctx) (r : Race.t) : Schedule.plan =
+  let events = Analysis.Flipfeas.events ctx in
+  let arr = Array.map (fun (e : Ksim.Machine.event) -> e.iid) events in
   let n = Array.length arr in
   let u = r.second.iid.Iid.tid in
-  let i0 = index_of_iid trace r.first.iid in
-  let j0 = index_of_iid trace r.second.iid in
+  let i0 = Analysis.Flipfeas.index_of ctx r.first.iid in
+  let j0 = Analysis.Flipfeas.index_of ctx r.second.iid in
   match i0 with
   | None ->
     (* First endpoint not in trace: nothing to reorder. *)
-    Schedule.plan iids
+    Schedule.plan (Array.to_list arr)
   | Some i -> (
     match j0 with
     | None ->
@@ -164,7 +155,7 @@ let flip_plan (trace : Ksim.Machine.event list) (r : Race.t) :
          unit (the pending thread may need the same lock). *)
       let i =
         match
-          section_containing (critical_sections trace)
+          section_containing (critical_sections ctx)
             ~tid:r.first.iid.Iid.tid ~index:i
         with
         | Some cs -> cs.cs_start
@@ -173,10 +164,11 @@ let flip_plan (trace : Ksim.Machine.event list) (r : Race.t) :
       let before = Array.to_list (Array.sub arr 0 i) in
       let after = Array.to_list (Array.sub arr i (n - i)) in
       Schedule.plan (before @ (r.second.iid :: after))
-    | Some j when j <= i -> Schedule.plan iids  (* already flipped *)
+    | Some j when j <= i ->
+      Schedule.plan (Array.to_list arr) (* already flipped *)
     | Some j ->
       (* Critical-section unit adjustment. *)
-      let sections = critical_sections trace in
+      let sections = critical_sections ctx in
       let t = r.first.iid.Iid.tid in
       let i, j =
         match
@@ -196,7 +188,6 @@ let flip_plan (trace : Ksim.Machine.event list) (r : Race.t) :
          a queue_work/call_rcu/arm_timer instruction inside the window,
          that instruction — and its thread's preceding window events —
          must be hoisted too, or the enforcement could never run [u]. *)
-      let events = Array.of_list trace in
       let len = j - i + 1 in
       let wevent k = events.(i + k) in
       let hoist = Array.make len false in
@@ -267,24 +258,25 @@ let survived (o : Controller.outcome) =
    makes the flip Benign without execution (the Benign verdict covers
    every non-completing outcome).  Depends only on the failing trace
    and the plan, never on other flips' outcomes — which is what lets
-   the parallel path run it as a sequential pre-pass. *)
-let static_proof ~(prune : prune) ?engine ~(failing : Controller.outcome)
+   the parallel path run it as a sequential pre-pass.  [ctx] is the
+   failing trace's shared context. *)
+let static_proof ~(prune : prune) ?engine ~(ctx : Analysis.Flipfeas.ctx)
     (r : Race.t) (plan : Schedule.plan) : string option =
   match prune with
   | `None -> None
   | `Flipfeas | `Invariants -> (
     match
       Analysis.Flipfeas.prunable
-        (Analysis.Flipfeas.analyze ~trace:failing.trace
-           ~plan:plan.Schedule.events ~first:r.first ~second:r.second)
+        (Analysis.Flipfeas.analyze ctx ~plan:plan.Schedule.events
+           ~first:r.first ~second:r.second)
     with
     | Some _ as proof -> proof
     | None -> (
       match engine with
       | Some e ->
         Option.map fst
-          (Analysis.Invariants.prune e ~key:(Race.key r)
-             ~trace:failing.trace ~plan:plan.Schedule.events
+          (Analysis.Invariants.prune e ~key:(Race.key r) ~ctx
+             ~plan:plan.Schedule.events
              ~run_through_budget:plan.Schedule.run_through_budget)
       | None -> None))
 
@@ -335,10 +327,10 @@ let executed_tested ~(races : Race.t list) (r : Race.t) (run : Executor.run)
    when a proof shows the re-run redundant, otherwise execute the
    flip. *)
 let test_one ?max_steps ~prologue ~(prune : prune) ?engine ?snapshots
-    ?resilience (vm : Hypervisor.Vm.t) ~(failing : Controller.outcome)
+    ?resilience (vm : Hypervisor.Vm.t) ~(ctx : Analysis.Flipfeas.ctx)
     ~(races : Race.t list) (r : Race.t) : tested =
-  let plan = flip_plan failing.trace r in
-  match static_proof ~prune ?engine ~failing r plan with
+  let plan = flip_plan ctx r in
+  match static_proof ~prune ?engine ~ctx r plan with
   | Some reason -> pruned_tested r reason
   | None ->
     let run =
@@ -374,6 +366,10 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(static_hints = false)
       | Some _ -> None)
     | `None | `Flipfeas -> None
   in
+  (* Everything about the failing trace that no flip changes is built
+     here once, and only read afterwards (also by the parallel
+     pre-pass). *)
+  let ctx = Analysis.Flipfeas.context failing.trace in
   let reorderings = ref 0 in
   (* Progress so far including the journaled base of an interrupted
      analysis; the pruned-flip counts are recomputed from the final
@@ -412,7 +408,7 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(static_hints = false)
     | None ->
       Telemetry.Probe.span_begin ~cat:"causality" "causality.flip";
       let t = test_one ?max_steps ~prologue ~prune ?engine ?snapshots
-          ?resilience vm ~failing ~races r in
+          ?resilience vm ~ctx ~races r in
       (if Telemetry.Probe.installed () then
          Telemetry.Probe.span_end ~args:(flip_args t) ());
       if t.pruned = None then incr executed;
@@ -451,8 +447,8 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(static_hints = false)
           match match replay with Some lookup -> lookup r | None -> None with
           | Some t -> `Replayed t
           | None -> (
-            let plan = flip_plan failing.trace r in
-            match static_proof ~prune ?engine ~failing r plan with
+            let plan = flip_plan ctx r in
+            match static_proof ~prune ?engine ~ctx r plan with
             | Some reason -> `Done (pruned_tested r reason)
             | None -> `Todo (r, plan)))
         ordered
@@ -548,11 +544,7 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(static_hints = false)
         let eligible =
           List.filter
             (fun r ->
-              not
-                (List.exists
-                   (fun r' ->
-                     (not (Race.equal r r')) && Race.surrounds r r')
-                   !remaining))
+              not (List.exists (fun r' -> Race.surrounds r r') !remaining))
             !remaining
         in
         let eligible = if eligible = [] then !remaining else eligible in

@@ -73,9 +73,10 @@ type section = {
   cs_stop : int option;
 }
 
-val critical_sections : Ksim.Machine.event list -> section list
+val critical_sections : Analysis.Flipfeas.ctx -> section list
+(** Lock sections of the context's failing trace, by trace index. *)
 
-val flip_plan : Ksim.Machine.event list -> Race.t -> Hypervisor.Schedule.plan
+val flip_plan : Analysis.Flipfeas.ctx -> Race.t -> Hypervisor.Schedule.plan
 (** The diagnosis schedule enforcing [second => first] while preserving
     the rest of the failing sequence: critical sections move as units,
     background threads' spawning instructions are hoisted along, pending

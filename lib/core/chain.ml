@@ -62,18 +62,17 @@ let of_causality (ca : Causality.result) ~(failure : Ksim.Failure.t) : t =
       ca.Causality.edges
   in
   let mutual a b = edge a b && edge b a in
-  (* Successor key: which root causes disappear when this race is
-     flipped.  Races with identical keys are jointly required — neither
+  (* Successors: which root causes disappear when this race is flipped.
+     Races with identical successor sets are jointly required — neither
      one's flip disturbs the other — and belong to one conjunction. *)
-  let successor_key r =
+  let successors r =
     List.filter_map
-      (fun (a, b) -> if Race.equal a r then Some (Race.key b) else None)
+      (fun (a, b) -> if Race.equal a r then Some b else None)
       ca.Causality.edges
-    |> List.sort_uniq String.compare
-    |> String.concat "|"
+    |> List.sort_uniq Race.compare
   in
   let conjoined a b =
-    mutual a b || String.equal (successor_key a) (successor_key b)
+    mutual a b || List.equal Race.equal (successors a) (successors b)
   in
   (* Ambiguous races cannot be attributed (their flip also disturbed a
      nested root cause, §3.4); they are reported alongside the chain but

@@ -138,12 +138,11 @@ let flip_of_tested (t : Causality.tested) : Journal.flip =
    tested list, replayed or not — and the flip outcome is gone (only
    its consequences were journaled).  [None] when the journaled race
    key no longer matches the test set (stale journal): the flip then
-   re-executes. *)
-let tested_of_flip (races : Race.t list) (fl : Journal.flip) :
+   re-executes.  [keyed] is the slice's test set in order, each race
+   with its {!Race.key}, built once per slice. *)
+let tested_of_flip (keyed : (string * Race.t) list) (fl : Journal.flip) :
     Causality.tested option =
-  match
-    List.find_opt (fun r -> String.equal (Race.key r) fl.f_race) races
-  with
+  match List.assoc_opt fl.f_race keyed with
   | None -> None
   | Some race ->
     Some
@@ -155,9 +154,9 @@ let tested_of_flip (races : Race.t list) (fl : Journal.flip) :
         flip_outcome = None;
         pruned = fl.f_pruned;
         disappeared =
-          List.filter
-            (fun r -> List.mem (Race.key r) fl.f_disappeared)
-            races;
+          List.filter_map
+            (fun (k, r) -> if List.mem k fl.f_disappeared then Some r else None)
+            keyed;
         ambiguous = false;
         enforced = fl.f_enforced;
         confidence = fl.f_confidence }
@@ -290,11 +289,13 @@ let diagnose ?max_interleavings ?max_steps ?(static_hints = false)
         List.iter
           (fun (fl : Journal.flip) -> Hashtbl.replace tbl fl.f_race fl)
           prior_flips;
+        let keyed =
+          List.map (fun r -> (Race.key r, r)) success.Lifs.races
+        in
         Some
           (fun (r : Race.t) ->
-            Option.bind
-              (Hashtbl.find_opt tbl (Race.key r))
-              (tested_of_flip success.Lifs.races)))
+            Option.bind (Hashtbl.find_opt tbl (Race.key r))
+              (tested_of_flip keyed)))
     in
     let checkpoint =
       if journal = None then None

@@ -398,17 +398,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
     in
     (* The pending scan can re-derive the faulting pair already found in
        the trace; keep one copy of each race. *)
-    let races =
-      let seen = Hashtbl.create 16 in
-      List.filter
-        (fun r ->
-          let k = Race.key r in
-          if Hashtbl.mem seen k then false
-          else (
-            Hashtbl.add seen k ();
-            true))
-        races
-    in
+    let races = Race.dedup races in
     (* Orders against the serial prologue are enforced by the workload
        itself (e.g. open() precedes the racing calls); they are not data
        races of the concurrent slice. *)

@@ -12,12 +12,38 @@ type t = {
   second : Ksim.Access.t;
 }
 
-(* Races are identified by their dynamic endpoints and direction. *)
+(* Races are identified by their dynamic endpoints, direction and
+   location.  Identity is structural; [key] renders the same triple as a
+   string for journals and reports only. *)
 let key r =
   Fmt.str "%a=>%a@%a" Iid.pp_full r.first.iid Iid.pp_full r.second.iid
     Ksim.Addr.pp r.first.addr
 
-let equal a b = String.equal (key a) (key b)
+let equal a b =
+  Iid.equal a.first.iid b.first.iid
+  && Iid.equal a.second.iid b.second.iid
+  && Ksim.Addr.equal a.first.addr b.first.addr
+
+let compare a b =
+  let c = Iid.compare a.first.iid b.first.iid in
+  if c <> 0 then c
+  else
+    let c = Iid.compare a.second.iid b.second.iid in
+    if c <> 0 then c else Ksim.Addr.compare a.first.addr b.first.addr
+
+(* Deduplication key: the identity triple. *)
+let ident r = (r.first.iid, r.second.iid, r.first.addr)
+
+let dedup races =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun r ->
+      let k = ident r in
+      if Hashtbl.mem seen k then false
+      else (
+        Hashtbl.add seen k ();
+        true))
+    races
 
 let addr r = r.first.addr
 
@@ -102,7 +128,7 @@ let of_trace (trace : Ksim.Machine.event list) : t list =
                 if not (List.exists (fun c -> supersedes a c b) between)
                 then (
                   let r = { first = a; second = b } in
-                  let k = key r in
+                  let k = ident r in
                   if not (Hashtbl.mem seen k) then (
                     Hashtbl.add seen k ();
                     races := r :: !races)))
@@ -157,18 +183,12 @@ let pending_of_failure ~(db : Ksim.Kcov.db) ~(final : Ksim.Machine.t)
   match List.rev trace with
   | [] -> []
   | _ ->
-    let seen = Hashtbl.create 16 in
     location_sequences accesses
     |> List.concat_map (fun (_addr, seq) ->
            match List.rev seq with
            | [] -> []
            | last :: _ -> pend last)
-    |> List.filter (fun r ->
-           let k = key r in
-           if Hashtbl.mem seen k then false
-           else (
-             Hashtbl.add seen k ();
-             true))
+    |> dedup
 
 (* --- structural relations used by Causality Analysis ------------------ *)
 
@@ -186,16 +206,14 @@ let surrounds outer inner =
 
 (* Did [r] occur in [trace] — both endpoints executed, in the race's
    order?  An inverted pair is a different interleaving order, hence a
-   different race, so it does not count as an occurrence of [r]. *)
+   different race, so it does not count as an occurrence of [r].  One
+   scan: [r] occurred iff [first] was seen before [second] first shows
+   up. *)
 let occurred_in (trace : Ksim.Machine.event list) r =
-  let index iid =
-    let rec go i = function
-      | [] -> None
-      | (e : Ksim.Machine.event) :: rest ->
-        if Iid.equal e.iid iid then Some i else go (i + 1) rest
-    in
-    go 0 trace
+  let rec go seen_first = function
+    | [] -> false
+    | (e : Ksim.Machine.event) :: rest ->
+      if Iid.equal e.iid r.second.iid then seen_first
+      else go (seen_first || Iid.equal e.iid r.first.iid) rest
   in
-  match index r.first.iid, index r.second.iid with
-  | Some i, Some j -> i < j
-  | None, _ | _, None -> false
+  go false trace

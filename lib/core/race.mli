@@ -13,9 +13,18 @@ type t = {
 }
 
 val key : t -> string
-(** Identity: endpoints + direction + location. *)
+(** The identity rendered as a string, for journals and reports. *)
 
 val equal : t -> t -> bool
+(** Identity: endpoints + direction + location, compared structurally.
+    [equal a b] iff [key a = key b]. *)
+
+val compare : t -> t -> int
+(** A total order consistent with {!equal}. *)
+
+val dedup : t list -> t list
+(** The first copy of each race (by {!equal}), in list order. *)
+
 val addr : t -> Ksim.Addr.t
 
 val is_cs_order : t -> bool

@@ -490,9 +490,9 @@ let test_flipfeas_identity_plan () =
       (fun (r : Aitia.Race.t) -> r.first.iid.Iid.label = "a1")
       (Aitia.Race.of_trace o.trace)
   in
+  let ctx = Analysis.Flipfeas.context o.trace in
   let feas plan =
-    Analysis.Flipfeas.analyze ~trace:o.trace ~plan ~first:r.first
-      ~second:r.second
+    Analysis.Flipfeas.analyze ctx ~plan ~first:r.first ~second:r.second
   in
   checkb "identity plan is infeasible" true
     (match
@@ -500,7 +500,7 @@ let test_flipfeas_identity_plan () =
      with
     | Analysis.Flipfeas.Infeasible _ -> true
     | _ -> false);
-  let flipped = Aitia.Causality.flip_plan o.trace r in
+  let flipped = Aitia.Causality.flip_plan ctx r in
   checkb "reordering the sliced pair stays unknown" true
     (match feas flipped.Hypervisor.Schedule.events with
     | Analysis.Flipfeas.Unknown _ -> true
@@ -709,6 +709,30 @@ let test_pruning_aggregate () =
        (List.length real))
     true (improved >= 10)
 
+(* One failing-trace context serves every flip of the analysis: after
+   all the flips before it have used it, it must still give the flip
+   plan and verdict of a context built fresh for that flip. *)
+let test_shared_context (bug : Bugs.Bug.t) (plain : Aitia.Diagnose.report)
+    () =
+  match plain.lifs.found with
+  | None -> Alcotest.failf "%s did not reproduce" bug.id
+  | Some success ->
+    let trace = success.outcome.trace in
+    let shared = Analysis.Flipfeas.context trace in
+    List.iter
+      (fun (r : Aitia.Race.t) ->
+        let fresh = Analysis.Flipfeas.context trace in
+        let plan ctx = (Aitia.Causality.flip_plan ctx r).events in
+        let verdict ctx =
+          Analysis.Flipfeas.analyze ctx ~plan:(plan ctx) ~first:r.first
+            ~second:r.second
+        in
+        let name what = Fmt.str "%s %a: %s" bug.id Aitia.Race.pp_short r what in
+        checkb (name "same plan") true
+          (List.equal Iid.equal (plan shared) (plan fresh));
+        checkb (name "same verdict") true (verdict shared = verdict fresh))
+      success.races
+
 let corpus_cases () =
   List.concat_map
     (fun (bug, case, plain, hinted) ->
@@ -723,7 +747,10 @@ let corpus_cases () =
           (test_chain_parity bug plain hinted);
         Alcotest.test_case
           (bug.Bugs.Bug.id ^ " pruning consistency") `Quick
-          (test_pruning_consistency bug plain hinted) ])
+          (test_pruning_consistency bug plain hinted);
+        Alcotest.test_case
+          (bug.Bugs.Bug.id ^ " shared flip context") `Quick
+          (test_shared_context bug plain) ])
     (Lazy.force corpus)
 
 let () =

@@ -160,7 +160,9 @@ let test_flip_plan_moves_block () =
       (fun (r : Aitia.Race.t) -> r.first.iid.Iid.label = "a1")
       races
   in
-  let flipped = Aitia.Causality.flip_plan o.trace r in
+  let flipped =
+    Aitia.Causality.flip_plan (Analysis.Flipfeas.context o.trace) r
+  in
   let o' =
     Hypervisor.Controller.run (Ksim.Machine.create grp)
       (Hypervisor.Schedule.plan_policy flipped)
@@ -202,7 +204,9 @@ let flip_and_rerun grp plan0 ~first_label =
       (fun (r : Aitia.Race.t) -> r.first.iid.Iid.label = first_label)
       (Aitia.Race.of_trace o.trace)
   in
-  let flipped = Aitia.Causality.flip_plan o.trace r in
+  let flipped =
+    Aitia.Causality.flip_plan (Analysis.Flipfeas.context o.trace) r
+  in
   Hypervisor.Controller.run (Ksim.Machine.create grp)
     (Hypervisor.Schedule.plan_policy flipped)
 

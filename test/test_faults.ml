@@ -328,6 +328,53 @@ let test_journal_files () =
   | Error _ -> ());
   Sys.remove garbage
 
+(* Batch.run creates a missing journal directory itself; when it cannot,
+   the requests journaling there fail with exit 2 and nothing else. *)
+let test_batch_creates_journal_dir () =
+  let base = Filename.temp_file "aitia-batch" "" in
+  Sys.remove base;
+  let dir = base ^ ".d" in
+  let resolve id =
+    Option.map
+      (fun (b : Bugs.Bug.t) -> (b.case (), b.max_interleavings))
+      (Bugs.Registry.find id)
+  in
+  let requests doc =
+    match Aitia.Batch.manifest_of_string doc with
+    | Ok rqs -> rqs
+    | Error e -> Alcotest.failf "manifest: %s" e
+  in
+  let s =
+    Aitia.Batch.run ~journal_dir:dir ~resolve
+      (requests {|[{"id": "r1", "bug": "fig1"}]|})
+  in
+  checkb "directory created" true (Sys.is_directory dir);
+  let journal = Filename.concat dir "r1.journal.json" in
+  checkb "journal written inside it" true (Sys.file_exists journal);
+  checki "request diagnosed" 0 s.batch_exit;
+  let own = base ^ ".own.json" in
+  let s =
+    Aitia.Batch.run
+      ~journal_dir:(Filename.concat (dir ^ ".missing") "sub")
+      ~resolve
+      (requests
+         (Fmt.str
+            {|[{"id": "r1", "bug": "fig1"},
+               {"id": "r2", "bug": "fig1", "journal": %S}]|}
+            own))
+  in
+  (match s.outcomes with
+  | [ r1; r2 ] ->
+    checki "uncreatable directory: request error" 2 r1.o_exit;
+    checkb "error names the directory" true
+      (match r1.o_error with
+      | Some e -> String.starts_with ~prefix:"cannot create" e
+      | None -> false);
+    checki "own journal path still runs" 0 r2.o_exit
+  | _ -> Alcotest.fail "expected two outcomes");
+  List.iter Sys.remove [ journal; own ];
+  Sys.rmdir dir
+
 let test_journal_fixpoint () =
   (* A journaled diagnosis, loaded and saved again, round-trips to the
      same entries: the parser and printer agree. *)
@@ -614,7 +661,9 @@ let () =
         [ Alcotest.test_case "missing and malformed files" `Quick
             test_journal_files;
           Alcotest.test_case "save/load fixpoint" `Quick
-            test_journal_fixpoint ] );
+            test_journal_fixpoint;
+          Alcotest.test_case "batch creates a missing journal directory"
+            `Quick test_batch_creates_journal_dir ] );
       ("exit-codes", [ Alcotest.test_case "exit_status" `Quick test_exit_status ]);
       ("chaos-parity", parity_cases);
       ( "degraded-mode",

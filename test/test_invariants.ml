@@ -16,6 +16,7 @@ open Ksim.Program.Build
 module Iid = Ksim.Access.Iid
 module Invariants = Analysis.Invariants
 module Absdom = Analysis.Absdom
+module Flipfeas = Analysis.Flipfeas
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -124,9 +125,10 @@ let test_relevance_closure () =
 
 let test_segment_empty_window () =
   let trace = Lazy.force failing_trace in
+  let ctx = Flipfeas.context trace in
   let e = Invariants.create fixture in
   match
-    Invariants.prune e ~key:"k-id" ~trace ~plan:(iids trace)
+    Invariants.prune e ~key:"k-id" ~ctx ~plan:(iids trace)
       ~run_through_budget:budget
   with
   | None -> Alcotest.fail "identity plan must be discharged"
@@ -137,11 +139,12 @@ let test_segment_empty_window () =
     checkb "no displaced window" true (c.cert_window = None);
     checki "no replay steps" 0 c.cert_steps;
     checkb "certificate re-checks" true
-      (Invariants.check e ~trace ~plan:(iids trace)
+      (Invariants.check e ~ctx ~plan:(iids trace)
          ~run_through_budget:budget c)
 
 let test_segment_irrelevant_window () =
   let trace = Lazy.force failing_trace in
+  let ctx = Flipfeas.context trace in
   let plan =
     match iids trace with
     | a0 :: b0 :: rest -> b0 :: a0 :: rest (* swap the two stat stores *)
@@ -149,7 +152,7 @@ let test_segment_irrelevant_window () =
   in
   let e = Invariants.create fixture in
   match
-    Invariants.prune e ~key:"k-seg" ~trace ~plan ~run_through_budget:budget
+    Invariants.prune e ~key:"k-seg" ~ctx ~plan ~run_through_budget:budget
   with
   | None -> Alcotest.fail "irrelevant displacement must be discharged"
   | Some (_, c) ->
@@ -159,7 +162,7 @@ let test_segment_irrelevant_window () =
       "displaced locations" [ "&stat" ] c.cert_displaced;
     (* Tampered evidence must not re-check. *)
     checkb "tampered certificate rejected" false
-      (Invariants.check e ~trace ~plan ~run_through_budget:budget
+      (Invariants.check e ~ctx ~plan ~run_through_budget:budget
          { c with cert_displaced = [ "&flag" ] })
 
 let test_replay_relevant_window () =
@@ -168,6 +171,7 @@ let test_replay_relevant_window () =
      assertion, so the flip is discharged with a state-fingerprint
      chain. *)
   let trace = Lazy.force failing_trace in
+  let ctx = Flipfeas.context trace in
   let plan =
     match iids trace with
     | a0 :: rest -> rest @ [ a0 ]
@@ -175,7 +179,7 @@ let test_replay_relevant_window () =
   in
   let e = Invariants.create fixture in
   match
-    Invariants.prune e ~key:"k-rep" ~trace ~plan ~run_through_budget:budget
+    Invariants.prune e ~key:"k-rep" ~ctx ~plan ~run_through_budget:budget
   with
   | None -> Alcotest.fail "still-failing order must be discharged"
   | Some (reason, c) ->
@@ -185,31 +189,33 @@ let test_replay_relevant_window () =
     checkb "replay executed steps" true (c.cert_steps > 0);
     checkb "invariant chain sampled" true (c.cert_fingerprints <> []);
     checkb "certificate re-checks" true
-      (Invariants.check e ~trace ~plan ~run_through_budget:budget c)
+      (Invariants.check e ~ctx ~plan ~run_through_budget:budget c)
 
 let test_pending_insertion_no_proof () =
   (* Inserting A1 (pending: never executed in the failing trace) before
      B publishes the flag: the mirrored re-run completes, so no proof
      exists and the flip must execute. *)
   let trace = Lazy.force failing_trace in
+  let ctx = Flipfeas.context trace in
   let plan =
     Iid.make ~tid:0 ~label:"A1" ~occ:1 :: iids trace
   in
   let e = Invariants.create fixture in
   checkb "averting flip must execute" true
-    (Invariants.prune e ~key:"k-avert" ~trace ~plan
+    (Invariants.prune e ~key:"k-avert" ~ctx ~plan
        ~run_through_budget:budget
     = None)
 
 let test_family_cache () =
   let trace = Lazy.force failing_trace in
+  let ctx = Flipfeas.context trace in
   let e = Invariants.create fixture in
   let first =
-    Invariants.prune e ~key:"race-1" ~trace ~plan:(iids trace)
+    Invariants.prune e ~key:"race-1" ~ctx ~plan:(iids trace)
       ~run_through_budget:budget
   in
   let second =
-    Invariants.prune e ~key:"race-2" ~trace ~plan:(iids trace)
+    Invariants.prune e ~key:"race-2" ~ctx ~plan:(iids trace)
       ~run_through_budget:budget
   in
   match first, second with
@@ -218,6 +224,56 @@ let test_family_cache () =
       (String.starts_with ~prefix:"invariant family:" reason);
     checks "shares the first proof" "race-1" c.cert_key
   | _ -> Alcotest.fail "both plans must be discharged"
+
+(* Distinct plans never share a family key: every flip plan of the
+   fixture's trace and of the corpus bugs' failing traces, plus plans
+   whose labels contain the key's own separators. *)
+let test_plan_keys_distinct () =
+  let mk tid label occ = Iid.make ~tid ~label ~occ in
+  let crafted =
+    [ [ mk 1 "1:a" 1 ]; [ mk 11 ":a" 1 ]; [ mk 1 "a1" 1 ]; [ mk 1 "a" 11 ];
+      [ mk 1 "a;1:1:b" 1 ]; [ mk 1 "a" 1; mk 1 "b" 1 ]; [ mk 1 "" 1 ];
+      [ mk 1 "" 1; mk 1 "" 1 ]; [] ]
+  in
+  let flip_plans trace races =
+    let ctx = Flipfeas.context trace in
+    iids trace
+    :: List.map
+         (fun r -> (Aitia.Causality.flip_plan ctx r).events)
+         races
+  in
+  let fixture_plans =
+    let trace = Lazy.force failing_trace in
+    flip_plans trace (Aitia.Race.of_trace trace)
+  in
+  let corpus_plans =
+    List.concat_map
+      (fun (bug : Bugs.Bug.t) ->
+        let r =
+          Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+            (bug.case ())
+        in
+        match r.lifs.found with
+        | Some s -> flip_plans s.outcome.trace s.races
+        | None -> [])
+      (Bugs.Registry.cves @ Bugs.Registry.syzkaller)
+  in
+  let plans = Array.of_list (crafted @ fixture_plans @ corpus_plans) in
+  let keys = Array.map Invariants.plan_key plans in
+  Array.iteri
+    (fun i a ->
+      Array.iteri
+        (fun j b ->
+          if
+            String.equal keys.(i) keys.(j)
+            && not (List.equal Iid.equal a b)
+          then Alcotest.failf "plans %d and %d share a family key" i j)
+        plans)
+    plans;
+  checkb
+    (Fmt.str "%d plans compared" (Array.length plans))
+    true
+    (Array.length plans > 100)
 
 (* Ambiguous aliasing: the displaced window contains a heap-field store
    whose abstraction (Field) may alias across objects — the segment
@@ -236,6 +292,7 @@ let heap_fixture =
 
 let test_ambiguous_aliasing_no_segment_proof () =
   let trace = drive heap_fixture [ 0; 0; 1; 1; 1 ] (* H0 H1 B0 B1 B2 *) in
+  let ctx = Flipfeas.context trace in
   let plan =
     match iids trace with
     | h0 :: h1 :: b0 :: rest -> h0 :: b0 :: h1 :: rest
@@ -243,7 +300,7 @@ let test_ambiguous_aliasing_no_segment_proof () =
   in
   let e = Invariants.create heap_fixture in
   match
-    Invariants.prune e ~key:"k-heap" ~trace ~plan ~run_through_budget:budget
+    Invariants.prune e ~key:"k-heap" ~ctx ~plan ~run_through_budget:budget
   with
   | None -> Alcotest.fail "still-failing order must be discharged"
   | Some (_, c) ->
@@ -295,6 +352,8 @@ let () =
           Alcotest.test_case "pending insertion -> no proof" `Quick
             test_pending_insertion_no_proof;
           Alcotest.test_case "family cache" `Quick test_family_cache;
+          Alcotest.test_case "distinct plans, distinct keys" `Quick
+            test_plan_keys_distinct;
           Alcotest.test_case "ambiguous aliasing -> no segment proof"
             `Quick test_ambiguous_aliasing_no_segment_proof ] );
       ( "lint",

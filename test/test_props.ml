@@ -213,7 +213,9 @@ let prop_flip_plan_preserves_events =
       match Aitia.Race.of_trace o.trace with
       | [] -> true
       | r :: _ ->
-        let plan = Aitia.Causality.flip_plan o.trace r in
+        let plan =
+          Aitia.Causality.flip_plan (Analysis.Flipfeas.context o.trace) r
+        in
         let sort =
           List.sort (fun a b -> compare (Fmt.str "%a" Iid.pp_full a) (Fmt.str "%a" Iid.pp_full b))
         in
@@ -227,7 +229,9 @@ let prop_flip_plan_inverts_order =
       match Aitia.Race.of_trace o.trace with
       | [] -> true
       | r :: _ ->
-        let plan = Aitia.Causality.flip_plan o.trace r in
+        let plan =
+          Aitia.Causality.flip_plan (Analysis.Flipfeas.context o.trace) r
+        in
         let pos iid =
           let rec go i = function
             | [] -> -1

@@ -214,6 +214,82 @@ let test_location_sequences_merges_whole () =
   in
   checki "whole merged into field sequence" 2 field_seq
 
+(* --- structural identity ------------------------------------------------ *)
+
+(* The failing-trace races of the 22 real bugs (10 CVEs, 12 Syzkaller),
+   pending races included, plus the trace races of generated programs
+   under a few random schedules each.  Races of one program recur
+   across its schedules, so the pool holds many identical pairs. *)
+let identity_pool =
+  lazy
+    (let corpus =
+       List.concat_map
+         (fun (bug : Bugs.Bug.t) ->
+           let r =
+             Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+               (bug.case ())
+           in
+           match r.lifs.found with
+           | Some s -> s.Aitia.Lifs.races
+           | None -> Alcotest.failf "%s did not reproduce" bug.id)
+         (Bugs.Registry.cves @ Bugs.Registry.syzkaller)
+     in
+     let rand = Random.State.make [| 4242 |] in
+     let generated =
+       List.concat
+         (List.init 60 (fun _ ->
+              let grp =
+                QCheck.Gen.generate1 ~rand Oracle_gen.gen_oracle_group
+              in
+              List.concat
+                (List.init 3 (fun seed ->
+                     let rng = Fuzz.Rng.create seed in
+                     let o =
+                       Controller.run (Ksim.Machine.create grp)
+                         (fun _m runnable ->
+                           match runnable with
+                           | [] -> None
+                           | xs -> Some (Fuzz.Rng.pick rng xs))
+                     in
+                     Race.of_trace o.trace))))
+     in
+     (corpus, generated))
+
+let test_equal_matches_key () =
+  let corpus, generated = Lazy.force identity_pool in
+  let races = Array.of_list (corpus @ generated) in
+  let keys = Array.map Race.key races in
+  let n = Array.length races in
+  let same = ref 0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let by_key = String.equal keys.(i) keys.(j) in
+      let eq = Race.equal races.(i) races.(j) in
+      if eq <> by_key then
+        Alcotest.failf "equal %b but keys %s / %s" eq keys.(i) keys.(j);
+      if (Race.compare races.(i) races.(j) = 0) <> eq then
+        Alcotest.failf "compare disagrees with equal on %s / %s" keys.(i)
+          keys.(j);
+      if eq && i <> j then incr same
+    done
+  done;
+  checkb
+    (Fmt.str "%d corpus races, %d generated" (List.length corpus)
+       (List.length generated))
+    true
+    (List.length corpus >= 22 && generated <> []);
+  checkb
+    (Fmt.str "%d identical pairs at distinct positions" !same)
+    true (!same > 0)
+
+let test_surrounds_irreflexive () =
+  let corpus, generated = Lazy.force identity_pool in
+  List.iter
+    (fun r ->
+      if Race.surrounds r r then
+        Alcotest.failf "%s surrounds itself" (Race.key r))
+    (corpus @ generated)
+
 let () =
   Alcotest.run "race"
     [ ( "of_trace",
@@ -233,6 +309,10 @@ let () =
           Alcotest.test_case "occurred_in order" `Quick
             test_occurred_in_is_order_aware;
           Alcotest.test_case "key direction" `Quick test_race_key_direction;
+          Alcotest.test_case "equal iff keys equal" `Quick
+            test_equal_matches_key;
+          Alcotest.test_case "surrounds irreflexive" `Quick
+            test_surrounds_irreflexive;
           Alcotest.test_case "cs-order flag" `Quick test_cs_order_annotation;
           Alcotest.test_case "whole merge" `Quick
             test_location_sequences_merges_whole ] ) ]
