@@ -339,7 +339,7 @@ let random_search (bug : Bugs.Bug.t) ~seed ~max_runs =
       else
         let run_rng = Fuzz.Rng.split rng in
         let policy =
-          Fuzz.Fuzzer.with_prologue prologue
+          Hypervisor.Schedule.with_prologue prologue
             (Fuzz.Fuzzer.random_policy run_rng)
         in
         let o = Hypervisor.Controller.run (Ksim.Machine.create group) policy in

@@ -89,21 +89,11 @@ let create ?(max_steps = default_max_steps) ?(prologue = [])
 
 let relevance e = e.rel
 
-(* The families-table key of a plan: each iid as its tid, label length,
-   label and occurrence.  The length prefix makes the encoding
-   injective, so distinct plans never share a key. *)
+(* The families-table key of a plan: its iids in order.  Each iid's
+   encoding is self-delimiting, so distinct plans never share a key. *)
 let plan_key (plan : Iid.t list) =
   let b = Buffer.create 256 in
-  List.iter
-    (fun (iid : Iid.t) ->
-      Buffer.add_string b (string_of_int iid.tid);
-      Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int (String.length iid.label));
-      Buffer.add_char b ':';
-      Buffer.add_string b iid.label;
-      Buffer.add_string b (string_of_int iid.occ);
-      Buffer.add_char b ';')
-    plan;
+  List.iter (Ksim.Key.iid b) plan;
   Buffer.contents b
 
 (* --- the replay rule: an exact mirror of plan enforcement ------------- *)

@@ -68,8 +68,11 @@ let round ~group ~prologue ~(rng : Fuzz.Rng.t) ~window
       | [] -> None
       | xs -> Some (Fuzz.Rng.pick rng xs)
   in
-  let policy = Fuzz.Fuzzer.with_prologue prologue policy in
-  let o = Hypervisor.Controller.run (Ksim.Machine.create group) policy in
+  let policy = Hypervisor.Schedule.with_prologue prologue policy in
+  let o =
+    Hypervisor.Controller.run (Ksim.Engine.boot Ksim.Engine.default group)
+      policy
+  in
   (* Scan the trace: the first access to the watched location by another
      thread while the victim was parked before its sampled access. *)
   let victim_done = ref false in
@@ -104,10 +107,11 @@ let detect ?(rounds = 64) ?(window = 200) ?(seed = 99) ~prologue group :
   (* Profile with a random schedule to learn the access population. *)
   let profile =
     let policy =
-      Fuzz.Fuzzer.with_prologue prologue
+      Hypervisor.Schedule.with_prologue prologue
         (Fuzz.Fuzzer.random_policy (Fuzz.Rng.split rng))
     in
-    Hypervisor.Controller.run (Ksim.Machine.create group) policy
+    Hypervisor.Controller.run (Ksim.Engine.boot Ksim.Engine.default group)
+      policy
   in
   let population =
     List.filter_map

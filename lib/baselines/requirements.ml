@@ -87,9 +87,9 @@ let production_runs ?(count = 40) (group : Ksim.Program.group) :
   in
   let rng = Fuzz.Rng.create 4242 in
   List.init count (fun _ ->
-      let m = Ksim.Machine.create group in
+      let m = Ksim.Engine.boot Ksim.Engine.default group in
       let policy =
-        Fuzz.Fuzzer.with_prologue prologue
+        Hypervisor.Schedule.with_prologue prologue
           (Fuzz.Fuzzer.random_policy (Fuzz.Rng.split rng))
       in
       Hypervisor.Controller.run m policy)

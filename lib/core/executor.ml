@@ -27,21 +27,6 @@ type run = {
   confidence : float;
 }
 
-(* Prologue threads (resource-setup system calls pulled in by the slicer)
-   are forced to run to completion, in order, before the interesting
-   threads; we wrap the policy. *)
-let with_prologue (prologue : int list) (policy : Hypervisor.Controller.policy)
-    : Hypervisor.Controller.policy =
- fun m runnable ->
-  let rec pick = function
-    | [] -> policy m runnable
-    | tid :: rest ->
-      if Ksim.Machine.is_done m tid then pick rest
-      else if List.mem tid runnable then Some tid
-      else None (* prologue blocked: give up *)
-  in
-  pick prologue
-
 (* Capture a snapshot after every executed step: the machine plus the
    enforcement policy's dumped state, newest first. *)
 let capture dump snaps_rev : Hypervisor.Controller.observer =
@@ -224,7 +209,7 @@ let run_preemption ?max_steps ?(prologue = []) ?snapshots ?resilience
         let policy, dump =
           Hypervisor.Schedule.preemption_policy_tracked enforced
         in
-        let policy = with_prologue prologue policy in
+        let policy = Hypervisor.Schedule.with_prologue prologue policy in
         ( Hypervisor.Vm.run ?max_steps ~observe:(capture dump snaps_rev) vm
             policy,
           [||],
@@ -248,7 +233,9 @@ let run_preemption ?max_steps ?(prologue = []) ?snapshots ?resilience
               Hypervisor.Schedule.resume_policy ~queue:hit.resume_queue
                 ~switches:hit.resume_switches
             in
-            let policy = with_prologue prologue policy in
+            let policy =
+              Hypervisor.Schedule.with_prologue prologue policy
+            in
             ( Hypervisor.Vm.resume ?max_steps
                 ~observe:(capture dump snaps_rev) vm hit.start policy,
               hit.base,
@@ -272,7 +259,8 @@ let run_preemption ?max_steps ?(prologue = []) ?snapshots ?resilience
       { schedule_kind = `Preemption; outcome; confidence = 1. }
     | Some _ | None ->
       let policy =
-        with_prologue prologue (Hypervisor.Schedule.preemption_policy enforced)
+        Hypervisor.Schedule.with_prologue prologue
+          (Hypervisor.Schedule.preemption_policy enforced)
       in
       let outcome = Hypervisor.Vm.run ?max_steps vm policy in
       { schedule_kind = `Preemption; outcome; confidence = 1. }
@@ -298,7 +286,8 @@ let run_plan ?max_steps ?(prologue = []) ?snapshots ?resilience
     in
     let fresh () =
       let policy =
-        with_prologue prologue (Hypervisor.Schedule.plan_policy enforced)
+        Hypervisor.Schedule.with_prologue prologue
+          (Hypervisor.Schedule.plan_policy enforced)
       in
       let outcome = Hypervisor.Vm.run ?max_steps vm policy in
       { schedule_kind = `Plan; outcome; confidence = 1. }
@@ -317,7 +306,8 @@ let run_plan ?max_steps ?(prologue = []) ?snapshots ?resilience
           fresh ())
         else
           let policy =
-            with_prologue prologue (Hypervisor.Schedule.plan_policy hit.suffix)
+            Hypervisor.Schedule.with_prologue prologue
+              (Hypervisor.Schedule.plan_policy hit.suffix)
           in
           let outcome =
             Hypervisor.Vm.resume ?max_steps vm hit.plan_start policy

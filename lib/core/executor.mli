@@ -20,11 +20,6 @@ type run = {
           result is a best-effort (possibly synthesized) outcome *)
 }
 
-val with_prologue :
-  int list -> Hypervisor.Controller.policy -> Hypervisor.Controller.policy
-(** Force resource-setup threads to run to completion, in order, before
-    the policy takes over. *)
-
 val run_preemption :
   ?max_steps:int -> ?prologue:int list ->
   ?snapshots:Hypervisor.Snapshots.t -> ?resilience:Resilience.t ->

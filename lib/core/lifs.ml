@@ -67,10 +67,6 @@ let rec permutations = function
         List.map (fun p -> x :: p) (permutations rest))
       l
 
-let site_of_event final (e : Ksim.Machine.event) : Ksim.Kcov.site =
-  { Ksim.Kcov.site_thread = Ksim.Machine.thread_base final e.iid.Iid.tid;
-    site_label = e.iid.Iid.label }
-
 (* Index (in the trace) after which a new preemption may be placed: all
    existing switches must already have fired. *)
 let extension_start (sched : Schedule.preemption)
@@ -84,30 +80,6 @@ let extension_start (sched : Schedule.preemption)
         if Iid.equal e.iid after then idx := i + 1)
       trace;
     !idx
-
-(* Is thread [u] certainly finished by trace position [i] of this run? *)
-let done_by final (trace : Ksim.Machine.event array) u i =
-  Ksim.Machine.has_thread final u
-  && Ksim.Machine.is_done final u
-  &&
-  let last = ref (-1) in
-  Array.iteri
-    (fun j (e : Ksim.Machine.event) -> if e.iid.Iid.tid = u then last := j)
-    trace;
-  !last <= i
-
-(* Does thread [u] exist at trace position [i]? Top-level threads always
-   do; spawned threads exist once their spawn event has occurred. *)
-let exists_by n_top (trace : Ksim.Machine.event array) u i =
-  u < n_top
-  ||
-  let spawned = ref false in
-  Array.iteri
-    (fun j (e : Ksim.Machine.event) ->
-      if j <= i && List.exists (fun (t, _) -> t = u) e.spawned then
-        spawned := true)
-    trace;
-  !spawned
 
 (* Candidate one-preemption extensions of an executed run, each paired
    with its equivalence signature (parent schedule, static preemption
@@ -187,21 +159,47 @@ let extensions ~db ~n_top ~prologue ?hints ?invariants ?shared
   let trace = Array.of_list outcome.trace in
   let start = extension_start sched trace in
   let parent_key = Schedule.preemption_key sched in
-  let all_tids =
-    List.filter
-      (fun t -> not (List.mem t prologue))
-      (Ksim.Machine.thread_ids final)
-  in
+  let tids = Ksim.Machine.thread_ids final in
+  let all_tids = List.filter (fun t -> not (List.mem t prologue)) tids in
+  (* Per-thread facts, one pass over the trace (thread ids are dense).
+     Thread [u] exists at trace position [i] when it is top-level or
+     was spawned at or before [i]; it is certainly finished by [i] when
+     the run left it done and its last event is at or before [i]. *)
+  let n_threads = List.length tids in
+  let base = Array.init n_threads (Ksim.Machine.thread_base final) in
+  let finished = Array.init n_threads (Ksim.Machine.is_done final) in
+  let last = Array.make n_threads (-1) in
+  let spawned_at = Array.make n_threads max_int in
+  Array.iteri
+    (fun i (e : Ksim.Machine.event) ->
+      last.(e.iid.Iid.tid) <- i;
+      List.iter
+        (fun (t, _) -> if spawned_at.(t) = max_int then spawned_at.(t) <- i)
+        e.spawned)
+    trace;
+  let exists_by u i = u < n_top || spawned_at.(u) <= i in
+  let done_by u i = finished.(u) && last.(u) <= i in
   let out = ref [] in
   let static_skips = ref 0 in
   let invariant_skips = ref 0 in
   (* Emission / class / skip state, possibly shared across re-extension
-     passes.  Keys are namespaced: "c|sig" emitted candidates, "k|..."
-     invariant-class representatives, "s|..." already-counted skips. *)
+     passes.  Keys are namespaced by their first character: 'c' emitted
+     candidates, 'k' invariant-class representatives, 's'/'i' already
+     counted static/invariant skips. *)
   let tbl : (string, unit) Hashtbl.t =
     match shared with Some t -> t | None -> Hashtbl.create 64
   in
   let once key = if Hashtbl.mem tbl key then false else (Hashtbl.add tbl key (); true) in
+  (* Table keys extend the parent's schedule key, which no other
+     schedule's key extends (see {!Schedule.preemption_key}). *)
+  let b = Buffer.create 128 in
+  let key tag fields =
+    Buffer.clear b;
+    Buffer.add_string b tag;
+    Buffer.add_string b parent_key;
+    fields ();
+    Buffer.contents b
+  in
   (* Invariant segments: [seg] advances at every event that is not
      displaceable or that changes thread, so two anchors share a
      segment exactly when only displaceable same-thread instructions
@@ -220,24 +218,37 @@ let extensions ~db ~n_top ~prologue ?hints ?invariants ?shared
         match e.access with
         | None -> ()
         | Some a ->
-          let site = site_of_event final e in
-          if Ksim.Kcov.has_conflict db ~site ~addr:a.addr ~kind:a.kind then
+          let site =
+            { Ksim.Kcov.site_thread = base.(e.iid.Iid.tid);
+              site_label = e.iid.Iid.label }
+          in
+          (* The known accesses to the location that conflict with this
+             one by kind; a candidate needs one from another thread
+             (some thread's, then the switch target's own). *)
+          let conflicting =
+            List.filter
+              (fun (_, k) -> a.kind <> Ksim.Instr.Read || k <> Ksim.Instr.Read)
+              (Ksim.Kcov.accessors db a.addr)
+          in
+          if
+            List.exists
+              (fun ((s : Ksim.Kcov.site), _) ->
+                not (String.equal s.site_thread site.site_thread))
+              conflicting
+          then
             List.iter
               (fun u ->
                 if
                   u <> e.iid.Iid.tid
-                  && exists_by n_top trace u i
-                  && not (done_by final trace u i)
+                  && exists_by u i
+                  && not (done_by u i)
                 then
                   (* the target must itself touch the location *)
                   let targets =
                     List.filter
-                      (fun ((s : Ksim.Kcov.site), k) ->
-                        String.equal s.site_thread
-                          (Ksim.Machine.thread_base final u)
-                        && (a.kind <> Ksim.Instr.Read
-                           || k <> Ksim.Instr.Read))
-                      (Ksim.Kcov.accessors db a.addr)
+                      (fun ((s : Ksim.Kcov.site), _) ->
+                        String.equal s.site_thread base.(u))
+                      conflicting
                   in
                   if targets <> [] then (
                     let rank =
@@ -255,26 +266,31 @@ let extensions ~db ~n_top ~prologue ?hints ?invariants ?shared
                           max_int targets
                     in
                     let occ_key tag =
-                      Fmt.str "%s|%s|%a->%d" tag parent_key Iid.pp_full
-                        e.iid u
+                      key tag (fun () ->
+                          Ksim.Key.iid b e.iid;
+                          Ksim.Key.int b u)
                     in
                     if rank >= Analysis.Summary.guarded_rank then (
                       (* every target pair is proven Guarded *)
                       if once (occ_key "s") then incr static_skips)
                     else
                       let equiv_sig =
-                        Fmt.str "%s|%s:%s@%a->%s" parent_key
-                          site.Ksim.Kcov.site_thread site.Ksim.Kcov.site_label
-                          Ksim.Addr.pp a.addr
-                          (Ksim.Machine.thread_base final u)
+                        key "" (fun () ->
+                            Ksim.Key.string b site.Ksim.Kcov.site_thread;
+                            Ksim.Key.string b site.Ksim.Kcov.site_label;
+                            Ksim.Key.addr b a.addr;
+                            Ksim.Key.string b base.(u))
                       in
                       let class_new =
                         match invariants with
                         | None -> true
                         | Some _ ->
-                          Hashtbl.mem tbl ("c|" ^ equiv_sig)
-                          || once (Fmt.str "k|%s|%d|%d|%d" parent_key !seg
-                                     rank u)
+                          Hashtbl.mem tbl ("c" ^ equiv_sig)
+                          || once
+                               (key "k" (fun () ->
+                                    Ksim.Key.int b !seg;
+                                    Ksim.Key.int b rank;
+                                    Ksim.Key.int b u))
                       in
                       if not class_new then (
                         (* a representative of the same invariant class
@@ -282,7 +298,7 @@ let extensions ~db ~n_top ~prologue ?hints ?invariants ?shared
                            cannot change the failure predicate *)
                         if once (occ_key "i") then incr invariant_skips)
                       else if
-                        shared = None || once ("c|" ^ equiv_sig)
+                        shared = None || once ("c" ^ equiv_sig)
                       then
                         let site_key =
                           site.Ksim.Kcov.site_thread ^ ":"

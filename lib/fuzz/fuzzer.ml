@@ -29,19 +29,6 @@ let random_policy (rng : Rng.t) : Hypervisor.Controller.policy =
   | [] -> None
   | xs -> Some (Rng.pick rng xs)
 
-(* Serial-prologue wrapper for setup threads. *)
-let with_prologue prologue (policy : Hypervisor.Controller.policy) :
-    Hypervisor.Controller.policy =
- fun m runnable ->
-  let rec pick = function
-    | [] -> policy m runnable
-    | tid :: rest ->
-      if Ksim.Machine.is_done m tid then pick rest
-      else if List.mem tid runnable then Some tid
-      else None
-  in
-  pick prologue
-
 (* Reconstruct an ftrace history from an executed trace: syscall
    enter/exit and kernel-thread invocation events with timestamps
    derived from the machine clock. *)
@@ -139,8 +126,10 @@ let run ?(max_runs = 2_000) ?(max_steps = 50_000) ?(prologue = [])
     if i >= max_runs then Error { executed = i; crashed = false }
     else
       let run_rng = Rng.split rng in
-      let m = Ksim.Machine.create group in
-      let policy = with_prologue prologue (random_policy run_rng) in
+      let m = Ksim.Engine.boot Ksim.Engine.default group in
+      let policy =
+        Hypervisor.Schedule.with_prologue prologue (random_policy run_rng)
+      in
       let o = Hypervisor.Controller.run ~max_steps m policy in
       match o.verdict with
       | Hypervisor.Controller.Failed failure ->

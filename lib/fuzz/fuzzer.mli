@@ -20,9 +20,6 @@ type stats = {
 val random_policy : Rng.t -> Hypervisor.Controller.policy
 (** Pick any runnable thread at every step. *)
 
-val with_prologue :
-  int list -> Hypervisor.Controller.policy -> Hypervisor.Controller.policy
-
 val history_of_run :
   group:Ksim.Program.group -> subsystem:string ->
   Hypervisor.Controller.outcome -> Trace.History.t

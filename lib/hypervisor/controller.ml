@@ -24,7 +24,10 @@ type outcome = {
 let is_failure o = match o.verdict with Failed _ -> true | _ -> false
 
 (* A policy sees the machine and the runnable set and picks a thread, or
-   [None] to give up (treated as deadlock if threads remain). *)
+   [None] to give up (treated as deadlock if threads remain).  A policy
+   value drives exactly one run: the schedule policies keep per-run
+   state (run queue, pending switches, prologue progress) that only moves
+   forward, so each run builds its own. *)
 type policy = Ksim.Machine.t -> int list -> int option
 
 (* An observer sees every successfully executed step: the machine after
@@ -78,39 +81,41 @@ let context_switches (trace : Ksim.Machine.event list) =
   go None 0 trace
 
 (* Run [m] under [policy] until completion, failure, deadlock or the step
-   watchdog, starting from an arbitrary resumable position. *)
+   watchdog, starting from an arbitrary resumable position.
+
+   An unobserved run's intermediate machines are unreachable once it
+   ends, so its final machine is detached from the undo log that built
+   it: an outcome kept for later (LIFS keeps every one) then holds the
+   state alone.  An observer may hold earlier machines of the same run
+   (the snapshot cache does), so an observed run's final is left as
+   is. *)
 let run_from ?(max_steps = default_max_steps) ?observe (start : start)
     (policy : policy) : outcome =
+  let stop verdict m acc steps =
+    let final =
+      match observe with None -> Ksim.Machine.detach m | Some _ -> m
+    in
+    { verdict; trace = List.rev acc; final; steps }
+  in
+  (* No thread will step again: flag leaks, then classify. *)
+  let settle m acc steps =
+    let m = Ksim.Machine.check_leaks m in
+    match Ksim.Machine.failed m with
+    | Some f -> stop (Failed f) m acc steps
+    | None ->
+      stop (if Ksim.Machine.all_done m then Completed else Deadlock) m acc steps
+  in
   let rec loop m acc steps =
-    if steps >= max_steps then
-      { verdict = Step_limit; trace = List.rev acc; final = m; steps }
+    if steps >= max_steps then stop Step_limit m acc steps
     else
       match Ksim.Machine.failed m with
-      | Some f -> { verdict = Failed f; trace = List.rev acc; final = m; steps }
+      | Some f -> stop (Failed f) m acc steps
       | None -> (
         match Ksim.Machine.runnable m with
-        | [] ->
-          let m = Ksim.Machine.check_leaks m in
-          (match Ksim.Machine.failed m with
-          | Some f ->
-            { verdict = Failed f; trace = List.rev acc; final = m; steps }
-          | None ->
-            if Ksim.Machine.all_done m then
-              { verdict = Completed; trace = List.rev acc; final = m; steps }
-            else
-              { verdict = Deadlock; trace = List.rev acc; final = m; steps })
+        | [] -> settle m acc steps
         | runnable -> (
           match policy m runnable with
-          | None ->
-            let m = Ksim.Machine.check_leaks m in
-            (match Ksim.Machine.failed m with
-            | Some f ->
-              { verdict = Failed f; trace = List.rev acc; final = m; steps }
-            | None ->
-              if Ksim.Machine.all_done m then
-                { verdict = Completed; trace = List.rev acc; final = m; steps }
-              else
-                { verdict = Deadlock; trace = List.rev acc; final = m; steps })
+          | None -> settle m acc steps
           | Some tid -> (
             match Ksim.Engine.step m tid with
             | Ok (m, ev) ->
@@ -120,17 +125,15 @@ let run_from ?(max_steps = default_max_steps) ?observe (start : start)
               | Some f -> f m acc steps
               | None -> ());
               loop m acc steps
-            | Error (Ksim.Machine.Blocked_on_lock _) ->
-              (* The policy picked a blocked thread; treat as deadlock
-                 rather than spinning — policies are expected to consult
-                 the runnable set. *)
-              { verdict = Deadlock; trace = List.rev acc; final = m; steps }
+            | Error (Ksim.Machine.Blocked_on_lock _)
             | Error Ksim.Machine.Thread_not_runnable ->
-              { verdict = Deadlock; trace = List.rev acc; final = m; steps }
+              (* The policy picked a thread that cannot step; treat as
+                 deadlock rather than spinning — policies are expected
+                 to consult the runnable set. *)
+              stop Deadlock m acc steps
             | Error Ksim.Machine.Machine_failed -> (
               match Ksim.Machine.failed m with
-              | Some f ->
-                { verdict = Failed f; trace = List.rev acc; final = m; steps }
+              | Some f -> stop (Failed f) m acc steps
               | None -> assert false))))
   in
   loop start.start_machine start.start_trace_rev start.start_steps

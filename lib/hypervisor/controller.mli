@@ -23,7 +23,9 @@ val is_failure : outcome -> bool
 
 type policy = Ksim.Machine.t -> int list -> int option
 (** A policy sees the machine and the runnable set and picks a thread;
-    [None] gives up (deadlock if threads remain). *)
+    [None] gives up (deadlock if threads remain).  A policy value drives
+    exactly one run: the schedule policies keep per-run state that only
+    moves forward, so build a fresh one for every run. *)
 
 type observer = Ksim.Machine.t -> Ksim.Machine.event list -> int -> unit
 (** Called after every successfully executed step with the machine
@@ -53,7 +55,9 @@ val run :
 (** Runs under a [controller.run] telemetry span with step-loop
     counters (instructions stepped, context switches); when no sink is
     installed the instrumentation is a no-op and the outcome is
-    bit-identical. *)
+    bit-identical.  Without [observe] the outcome's [final] is
+    {!Ksim.Machine.detach}ed, so a retained outcome does not retain the
+    run's undo log; with it, [final] is the run's last machine. *)
 
 val resume : ?max_steps:int -> ?observe:observer -> start -> policy -> outcome
 (** Continue a run from a restored snapshot position.  The outcome's

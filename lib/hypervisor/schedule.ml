@@ -42,9 +42,23 @@ let pp_preemption ppf p =
 (* Number of forced interleavings — the paper's "interleaving count". *)
 let interleaving_count p = List.length p.switches
 
-(* A stable key identifying a preemption schedule, for memoization. *)
+(* A key identifying a preemption schedule, for memoization within one
+   process.  Besides injective it is prefix-free: '|' ends the order and
+   ';' ends the switch list where a switch's first field would start, so
+   no key is a proper prefix of another and appending fields to a key
+   (as LIFS equivalence signatures do) never yields another schedule's
+   key. *)
 let preemption_key p =
-  Fmt.str "%a" pp_preemption p
+  let b = Buffer.create 64 in
+  List.iter (Ksim.Key.int b) p.order;
+  Buffer.add_char b '|';
+  List.iter
+    (fun { after; switch_to } ->
+      Ksim.Key.iid b after;
+      Ksim.Key.int b switch_to)
+    p.switches;
+  Buffer.add_char b ';';
+  Buffer.contents b
 
 (* --- preemption policy ------------------------------------------------ *)
 
@@ -64,6 +78,12 @@ let queue_policy ~(queue : int list) ~(switches : switch list) :
     Controller.policy * (unit -> int list * switch list) =
   let queue = ref queue in
   let pending = ref switches in
+  (* Thread ids are dense and never retired, so every id below [seen_n]
+     has been considered for the queue and a new thread is exactly an
+     id at or above it.  The first call walks every thread (the initial
+     queue need not hold them all: prologue threads are left out);
+     later calls do O(1) work unless a thread was spawned. *)
+  let seen_n = ref 0 in
   (* Insert a freshly spawned thread after its spawner — and after any
      earlier-spawned siblings already queued there, so deferred work
      keeps its FIFO order. *)
@@ -84,16 +104,16 @@ let queue_policy ~(queue : int list) ~(switches : switch list) :
   let to_front tid q = tid :: List.filter (fun x -> x <> tid) q in
   let policy m runnable =
     (* Fold spawn and switch effects of the previous step lazily: we
-       inspect the machine to learn about new threads. *)
-    let known = !queue in
-    let all = Ksim.Machine.thread_ids m in
-    let new_threads = List.filter (fun t -> not (List.mem t known)) all in
-    List.iter
-      (fun t ->
+       inspect the machine to learn about new threads, in ascending id
+       order. *)
+    while Ksim.Machine.has_thread m !seen_n do
+      let t = !seen_n in
+      incr seen_n;
+      if not (List.mem t !queue) then
         match Ksim.Machine.thread_parent m t with
         | Some parent -> queue := insert_after m parent t !queue
-        | None -> queue := !queue @ [ t ])
-      new_threads;
+        | None -> queue := !queue @ [ t ]
+    done;
     (* Apply a pending switch if its trigger has executed. *)
     (match !pending with
     | { after; switch_to } :: rest ->
@@ -127,6 +147,31 @@ let preemption_policy_tracked (p : preemption) =
    that exactly the suffix switches are passed, so the policy behaves
    bit-identically to the fresh policy from that position onward. *)
 let resume_policy ~queue ~switches = queue_policy ~queue ~switches
+
+(* --- prologue --------------------------------------------------------- *)
+
+(* Prologue threads (resource-setup system calls pulled in by the
+   slicer) run to completion, in order, before the wrapped policy takes
+   over; a blocked prologue thread gives up the run.  A thread never
+   stops being done within a run, so the finished head of the prologue
+   is dropped for good (the policy is one-shot, like every policy here)
+   and once the whole prologue is done each call goes straight to the
+   wrapped policy. *)
+let with_prologue (prologue : int list) (policy : Controller.policy) :
+    Controller.policy =
+  let remaining = ref prologue in
+  fun m runnable ->
+    let rec pick = function
+      | [] ->
+        remaining := [];
+        policy m runnable
+      | tid :: rest as l ->
+        if Ksim.Machine.is_done m tid then pick rest
+        else (
+          remaining := l;
+          if List.mem tid runnable then Some tid else None)
+    in
+    match !remaining with [] -> policy m runnable | l -> pick l
 
 (* --- plan schedules --------------------------------------------------- *)
 

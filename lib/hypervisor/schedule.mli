@@ -29,7 +29,10 @@ val interleaving_count : preemption -> int
 (** The paper's "interleaving count": number of forced preemptions. *)
 
 val preemption_key : preemption -> string
-(** Stable identity, for memoization. *)
+(** Identity for memoization within one process; never persisted.
+    Injective, and prefix-free: no key is a proper prefix of another,
+    so a key with fields appended never equals another schedule's
+    key. *)
 
 val pp_switch : switch Fmt.t
 val pp_preemption : preemption Fmt.t
@@ -56,6 +59,12 @@ val resume_policy :
     same state dump as {!preemption_policy_tracked} so the resumed run
     can itself be captured.  Bit-identical to the fresh policy from
     that position onward. *)
+
+val with_prologue : int list -> Controller.policy -> Controller.policy
+(** Force resource-setup threads to run to completion, in order, before
+    the wrapped policy takes over; a blocked prologue thread ends the
+    run.  One-shot like every policy: the finished part of the prologue
+    is latched, so once it is all done the wrapper costs nothing. *)
 
 type plan = {
   events : Iid.t list;       (** the total order to enforce *)

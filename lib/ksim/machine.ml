@@ -1242,6 +1242,11 @@ module Fast = struct
 
   let freeze h = h.h_arena.ar_current <- None
 
+  (* [h]'s state on an arena of its own with an empty undo log.  The
+     source arena is only read, so every handle into it stays valid;
+     once those are dropped, its log can be collected. *)
+  let detach h = retip (clone_at h)
+
   (* Marginal byte cost of keeping [h] alive in a snapshot vector, given
      the previously accounted snapshot [prev] of the same chain. *)
   let snapshot_cost ~prev h =
@@ -2073,6 +2078,8 @@ let fingerprint = function
 (* --- compiled-engine management -------------------------------------- *)
 
 let freeze = function Pure _ -> () | Fast h -> Fast.freeze h
+
+let detach = function Pure _ as m -> m | Fast h -> Fast (Fast.detach h)
 
 let snapshot_cost ?prev m =
   match m with

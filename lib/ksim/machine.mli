@@ -124,6 +124,13 @@ val freeze : t -> unit
     domains (a frozen arena is only ever read).  No-op on the reference
     engine.  Call before publishing a machine into a shared cache. *)
 
+val detach : t -> t
+(** The same state without the history that produced it.  On the
+    compiled engine, a clone on a fresh arena with an empty undo log,
+    so keeping the result alive does not keep the log alive; every
+    other machine stays valid.  The identity on the reference engine.
+    O(state). *)
+
 val snapshot_cost : ?prev:t -> t -> int
 (** Approximate bytes of keeping this machine alive in a snapshot
     vector.  For the compiled engine the cost of a snapshot that shares

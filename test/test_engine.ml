@@ -340,6 +340,77 @@ let prop_restore_equals_fresh =
         !ok
       end)
 
+(* --- detach: the same state without the undo log ----------------------------- *)
+
+(* Detach a compiled machine at a random point of a run: the detached
+   machine must be indistinguishable from the original (fingerprint,
+   runnable set, and every event of the rest of the run under the same
+   picks), and detaching must leave the original usable.  On the
+   reference engine detach is the identity. *)
+let prop_detach_equals_original =
+  QCheck.Test.make ~count:120 ~long_factor:4
+    ~name:"compiled engine: detach preserves state and future steps"
+    arb_restore
+    (fun (group, cut, seed) ->
+      let st = Random.State.make [| seed |] in
+      let pick tids = List.nth tids (Random.State.int st (List.length tids)) in
+      let r0 = Engine.boot Engine.Reference group in
+      if Machine.detach r0 != r0 then
+        Alcotest.fail "detach changed a reference-engine machine";
+      let rec prefix m k =
+        match Machine.runnable m with
+        | [] -> m
+        | runnable when k > 0 -> (
+          match try_step m (pick runnable) with
+          | S_ok (m', _) -> prefix m' (k - 1)
+          | S_err _ | S_model _ -> m)
+        | _ -> m
+      in
+      let m = prefix (Engine.boot Engine.Compiled group) cut in
+      let fp = Engine.fingerprint m and runnable = Machine.runnable m in
+      let d = Machine.detach m in
+      (* Run the detached machine to the end first, recording each step;
+         the original must then be exactly where it was and replay the
+         same steps. *)
+      let rec drive m steps acc =
+        match Machine.runnable m with
+        | [] -> List.rev acc
+        | _ when steps >= 2_000 -> List.rev acc
+        | tids -> (
+          let tid = pick tids in
+          match try_step m tid with
+          | S_ok (m', ev) ->
+            drive m' (steps + 1) ((tid, `Ev ev, Engine.fingerprint m') :: acc)
+          | S_err e -> List.rev ((tid, `Err e, "") :: acc)
+          | S_model msg -> List.rev ((tid, `Model msg, "") :: acc))
+      in
+      let ok =
+        String.equal (Engine.fingerprint d) fp
+        && Machine.runnable d = runnable
+        &&
+        let steps = drive d 0 [] in
+        String.equal (Engine.fingerprint m) fp
+        &&
+        let rec replay m = function
+          | [] -> true
+          | (tid, expected, efp) :: rest -> (
+            match (try_step m tid, expected) with
+            | S_ok (m', ev), `Ev e ->
+              event_mismatch ev e = None
+              && String.equal (Engine.fingerprint m') efp
+              && replay m' rest
+            | S_err a, `Err b -> a = b
+            | S_model a, `Model b -> String.equal a b
+            | _, _ -> false)
+        in
+        replay m steps
+      in
+      if not ok then
+        dump_counterexample ~schedule:(Fmt.str "detach-seeded-%d" seed)
+          ~picked:[] ~step:cut
+          ~reason:"detached machine diverges from the original" group;
+      ok)
+
 (* --- static instrumentation: bitsets and watchpoints ------------------------ *)
 
 (* Map a dynamic event back to its static pc: thread base name ->
@@ -503,7 +574,9 @@ let () =
             test_lockstep_coverage ] );
       ( "snapshots",
         [ QCheck_alcotest.to_alcotest ~speed_level:`Quick
-            prop_restore_equals_fresh ] );
+            prop_restore_equals_fresh;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            prop_detach_equals_original ] );
       ( "instrumentation",
         [ QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_bitset_parity ]
       );

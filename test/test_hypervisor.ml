@@ -117,6 +117,69 @@ let test_interleaving_count_and_key () =
   checkb "keys differ" false
     (String.equal (Schedule.preemption_key s0) (Schedule.preemption_key s1))
 
+(* Every schedule with at most two switches over a small domain whose
+   labels contain the key's own separators and digits, next to
+   occurrence counts that could run into them: keys must be equal for
+   equal schedules, distinct for distinct ones, and no key may be a
+   proper prefix of another (LIFS extends schedule keys into
+   equivalence signatures filed in the same table). *)
+let test_preemption_key_identity () =
+  let labels = [ ""; "1"; "12"; "1,"; ",1"; ";"; "|"; "a" ] in
+  let switches =
+    List.concat_map
+      (fun tid ->
+        List.concat_map
+          (fun label ->
+            List.concat_map
+              (fun occ ->
+                List.map
+                  (fun switch_to ->
+                    { Schedule.after = Iid.make ~tid ~label ~occ; switch_to })
+                  [ 0; 1 ])
+              [ 1; 2; 12 ])
+          labels)
+      [ 0; 1 ]
+  in
+  let switch_lists =
+    ([] :: List.map (fun s -> [ s ]) switches)
+    @ List.concat_map (fun a -> List.map (fun b -> [ a; b ]) switches)
+        switches
+  in
+  let orders = [ []; [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 1; 0 ]; [ 12 ] ] in
+  let keys : (string, Schedule.preemption) Hashtbl.t = Hashtbl.create 65536 in
+  List.iter
+    (fun order ->
+      List.iter
+        (fun switches ->
+          let p = { Schedule.order; switches } in
+          let k = Schedule.preemption_key p in
+          (* an equal schedule built from fresh strings *)
+          let fresh (s : Schedule.switch) =
+            let label = Bytes.to_string (Bytes.of_string s.after.label) in
+            { s with Schedule.after = { s.after with label } }
+          in
+          let copy = { Schedule.order; switches = List.map fresh switches } in
+          checkb "equal schedules, equal keys" true
+            (String.equal k (Schedule.preemption_key copy));
+          (match Hashtbl.find_opt keys k with
+          | Some q ->
+            Alcotest.failf "key collision: %a and %a" Schedule.pp_preemption p
+              Schedule.pp_preemption q
+          | None -> ());
+          Hashtbl.add keys k p)
+        switch_lists)
+    orders;
+  Hashtbl.iter
+    (fun k p ->
+      for len = 0 to String.length k - 1 do
+        match Hashtbl.find_opt keys (String.sub k 0 len) with
+        | Some q ->
+          Alcotest.failf "key of %a is a prefix of the key of %a"
+            Schedule.pp_preemption q Schedule.pp_preemption p
+        | None -> ()
+      done)
+    keys
+
 (* --- plan schedules -------------------------------------------------------- *)
 
 let test_plan_exact_replay () =
@@ -286,7 +349,9 @@ let () =
           Alcotest.test_case "spawn placement" `Quick
             test_spawned_runs_after_spawner;
           Alcotest.test_case "count/key" `Quick
-            test_interleaving_count_and_key ] );
+            test_interleaving_count_and_key;
+          Alcotest.test_case "key identity" `Quick
+            test_preemption_key_identity ] );
       ( "plan",
         [ Alcotest.test_case "exact replay" `Quick test_plan_exact_replay;
           Alcotest.test_case "divergence" `Quick

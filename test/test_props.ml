@@ -557,6 +557,118 @@ let prop_guarded_pairs_never_data_race =
             false)
         (Aitia.Race.of_trace o.trace))
 
+(* --- the preemption policy against its specification ------------------------ *)
+
+module Schedule = Hypervisor.Schedule
+module Controller = Hypervisor.Controller
+
+(* The preemption policy in its plainest form, kept as the
+   specification: every call re-derives the run queue from the
+   machine's full thread list, and the prologue wrapper re-checks every
+   prologue thread at every step. *)
+let spec_preemption_policy ~prologue (p : Schedule.preemption) :
+    Controller.policy =
+  let queue = ref p.order in
+  let pending = ref p.switches in
+  let insert_after m parent tid q =
+    let is_child y = Ksim.Machine.thread_parent m y = Some parent in
+    let rec go = function
+      | [] -> [ tid ]
+      | x :: rest when x = parent ->
+        let rec skip_siblings acc = function
+          | y :: more when is_child y -> skip_siblings (y :: acc) more
+          | remaining -> List.rev_append acc (tid :: remaining)
+        in
+        x :: skip_siblings [] rest
+      | x :: rest -> x :: go rest
+    in
+    go q
+  in
+  let policy m runnable =
+    let known = !queue in
+    List.iter
+      (fun t ->
+        if not (List.mem t known) then
+          match Ksim.Machine.thread_parent m t with
+          | Some parent -> queue := insert_after m parent t !queue
+          | None -> queue := !queue @ [ t ])
+      (Ksim.Machine.thread_ids m);
+    (match !pending with
+    | { Schedule.after; switch_to } :: rest ->
+      let tid = after.Iid.tid in
+      if
+        Ksim.Machine.has_thread m tid
+        && Ksim.Machine.occurrences m tid after.Iid.label >= after.Iid.occ
+      then (
+        pending := rest;
+        queue := switch_to :: List.filter (fun x -> x <> switch_to) !queue)
+    | [] -> ());
+    List.find_opt (fun t -> List.mem t runnable) !queue
+  in
+  fun m runnable ->
+    let rec pick = function
+      | [] -> policy m runnable
+      | tid :: rest ->
+        if Ksim.Machine.is_done m tid then pick rest
+        else if List.mem tid runnable then Some tid
+        else None
+    in
+    pick prologue
+
+(* A run's observable result: the executed iids and the verdict, or the
+   model error that stopped it. *)
+let run_result engine group policy =
+  match Controller.run (Ksim.Engine.boot engine group) policy with
+  | o ->
+    Ok
+      ( iids_of o,
+        Fmt.str "%a" Controller.pp_verdict o.verdict )
+  | exception Ksim.Machine.Model_error msg -> Error msg
+
+(* Generated programs with locks and kthread spawns; thread A is a
+   prologue thread, the others start in a random order, and up to three
+   switches fire after instructions of a serial run, to any thread id
+   (spawned ones and one past the last included). *)
+let prop_preemption_policy_matches_spec =
+  QCheck.Test.make ~count:200
+    ~name:"preemption policy with prologue == re-deriving specification"
+    (QCheck.make
+       ~print:(fun (g, seed) ->
+         Fmt.str "seed %d@.%s" seed (Oracle_gen.render_group g))
+       QCheck.Gen.(pair Oracle_gen.gen_engine_group gen_seed))
+    (fun (group, seed) ->
+      let st = Random.State.make [| seed |] in
+      let n_top = List.length group.Ksim.Program.threads in
+      let prologue = [ 0 ] in
+      let order =
+        List.map snd
+          (List.sort compare
+             (List.init (n_top - 1) (fun i -> (Random.State.bits st, i + 1))))
+      in
+      let serial = Schedule.serial order in
+      match Controller.run (Ksim.Engine.boot Ksim.Engine.Reference group)
+              (spec_preemption_policy ~prologue serial) with
+      | exception Ksim.Machine.Model_error _ -> QCheck.assume_fail ()
+      | o ->
+        let events = Array.of_list o.trace in
+        let n_threads = List.length (Ksim.Machine.thread_ids o.final) in
+        let switches =
+          if Array.length events = 0 then []
+          else
+            List.init (Random.State.int st 4) (fun _ ->
+                let e = events.(Random.State.int st (Array.length events)) in
+                { Schedule.after = e.Ksim.Machine.iid;
+                  switch_to = Random.State.int st (n_threads + 1) })
+        in
+        let sched = { serial with Schedule.switches } in
+        List.for_all
+          (fun engine ->
+            run_result engine group
+              (Schedule.with_prologue prologue
+                 (Schedule.preemption_policy sched))
+            = run_result engine group (spec_preemption_policy ~prologue sched))
+          [ Ksim.Engine.Reference; Ksim.Engine.Compiled ])
+
 let () =
   Alcotest.run "props"
     [ ( "qcheck",
@@ -568,5 +680,6 @@ let () =
             prop_flip_plan_inverts_order; prop_lifs_matches_brute_force;
             prop_lifs_matches_brute_force_k2; prop_failing_schedule_replays;
             prop_ca_verdicts_are_witnessed;
-            prop_guarded_pairs_never_data_race ]
+            prop_guarded_pairs_never_data_race;
+            prop_preemption_policy_matches_spec ]
       ) ]
