@@ -600,7 +600,7 @@ let analysis () =
       in
       let hinted =
         Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-          ~static_hints:true case
+          ~prune:`Flipfeas case
       in
       let ps = plain.lifs.stats.schedules
       and hs = hinted.lifs.stats.schedules in
@@ -697,7 +697,7 @@ let causality () =
       let plain = report_of bug in
       let hinted =
         Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-          ~static_hints:true (bug.case ())
+          ~prune:`Flipfeas (bug.case ())
       in
       let snap =
         Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings

@@ -7,7 +7,7 @@
    object bench/main.exe --json writes, keyed "causality").  For every
    bug row the gate requires
 
-     - inv_executed_schedules <= executed_schedules (the --static-hints
+     - inv_executed_schedules <= executed_schedules (the --prune=flipfeas
        baseline), and
      - inv_chain_identical (the chain under --prune=invariants
        --order=gain is bit-identical to the plain diagnosis).

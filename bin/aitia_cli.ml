@@ -275,7 +275,7 @@ let resilience_for (o : exec_opts) : Aitia.Resilience.policy option =
       { Aitia.Resilience.max_retries; quorum;
         backoff_base = Aitia.Resilience.default_policy.backoff_base }
 
-let diagnose_bug ?static_hints ?prune ?order ?jobs ?snapshot_cache ?opts
+let diagnose_bug ?prune ?order ?jobs ?snapshot_cache ?opts
     ?journal (bug : Bugs.Bug.t) =
   let faults = Option.bind opts faults_for in
   let resilience = Option.bind opts resilience_for in
@@ -283,7 +283,7 @@ let diagnose_bug ?static_hints ?prune ?order ?jobs ?snapshot_cache ?opts
   let snapshot_budget = Option.bind opts (fun o -> o.snapshot_budget) in
   let engine = Option.map (fun o -> o.engine) opts in
   Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-    ?static_hints ?prune ?order ?jobs ?snapshot_cache ?snapshot_budget
+    ?prune ?order ?jobs ?snapshot_cache ?snapshot_budget
     ?max_steps ?faults ?resilience ?journal ?engine (bug.case ())
 
 let jobs_arg =
@@ -314,8 +314,7 @@ let snapshot_cache_flag =
            `stats')")
 
 (* Static-proof level and schedule-order selection, shared by diagnose
-   and stats.  --static-hints survives as a deprecated alias for
-   --prune=flipfeas. *)
+   and stats. *)
 let prune_arg =
   Cmdliner.Arg.(
     value
@@ -329,8 +328,7 @@ let prune_arg =
         ~doc:
           "Static proofs that may skip a re-execution: $(b,none) runs \
            everything; $(b,flipfeas) enables the lockset/MHP hints and \
-           the flip-feasibility pre-analysis (same as the deprecated \
-           $(b,--static-hints)); $(b,invariants) adds the \
+           the flip-feasibility pre-analysis; $(b,invariants) adds the \
            error-invariant engine — flip families are discharged by \
            segment/replay certificates and LIFS runs one \
            representative per invariant-equivalent frontier class.  \
@@ -373,22 +371,14 @@ let diagnose_cmd =
     Arg.(value & flag
          & info [ "flips" ] ~doc:"Print the Causality Analysis flip log")
   in
-  let hints =
-    Arg.(value & flag
-         & info [ "static-hints" ]
-             ~doc:"Deprecated alias for $(b,--prune=flipfeas): seed LIFS \
-                   with the static lockset/MHP analysis and enable the \
-                   flip-feasibility pre-analysis")
-  in
-  let run () ids show_flips static_hints prune order jobs snapshot_cache
-      opts =
+  let run () ids show_flips prune order jobs snapshot_cache opts =
     let journal = setup_journal opts in
     let reports =
       List.map
         (fun bug ->
           let report =
-            diagnose_bug ~static_hints ?prune ~order ~jobs ~snapshot_cache
-              ~opts ?journal bug
+            diagnose_bug ?prune ~order ~jobs ~snapshot_cache ~opts ?journal
+              bug
           in
           Fmt.pr "%a@." Aitia.Report.pp report;
           (if show_flips then
@@ -420,7 +410,7 @@ let diagnose_cmd =
              ~doc:
                "diagnosis degraded: retry budget exhausted or quorum \
                 disagreement, the chain is partial" ])
-    Term.(const run $ setup_logs $ bug_arg $ flips $ hints $ prune_arg
+    Term.(const run $ setup_logs $ bug_arg $ flips $ prune_arg
           $ order_arg $ jobs_arg $ snapshot_cache_flag $ exec_opts_term)
 
 (* --- analyze ---------------------------------------------------------- *)
@@ -541,20 +531,13 @@ let lint_cmd =
 (* --- stats ------------------------------------------------------------ *)
 
 let stats_cmd =
-  let hints =
-    Arg.(value & flag
-         & info [ "static-hints" ]
-             ~doc:"Deprecated alias for $(b,--prune=flipfeas): diagnose \
-                   with the static lockset/MHP and flip-feasibility \
-                   hints enabled")
-  in
   let json =
     Arg.(value & flag
          & info [ "json" ]
              ~doc:"Emit one flat metrics JSON object per bug instead of \
                    the table")
   in
-  let run () ids static_hints prune order jobs snapshot_cache json opts =
+  let run () ids prune order jobs snapshot_cache json opts =
     let journal = setup_journal opts in
     let reports = ref [] in
     List.iter
@@ -571,8 +554,8 @@ let stats_cmd =
         in
         let report =
           Telemetry.Probe.with_sink sink (fun () ->
-              diagnose_bug ~static_hints ?prune ~order ~jobs ~snapshot_cache
-                ~opts ?journal bug)
+              diagnose_bug ?prune ~order ~jobs ~snapshot_cache ~opts
+                ?journal bug)
         in
         reports := report :: !reports;
         if json then
@@ -606,7 +589,7 @@ let stats_cmd =
        ~doc:"Diagnose under a telemetry recorder and print the collected \
              metrics: schedule/flip/instruction counters and per-span \
              wall-time rollups")
-    Term.(const run $ setup_logs $ bug_arg $ hints $ prune_arg $ order_arg
+    Term.(const run $ setup_logs $ bug_arg $ prune_arg $ order_arg
           $ jobs_arg $ snapshot_cache_flag $ json $ exec_opts_term)
 
 (* --- chain ------------------------------------------------------------ *)

@@ -18,14 +18,14 @@
      predicate evaluates identically;
 
    - the {e replay} rule derives the invariant in the strongest domain
-     available — the concrete machine state itself.  It re-derives the
-     flip's outcome by driving a pure {!Ksim.Machine} under an exact
-     mirror of the hypervisor's plan-enforcement policy (the machine is
-     deterministic, so the mirrored verdict {e is} the VM's verdict)
-     and samples state fingerprints along the prefix as the invariant
-     chain.  A non-completing verdict proves the flip Benign without a
-     VM run; a completing one means the flip is a root cause and must
-     execute.
+     available — the concrete machine state itself.  It re-runs the
+     flip under the hypervisor's own plan policy and controller loop on
+     a fresh machine of the VM's engine, which is what the executor
+     does for a fault-free VM (the machine is deterministic, so the
+     replayed verdict {e is} the VM's verdict), and samples state
+     fingerprints along the prefix as the invariant chain.  A
+     non-completing verdict proves the flip Benign without a VM run; a
+     completing one means the flip is a root cause and must execute.
 
    Both rules emit checkable certificates in the Flipfeas proof shape
    (a reason string plus enough evidence to re-derive the proof), and
@@ -65,27 +65,23 @@ let pp_certificate ppf c =
     (List.length c.cert_fingerprints)
 
 type engine = {
+  kind : Ksim.Engine.kind;
   group : Ksim.Program.group;
   prologue : int list;
-  max_steps : int;
+  max_steps : int option;
   rel : Absdom.t;
   (* Plan key -> shared proof (None: no proof, the flip executes). *)
   families : (string, (string * certificate) option) Hashtbl.t;
-  mutable derivations : int;  (* proofs derived (family hits excluded) *)
-  mutable replays : int;  (* replay-rule machine re-derivations *)
 }
 
-let default_max_steps = 200_000
-
-let create ?(max_steps = default_max_steps) ?(prologue = [])
+let create ?max_steps ?(prologue = []) ~engine:kind
     (group : Ksim.Program.group) : engine =
-  { group;
+  { kind;
+    group;
     prologue;
     max_steps;
     rel = Absdom.of_group group;
-    families = Hashtbl.create 64;
-    derivations = 0;
-    replays = 0 }
+    families = Hashtbl.create 64 }
 
 let relevance e = e.rel
 
@@ -96,139 +92,35 @@ let plan_key (plan : Iid.t list) =
   List.iter (Ksim.Key.iid b) plan;
   Buffer.contents b
 
-(* --- the replay rule: an exact mirror of plan enforcement ------------- *)
+(* --- the replay rule: the real plan enforcement ------------------------ *)
 
-(* The policy below reproduces Hypervisor.Schedule.plan_policy verbatim
-   (match the planned event, run through divergence on a bounded
-   budget, run lock holders when the planned thread blocks, drop
-   unreachable events), and the loop reproduces the controller's
-   verdict logic.  Executor.run_plan drives exactly this pair over
-   [Ksim.Machine.create group] when no faults are armed, so machine
-   determinism makes the mirrored verdict equal to the VM's. *)
-
-type verdict_mirror =
-  | M_completed
-  | M_failed of Ksim.Failure.t
-  | M_deadlock
-  | M_step_limit
-
-let mirror_verdict_name = function
-  | M_completed -> "completed"
-  | M_failed f -> "failed: " ^ Ksim.Failure.symptom f
-  | M_deadlock -> "deadlock"
-  | M_step_limit -> "step-limit"
-
-let plan_policy_mirror (events : Iid.t list) ~(budget : int) :
-    Ksim.Machine.t -> int list -> int option =
-  let remaining = ref events in
-  let budget_left = ref budget in
-  fun m runnable ->
-    let rec decide () =
-      match !remaining with
-      | [] -> ( match runnable with [] -> None | t :: _ -> Some t)
-      | ev :: rest -> (
-        let tid = ev.Iid.tid in
-        let drop () =
-          remaining := rest;
-          budget_left := budget;
-          decide ()
-        in
-        if not (Ksim.Machine.has_thread m tid) then drop ()
-        else
-          match Ksim.Machine.next_label m tid with
-          | None -> drop ()
-          | Some next ->
-            if List.mem tid runnable then (
-              let next_occ = Ksim.Machine.occurrences m tid next + 1 in
-              if String.equal next ev.Iid.label && next_occ = ev.Iid.occ
-              then (
-                remaining := rest;
-                budget_left := budget;
-                Some tid)
-              else if !budget_left > 0 then (
-                decr budget_left;
-                Some tid)
-              else drop ())
-            else
-              match Ksim.Machine.blocked_on m tid with
-              | Some lock -> (
-                match Ksim.Machine.lock_holder m lock with
-                | Some holder when List.mem holder runnable -> Some holder
-                | Some _ | None -> None)
-              | None -> drop ())
-    in
-    decide ()
-
-let with_prologue_mirror (prologue : int list) policy m runnable =
-  let rec pick = function
-    | [] -> policy m runnable
-    | tid :: rest ->
-      if Ksim.Machine.is_done m tid then pick rest
-      else if List.mem tid runnable then Some tid
-      else None
-  in
-  pick prologue
-
-(* Drive the machine to a verdict, retaining the machines produced so
-   the invariant chain can be sampled afterwards. *)
+(* Drive the flip plan exactly as Executor.run_plan does on a fault-free
+   VM: the hypervisor's plan policy behind its prologue wrapper, under
+   the controller loop, on a fresh machine of the VM's engine.  Every
+   machine the run produces is kept so the invariant chain can be
+   sampled afterwards; compiled handles behind the tip stay readable (a
+   read clones the arena and rewinds it), so nothing is copied per
+   step.  The last sample is the settled, leak-checked final machine. *)
 let replay (e : engine) ~(plan : Iid.t list) ~(run_through_budget : int) :
-    verdict_mirror * int * string list =
-  e.replays <- e.replays + 1;
+    Hypervisor.Controller.verdict * int * string list =
   Telemetry.Probe.count "analysis.invariant_replays";
+  let module S = Hypervisor.Schedule in
   let policy =
-    with_prologue_mirror e.prologue
-      (plan_policy_mirror plan ~budget:run_through_budget)
+    S.with_prologue e.prologue
+      (S.plan_policy (S.plan ~run_through_budget plan))
   in
-  let states = ref [] in
+  let m0 = Ksim.Engine.boot e.kind e.group in
+  let states = ref [ m0 ] in
   (* newest first *)
-  let finish verdict m steps =
-    let n = List.length !states in
-    let arr = Array.make (n + 1) m in
-    List.iteri (fun i s -> arr.(n - 1 - i) <- s) !states;
-    arr.(n) <- m;
-    let sample =
-      List.sort_uniq compare [ 0; n / 4; n / 2; 3 * n / 4; n ]
-    in
-    let fps = List.map (fun i -> Ksim.Machine.fingerprint arr.(i)) sample in
-    (verdict, steps, fps)
+  let observe m _ _ = states := m :: !states in
+  let o =
+    Hypervisor.Controller.run ?max_steps:e.max_steps ~observe m0 policy
   in
-  let rec loop m steps =
-    if steps >= e.max_steps then finish M_step_limit m steps
-    else
-      match Ksim.Machine.failed m with
-      | Some f -> finish (M_failed f) m steps
-      | None -> (
-        match Ksim.Machine.runnable m with
-        | [] ->
-          let m = Ksim.Machine.check_leaks m in
-          (match Ksim.Machine.failed m with
-          | Some f -> finish (M_failed f) m steps
-          | None ->
-            if Ksim.Machine.all_done m then finish M_completed m steps
-            else finish M_deadlock m steps)
-        | runnable -> (
-          match policy m runnable with
-          | None ->
-            let m = Ksim.Machine.check_leaks m in
-            (match Ksim.Machine.failed m with
-            | Some f -> finish (M_failed f) m steps
-            | None ->
-              if Ksim.Machine.all_done m then finish M_completed m steps
-              else finish M_deadlock m steps)
-          | Some tid -> (
-            match Ksim.Machine.step m tid with
-            | Ok (m', _ev) ->
-              states := m :: !states;
-              loop m' (steps + 1)
-            | Error (Ksim.Machine.Blocked_on_lock _)
-            | Error Ksim.Machine.Thread_not_runnable ->
-              finish M_deadlock m steps
-            | Error Ksim.Machine.Machine_failed -> (
-              match Ksim.Machine.failed m with
-              | Some f -> finish (M_failed f) m steps
-              | None -> assert false))))
-  in
-  loop (Ksim.Machine.create e.group) 0
+  let arr = Array.of_list (List.rev (o.final :: List.tl !states)) in
+  let n = Array.length arr - 1 in
+  let sample = List.sort_uniq compare [ 0; n / 4; n / 2; 3 * n / 4; n ] in
+  let fps = List.map (fun i -> Ksim.Engine.fingerprint arr.(i)) sample in
+  (o.verdict, o.steps, fps)
 
 (* --- the segment rule -------------------------------------------------- *)
 
@@ -344,7 +236,6 @@ let segment (e : engine) ~(ctx : Flipfeas.ctx) ~(plan : Iid.t list) :
 let derive (e : engine) ~(key : string) ~(ctx : Flipfeas.ctx)
     ~(plan : Iid.t list) ~(run_through_budget : int) :
     (string * certificate) option =
-  e.derivations <- e.derivations + 1;
   match segment e ~ctx ~plan with
   | Some (why, window, displaced) ->
     Some
@@ -358,29 +249,29 @@ let derive (e : engine) ~(key : string) ~(ctx : Flipfeas.ctx)
           cert_fingerprints = [] } )
   | None -> (
     let verdict, steps, fps = replay e ~plan ~run_through_budget in
-    let cert rule why =
-      ( why,
-        { cert_key = key;
-          cert_rule = rule;
-          cert_failure = mirror_verdict_name verdict;
-          cert_steps = steps;
-          cert_window = None;
-          cert_displaced = [];
-          cert_fingerprints = fps } )
+    let cert failure why =
+      Some
+        ( why,
+          { cert_key = key;
+            cert_rule = Replay;
+            cert_failure = failure;
+            cert_steps = steps;
+            cert_window = None;
+            cert_displaced = [];
+            cert_fingerprints = fps } )
     in
     match verdict with
-    | M_completed -> None (* the flip averts the failure: execute it *)
-    | M_failed f ->
-      Some
-        (cert Replay
-           (Fmt.str "invariant replay: the enforced order still fails (%s)"
-              (Ksim.Failure.symptom f)))
-    | M_deadlock ->
-      Some (cert Replay "invariant replay: the enforced order deadlocks")
-    | M_step_limit ->
-      Some
-        (cert Replay
-           "invariant replay: the enforced order diverges (step limit)"))
+    | Hypervisor.Controller.Completed ->
+      None (* the flip averts the failure: execute it *)
+    | Failed f ->
+      let symptom = Ksim.Failure.symptom f in
+      cert ("failed: " ^ symptom)
+        ("invariant replay: the enforced order still fails (" ^ symptom
+       ^ ")")
+    | Deadlock -> cert "deadlock" "invariant replay: the enforced order deadlocks"
+    | Step_limit ->
+      cert "step-limit"
+        "invariant replay: the enforced order diverges (step limit)")
 
 let prune (e : engine) ~(key : string) ~(ctx : Flipfeas.ctx)
     ~(plan : Iid.t list) ~(run_through_budget : int) :

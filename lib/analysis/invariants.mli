@@ -11,9 +11,10 @@
       locations (see {!Absdom}), so the failure predicate is preserved
       abstractly;
     - {e replay}: the flip's outcome is re-derived concretely by
-      driving a pure {!Ksim.Machine} under an exact mirror of the
-      hypervisor's plan-enforcement policy; the machine is
-      deterministic, so the mirrored verdict is the VM's verdict.
+      running the hypervisor's own plan policy under the controller
+      loop on a fresh machine of the VM's engine — the executor's
+      fault-free re-run; the machine is deterministic, so the replayed
+      verdict is the VM's verdict.
 
     Proofs are emitted as checkable {!certificate}s (the {!Flipfeas}
     proof shape: a reason string plus re-derivable evidence), and
@@ -40,13 +41,17 @@ val pp_certificate : certificate Fmt.t
 
 type engine
 
-val default_max_steps : int
-
 val create :
-  ?max_steps:int -> ?prologue:int list -> Ksim.Program.group -> engine
-(** An engine for one failing execution's program group.  [prologue]
-    and [max_steps] must match the executor's re-run configuration so
-    the replay rule mirrors it exactly. *)
+  ?max_steps:int ->
+  ?prologue:int list ->
+  engine:Ksim.Engine.kind ->
+  Ksim.Program.group ->
+  engine
+(** An engine for one failing execution's program group.  [prologue],
+    [max_steps] and [engine] must match the executor's re-run
+    configuration so the replay rule re-runs exactly what it would.
+    Each replay is one [controller.run], counted with its steps like
+    any other run. *)
 
 val relevance : engine -> Absdom.t
 (** The failure-relevance closure the segment rule reasons over. *)

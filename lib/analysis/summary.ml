@@ -126,13 +126,4 @@ let pruned_counter = function
   | `Ca_static -> "pruned/ca_static"
   | `Ca_invariant -> "pruned/ca_invariant"
 
-let pruned_alias = function
-  | `Lifs_equivalent -> "lifs.schedules_pruned"
-  | `Lifs_static -> "lifs.schedules_statically_skipped"
-  | `Lifs_invariant -> "lifs.invariant_pruned_slices"
-  | `Ca_static -> "causality.flips_statically_pruned"
-  | `Ca_invariant -> "causality.invariant_pruned_flips"
-
-let count_pruned ?by kind =
-  Telemetry.Probe.count ?by (pruned_counter kind);
-  Telemetry.Probe.count ?by (pruned_alias kind)
+let count_pruned ?by kind = Telemetry.Probe.count ?by (pruned_counter kind)

@@ -52,13 +52,10 @@ val rank : hints -> a:string * string -> b:string * string -> int
 
 val guarded_rank : int
 
-(** {2 Unified pruning-counter namespace}
+(** {2 Pruning-counter namespace}
 
-    LIFS and Causality historically emitted differently-shaped counter
-    names ([lifs.schedules_statically_skipped],
-    [causality.flips_statically_pruned]).  Every pruning source now
-    also emits a canonical [pruned/*] name; the old names are kept as
-    deprecated aliases so committed benchmarks stay comparable. *)
+    Every pruning source, in LIFS and in Causality Analysis, counts its
+    events under one [pruned/*] name. *)
 
 type pruned_kind =
   [ `Lifs_equivalent  (** DPOR-equivalent schedules *)
@@ -68,11 +65,7 @@ type pruned_kind =
   | `Ca_invariant  (** error-invariant proofs *) ]
 
 val pruned_counter : pruned_kind -> string
-(** Canonical counter name, e.g. ["pruned/ca_invariant"]. *)
-
-val pruned_alias : pruned_kind -> string
-(** The deprecated pre-unification name, e.g.
-    ["causality.flips_statically_pruned"]. *)
+(** The counter name, e.g. ["pruned/ca_invariant"]. *)
 
 val count_pruned : ?by:int -> pruned_kind -> unit
-(** Bump both the canonical counter and its deprecated alias. *)
+(** Bump the kind's counter. *)

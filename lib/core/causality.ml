@@ -338,23 +338,18 @@ let test_one ?max_steps ~prologue ~(prune : prune) ?engine ?snapshots
     in
     executed_tested ~races r run
 
-let analyze ?max_steps ?(prologue = []) ?direction ?(static_hints = false)
-    ?prune:prune_opt ?(order = (`Fixed : order)) ?pool ?snapshots ?resilience
+let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
+    ?(order = (`Fixed : order)) ?pool ?snapshots ?resilience
     ?replay ?checkpoint ?(stats_base = zero_stats) (vm : Hypervisor.Vm.t)
     ~(failing : Controller.outcome) ~(races : Race.t list) () : result =
   Telemetry.Probe.span_begin ~cat:"causality" "causality.analyze";
   let t0 = Unix.gettimeofday () in
   let runs_before = Hypervisor.Vm.runs vm in
   let instrs_before = Hypervisor.Vm.executed_steps vm in
-  (* [static_hints] is the pre-[--prune] spelling of [`Flipfeas]. *)
-  let prune : prune =
-    match prune_opt with
-    | Some p -> p
-    | None -> if static_hints then `Flipfeas else `None
-  in
-  (* The error-invariant engine replays plans on a pure machine mirror;
-     that mirror is exact only for fault-free executions, so the engine
-     stands down when the VM injects faults. *)
+  (* The error-invariant engine replays a plan the way the executor
+     runs it on a fault-free VM (the real plan policy, on a fresh
+     machine of the VM's engine); injected faults change what the VM
+     would run, so the engine stands down when the VM injects them. *)
   let engine =
     match prune with
     | `Invariants -> (
@@ -362,7 +357,7 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(static_hints = false)
       | None ->
         Some
           (Analysis.Invariants.create ?max_steps ~prologue
-             (Hypervisor.Vm.group vm))
+             ~engine:(Hypervisor.Vm.engine vm) (Hypervisor.Vm.group vm))
       | Some _ -> None)
     | `None | `Flipfeas -> None
   in

@@ -50,7 +50,7 @@ val zero_stats : stats
 
 type prune = [ `None | `Flipfeas | `Invariants ]
 (** What may skip a flip re-run: nothing, the flip-feasibility
-    pre-analysis (PR 2's [--static-hints]), or flip-feasibility plus
+    pre-analysis, or flip-feasibility plus
     the error-invariant engine ({!Analysis.Invariants}). *)
 
 type order = [ `Fixed | `Gain ]
@@ -92,7 +92,6 @@ val analyze :
   ?max_steps:int ->
   ?prologue:int list ->
   ?direction:[ `Backward | `Forward ] ->
-  ?static_hints:bool ->
   ?prune:prune ->
   ?order:order ->
   ?pool:Hypervisor.Pool.t ->
@@ -106,14 +105,14 @@ val analyze :
   races:Race.t list ->
   unit ->
   result
-(** [prune] (default [`Flipfeas] when the legacy [static_hints] is set,
-    [`None] otherwise) selects the static-proof layers: flips proven
+(** [prune] (default [`None]) selects the static-proof layers: flips proven
     infeasible, outcome-preserving or failure-invariant are marked
     Benign without a VM run and counted in
     [stats.flips_statically_pruned] / [stats.flips_invariant_pruned].
     Under [`Invariants] the error-invariant engine is created from the
-    VM's program group (and stands down when the VM injects faults,
-    where its pure replay mirror would not be exact).  [order] (default
+    VM's program group and engine; its replays run the real plan
+    policy as a fault-free VM would, so it stands down when the VM
+    injects faults.  [order] (default
     [`Fixed]) selects the gain scheduler; verdicts, chains and traces
     are unchanged by reordering — only which schedules execute earlier.
     With the defaults the behaviour is bit-identical to the plain

@@ -161,8 +161,8 @@ let tested_of_flip (keyed : (string * Race.t) list) (fl : Journal.flip) :
         enforced = fl.f_enforced;
         confidence = fl.f_confidence }
 
-let diagnose ?max_interleavings ?max_steps ?(static_hints = false)
-    ?prune:prune_opt ?(order = (`Fixed : Causality.order))
+let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
+    ?(order = (`Fixed : Causality.order))
     ?(jobs = 1) ?(snapshot_cache = false) ?snapshot_budget
     ?(slice_order = `Nearest_first) ?faults ?resilience:rpolicy ?journal
     ?(engine = Ksim.Engine.default) (case : case) : report =
@@ -173,12 +173,6 @@ let diagnose ?max_interleavings ?max_steps ?(static_hints = false)
      Analysis decline it themselves under [`Gain] or fault injection. *)
   let pool =
     if jobs > 1 then Some (Hypervisor.Pool.create ~jobs) else None
-  in
-  (* [static_hints] is the pre-[--prune] spelling of [`Flipfeas]. *)
-  let prune : Causality.prune =
-    match prune_opt with
-    | Some p -> p
-    | None -> if static_hints then `Flipfeas else `None
   in
   (* With faults armed, a Resilience.t always exists — even a
      zero-retry policy must account give-ups and low-confidence

@@ -51,7 +51,6 @@ val hints_of_group :
 val diagnose :
   ?max_interleavings:int ->
   ?max_steps:int ->
-  ?static_hints:bool ->
   ?prune:Causality.prune ->
   ?order:Causality.order ->
   ?jobs:int ->
@@ -66,18 +65,17 @@ val diagnose :
   report
 (** The full pipeline.  Tries slices nearest-to-failure first until one
     reproduces (§4.2); [`Farthest_first] exists for the ablation.
-    [static_hints] (default [false]) runs {!Analysis.Candidates.analyze}
+    [prune] selects the static proofs: [`None] (default) is the
+    hint-free pipeline; [`Flipfeas] runs {!Analysis.Candidates.analyze}
     on each realized slice and feeds the result to {!Lifs.search} so the
     frontier is visited Unguarded-first and statically Guarded candidate
     preemptions are skipped, and enables the {!Analysis.Flipfeas}
     pre-analysis in {!Causality.analyze} so provably infeasible or
     outcome-preserving flips are skipped before any VM execution;
-    disabled, the pipeline is identical to the hint-free behaviour.
-    [prune] supersedes it: [`None] (default), [`Flipfeas] (equivalent
-    to [static_hints:true]) or [`Invariants], which additionally runs
-    the error-invariant engine ({!Analysis.Invariants}) — flip families
-    are discharged by segment/replay certificates and LIFS skips
-    frontier candidates preempting failure-irrelevant locations.
+    [`Invariants] additionally runs the error-invariant engine
+    ({!Analysis.Invariants}) — flip families are discharged by
+    segment/replay certificates and LIFS skips frontier candidates
+    preempting failure-irrelevant locations.
     [order:`Gain] replaces the fixed backward flip order and the
     breadth-first LIFS frontier with the expected-information-gain
     scheduler ({!Analysis.Gain}).

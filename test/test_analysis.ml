@@ -551,7 +551,7 @@ let corpus =
          in
          let hinted =
            Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-             ~static_hints:true case
+             ~prune:`Flipfeas case
          in
          (bug, case, plain, hinted))
        Bugs.Registry.all)

@@ -6,11 +6,15 @@
    --prune=invariants must reproduce iff the plain diagnosis does,
    report the bit-identical causality chain and root causes, and never
    execute more schedules.  The unit tests exercise the derivation
-   rules on hand-built traces: the empty displaced window, an
-   irrelevant displaced window, ambiguous (heap) aliasing falling back
-   to the replay rule, a pending-insertion plan that must execute, the
-   family cache, certificate re-checking, and the redundant
-   critical-section lint (including nested sections). *)
+   rules on hand-built traces, each on both engines with equal
+   certificates: the empty displaced window, an irrelevant displaced
+   window, ambiguous (heap) aliasing falling back to the replay rule, a
+   pending-insertion plan that must execute (unless a prologue runs
+   first), the family cache,
+   certificate re-checking, the replay's controller accounting, and the
+   redundant critical-section lint (including nested sections).  The
+   corpus soundness cases re-run every flip the replay rule discharges
+   on a fault-free VM and re-check its certificate. *)
 
 open Ksim.Program.Build
 module Iid = Ksim.Access.Iid
@@ -114,6 +118,20 @@ let drive group tids =
 let iids trace = List.map (fun (e : Ksim.Machine.event) -> e.iid) trace
 let budget = 2_000
 
+(* The replay rule follows the VM's engine and machine fingerprints are
+   engine-independent, so a derivation must give the same answer on
+   both engines.  Returns the compiled engine (the default) and its
+   answer. *)
+let prune_both group ~key ~ctx ~plan =
+  let on engine =
+    let e = Invariants.create ~engine group in
+    (e, Invariants.prune e ~key ~ctx ~plan ~run_through_budget:budget)
+  in
+  let _, reference = on Ksim.Engine.Reference in
+  let e, compiled = on Ksim.Engine.Compiled in
+  checkb (key ^ ": same proof on both engines") true (reference = compiled);
+  (e, compiled)
+
 let failing_trace = lazy (drive fixture [ 0; 1; 1; 1 ] (* A0 B0 B1 B2 *))
 
 let test_relevance_closure () =
@@ -126,13 +144,9 @@ let test_relevance_closure () =
 let test_segment_empty_window () =
   let trace = Lazy.force failing_trace in
   let ctx = Flipfeas.context trace in
-  let e = Invariants.create fixture in
-  match
-    Invariants.prune e ~key:"k-id" ~ctx ~plan:(iids trace)
-      ~run_through_budget:budget
-  with
-  | None -> Alcotest.fail "identity plan must be discharged"
-  | Some (reason, c) ->
+  match prune_both fixture ~key:"k-id" ~ctx ~plan:(iids trace) with
+  | _, None -> Alcotest.fail "identity plan must be discharged"
+  | e, Some (reason, c) ->
     checkb "segment reason" true
       (String.starts_with ~prefix:"invariant segment:" reason);
     checkb "segment rule" true (c.cert_rule = Invariants.Segment);
@@ -150,12 +164,9 @@ let test_segment_irrelevant_window () =
     | a0 :: b0 :: rest -> b0 :: a0 :: rest (* swap the two stat stores *)
     | _ -> Alcotest.fail "unexpected trace shape"
   in
-  let e = Invariants.create fixture in
-  match
-    Invariants.prune e ~key:"k-seg" ~ctx ~plan ~run_through_budget:budget
-  with
-  | None -> Alcotest.fail "irrelevant displacement must be discharged"
-  | Some (_, c) ->
+  match prune_both fixture ~key:"k-seg" ~ctx ~plan with
+  | _, None -> Alcotest.fail "irrelevant displacement must be discharged"
+  | e, Some (_, c) ->
     checkb "segment rule" true (c.cert_rule = Invariants.Segment);
     checkb "window covers the swap" true (c.cert_window = Some (0, 1));
     Alcotest.(check (list string))
@@ -165,24 +176,22 @@ let test_segment_irrelevant_window () =
       (Invariants.check e ~ctx ~plan ~run_through_budget:budget
          { c with cert_displaced = [ "&flag" ] })
 
+(* Delaying A0 past the whole of B displaces B's relevant flag load:
+   no abstract proof, but the replayed re-run still reaches the
+   assertion. *)
+let delayed_a0_plan trace =
+  match iids trace with
+  | a0 :: rest -> rest @ [ a0 ]
+  | _ -> Alcotest.fail "unexpected trace shape"
+
 let test_replay_relevant_window () =
-  (* Delaying A0 past the whole of B displaces B's relevant flag load:
-     no abstract proof, but the replay mirror still reaches the
-     assertion, so the flip is discharged with a state-fingerprint
-     chain. *)
+  (* The flip is discharged with a state-fingerprint chain. *)
   let trace = Lazy.force failing_trace in
   let ctx = Flipfeas.context trace in
-  let plan =
-    match iids trace with
-    | a0 :: rest -> rest @ [ a0 ]
-    | _ -> Alcotest.fail "unexpected trace shape"
-  in
-  let e = Invariants.create fixture in
-  match
-    Invariants.prune e ~key:"k-rep" ~ctx ~plan ~run_through_budget:budget
-  with
-  | None -> Alcotest.fail "still-failing order must be discharged"
-  | Some (reason, c) ->
+  let plan = delayed_a0_plan trace in
+  match prune_both fixture ~key:"k-rep" ~ctx ~plan with
+  | _, None -> Alcotest.fail "still-failing order must be discharged"
+  | e, Some (reason, c) ->
     checkb "replay reason" true
       (String.starts_with ~prefix:"invariant replay:" reason);
     checkb "replay rule" true (c.cert_rule = Invariants.Replay);
@@ -191,39 +200,85 @@ let test_replay_relevant_window () =
     checkb "certificate re-checks" true
       (Invariants.check e ~ctx ~plan ~run_through_budget:budget c)
 
+(* A replay is one controller run, counted with its steps like any
+   other; a family hit re-runs nothing. *)
+let test_replay_counted () =
+  let trace = Lazy.force failing_trace in
+  let ctx = Flipfeas.context trace in
+  let plan = delayed_a0_plan trace in
+  List.iter
+    (fun engine ->
+      let e = Invariants.create ~engine fixture in
+      let recorder = Telemetry.Recorder.create () in
+      let c = Telemetry.Recorder.counter recorder in
+      let prune key =
+        Telemetry.Probe.with_sink (Telemetry.Recorder.sink recorder)
+          (fun () ->
+            Invariants.prune e ~key ~ctx ~plan ~run_through_budget:budget)
+      in
+      let name what = Ksim.Engine.to_string engine ^ ": " ^ what in
+      match prune "k-rep" with
+      | None -> Alcotest.fail "still-failing order must be discharged"
+      | Some (_, cert) ->
+        let after_replay () =
+          checki (name "one replay") 1 (c "analysis.invariant_replays");
+          checki (name "one controller run") 1 (c "controller.runs");
+          checki (name "the replay's steps") cert.cert_steps
+            (c "controller.instructions")
+        in
+        after_replay ();
+        checkb (name "family hit discharged") true
+          (prune "k-rep-again" <> None);
+        checki (name "family hit") 1 (c "analysis.invariant_family_hits");
+        after_replay ())
+    [ Ksim.Engine.Reference; Ksim.Engine.Compiled ]
+
 let test_pending_insertion_no_proof () =
   (* Inserting A1 (pending: never executed in the failing trace) before
-     B publishes the flag: the mirrored re-run completes, so no proof
+     B publishes the flag: the replayed re-run completes, so no proof
      exists and the flip must execute. *)
   let trace = Lazy.force failing_trace in
   let ctx = Flipfeas.context trace in
   let plan =
     Iid.make ~tid:0 ~label:"A1" ~occ:1 :: iids trace
   in
-  let e = Invariants.create fixture in
   checkb "averting flip must execute" true
-    (Invariants.prune e ~key:"k-avert" ~ctx ~plan
-       ~run_through_budget:budget
-    = None)
+    (snd (prune_both fixture ~key:"k-avert" ~ctx ~plan) = None);
+  (* Behind a prologue that runs B to completion first, the same plan
+     reaches the assertion before A publishes the flag: the replay
+     honours the executor's prologue. *)
+  List.iter
+    (fun engine ->
+      let e = Invariants.create ~prologue:[ 1 ] ~engine fixture in
+      match
+        Invariants.prune e ~key:"k-prologue" ~ctx ~plan
+          ~run_through_budget:budget
+      with
+      | Some (_, c) ->
+        checkb "prologue replay still fails" true
+          (c.cert_rule = Invariants.Replay
+          && String.starts_with ~prefix:"failed: " c.cert_failure)
+      | None -> Alcotest.fail "the prologue must run before the plan")
+    [ Ksim.Engine.Reference; Ksim.Engine.Compiled ]
 
 let test_family_cache () =
   let trace = Lazy.force failing_trace in
   let ctx = Flipfeas.context trace in
-  let e = Invariants.create fixture in
-  let first =
-    Invariants.prune e ~key:"race-1" ~ctx ~plan:(iids trace)
-      ~run_through_budget:budget
-  in
-  let second =
-    Invariants.prune e ~key:"race-2" ~ctx ~plan:(iids trace)
-      ~run_through_budget:budget
-  in
-  match first, second with
-  | Some _, Some (reason, c) ->
-    checkb "family reason" true
-      (String.starts_with ~prefix:"invariant family:" reason);
-    checks "shares the first proof" "race-1" c.cert_key
-  | _ -> Alcotest.fail "both plans must be discharged"
+  List.iter
+    (fun engine ->
+      let e = Invariants.create ~engine fixture in
+      let prune key =
+        Invariants.prune e ~key ~ctx ~plan:(iids trace)
+          ~run_through_budget:budget
+      in
+      let first = prune "race-1" in
+      match (first, prune "race-2") with
+      | Some _, Some (reason, c) ->
+        checkb "family reason" true
+          (String.starts_with ~prefix:"invariant family:" reason);
+        checks "shares the first proof" "race-1" c.cert_key
+      | _ -> Alcotest.fail "both plans must be discharged")
+    [ Ksim.Engine.Reference; Ksim.Engine.Compiled ]
 
 (* Distinct plans never share a family key: every flip plan of the
    fixture's trace and of the corpus bugs' failing traces, plus plans
@@ -298,14 +353,92 @@ let test_ambiguous_aliasing_no_segment_proof () =
     | h0 :: h1 :: b0 :: rest -> h0 :: b0 :: h1 :: rest
     | _ -> Alcotest.fail "unexpected trace shape"
   in
-  let e = Invariants.create heap_fixture in
-  match
-    Invariants.prune e ~key:"k-heap" ~ctx ~plan ~run_through_budget:budget
-  with
-  | None -> Alcotest.fail "still-failing order must be discharged"
-  | Some (_, c) ->
+  match prune_both heap_fixture ~key:"k-heap" ~ctx ~plan with
+  | _, None -> Alcotest.fail "still-failing order must be discharged"
+  | _, Some (_, c) ->
     checkb "heap displacement falls back to replay" true
       (c.cert_rule = Invariants.Replay)
+
+(* --- corpus soundness of the replay rule ------------------------------------- *)
+
+let verdict_class = function
+  | Hypervisor.Controller.Completed -> "completed"
+  | Failed f -> "failed: " ^ Ksim.Failure.symptom f
+  | Deadlock -> "deadlock"
+  | Step_limit -> "step-limit"
+
+let replay_discharged = ref 0
+
+(* Every flip the replay rule discharged during a --prune=invariants
+   diagnosis must really not complete: re-run on a fault-free VM of the
+   realized slice, it ends after the certificate's steps, in the
+   verdict class and the final state its certificate names, and the
+   certificate re-checks from scratch on both engines. *)
+let test_replay_sound (bug : Bugs.Bug.t) () =
+  let case = bug.case () in
+  let report =
+    Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+      ~prune:`Invariants case
+  in
+  match (report.lifs.found, report.causality) with
+  | Some success, Some ca ->
+    let slice =
+      List.find
+        (fun s -> Trace.Slicer.threads s = report.slice_threads)
+        (Trace.Slicer.slices case.history)
+    in
+    let group, prologue =
+      match Aitia.Diagnose.realize case slice with
+      | Some realized -> realized
+      | None -> Alcotest.failf "%s: reproducing slice not realizable" bug.id
+    in
+    let ctx = Flipfeas.context success.outcome.trace in
+    List.iter
+      (fun (t : Aitia.Causality.tested) ->
+        let plan = Aitia.Causality.flip_plan ctx t.race in
+        let derive engine =
+          (* A fresh engine derives the proof itself, not a family
+             member's copy of it. *)
+          let e = Invariants.create ~prologue ~engine group in
+          ( e,
+            Invariants.prune e ~key:(Aitia.Race.key t.race) ~ctx
+              ~plan:plan.events ~run_through_budget:plan.run_through_budget
+          )
+        in
+        let name what =
+          Fmt.str "%s %a: %s" bug.id Aitia.Race.pp_short t.race what
+        in
+        match t.pruned with
+        | Some reason when String.starts_with ~prefix:"invariant" reason -> (
+          let _, reference = derive Ksim.Engine.Reference in
+          let e, compiled = derive Ksim.Engine.Compiled in
+          checkb (name "same proof on both engines") true
+            (reference = compiled);
+          match compiled with
+          | Some (_, c) when c.cert_rule = Invariants.Replay ->
+            incr replay_discharged;
+            let vm = Hypervisor.Vm.create group in
+            let run = Aitia.Executor.run_plan ~prologue vm plan in
+            checks (name "re-run verdict") c.cert_failure
+              (verdict_class run.outcome.verdict);
+            checki (name "re-run length") c.cert_steps run.outcome.steps;
+            checks (name "chain ends in the re-run's final state")
+              (Ksim.Engine.fingerprint run.outcome.final)
+              (List.nth c.cert_fingerprints
+                 (List.length c.cert_fingerprints - 1));
+            checkb (name "certificate re-checks") true
+              (Invariants.check e ~ctx ~plan:plan.events
+                 ~run_through_budget:plan.run_through_budget c)
+          | Some _ -> ()
+          | None -> Alcotest.failf "%s" (name "proof not re-derived"))
+        | Some _ | None -> ())
+      ca.tested
+  | _ -> Alcotest.failf "%s did not reproduce" bug.id
+
+let test_replay_coverage () =
+  checkb
+    (Fmt.str "replay rule discharged %d corpus flips" !replay_discharged)
+    true (!replay_discharged > 0)
 
 (* --- redundant critical sections -------------------------------------------- *)
 
@@ -349,6 +482,8 @@ let () =
             test_segment_irrelevant_window;
           Alcotest.test_case "relevant window -> replay" `Quick
             test_replay_relevant_window;
+          Alcotest.test_case "replay is one counted controller run" `Quick
+            test_replay_counted;
           Alcotest.test_case "pending insertion -> no proof" `Quick
             test_pending_insertion_no_proof;
           Alcotest.test_case "family cache" `Quick test_family_cache;
@@ -356,6 +491,12 @@ let () =
             test_plan_keys_distinct;
           Alcotest.test_case "ambiguous aliasing -> no segment proof"
             `Quick test_ambiguous_aliasing_no_segment_proof ] );
+      ( "replay soundness",
+        List.map
+          (fun (bug : Bugs.Bug.t) ->
+            Alcotest.test_case bug.id `Quick (test_replay_sound bug))
+          Bugs.Registry.all
+        @ [ Alcotest.test_case "coverage" `Quick test_replay_coverage ] );
       ( "lint",
         [ Alcotest.test_case "redundant sections" `Quick
             test_redundant_sections ] ) ]

@@ -461,7 +461,7 @@ let prop_ca_verdicts_are_witnessed =
         List.for_all
           (fun (t : Aitia.Causality.tested) ->
             match t.flip_outcome with
-            | None -> false (* no static pruning without static_hints *)
+            | None -> false (* no static pruning by default *)
             | Some o -> (
               match t.verdict, o.verdict with
               | Aitia.Causality.Root_cause, Hypervisor.Controller.Completed

@@ -279,11 +279,11 @@ let test_bit_identical_no_sink () =
     match r.chain with Some c -> Aitia.Chain.to_string c | None -> "-"
   in
   Telemetry.Probe.uninstall ();
-  let plain = Aitia.Diagnose.diagnose ~static_hints:true (bug.case ()) in
+  let plain = Aitia.Diagnose.diagnose ~prune:`Flipfeas (bug.case ()) in
   let recorder = Telemetry.Recorder.create () in
   let traced =
     Telemetry.Probe.with_sink (Telemetry.Recorder.sink recorder) (fun () ->
-        Aitia.Diagnose.diagnose ~static_hints:true (bug.case ()))
+        Aitia.Diagnose.diagnose ~prune:`Flipfeas (bug.case ()))
   in
   checkb "tracing actually happened" true
     (Telemetry.Recorder.counter recorder "lifs.schedules" > 0);
@@ -307,7 +307,7 @@ let corpus_parity (bug : Bugs.Bug.t) () =
   let report =
     Telemetry.Probe.with_sink (Telemetry.Recorder.sink r) (fun () ->
         Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-          ~static_hints:true (bug.case ()))
+          ~prune:`Flipfeas (bug.case ()))
   in
   let c = Telemetry.Recorder.counter r in
   checkb "reproduced" true (Aitia.Diagnose.reproduced report);
@@ -319,8 +319,7 @@ let corpus_parity (bug : Bugs.Bug.t) () =
     let flips = List.length ca.tested in
     let pruned = ca.stats.flips_statically_pruned in
     checki "causality.flips counter" flips (c "causality.flips");
-    checki "causality.flips_statically_pruned counter" pruned
-      (c "causality.flips_statically_pruned");
+    checki "pruned/ca_static counter" pruned (c "pruned/ca_static");
     checki "causality.flips_executed counter" (flips - pruned)
       (c "causality.flips_executed");
     checki "causality.root_causes counter" (List.length ca.root_causes)
