@@ -663,9 +663,19 @@ let step_throughput engine group ~seconds =
 
 (* --- Causality Analysis pruning scenario ----------------------------------- *)
 
+(* Every guest instruction a diagnosis steps, read from the
+   controller's own counter under a private recorder, so a run that
+   bypasses the VM's accounting is still counted.  The recorder is
+   replayed into the bench's own sink (--metrics-out), if any. *)
+let guest_instrs f =
+  let rc = Telemetry.Recorder.create () in
+  let r = Telemetry.Probe.with_sink (Telemetry.Recorder.sink rc) f in
+  Option.iter (Telemetry.Recorder.replay rc) (Telemetry.Probe.current_sink ());
+  (r, Telemetry.Recorder.counter rc "controller.instructions")
+
 (* Flip-feasibility pruning and snapshot-cache re-execution: per bug,
    plain Causality Analysis vs the statically pruned one vs the
-   snapshot-cached pipeline vs the error-invariant engine with gain
+   snapshot-cached pipeline vs --prune=invariants with gain
    scheduling — flips executed, flips pruned, schedules, simulated
    cost, instructions actually executed and the
    schedules-per-simulated-second throughput, with the chain-parity
@@ -695,17 +705,19 @@ let causality () =
     (fun (bug : Bugs.Bug.t) ->
       let t0 = Unix.gettimeofday () in
       let plain = report_of bug in
-      let hinted =
-        Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-          ~prune:`Flipfeas (bug.case ())
+      let hinted, hinted_instrs =
+        guest_instrs (fun () ->
+            Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+              ~prune:`Flipfeas (bug.case ()))
       in
       let snap =
         Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
           ~snapshot_cache:true (bug.case ())
       in
-      let inv =
-        Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-          ~prune:`Invariants ~order:`Gain (bug.case ())
+      let inv, inv_instrs =
+        guest_instrs (fun () ->
+            Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+              ~prune:`Invariants ~order:`Gain (bug.case ()))
       in
       let host_elapsed = Unix.gettimeofday () -. t0 in
       (* Parallel pass (--jobs N): one fresh sequential diagnosis and
@@ -747,14 +759,12 @@ let causality () =
         let snap_chain = String.equal (chain_str plain) (chain_str snap) in
         let inv_chain = String.equal (chain_str plain) (chain_str inv) in
         (* executed-schedule totals (LIFS + CA) per pruning level; the
-           pruning-parity gate requires inv <= hinted on every bug *)
+           pruning-parity gate requires inv <= hinted on every bug, for
+           schedules and for guest instructions *)
         let hinted_total =
           hinted.lifs.stats.schedules + hca.stats.schedules
         in
         let inv_total = inv.lifs.stats.schedules + ica.stats.schedules in
-        let invariant_pruned =
-          inv.lifs.stats.invariant_pruned + ica.stats.flips_invariant_pruned
-        in
         (* pipeline totals: LIFS reproduction + Causality Analysis *)
         let plain_instrs =
           plain.lifs.stats.executed_instrs + pca.stats.executed_instrs
@@ -852,7 +862,9 @@ let causality () =
               ("inv_lifs_schedules", int inv.lifs.stats.schedules);
               ("inv_ca_schedules", int ica.stats.schedules);
               ("inv_executed_schedules", int inv_total);
-              ("invariant_pruned", int invariant_pruned);
+              ("hinted_instrs", int hinted_instrs);
+              ("inv_instrs", int inv_instrs);
+              ("invariant_pruned", int inv.lifs.stats.invariant_pruned);
               ("gain_reorderings",
                int
                  (inv.lifs.stats.gain_reorderings

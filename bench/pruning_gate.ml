@@ -1,5 +1,5 @@
-(* CI pruning-parity gate: the error-invariant engine must never make a
-   diagnosis slower than the flip-feasibility baseline it subsumes.
+(* CI pruning-parity gate: --prune=invariants must never make a
+   diagnosis slower than the --prune=flipfeas baseline it extends.
 
      pruning_gate BENCH [-o ARTIFACT]
 
@@ -8,7 +8,9 @@
    bug row the gate requires
 
      - inv_executed_schedules <= executed_schedules (the --prune=flipfeas
-       baseline), and
+       baseline),
+     - inv_instrs <= hinted_instrs (guest instructions stepped, counted
+       by the controller, so no run escapes the comparison), and
      - inv_chain_identical (the chain under --prune=invariants
        --order=gain is bit-identical to the plain diagnosis).
 
@@ -109,14 +111,24 @@ let () =
         in
         let flipfeas = num_field row "executed_schedules" in
         let inv = num_field row "inv_executed_schedules" in
+        let flipfeas_instrs = num_field row "hinted_instrs" in
+        let inv_instrs = num_field row "inv_instrs" in
         let pruned = num_field row "invariant_pruned" in
         let chain_ok = bool_field row "inv_chain_identical" in
-        let ok = inv <= flipfeas && chain_ok in
+        let ok =
+          inv <= flipfeas && inv_instrs <= flipfeas_instrs && chain_ok
+        in
         if inv > flipfeas then
           violations :=
             Fmt.str "%s: %d schedule(s) with --prune=invariants vs %d with \
                      --prune=flipfeas"
               bug inv flipfeas
+            :: !violations;
+        if inv_instrs > flipfeas_instrs then
+          violations :=
+            Fmt.str "%s: %d guest instruction(s) with --prune=invariants vs \
+                     %d with --prune=flipfeas"
+              bug inv_instrs flipfeas_instrs
             :: !violations;
         if not chain_ok then
           violations :=
@@ -127,6 +139,8 @@ let () =
           [ ("bug", str bug);
             ("flipfeas_schedules", int flipfeas);
             ("invariants_schedules", int inv);
+            ("flipfeas_instrs", int flipfeas_instrs);
+            ("invariants_instrs", int inv_instrs);
             ("invariant_pruned", int pruned);
             ("chain_identical", bool chain_ok);
             ("ok", bool ok) ])

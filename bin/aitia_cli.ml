@@ -329,10 +329,10 @@ let prune_arg =
           "Static proofs that may skip a re-execution: $(b,none) runs \
            everything; $(b,flipfeas) enables the lockset/MHP hints and \
            the flip-feasibility pre-analysis; $(b,invariants) adds the \
-           error-invariant engine — flip families are discharged by \
-           segment/replay certificates and LIFS runs one \
-           representative per invariant-equivalent frontier class.  \
-           Causality chains are identical at every level")
+           failure-relevance closure, so LIFS runs one representative \
+           per invariant-equivalent frontier class (Causality Analysis \
+           prunes the same flips as under $(b,flipfeas)).  Causality \
+           chains are identical at every level")
 
 let order_arg =
   Cmdliner.Arg.(
@@ -525,7 +525,7 @@ let lint_cmd =
              locksets, report cycles (potential ABBA deadlocks) with \
              witness paths, guarded-publication inversions, and \
              (advisory) lock acquisitions whose critical section the \
-             error-invariant engine proves redundant")
+             failure-relevance closure proves redundant")
     Term.(const run $ setup_logs $ bug_arg $ json)
 
 (* --- stats ------------------------------------------------------------ *)

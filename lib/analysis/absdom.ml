@@ -1,9 +1,9 @@
-(* Failure-relevance closure: the abstract-domain half of the error-
-   invariant engine.
+(* Failure-relevance closure: the abstract stand-in for an error
+   invariant.
 
-   The engine (see Invariants) must prove, per schedule prefix, that a
-   flip confined to some trace segment preserves the failure predicate.
-   The proof obligation reduces to a reachability question over values:
+   LIFS's class collapse and the redundant-section lint (see
+   Invariants) both ask whether some accesses can matter to the
+   failure.  That reduces to a reachability question over values:
    which memory locations can (transitively) influence a branch
    condition, a failure predicate, an address computation, a spawn
    argument or a free target?  Reordering accesses to any {e other}

@@ -1,5 +1,6 @@
 (** Failure-relevance closure over abstract locations: the abstract
-    domain the error-invariant engine ({!Invariants}) reasons in.
+    domain of the LIFS class collapse and the redundant-section lint
+    ({!Invariants}).
 
     A flow-insensitive fixpoint over the whole program group computes
     the set of {e relevant locations} — locations whose content can
@@ -7,9 +8,8 @@
     predicate, an address computation, a spawn argument or a kfree
     target.  Reordering accesses confined to irrelevant locations
     cannot change any thread's instruction sequence nor the failure
-    predicate's operands: that is the invariant the engine's segment
-    certificates rest on, and the criterion LIFS uses to skip frontier
-    slices. *)
+    predicate's operands: that is the criterion LIFS uses to skip
+    frontier slices and the lint uses to flag redundant sections. *)
 
 type t
 
@@ -17,16 +17,13 @@ val of_group : Ksim.Program.group -> t
 (** The relevance closure of a program group (all top-level threads and
     background entries). *)
 
-val abstract : Ksim.Addr.t -> Absaddr.t
-(** Bridge from concrete machine locations to the abstract domain:
-    [Global g] stays itself, heap fields collapse to their field name,
-    indices to [Slot], whole objects to [Whole]. *)
-
 val mem_abs : t -> Absaddr.t -> bool
 (** May the abstract location alias a relevant one? *)
 
 val mem_addr : t -> Ksim.Addr.t -> bool
-(** [mem_abs] after {!abstract}. *)
+(** [mem_abs] of the concrete location's abstraction: [Global g] stays
+    itself, heap fields collapse to their field name, indices to
+    [Slot], whole objects to [Whole]. *)
 
 val relevant : t -> Absaddr.t list
 (** The relevant locations, sorted (for reports). *)

@@ -116,14 +116,12 @@ type pruned_kind =
   [ `Lifs_equivalent
   | `Lifs_static
   | `Lifs_invariant
-  | `Ca_static
-  | `Ca_invariant ]
+  | `Ca_static ]
 
 let pruned_counter = function
   | `Lifs_equivalent -> "pruned/lifs_equivalent"
   | `Lifs_static -> "pruned/lifs_static"
   | `Lifs_invariant -> "pruned/lifs_invariant"
   | `Ca_static -> "pruned/ca_static"
-  | `Ca_invariant -> "pruned/ca_invariant"
 
 let count_pruned ?by kind = Telemetry.Probe.count ?by (pruned_counter kind)

@@ -61,11 +61,10 @@ type pruned_kind =
   [ `Lifs_equivalent  (** DPOR-equivalent schedules *)
   | `Lifs_static  (** statically-skipped (Guarded) extensions *)
   | `Lifs_invariant  (** failure-irrelevant frontier slices *)
-  | `Ca_static  (** flip-feasibility proofs *)
-  | `Ca_invariant  (** error-invariant proofs *) ]
+  | `Ca_static  (** flip-feasibility proofs *) ]
 
 val pruned_counter : pruned_kind -> string
-(** The counter name, e.g. ["pruned/ca_invariant"]. *)
+(** The counter name, e.g. ["pruned/ca_static"]. *)
 
 val count_pruned : ?by:int -> pruned_kind -> unit
 (** Bump the kind's counter. *)

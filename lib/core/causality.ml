@@ -49,9 +49,6 @@ type tested = {
 type stats = {
   schedules : int;
   flips_statically_pruned : int;
-  flips_invariant_pruned : int;  (* flips discharged by the error-
-                                    invariant engine (segment/replay/
-                                    family proofs) *)
   gain_reorderings : int;  (* times the gain scheduler picked a flip
                               out of base (backward) order *)
   elapsed : float;
@@ -63,18 +60,11 @@ type stats = {
 (* The identity for [stats_base] (resumed analyses add the journaled
    progress of the interrupted run here). *)
 let zero_stats =
-  { schedules = 0; flips_statically_pruned = 0; flips_invariant_pruned = 0;
-    gain_reorderings = 0; elapsed = 0.; simulated = 0.; executed_instrs = 0 }
+  { schedules = 0; flips_statically_pruned = 0; gain_reorderings = 0;
+    elapsed = 0.; simulated = 0.; executed_instrs = 0 }
 
 type prune = [ `None | `Flipfeas | `Invariants ]
 type order = [ `Fixed | `Gain ]
-
-(* Proofs from the error-invariant engine are distinguished from
-   flip-feasibility proofs by their reason prefix — a stable contract
-   that survives journal round-trips (the reason string is journaled,
-   the provenance is not). *)
-let invariant_reason reason =
-  String.length reason >= 9 && String.equal (String.sub reason 0 9) "invariant"
 
 type result = {
   tested : tested list;          (* in testing order *)
@@ -252,33 +242,22 @@ let survived (o : Controller.outcome) =
   | Controller.Completed -> true
   | Controller.Failed _ | Controller.Deadlock | Controller.Step_limit -> false
 
-(* The static half of testing one race: flip-feasibility first (cheap,
-   purely on the trace), then — under [`Invariants] — the
-   error-invariant engine's segment/replay/family proofs.  A proof
-   makes the flip Benign without execution (the Benign verdict covers
-   every non-completing outcome).  Depends only on the failing trace
-   and the plan, never on other flips' outcomes — which is what lets
-   the parallel path run it as a sequential pre-pass.  [ctx] is the
-   failing trace's shared context. *)
-let static_proof ~(prune : prune) ?engine ~(ctx : Analysis.Flipfeas.ctx)
+(* The static half of testing one race: the flip-feasibility proof,
+   purely on the trace, under both [`Flipfeas] and [`Invariants] (the
+   latter adds only the LIFS class collapse).  A proof makes the flip
+   Benign without execution (the Benign verdict covers every
+   non-completing outcome).  Depends only on the failing trace and the
+   plan, never on other flips' outcomes — which is what lets the
+   parallel path run it as a sequential pre-pass.  [ctx] is the failing
+   trace's shared context. *)
+let static_proof ~(prune : prune) ~(ctx : Analysis.Flipfeas.ctx)
     (r : Race.t) (plan : Schedule.plan) : string option =
   match prune with
   | `None -> None
-  | `Flipfeas | `Invariants -> (
-    match
-      Analysis.Flipfeas.prunable
-        (Analysis.Flipfeas.analyze ctx ~plan:plan.Schedule.events
-           ~first:r.first ~second:r.second)
-    with
-    | Some _ as proof -> proof
-    | None -> (
-      match engine with
-      | Some e ->
-        Option.map fst
-          (Analysis.Invariants.prune e ~key:(Race.key r) ~ctx
-             ~plan:plan.Schedule.events
-             ~run_through_budget:plan.Schedule.run_through_budget)
-      | None -> None))
+  | `Flipfeas | `Invariants ->
+    Analysis.Flipfeas.prunable
+      (Analysis.Flipfeas.analyze ctx ~plan:plan.Schedule.events
+         ~first:r.first ~second:r.second)
 
 let pruned_tested (r : Race.t) reason : tested =
   Log.debug (fun m ->
@@ -326,11 +305,11 @@ let executed_tested ~(races : Race.t list) (r : Race.t) (run : Executor.run)
 (* Test one race end to end: build the flip plan, statically prune it
    when a proof shows the re-run redundant, otherwise execute the
    flip. *)
-let test_one ?max_steps ~prologue ~(prune : prune) ?engine ?snapshots
-    ?resilience (vm : Hypervisor.Vm.t) ~(ctx : Analysis.Flipfeas.ctx)
+let test_one ?max_steps ~prologue ~(prune : prune) ?snapshots ?resilience
+    (vm : Hypervisor.Vm.t) ~(ctx : Analysis.Flipfeas.ctx)
     ~(races : Race.t list) (r : Race.t) : tested =
   let plan = flip_plan ctx r in
-  match static_proof ~prune ?engine ~ctx r plan with
+  match static_proof ~prune ~ctx r plan with
   | Some reason -> pruned_tested r reason
   | None ->
     let run =
@@ -346,21 +325,6 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
   let t0 = Unix.gettimeofday () in
   let runs_before = Hypervisor.Vm.runs vm in
   let instrs_before = Hypervisor.Vm.executed_steps vm in
-  (* The error-invariant engine replays a plan the way the executor
-     runs it on a fault-free VM (the real plan policy, on a fresh
-     machine of the VM's engine); injected faults change what the VM
-     would run, so the engine stands down when the VM injects them. *)
-  let engine =
-    match prune with
-    | `Invariants -> (
-      match Hypervisor.Vm.faults vm with
-      | None ->
-        Some
-          (Analysis.Invariants.create ?max_steps ~prologue
-             ~engine:(Hypervisor.Vm.engine vm) (Hypervisor.Vm.group vm))
-      | Some _ -> None)
-    | `None | `Flipfeas -> None
-  in
   (* Everything about the failing trace that no flip changes is built
      here once, and only read afterwards (also by the parallel
      pre-pass). *)
@@ -373,7 +337,6 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
   let current_stats () =
     { schedules = stats_base.schedules + (Hypervisor.Vm.runs vm - runs_before);
       flips_statically_pruned = 0;
-      flips_invariant_pruned = 0;
       gain_reorderings = stats_base.gain_reorderings + !reorderings;
       elapsed = stats_base.elapsed +. (Unix.gettimeofday () -. t0);
       simulated = stats_base.simulated +. Hypervisor.Vm.simulated_seconds vm;
@@ -402,8 +365,8 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
       t
     | None ->
       Telemetry.Probe.span_begin ~cat:"causality" "causality.flip";
-      let t = test_one ?max_steps ~prologue ~prune ?engine ?snapshots
-          ?resilience vm ~ctx ~races r in
+      let t = test_one ?max_steps ~prologue ~prune ?snapshots ?resilience
+          vm ~ctx ~races r in
       (if Telemetry.Probe.installed () then
          Telemetry.Probe.span_end ~args:(flip_args t) ());
       if t.pruned = None then incr executed;
@@ -443,7 +406,7 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
           | Some t -> `Replayed t
           | None -> (
             let plan = flip_plan ctx r in
-            match static_proof ~prune ?engine ~ctx r plan with
+            match static_proof ~prune ~ctx r plan with
             | Some reason -> `Done (pruned_tested r reason)
             | None -> `Todo (r, plan)))
         ordered
@@ -621,30 +584,17 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
     List.filter (fun (t : tested) -> t.ambiguous) tested
     |> List.map (fun t -> t.race)
   in
-  let invariant_pruned =
-    List.length
-      (List.filter
-         (fun (t : tested) ->
-           match t.pruned with
-           | Some reason -> invariant_reason reason
-           | None -> false)
-         tested)
-  in
   let stats =
     { (current_stats ()) with
       flips_statically_pruned =
         List.length
-          (List.filter (fun (t : tested) -> t.pruned <> None) tested)
-        - invariant_pruned;
-      flips_invariant_pruned = invariant_pruned }
+          (List.filter (fun (t : tested) -> t.pruned <> None) tested) }
   in
   if Telemetry.Probe.installed () then (
     Telemetry.Probe.count ~by:(List.length tested) "causality.flips";
     Telemetry.Probe.count ~by:!executed "causality.flips_executed";
     Analysis.Summary.count_pruned ~by:stats.flips_statically_pruned
       `Ca_static;
-    Analysis.Summary.count_pruned ~by:stats.flips_invariant_pruned
-      `Ca_invariant;
     Telemetry.Probe.count ~by:(List.length root_causes)
       "causality.root_causes";
     Telemetry.Probe.count ~by:(List.length benign) "causality.benign_races";

@@ -33,9 +33,6 @@ type stats = {
   flips_statically_pruned : int;
       (** flips proven Benign by the flip-feasibility pre-analysis,
           skipped before any VM execution *)
-  flips_invariant_pruned : int;
-      (** flips discharged by the error-invariant engine
-          (segment/replay/family proofs) *)
   gain_reorderings : int;
       (** times the gain scheduler picked a flip out of base order *)
   elapsed : float;
@@ -49,9 +46,9 @@ val zero_stats : stats
 (** All-zero identity for [stats_base]. *)
 
 type prune = [ `None | `Flipfeas | `Invariants ]
-(** What may skip a flip re-run: nothing, the flip-feasibility
-    pre-analysis, or flip-feasibility plus
-    the error-invariant engine ({!Analysis.Invariants}). *)
+(** What may skip a flip re-run: nothing, or the flip-feasibility
+    pre-analysis.  [`Flipfeas] and [`Invariants] prune the same flips;
+    [`Invariants] adds only the LIFS class collapse. *)
 
 type order = [ `Fixed | `Gain ]
 (** Test order: the fixed (backward, nested-first) order, or the
@@ -105,15 +102,11 @@ val analyze :
   races:Race.t list ->
   unit ->
   result
-(** [prune] (default [`None]) selects the static-proof layers: flips proven
-    infeasible, outcome-preserving or failure-invariant are marked
-    Benign without a VM run and counted in
-    [stats.flips_statically_pruned] / [stats.flips_invariant_pruned].
-    Under [`Invariants] the error-invariant engine is created from the
-    VM's program group and engine; its replays run the real plan
-    policy as a fault-free VM would, so it stands down when the VM
-    injects faults.  [order] (default
-    [`Fixed]) selects the gain scheduler; verdicts, chains and traces
+(** [prune] (default [`None]): under [`Flipfeas] or [`Invariants],
+    flips proven infeasible or outcome-preserving are marked Benign
+    without a VM run and counted in [stats.flips_statically_pruned];
+    every other flip runs once, through {!Executor.run_plan}.  [order]
+    (default [`Fixed]) selects the gain scheduler; verdicts, chains and traces
     are unchanged by reordering — only which schedules execute earlier.
     With the defaults the behaviour is bit-identical to the plain
     analysis.

@@ -72,10 +72,11 @@ val diagnose :
     preemptions are skipped, and enables the {!Analysis.Flipfeas}
     pre-analysis in {!Causality.analyze} so provably infeasible or
     outcome-preserving flips are skipped before any VM execution;
-    [`Invariants] additionally runs the error-invariant engine
-    ({!Analysis.Invariants}) — flip families are discharged by
-    segment/replay certificates and LIFS skips frontier candidates
-    preempting failure-irrelevant locations.
+    [`Invariants] additionally builds the failure-relevance closure
+    ({!Analysis.Absdom}) so LIFS skips frontier candidates preempting
+    failure-irrelevant locations; Causality Analysis prunes the same
+    flips as under [`Flipfeas] and runs every other flip once, on the
+    VM.
     [order:`Gain] replaces the fixed backward flip order and the
     breadth-first LIFS frontier with the expected-information-gain
     scheduler ({!Analysis.Gain}).

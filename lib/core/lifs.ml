@@ -101,8 +101,8 @@ let extension_start (sched : Schedule.preemption)
    same neutral rank and nothing is dropped: behaviour is bit-identical
    to the hint-free search.
 
-   When a failure-relevance closure is supplied ([invariants], from the
-   error-invariant engine's abstract domain), candidates are grouped
+   When a failure-relevance closure is supplied ([invariants], see
+   Analysis.Absdom), candidates are grouped
    into invariant classes: two candidates with the same parent, switch
    target and static rank whose anchors are separated only by
    displaceable instructions of the same thread — straight-line code

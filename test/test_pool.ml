@@ -105,10 +105,10 @@ let prop_pool_order =
 (* Everything a diagnosis decides, rendered comparable; simulated time
    and host time are deliberately excluded (per-flip guests lose the
    consecutive-run reboot-avoidance credit — documented divergence). *)
-let diag_fingerprint ~jobs (bug : Bugs.Bug.t) =
+let diag_fingerprint ~jobs ~prune (bug : Bugs.Bug.t) =
   let r =
     Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings ~jobs
-      (bug.case ())
+      ~prune (bug.case ())
   in
   let chain =
     match r.chain with Some c -> Aitia.Chain.to_string c | None -> "-"
@@ -132,15 +132,22 @@ let diag_fingerprint ~jobs (bug : Bugs.Bug.t) =
 
 let corpus = Array.of_list (Bugs.Registry.cves @ Bugs.Registry.syzkaller)
 
+let prunes =
+  [ ("none", `None); ("flipfeas", `Flipfeas); ("invariants", `Invariants) ]
+
 let prop_chain_parity =
   QCheck.Test.make ~count:10
     ~name:"pooled diagnosis is chain- and verdict-identical to sequential"
     (QCheck.make
-       ~print:(fun (i, jobs) -> Fmt.str "%s jobs=%d" corpus.(i).id jobs)
+       ~print:(fun (i, jobs, (name, _)) ->
+         Fmt.str "%s jobs=%d prune=%s" corpus.(i).id jobs name)
        QCheck.Gen.(
-         pair (int_range 0 (Array.length corpus - 1)) (int_range 2 4)))
-    (fun (i, jobs) ->
-      diag_fingerprint ~jobs:1 corpus.(i) = diag_fingerprint ~jobs corpus.(i))
+         triple
+           (int_range 0 (Array.length corpus - 1))
+           (int_range 2 4) (oneofl prunes)))
+    (fun (i, jobs, (_, prune)) ->
+      diag_fingerprint ~jobs:1 ~prune corpus.(i)
+      = diag_fingerprint ~jobs ~prune corpus.(i))
 
 (* --- shared snapshot cache under contention ------------------------------ *)
 
