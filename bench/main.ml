@@ -5,6 +5,11 @@
      dune exec bench/main.exe -- LIST    — only the named targets
      ... -- causality --jobs 4          — adds parallel speedup/parity
                                           columns to the causality rows
+     ... -- causality --baseline FILE   — gates the causality rows;
+                                          exit 1 on any violation
+     ... -- causality --jobs 4 --min-speedup F
+                                        — gates chain parity and the
+                                          pooled corpus speedup only
 
    Targets: table1 table2 table3 table_5_3 fig1 fig3 fig5 fig6 fig7 fig9
             conciseness detector study wrongfix ablations analysis
@@ -50,7 +55,7 @@ let chain_str (r : Aitia.Diagnose.report) =
    trackable rows register them here; after every selected target has
    run, the rows land in FILE as one object keyed by target name —
    several targets in one invocation merge instead of overwriting each
-   other. *)
+   other.  The causality gate (--baseline) reads its rows from here. *)
 let json_file : string option ref = ref None
 let json_docs : (string * string) list ref = ref []
 
@@ -59,11 +64,18 @@ let json_docs : (string * string) list ref = ref []
    chain parity next to the sequential columns. *)
 let jobs_opt : int ref = ref 1
 
+(* --baseline FILE: after the rows are written, gate the causality
+   rows against FILE and floor the engine speedup ([gate_causality]);
+   --min-speedup F floors the pooled corpus speedup of a --jobs run
+   (0 disables it).  Either flag also requires every [*_identical]
+   column to be true. *)
+let baseline : (string * Telemetry.Json.t) option ref = ref None
+let min_speedup : float ref = ref 0.0
+
 let emit_json ~target doc =
+  json_docs := (target, doc) :: !json_docs;
   match !json_file with
-  | Some f ->
-    json_docs := (target, doc) :: !json_docs;
-    pr "%s json queued for %s@." target f
+  | Some f -> pr "%s json queued for %s@." target f
   | None -> pr "json: %s@." doc
 
 let flush_json () =
@@ -581,8 +593,9 @@ let wrongfix () =
 (* --- static analysis scenario ------------------------------------------------ *)
 
 (* Static lockset/MHP hints: per bug, the static conflict-space stats
-   and how seeding LIFS with them changes the search (schedules explored
-   with and without hints, both of which must reproduce).  The JSON
+   and how --prune invariants (the hints plus the invariant class
+   collapse) changes the search (schedules explored with and without,
+   both of which must reproduce).  The JSON
    trailer makes the numbers machine-trackable across revisions. *)
 let analysis () =
   section "Static analysis: lockset/MHP hints feeding LIFS";
@@ -600,7 +613,7 @@ let analysis () =
       in
       let hinted =
         Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-          ~prune:`Flipfeas case
+          ~prune:`Invariants case
       in
       let ps = plain.lifs.stats.schedules
       and hs = hinted.lifs.stats.schedules in
@@ -673,29 +686,30 @@ let guest_instrs f =
   Option.iter (Telemetry.Recorder.replay rc) (Telemetry.Probe.current_sink ());
   (r, Telemetry.Recorder.counter rc "controller.instructions")
 
-(* Flip-feasibility pruning and snapshot-cache re-execution: per bug,
-   plain Causality Analysis vs the statically pruned one vs the
-   snapshot-cached pipeline vs --prune=invariants with gain
-   scheduling — flips executed, flips pruned, schedules, simulated
-   cost, instructions actually executed and the
-   schedules-per-simulated-second throughput, with the chain-parity
-   checks that make every optimisation trustworthy.  Rows land in
-   BENCH_causality.json under --json; the invariant columns feed the
-   CI pruning-parity gate (bench/pruning_gate.ml). *)
+(* Snapshot-cache re-execution and --prune invariants: per bug, plain
+   Causality Analysis vs the snapshot-cached pipeline vs
+   --prune invariants with gain scheduling — flips executed, flips
+   pruned, schedules, simulated cost, instructions actually executed
+   and the schedules-per-simulated-second throughput, with the
+   chain-parity checks that make every optimisation trustworthy.  Rows
+   land in BENCH_causality.json under --json, and --baseline gates them
+   (see [gate_causality]). *)
 let causality () =
   section
-    "Causality Analysis: flip-feasibility pruning, snapshot cache and \
-     error invariants (plain vs hinted vs cached vs invariants+gain)";
-  pr "%-18s %6s | %7s %7s %7s | %8s %8s %8s | %9s %9s | %6s %6s | %s@." "bug"
-    "flips" "plain#s" "hint#s" "pruned" "plain(s)" "hint(s)" "snap(s)"
-    "plain#i" "snap#i" "hint#t" "inv#t" "chain";
+    "Causality Analysis: snapshot cache and --prune invariants (plain vs \
+     cached vs invariants+gain)";
+  pr "%-18s %6s | %7s %7s %7s | %8s %8s | %9s %9s | %6s %6s | %s@." "bug"
+    "flips" "plain#s" "inv#s" "pruned" "plain(s)" "snap(s)" "plain#i"
+    "snap#i" "plain#t" "inv#t" "chain";
+  let corpus = Bugs.Registry.cves @ Bugs.Registry.syzkaller in
   let rows = ref [] in
   let par_seq_total = ref 0.0 in
   let par_par_total = ref 0.0 in
   let par_all_identical = ref true in
+  let seq_chains = ref [] in
   (* engine columns: per-bug step throughput of each engine plus the
      reference-vs-compiled chain parity; aggregated into the corpus
-     engine_speedup ratio the perf gate floors at 5x.  Long diagnosis
+     engine_speedup ratio the gate floors at 5x.  Long diagnosis
      workloads dominate the aggregate, so boot-heavy figure examples
      carry little weight. *)
   let eng_ref_steps = ref 0 and eng_ref_time = ref 0.0 in
@@ -704,11 +718,10 @@ let causality () =
   List.iter
     (fun (bug : Bugs.Bug.t) ->
       let t0 = Unix.gettimeofday () in
-      let plain = report_of bug in
-      let hinted, hinted_instrs =
+      let plain, plain_guest =
         guest_instrs (fun () ->
             Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-              ~prune:`Flipfeas (bug.case ()))
+              (bug.case ()))
       in
       let snap =
         Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
@@ -723,9 +736,8 @@ let causality () =
       (* Parallel pass (--jobs N): one fresh sequential diagnosis and
          one fanned out over N pool workers, timed back to back on the
          same case — the chains must match and the wall-clock ratio is
-         the per-bug speedup.  Wall times measure the host, so these
-         columns are ignored by the perf gate (the parallel-parity gate
-         owns them). *)
+         the per-bug speedup.  Wall times measure the host, so the gate
+         ignores these columns. *)
       let par =
         if !jobs_opt <= 1 then None
         else begin
@@ -740,30 +752,27 @@ let causality () =
               ~jobs:!jobs_opt (bug.case ())
           in
           let t2 = Unix.gettimeofday () in
+          seq_chains := chain_str seq_r :: !seq_chains;
           Some (t1 -. t0, t2 -. t1, par_r,
                 String.equal (chain_str seq_r) (chain_str par_r))
         end
       in
-      match plain.causality, hinted.causality, snap.causality, inv.causality
-      with
-      | Some pca, Some hca, Some sca, Some ica ->
-        let flips = List.length pca.tested in
+      match plain.causality, snap.causality, inv.causality with
+      | Some pca, Some sca, Some ica ->
+        let flips = List.length ica.tested in
         let executed =
           List.length
             (List.filter
                (fun (t : Aitia.Causality.tested) -> t.pruned = None)
-               hca.tested)
+               ica.tested)
         in
-        let pruned = hca.stats.flips_statically_pruned in
-        let same_chain = String.equal (chain_str plain) (chain_str hinted) in
+        let pruned = ica.stats.flips_statically_pruned in
         let snap_chain = String.equal (chain_str plain) (chain_str snap) in
         let inv_chain = String.equal (chain_str plain) (chain_str inv) in
-        (* executed-schedule totals (LIFS + CA) per pruning level; the
-           pruning-parity gate requires inv <= hinted on every bug, for
-           schedules and for guest instructions *)
-        let hinted_total =
-          hinted.lifs.stats.schedules + hca.stats.schedules
-        in
+        (* executed-schedule totals (LIFS + CA) per pruning level;
+           --prune invariants must never cost more than --prune none,
+           in schedules or in guest instructions *)
+        let plain_total = plain.lifs.stats.schedules + pca.stats.schedules in
         let inv_total = inv.lifs.stats.schedules + ica.stats.schedules in
         (* pipeline totals: LIFS reproduction + Causality Analysis *)
         let plain_instrs =
@@ -777,12 +786,11 @@ let causality () =
         in
         let plain_rate = per_simsec pca.stats.schedules pca.stats.simulated in
         let snap_rate = per_simsec sca.stats.schedules sca.stats.simulated in
-        pr "%-18s %6d | %7d %7d %7d | %8.1f %8.1f %8.1f | %9d %9d | %6d %6d | %s@."
-          bug.id flips pca.stats.schedules hca.stats.schedules pruned
-          pca.stats.simulated hca.stats.simulated sca.stats.simulated
-          plain_instrs snap_instrs hinted_total inv_total
-          (if same_chain && snap_chain && inv_chain then "identical"
-           else "DIFFERS");
+        pr "%-18s %6d | %7d %7d %7d | %8.1f %8.1f | %9d %9d | %6d %6d | %s@."
+          bug.id flips pca.stats.schedules ica.stats.schedules pruned
+          pca.stats.simulated sca.stats.simulated plain_instrs snap_instrs
+          plain_total inv_total
+          (if snap_chain && inv_chain then "identical" else "DIFFERS");
         Option.iter
           (fun (seq_wall, par_wall, _, par_identical) ->
             par_seq_total := !par_seq_total +. seq_wall;
@@ -837,15 +845,9 @@ let causality () =
               ("flips_executed", int executed);
               ("flips_pruned", int pruned);
               ("plain_ca_schedules", int pca.stats.schedules);
-              ("hinted_ca_schedules", int hca.stats.schedules);
               ("plain_ca_simulated", float pca.stats.simulated);
-              ("hinted_ca_simulated", float hca.stats.simulated);
               ("plain_lifs_schedules", int plain.lifs.stats.schedules);
-              ("hinted_lifs_schedules", int hinted.lifs.stats.schedules);
-              ("hinted_lifs_static_pruned",
-               int hinted.lifs.stats.static_pruned);
               ("plain_lifs_simulated", float plain.lifs.stats.simulated);
-              ("hinted_lifs_simulated", float hinted.lifs.stats.simulated);
               ("snap_ca_schedules", int sca.stats.schedules);
               ("snap_ca_simulated", float sca.stats.simulated);
               ("plain_instrs", int plain_instrs);
@@ -853,16 +855,13 @@ let causality () =
               ("plain_sched_per_simsec", float plain_rate);
               ("snap_sched_per_simsec", float snap_rate);
               ("host_elapsed_s", float host_elapsed);
-              ("chain_identical", bool same_chain);
               ("snap_chain_identical", bool snap_chain);
               ("snap_reduces_sim",
                bool (sca.stats.simulated < pca.stats.simulated));
               ("snap_reduces_instrs", bool (snap_instrs < plain_instrs));
-              ("executed_schedules", int hinted_total);
               ("inv_lifs_schedules", int inv.lifs.stats.schedules);
               ("inv_ca_schedules", int ica.stats.schedules);
               ("inv_executed_schedules", int inv_total);
-              ("hinted_instrs", int hinted_instrs);
               ("inv_instrs", int inv_instrs);
               ("invariant_pruned", int inv.lifs.stats.invariant_pruned);
               ("gain_reorderings",
@@ -870,7 +869,8 @@ let causality () =
                  (inv.lifs.stats.gain_reorderings
                  + ica.stats.gain_reorderings));
               ("inv_chain_identical", bool inv_chain);
-              ("inv_fewer", bool (inv_total < hinted_total));
+              ("inv_le_plain",
+               bool (inv_total <= plain_total && inv_instrs <= plain_guest));
               ("engine_ref_ips", float ref_ips);
               ("engine_compiled_ips", float cmp_ips);
               ("engine_speedup", float eng_speedup);
@@ -894,16 +894,33 @@ let causality () =
                   ("par_chain_identical", bool par_identical) ]))
           :: !rows
       | _ -> pr "%-18s not diagnosed@." bug.id)
-    (Bugs.Registry.cves @ Bugs.Registry.syzkaller);
+    corpus;
   if !jobs_opt > 1 then begin
-    let speedup =
-      if !par_par_total > 0. then !par_seq_total /. !par_par_total else 0.
+    (* Pooled pass: the whole corpus fanned out over an N-worker pool,
+       --jobs 1 inside each diagnosis (batch-style).  Bugs are
+       independent, so an N-core host should approach Nx over the
+       sequential per-bug total. *)
+    let t0 = Unix.gettimeofday () in
+    let pooled_chains =
+      Hypervisor.Pool.map_list
+        (Hypervisor.Pool.create ~jobs:!jobs_opt)
+        (fun (bug : Bugs.Bug.t) ->
+          chain_str
+            (Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+               (bug.case ())))
+        corpus
     in
+    let pooled_wall = Unix.gettimeofday () -. t0 in
+    let pooled_identical = pooled_chains = List.rev !seq_chains in
+    let ratio wall = if wall > 0. then !par_seq_total /. wall else 0. in
     pr
-      "corpus parallel summary (--jobs %d): seq %.3fs  par %.3fs  \
-       speedup %.2fx  chains %s@."
-      !jobs_opt !par_seq_total !par_par_total speedup
-      (if !par_all_identical then "all identical" else "SOME DIFFER");
+      "corpus parallel summary (--jobs %d, pool backend %s): seq %.3fs  \
+       par %.3fs (%.2fx, chains %s)  pooled %.3fs (%.2fx, chains %s)@."
+      !jobs_opt Hypervisor.Pool.backend !par_seq_total !par_par_total
+      (ratio !par_par_total)
+      (if !par_all_identical then "all identical" else "SOME DIFFER")
+      pooled_wall (ratio pooled_wall)
+      (if pooled_identical then "all identical" else "SOME DIFFER");
     let open Analysis.Report_json in
     rows :=
       obj
@@ -911,8 +928,11 @@ let causality () =
           ("jobs", int !jobs_opt);
           ("seq_wall_s", float !par_seq_total);
           ("par_wall_s", float !par_par_total);
-          ("speedup", float speedup);
-          ("par_chain_identical", bool !par_all_identical) ]
+          ("speedup", float (ratio !par_par_total));
+          ("par_chain_identical", bool !par_all_identical);
+          ("pooled_wall_s", float pooled_wall);
+          ("pooled_speedup", float (ratio pooled_wall));
+          ("pooled_chain_identical", bool pooled_identical) ]
       :: !rows
   end;
   let corpus_ref_ips =
@@ -938,10 +958,77 @@ let causality () =
         ("engine_ref_ips", float corpus_ref_ips);
         ("engine_compiled_ips", float corpus_cmp_ips);
         ("corpus_engine_speedup", float corpus_speedup);
-        ("engine_speedup_ge_5", bool (corpus_speedup >= 5.0));
         ("engine_chains_identical", bool !eng_chains_identical) ]
     :: !rows;
   emit_json ~target:"causality" (arr (List.rev !rows))
+
+(* The causality rows' own gate rules, next to the code that emits
+   them.  Host-dependent columns (wall clock, rates, speedups, worker
+   counts) are not compared with the baseline; the speedups that matter
+   are floored instead.  Under --baseline every other numeric column
+   may not exceed the baseline by more than 2%, a baseline [true] must
+   stay [true], a baseline row or column missing from the fresh rows
+   fails, and the corpus engine speedup is floored at 5x.  Under either
+   gating flag every [*_identical] column must be [true]. *)
+let host_columns =
+  [ "host_elapsed_s"; "plain_sched_per_simsec"; "snap_sched_per_simsec";
+    "jobs"; "seq_wall_s"; "par_wall_s"; "speedup"; "par_sched_per_simsec";
+    "pooled_wall_s"; "pooled_speedup"; "engine_ref_ips";
+    "engine_compiled_ips"; "engine_speedup"; "corpus_engine_speedup" ]
+
+let parse_json what s =
+  match Telemetry.Json.of_string s with
+  | Ok doc -> doc
+  | Error e ->
+    Fmt.epr "%s: %s@." what e;
+    exit 1
+
+let read_baseline file =
+  match In_channel.with_open_text file In_channel.input_all with
+  | s -> parse_json file s
+  | exception Sys_error e ->
+    Fmt.epr "--baseline: %s@." e;
+    exit 1
+
+let gate_causality () =
+  let fresh =
+    parse_json "causality rows" (List.assoc "causality" !json_docs)
+  in
+  let rows = Option.value ~default:[] (Telemetry.Json.to_list fresh) in
+  let floors =
+    (if Option.is_some !baseline then [ ("corpus_engine_speedup", 5.0) ]
+     else [])
+    @ (if !min_speedup > 0. then [ ("pooled_speedup", !min_speedup) ]
+       else [])
+  in
+  let verdicts =
+    Telemetry.Gate.check_floors ~floors rows
+    :: Telemetry.Gate.check_identical rows
+    :: Option.fold ~none:[]
+         ~some:(fun (_, baseline) ->
+           [ Telemetry.Gate.compare_docs ~ignore_fields:host_columns
+               ~baseline ~fresh () ])
+         !baseline
+  in
+  let checked =
+    List.fold_left (fun n (v : Telemetry.Gate.verdict) -> n + v.checked) 0
+      verdicts
+  in
+  let against =
+    Option.fold ~none:"" ~some:(fun (f, _) -> " against " ^ f) !baseline
+  in
+  match
+    List.concat_map
+      (fun (v : Telemetry.Gate.verdict) -> v.violations)
+      verdicts
+  with
+  | [] ->
+    pr "causality gate OK: %d check(s)%s, %d floor(s) held@." checked
+      against (List.length floors)
+  | violations ->
+    Fmt.epr "causality gate FAILED (%d check(s)%s):@." checked against;
+    List.iter (fun m -> Fmt.epr "  %s@." m) violations;
+    exit 1
 
 (* --- resilience scenario ------------------------------------------------------ *)
 
@@ -1110,7 +1197,18 @@ let () =
         Fmt.epr "--jobs needs a positive integer (got %S)@." n;
         exit 1);
       split targets rest
-    | [ ("--json" | "--trace-out" | "--metrics-out" | "--jobs") as flag ] ->
+    | "--baseline" :: file :: rest ->
+      baseline := Some (file, read_baseline file);
+      split targets rest
+    | "--min-speedup" :: f :: rest ->
+      (match float_of_string_opt f with
+      | Some v when v >= 0. -> min_speedup := v
+      | _ ->
+        Fmt.epr "--min-speedup needs a non-negative number (got %S)@." f;
+        exit 1);
+      split targets rest
+    | [ ( "--json" | "--trace-out" | "--metrics-out" | "--jobs" | "--baseline"
+        | "--min-speedup" ) as flag ] ->
       Fmt.epr "%s needs an argument@." flag;
       exit 1
     | a :: rest -> split (a :: targets) rest
@@ -1139,18 +1237,23 @@ let () =
             exit 1)
         names
   in
+  let gated = Option.is_some !baseline || !min_speedup > 0. in
+  if gated && not (List.mem_assoc "causality" selected) then (
+    Fmt.epr "--baseline and --min-speedup need the causality target@.";
+    exit 1);
   List.iter (fun (_, f) -> f ()) selected;
   flush_json ();
-  match recorder with
-  | None -> ()
-  | Some r ->
-    Option.iter
-      (fun f ->
-        Telemetry.Chrome_trace.write ~file:f r;
-        pr "chrome trace written to %s@." f)
-      !trace_file;
-    Option.iter
-      (fun f ->
-        Telemetry.Metrics.write ~file:f r;
-        pr "metrics written to %s@." f)
-      !metrics_file
+  Option.iter
+    (fun r ->
+      Option.iter
+        (fun f ->
+          Telemetry.Chrome_trace.write ~file:f r;
+          pr "chrome trace written to %s@." f)
+        !trace_file;
+      Option.iter
+        (fun f ->
+          Telemetry.Metrics.write ~file:f r;
+          pr "metrics written to %s@." f)
+        !metrics_file)
+    recorder;
+  if gated then gate_causality ()

@@ -319,20 +319,16 @@ let prune_arg =
   Cmdliner.Arg.(
     value
     & opt
-        (some
-           (enum
-              [ ("none", `None); ("flipfeas", `Flipfeas);
-                ("invariants", `Invariants) ]))
+        (some (enum [ ("none", `None); ("invariants", `Invariants) ]))
         None
     & info [ "prune" ] ~docv:"LEVEL"
         ~doc:
           "Static proofs that may skip a re-execution: $(b,none) runs \
-           everything; $(b,flipfeas) enables the lockset/MHP hints and \
-           the flip-feasibility pre-analysis; $(b,invariants) adds the \
-           failure-relevance closure, so LIFS runs one representative \
-           per invariant-equivalent frontier class (Causality Analysis \
-           prunes the same flips as under $(b,flipfeas)).  Causality \
-           chains are identical at every level")
+           everything; $(b,invariants) enables the lockset/MHP hints, \
+           the flip-feasibility pre-analysis in Causality Analysis and \
+           the failure-relevance closure, so LIFS runs one \
+           representative per invariant-equivalent frontier class.  \
+           Causality chains are identical at both levels")
 
 let order_arg =
   Cmdliner.Arg.(

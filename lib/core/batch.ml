@@ -100,12 +100,10 @@ let request_of_json (j : Json.t) : (request, string) result =
       match prune with
       | None -> Ok None
       | Some "none" -> Ok (Some `None)
-      | Some "flipfeas" -> Ok (Some `Flipfeas)
       | Some "invariants" -> Ok (Some `Invariants)
       | Some s ->
         Error
-          (Fmt.str
-             "request %S: prune must be none/flipfeas/invariants (got %S)"
+          (Fmt.str "request %S: prune must be none/invariants (got %S)"
              rq_id s)
     in
     let* order = str_field "order" fields in

@@ -63,7 +63,7 @@ let zero_stats =
   { schedules = 0; flips_statically_pruned = 0; gain_reorderings = 0;
     elapsed = 0.; simulated = 0.; executed_instrs = 0 }
 
-type prune = [ `None | `Flipfeas | `Invariants ]
+type prune = [ `None | `Invariants ]
 type order = [ `Fixed | `Gain ]
 
 type result = {
@@ -243,8 +243,7 @@ let survived (o : Controller.outcome) =
   | Controller.Failed _ | Controller.Deadlock | Controller.Step_limit -> false
 
 (* The static half of testing one race: the flip-feasibility proof,
-   purely on the trace, under both [`Flipfeas] and [`Invariants] (the
-   latter adds only the LIFS class collapse).  A proof makes the flip
+   purely on the trace, under [`Invariants].  A proof makes the flip
    Benign without execution (the Benign verdict covers every
    non-completing outcome).  Depends only on the failing trace and the
    plan, never on other flips' outcomes — which is what lets the
@@ -254,7 +253,7 @@ let static_proof ~(prune : prune) ~(ctx : Analysis.Flipfeas.ctx)
     (r : Race.t) (plan : Schedule.plan) : string option =
   match prune with
   | `None -> None
-  | `Flipfeas | `Invariants ->
+  | `Invariants ->
     Analysis.Flipfeas.prunable
       (Analysis.Flipfeas.analyze ctx ~plan:plan.Schedule.events
          ~first:r.first ~second:r.second)

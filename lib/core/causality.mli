@@ -45,10 +45,10 @@ type stats = {
 val zero_stats : stats
 (** All-zero identity for [stats_base]. *)
 
-type prune = [ `None | `Flipfeas | `Invariants ]
+type prune = [ `None | `Invariants ]
 (** What may skip a flip re-run: nothing, or the flip-feasibility
-    pre-analysis.  [`Flipfeas] and [`Invariants] prune the same flips;
-    [`Invariants] adds only the LIFS class collapse. *)
+    pre-analysis ({!Analysis.Flipfeas}) that [`Invariants] runs on
+    every flip plan. *)
 
 type order = [ `Fixed | `Gain ]
 (** Test order: the fixed (backward, nested-first) order, or the
@@ -102,9 +102,9 @@ val analyze :
   races:Race.t list ->
   unit ->
   result
-(** [prune] (default [`None]): under [`Flipfeas] or [`Invariants],
-    flips proven infeasible or outcome-preserving are marked Benign
-    without a VM run and counted in [stats.flips_statically_pruned];
+(** [prune] (default [`None]): under [`Invariants], flips proven
+    infeasible or outcome-preserving are marked Benign without a VM run
+    and counted in [stats.flips_statically_pruned];
     every other flip runs once, through {!Executor.run_plan}.  [order]
     (default [`Fixed]) selects the gain scheduler; verdicts, chains and traces
     are unchanged by reordering — only which schedules execute earlier.

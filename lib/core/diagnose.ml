@@ -353,16 +353,14 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
            outside it, so slice spans are siblings in the trace. *)
         let fresh () =
           let lifs_vm = Hypervisor.Vm.create ?faults ~engine group in
-          (* Any pruning level brings the lockset hints; [`Invariants]
-             adds the failure-relevance closure of the realized slice. *)
-          let hints =
-            if prune <> `None then Some (hints_of_group group prologue)
-            else None
-          in
-          let invariants =
+          (* [`Invariants] brings the lockset hints and the
+             failure-relevance closure of the realized slice. *)
+          let hints, invariants =
             match prune with
-            | `Invariants -> Some (Analysis.Absdom.of_group group)
-            | `None | `Flipfeas -> None
+            | `Invariants ->
+              ( Some (hints_of_group group prologue),
+                Some (Analysis.Absdom.of_group group) )
+            | `None -> (None, None)
           in
           (* The thread holding the reported crash site, when the
              report names one: the gain scheduler runs its start

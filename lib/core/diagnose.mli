@@ -66,17 +66,16 @@ val diagnose :
 (** The full pipeline.  Tries slices nearest-to-failure first until one
     reproduces (§4.2); [`Farthest_first] exists for the ablation.
     [prune] selects the static proofs: [`None] (default) is the
-    hint-free pipeline; [`Flipfeas] runs {!Analysis.Candidates.analyze}
-    on each realized slice and feeds the result to {!Lifs.search} so the
-    frontier is visited Unguarded-first and statically Guarded candidate
-    preemptions are skipped, and enables the {!Analysis.Flipfeas}
-    pre-analysis in {!Causality.analyze} so provably infeasible or
-    outcome-preserving flips are skipped before any VM execution;
-    [`Invariants] additionally builds the failure-relevance closure
-    ({!Analysis.Absdom}) so LIFS skips frontier candidates preempting
-    failure-irrelevant locations; Causality Analysis prunes the same
-    flips as under [`Flipfeas] and runs every other flip once, on the
-    VM.
+    hint-free pipeline; [`Invariants] runs
+    {!Analysis.Candidates.analyze} on each realized slice and feeds the
+    result to {!Lifs.search} so the frontier is visited Unguarded-first
+    and statically Guarded candidate preemptions are skipped, builds
+    the failure-relevance closure ({!Analysis.Absdom}) so LIFS skips
+    frontier candidates preempting failure-irrelevant locations, and
+    enables the {!Analysis.Flipfeas} pre-analysis in
+    {!Causality.analyze} so provably infeasible or outcome-preserving
+    flips are skipped before any VM execution; every other flip runs
+    once, on the VM.
     [order:`Gain] replaces the fixed backward flip order and the
     breadth-first LIFS frontier with the expected-information-gain
     scheduler ({!Analysis.Gain}).

@@ -19,11 +19,11 @@ type verdict = {
   violations : string list;
 }
 
-let rows_of ~target doc =
+let rows_of doc =
   match doc with
   | Json.Arr rows -> Some rows
   | Json.Obj _ ->
-    Option.bind (Json.member target doc) Json.to_list
+    Option.bind (Json.member "causality" doc) Json.to_list
   | _ -> None
 
 let row_id ~id_key row =
@@ -71,17 +71,75 @@ let compare_rows ?(tolerance = 0.02) ?(ignore_fields = []) ~id_key
     checked = !checked;
     violations = List.rev !violations }
 
-let compare_docs ?tolerance ?ignore_fields ?(target = "causality")
-    ~(baseline : Json.t) ~(fresh : Json.t) () : verdict =
-  match (rows_of ~target baseline, rows_of ~target fresh) with
+let compare_docs ?ignore_fields ~(baseline : Json.t) ~(fresh : Json.t) () :
+    verdict =
+  match (rows_of baseline, rows_of fresh) with
   | None, _ ->
     { gate_ok = false;
       checked = 0;
-      violations = [ "baseline has no '" ^ target ^ "' rows" ] }
+      violations = [ "baseline has no 'causality' rows" ] }
   | _, None ->
     { gate_ok = false;
       checked = 0;
-      violations = [ "fresh document has no '" ^ target ^ "' rows" ] }
+      violations = [ "fresh document has no 'causality' rows" ] }
   | Some b, Some f ->
-    compare_rows ?tolerance ?ignore_fields ~id_key:"bug" ~baseline:b
-      ~fresh:f ()
+    compare_rows ?ignore_fields ~id_key:"bug" ~baseline:b ~fresh:f ()
+
+(* Fresh-side checks need no baseline, so a metric or invariant that
+   first appears in the fresh document is gated too. *)
+let check_floors ~floors (rows : Json.t list) : verdict =
+  let checked = ref 0 in
+  let violations =
+    List.concat_map
+      (fun (field, min_v) ->
+        let values =
+          List.filter_map
+            (fun row ->
+              Option.map
+                (fun v -> (row_id ~id_key:"bug" row, v))
+                (Json.member field row))
+            rows
+        in
+        (* a floored field in no row fails: a silently vanished
+           metric must not read as a pass *)
+        if values = [] then
+          [ Printf.sprintf
+              "%s: floored field missing from the fresh document" field ]
+        else
+          List.filter_map
+            (fun (id, v) ->
+              incr checked;
+              match Json.to_num v with
+              | Some f when f >= min_v -> None
+              | Some f ->
+                Some
+                  (Printf.sprintf "%s: %s %.4f below floor %.4f" id field f
+                     min_v)
+              | None ->
+                Some (Printf.sprintf "%s: %s is not numeric" id field))
+            values)
+      floors
+  in
+  { gate_ok = violations = []; checked = !checked; violations }
+
+let check_identical (rows : Json.t list) : verdict =
+  let checked = ref 0 in
+  let violations =
+    List.concat_map
+      (fun row ->
+        let id = row_id ~id_key:"bug" row in
+        let fields = match row with Json.Obj kvs -> kvs | _ -> [] in
+        List.filter_map
+          (fun (k, v) ->
+            if not (String.ends_with ~suffix:"_identical" k) then None
+            else (
+              incr checked;
+              match Json.to_bool v with
+              | Some true -> None
+              | Some false -> Some (Printf.sprintf "%s: %s is false" id k)
+              | None ->
+                Some (Printf.sprintf "%s: %s is not a boolean" id k)))
+          fields)
+      rows
+  in
+  { gate_ok = violations = []; checked = !checked; violations }

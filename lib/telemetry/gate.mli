@@ -3,7 +3,9 @@
     Numeric fields are higher-is-worse and fail beyond
     [baseline * (1 + tolerance)]; [true] booleans are invariants that
     must hold in the fresh document; [ignore_fields] skips metrics that
-    are non-deterministic (host wall clock) or higher-is-better. *)
+    are non-deterministic (host wall clock) or higher-is-better.
+    {!check_floors} and {!check_identical} gate the fresh document on
+    its own, with no baseline. *)
 
 type verdict = {
   gate_ok : bool;
@@ -24,13 +26,20 @@ val compare_rows :
     fresh rows/fields are allowed.  [tolerance] defaults to 0.02. *)
 
 val compare_docs :
-  ?tolerance:float ->
   ?ignore_fields:string list ->
-  ?target:string ->
   baseline:Json.t ->
   fresh:Json.t ->
   unit ->
   verdict
 (** Extract the row array from each document — either a bare array or
-    the [target] member (default ["causality"]) of a merged bench
-    object — and compare with {!compare_rows} keyed on ["bug"]. *)
+    the ["causality"] member of a merged bench object — and compare
+    with {!compare_rows} keyed on ["bug"] at the default tolerance. *)
+
+val check_floors : floors:(string * float) list -> Json.t list -> verdict
+(** Every row (keyed on ["bug"]) carrying a floored field must hold a
+    number [>=] its floor.  A floored field that appears in no row is a
+    violation. *)
+
+val check_identical : Json.t list -> verdict
+(** Every field named [*_identical] in the rows (keyed on ["bug"]) must
+    be the boolean [true], whether or not any baseline carries it. *)

@@ -538,8 +538,9 @@ let test_flipfeas_nesting_depth () =
 
 (* --- corpus soundness ---------------------------------------------------- *)
 
-(* One diagnosis pass per bug, plain and hinted, shared by the corpus
-   tests below. *)
+(* One diagnosis pass per bug, plain and hinted (--prune invariants:
+   the lockset hints, the invariant class collapse and the
+   flip-feasibility proofs), shared by the corpus tests below. *)
 let corpus =
   lazy
     (List.map
@@ -551,7 +552,7 @@ let corpus =
          in
          let hinted =
            Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-             ~prune:`Flipfeas case
+             ~prune:`Invariants case
          in
          (bug, case, plain, hinted))
        Bugs.Registry.all)

@@ -2,7 +2,8 @@
    the deterministic fault stream (spec parsing, seeded determinism,
    watchdog caps, verdict flaps), the executor's per-class reactions
    (retry on taint, quorum voting, snapshot poisoning on corrupted
-   restores), the resumable diagnosis journal, and the acceptance
+   restores), the resumable diagnosis journal, batch-manifest and
+   --prune validation, and the acceptance
    suites — chaos parity across the 22-bug corpus at a 5% mixed fault
    rate, the retries-disabled degraded mode (exit code 3, never a
    crash), and journal resume re-executing strictly fewer instructions
@@ -635,6 +636,55 @@ let test_journal_resume () =
     (complete_instrs < resumed_instrs);
   Sys.remove path
 
+(* --- manifest and flag validation ---------------------------------------- *)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Each malformed batch manifest is rejected with a message naming what
+   is wrong. *)
+let test_manifest_errors () =
+  List.iter
+    (fun (what, doc, needle) ->
+      match Aitia.Batch.manifest_of_string doc with
+      | Ok _ -> Alcotest.failf "%s: manifest accepted" what
+      | Error e ->
+        checkb (Fmt.str "%s: %S names %S" what e needle) true
+          (contains ~sub:needle e))
+    [ ( "retired prune level",
+        {|[{"id": "r1", "bug": "fig5", "prune": "flipfeas"}]|},
+        "prune must be none/invariants" );
+      ( "unknown order",
+        {|[{"id": "r1", "bug": "fig5", "order": "forward"}]|},
+        "order must be backward/gain" );
+      ( "unknown field",
+        {|[{"id": "r1", "bug": "fig5", "bogus": 1}]|},
+        {|unknown field "bogus"|} );
+      ( "duplicate id",
+        {|[{"id": "r1", "bug": "fig5"}, {"id": "r1", "bug": "fig1"}]|},
+        {|duplicate request id "r1"|} );
+      ("empty manifest", "[]", "manifest has no requests") ]
+
+(* The CLI takes --prune none|invariants only: any other level is a
+   usage error (exit 2) when flags are parsed. *)
+let test_cli_prune_levels () =
+  let cli =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "aitia_cli.exe" ]
+  in
+  let run level =
+    Sys.command
+      (Filename.quote_command cli ~stdout:Filename.null ~stderr:Filename.null
+         [ "diagnose"; "fig5"; "--prune"; level ])
+  in
+  checki "--prune invariants diagnoses" 0 (run "invariants");
+  checki "--prune flipfeas is a usage error" 2 (run "flipfeas")
+
 (* --- suite ------------------------------------------------------------------ *)
 
 let () =
@@ -665,6 +715,10 @@ let () =
           Alcotest.test_case "batch creates a missing journal directory"
             `Quick test_batch_creates_journal_dir ] );
       ("exit-codes", [ Alcotest.test_case "exit_status" `Quick test_exit_status ]);
+      ( "validation",
+        [ Alcotest.test_case "manifest errors" `Quick test_manifest_errors;
+          Alcotest.test_case "CLI prune levels" `Quick test_cli_prune_levels
+        ] );
       ("chaos-parity", parity_cases);
       ( "degraded-mode",
         [ Alcotest.test_case "retries disabled: visible, never crashes"

@@ -11,7 +11,7 @@
    that each executed flip is exactly one plan run.  The flip-cascade
    case checks, for every corpus bug, that each flip's pruning reason
    is exactly its flip-feasibility proof and that the chain equals the
-   --prune=flipfeas chain.  The unit tests cover the relevance closure
+   --prune=none chain.  The unit tests cover the relevance closure
    and the redundant critical-section lint (including nested
    sections). *)
 
@@ -113,7 +113,7 @@ let test_run_accounting (bug : Bugs.Bug.t) () =
 (* Causality Analysis under --prune=invariants is the flip-feasibility
    cascade and nothing more: every tested flip carries exactly the
    reason Flipfeas gives for its plan on the failing trace, a flip runs
-   iff it has no such proof, and the chain equals the --prune=flipfeas
+   iff it has no such proof, and the chain equals the --prune=none
    chain. *)
 let test_flipfeas_cascade (bug : Bugs.Bug.t) () =
   let diagnose prune =
@@ -121,8 +121,8 @@ let test_flipfeas_cascade (bug : Bugs.Bug.t) () =
       ~order:`Gain (bug.case ())
   in
   let inv = diagnose `Invariants in
-  checks (bug.id ^ ": chain equals the flipfeas chain")
-    (chain_render (diagnose `Flipfeas))
+  checks (bug.id ^ ": chain equals the unpruned chain")
+    (chain_render (diagnose `None))
     (chain_render inv);
   match (inv.lifs.found, inv.causality) with
   | Some success, Some ca ->

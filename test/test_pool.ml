@@ -1,8 +1,9 @@
 (* Worker-pool tests: work-stealing units (ordering, exhaustion,
    exception propagation), mutual exclusion through the backend lock,
    qcheck properties that no worker count ever changes a merged
-   result, chain parity between sequential and pooled diagnoses over
-   the corpus, and shared snapshot-cache behaviour under contention —
+   result, chain and per-flip verdict parity between sequential,
+   intra-diagnosis (--jobs 4) and pooled diagnoses on every corpus bug,
+   and shared snapshot-cache behaviour under contention —
    including the generation counter that closes the hit→store window. *)
 
 module Pool = Hypervisor.Pool
@@ -132,8 +133,7 @@ let diag_fingerprint ~jobs ~prune (bug : Bugs.Bug.t) =
 
 let corpus = Array.of_list (Bugs.Registry.cves @ Bugs.Registry.syzkaller)
 
-let prunes =
-  [ ("none", `None); ("flipfeas", `Flipfeas); ("invariants", `Invariants) ]
+let prunes = [ ("none", `None); ("invariants", `Invariants) ]
 
 let prop_chain_parity =
   QCheck.Test.make ~count:10
@@ -148,6 +148,23 @@ let prop_chain_parity =
     (fun (i, jobs, (_, prune)) ->
       diag_fingerprint ~jobs:1 ~prune corpus.(i)
       = diag_fingerprint ~jobs ~prune corpus.(i))
+
+(* Every corpus bug, three ways: sequential, --jobs 4 inside LIFS and
+   Causality Analysis, and one batch-style pass fanning the whole corpus
+   out over a 4-worker pool with --jobs 1 inside each diagnosis.  The
+   pooled pass runs once, shared by the per-bug cases. *)
+let pooled_corpus =
+  lazy
+    (Pool.map_list (Pool.create ~jobs:4)
+       (diag_fingerprint ~jobs:1 ~prune:`None)
+       (Array.to_list corpus))
+
+let test_corpus_parity i () =
+  let seq = diag_fingerprint ~jobs:1 ~prune:`None corpus.(i) in
+  checkb "--jobs 4 is fingerprint-identical to --jobs 1" true
+    (diag_fingerprint ~jobs:4 ~prune:`None corpus.(i) = seq);
+  checkb "pooled pass is fingerprint-identical to --jobs 1" true
+    (List.nth (Lazy.force pooled_corpus) i = seq)
 
 (* --- shared snapshot cache under contention ------------------------------ *)
 
@@ -251,6 +268,11 @@ let () =
             (test_shared_cache_contention Bugs.Cve_2017_15649.bug);
           Alcotest.test_case "generation store-drop" `Quick
             test_generation_drop ] );
+      ( "corpus-parity",
+        List.mapi
+          (fun i (bug : Bugs.Bug.t) ->
+            Alcotest.test_case bug.id `Quick (test_corpus_parity i))
+          (Array.to_list corpus) );
       ( "qcheck",
         List.map QCheck_alcotest.to_alcotest
           [ prop_pool_order; prop_chain_parity ] ) ]

@@ -1,6 +1,7 @@
 (* The telemetry subsystem: JSON parse/print, the probe facade (span
    nesting, the disabled-sink no-op contract), the recorder, Chrome
-   trace-event well-formedness, the perf-regression gate, and the
+   trace-event well-formedness, the bench gate (baseline regression,
+   floors, *_identical columns), and the
    corpus parity check — the metrics counters must agree with the
    Summary statistics the reports themselves carry, on every real bug. *)
 
@@ -279,11 +280,11 @@ let test_bit_identical_no_sink () =
     match r.chain with Some c -> Aitia.Chain.to_string c | None -> "-"
   in
   Telemetry.Probe.uninstall ();
-  let plain = Aitia.Diagnose.diagnose ~prune:`Flipfeas (bug.case ()) in
+  let plain = Aitia.Diagnose.diagnose ~prune:`Invariants (bug.case ()) in
   let recorder = Telemetry.Recorder.create () in
   let traced =
     Telemetry.Probe.with_sink (Telemetry.Recorder.sink recorder) (fun () ->
-        Aitia.Diagnose.diagnose ~prune:`Flipfeas (bug.case ()))
+        Aitia.Diagnose.diagnose ~prune:`Invariants (bug.case ()))
   in
   checkb "tracing actually happened" true
     (Telemetry.Recorder.counter recorder "lifs.schedules" > 0);
@@ -307,7 +308,7 @@ let corpus_parity (bug : Bugs.Bug.t) () =
   let report =
     Telemetry.Probe.with_sink (Telemetry.Recorder.sink r) (fun () ->
         Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-          ~prune:`Flipfeas (bug.case ()))
+          ~prune:`Invariants (bug.case ()))
   in
   let c = Telemetry.Recorder.counter r in
   checkb "reproduced" true (Aitia.Diagnose.reproduced report);
@@ -415,6 +416,44 @@ let test_gate_ignored_field () =
   in
   checkb "host wall clock ignored" true (gate fresh).gate_ok
 
+(* The fresh-side checks: floors and [*_identical] columns need no
+   baseline row to be gated. *)
+let engine_row speedup =
+  J.Obj [ ("bug", J.Str "_engine"); ("corpus_engine_speedup", J.Num speedup) ]
+
+let floors = [ ("corpus_engine_speedup", 5.0) ]
+
+let test_gate_floor () =
+  let held = Telemetry.Gate.check_floors ~floors [ engine_row 5.2 ] in
+  checkb "floor held" true held.gate_ok;
+  checki "floored value checked" 1 held.checked;
+  let v = Telemetry.Gate.check_floors ~floors [ engine_row 4.9 ] in
+  checkb "floor breached fails" false v.gate_ok;
+  checki "one violation" 1 (List.length v.violations)
+
+let test_gate_floor_missing () =
+  let v = Telemetry.Gate.check_floors ~floors baseline_rows in
+  checkb "floored field missing fails" false v.gate_ok
+
+let test_gate_fresh_identical () =
+  let fresh_only =
+    J.Obj
+      [ ("bug", J.Str "a");
+        ("flips", J.Num 4.0);
+        ("sim", J.Num 2.0);
+        ("host_elapsed_s", J.Num 1.0);
+        ("chain_identical", J.Bool true);
+        ("pooled_chain_identical", J.Bool false) ]
+  in
+  let fresh = [ fresh_only; List.nth baseline_rows 1 ] in
+  checkb "baseline comparison ignores fresh-only fields" true
+    (gate fresh).gate_ok;
+  let v = Telemetry.Gate.check_identical fresh in
+  checkb "fresh-only *_identical false fails" false v.gate_ok;
+  checki "one violation" 1 (List.length v.violations);
+  checkb "all-true *_identical columns pass" true
+    (Telemetry.Gate.check_identical baseline_rows).gate_ok
+
 let test_gate_docs () =
   let doc rows = J.Obj [ ("causality", J.Arr rows) ] in
   let v =
@@ -467,4 +506,8 @@ let () =
           Alcotest.test_case "missing row" `Quick test_gate_missing_row;
           Alcotest.test_case "ignored field" `Quick
             test_gate_ignored_field;
-          Alcotest.test_case "documents" `Quick test_gate_docs ] ) ]
+          Alcotest.test_case "documents" `Quick test_gate_docs;
+          Alcotest.test_case "floor" `Quick test_gate_floor;
+          Alcotest.test_case "floor missing" `Quick test_gate_floor_missing;
+          Alcotest.test_case "fresh-only identical" `Quick
+            test_gate_fresh_identical ] ) ]
