@@ -13,7 +13,10 @@
 
    Targets: table1 table2 table3 table_5_3 fig1 fig3 fig5 fig6 fig7 fig9
             conciseness detector study wrongfix ablations analysis
-            causality resilience micro
+            causality resilience
+
+   Host-time measurements (diagnosis latency, per-layer self time,
+   guest step cost) live in perfbench/, not here.
 
    Absolute times are simulated under the VM cost model (the substrate
    is a simulator, not the paper's 32-VM Xeon testbed); the comparisons
@@ -83,7 +86,7 @@ let flush_json () =
   | None, _ | _, [] -> ()
   | Some f, docs ->
     let oc = open_out f in
-    output_string oc (Analysis.Report_json.obj docs);
+    output_string oc (Telemetry.Json.obj docs);
     output_string oc "\n";
     close_out oc;
     pr "json written to %s (targets: %s)@." f
@@ -623,7 +626,7 @@ let analysis () =
       pr "%-18s %6d %8d %7.2f | %9d %9d %7d %6.2fx@." bug.id stats.n_pairs
         stats.n_guarded stats.pruning_ratio ps hs
         hinted.lifs.stats.static_pruned speedup;
-      let open Analysis.Report_json in
+      let open Telemetry.Json in
       rows :=
         obj
           [ ("bug", str bug.id);
@@ -640,7 +643,7 @@ let analysis () =
             ("hinted_reproduced", bool (Aitia.Diagnose.reproduced hinted)) ]
         :: !rows)
     (Bugs.Registry.cves @ Bugs.Registry.syzkaller);
-  emit_json ~target:"analysis" (Analysis.Report_json.arr (List.rev !rows))
+  emit_json ~target:"analysis" (Telemetry.Json.arr (List.rev !rows))
 
 (* --- engine throughput (compiled vs reference) ------------------------------ *)
 
@@ -837,7 +840,7 @@ let causality () =
            %5.2fx  chain %s@."
           ref_ips cmp_ips eng_speedup
           (if eng_chain then "identical" else "DIFFERS");
-        let open Analysis.Report_json in
+        let open Telemetry.Json in
         rows :=
           obj
             ([ ("bug", str bug.id);
@@ -921,7 +924,7 @@ let causality () =
       (if !par_all_identical then "all identical" else "SOME DIFFER")
       pooled_wall (ratio pooled_wall)
       (if pooled_identical then "all identical" else "SOME DIFFER");
-    let open Analysis.Report_json in
+    let open Telemetry.Json in
     rows :=
       obj
         [ ("bug", str "_corpus");
@@ -951,7 +954,7 @@ let causality () =
      speedup %.2fx  chains %s@."
     corpus_ref_ips corpus_cmp_ips corpus_speedup
     (if !eng_chains_identical then "all identical" else "SOME DIFFER");
-  let open Analysis.Report_json in
+  let open Telemetry.Json in
   rows :=
     obj
       [ ("bug", str "_engine");
@@ -1068,7 +1071,7 @@ let resilience () =
       pr "%-18s %8d %7d %7d %7d %8b | %s@." bug.id faulted.faults_injected
         retries quorum_runs gave_up faulted.degraded
         (if converged then "identical" else "DIFFERS");
-      let open Analysis.Report_json in
+      let open Telemetry.Json in
       rows :=
         obj
           [ ("bug", str bug.id);
@@ -1081,82 +1084,7 @@ let resilience () =
             ("chain_identical", bool converged) ]
         :: !rows)
     (Bugs.Registry.cves @ Bugs.Registry.syzkaller);
-  emit_json ~target:"resilience" (Analysis.Report_json.arr (List.rev !rows))
-
-(* --- micro-benchmarks (bechamel) ------------------------------------------------- *)
-
-let micro () =
-  section "Micro-benchmarks (host wall clock, bechamel OLS ns/run)";
-  let open Bechamel in
-  let fig1_bug = Bugs.Fig1_nullderef.bug in
-  let t_step =
-    Test.make ~name:"machine: run fig1 serially"
-      (Staged.stage (fun () ->
-           let case = fig1_bug.case () in
-           let m = Ksim.Machine.create case.group in
-           Hypervisor.Controller.run m
-             (Hypervisor.Schedule.preemption_policy
-                (Hypervisor.Schedule.serial [ 0; 1; 2 ]))))
-  in
-  let t_lifs =
-    Test.make ~name:"lifs: reproduce fig1"
-      (Staged.stage (fun () ->
-           let case = fig1_bug.case () in
-           let crash = Trace.History.crash case.history in
-           let slice = List.hd (Trace.Slicer.slices case.history) in
-           match Aitia.Diagnose.realize case slice with
-           | None -> ()
-           | Some (group, prologue) ->
-             let vm = Hypervisor.Vm.create group in
-             ignore
-               (Aitia.Lifs.search ~prologue vm
-                  ~target:(Trace.Crash.matches crash) ())))
-  in
-  let t_ca =
-    (* Causality Analysis alone, on a precomputed failing run. *)
-    let case = fig1_bug.case () in
-    let crash = Trace.History.crash case.history in
-    let slice = List.hd (Trace.Slicer.slices case.history) in
-    let group, prologue =
-      match Aitia.Diagnose.realize case slice with
-      | Some x -> x
-      | None -> assert false
-    in
-    let vm = Hypervisor.Vm.create group in
-    let lifs =
-      Aitia.Lifs.search ~prologue vm ~target:(Trace.Crash.matches crash) ()
-    in
-    let success = Option.get lifs.found in
-    Test.make ~name:"causality: flip-test fig1"
-      (Staged.stage (fun () ->
-           let ca_vm = Hypervisor.Vm.create group in
-           ignore
-             (Aitia.Causality.analyze ~prologue ca_vm
-                ~failing:success.outcome ~races:success.races ())))
-  in
-  let t_diag =
-    Test.make ~name:"diagnose: full pipeline, CVE-2017-15649"
-      (Staged.stage (fun () ->
-           ignore (Aitia.Diagnose.diagnose (Bugs.Cve_2017_15649.bug.case ()))))
-  in
-  let tests =
-    Test.make_grouped ~name:"aitia" [ t_step; t_lifs; t_ca; t_diag ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> pr "%-45s %12.0f ns/run@." name est
-      | _ -> pr "%-45s (no estimate)@." name)
-    results
+  emit_json ~target:"resilience" (Telemetry.Json.arr (List.rev !rows))
 
 (* --- main --------------------------------------------------------------------- *)
 
@@ -1167,7 +1095,7 @@ let all_targets =
     ("conciseness", conciseness); ("detector", detector); ("study", study);
     ("wrongfix", wrongfix); ("ablations", ablations);
     ("analysis", analysis); ("causality", causality);
-    ("resilience", resilience); ("micro", micro) ]
+    ("resilience", resilience) ]
 
 let trace_file : string option ref = ref None
 let metrics_file : string option ref = ref None

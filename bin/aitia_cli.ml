@@ -14,7 +14,7 @@
    of the whole invocation, for chrome://tracing) and --metrics-out
    FILE (flat counters/histograms/span-rollup JSON).
 
-   diagnose and stats additionally take the robustness options:
+   diagnose, stats and chain additionally take the robustness options:
    --fault-spec/--fault-seed (deterministic fault injection),
    --max-retries/--step-timeout (resilient execution), and
    --journal/--resume (checkpointed, resumable diagnosis).
@@ -120,28 +120,60 @@ let nonneg_int ~what =
 let pos_int ~what =
   int_conv ~what ~ok:(fun n -> n > 0) ~expect:"a positive integer"
 
-(* --- robustness options (fault injection, resilience, journal) --------- *)
+(* Usage errors detected after parsing (option combinations, unreadable
+   journals) exit with code 2, like parse errors. *)
+let usage_error fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "aitia: %s@." msg;
+      exit 2)
+    fmt
 
+(* --- the diagnosis request --------------------------------------------- *)
+
+(* diagnose, stats, chain and compare turn their flags into one
+   Batch.request -- the record a batch manifest entry parses into --
+   check it with the validator manifests go through, and run every
+   selected bug through Batch.diagnose, as Batch.run does. *)
+
+type diagnosis = {
+  knobs : Aitia.Batch.request;  (** [rq_id]/[rq_bug] are set per bug *)
+  journal : Aitia.Journal.t option;  (** shared by every selected bug *)
+}
+
+let defaults = { knobs = Aitia.Batch.default_request; journal = None }
+
+let case_of_id id =
+  Option.map
+    (fun (b : Bugs.Bug.t) -> (b.case (), b.max_interleavings))
+    (Bugs.Registry.find id)
+
+let diagnose (d : diagnosis) (bug : Bugs.Bug.t) : Aitia.Diagnose.report =
+  match
+    Aitia.Batch.diagnose ?journal:d.journal ~resolve:case_of_id
+      { d.knobs with rq_id = bug.id; rq_bug = bug.id }
+  with
+  | Ok report -> report
+  | Error e -> usage_error "%s" e
+
+let exit_of reports =
+  Aitia.Report.worst_exit (List.map Aitia.Report.exit_code reports)
+
+(* Checked when flags are parsed; the request carries the text, as a
+   manifest's fault_spec field does. *)
 let fault_spec_conv =
   let parse s =
     match Hypervisor.Faults.spec_of_string s with
-    | Ok spec -> Ok spec
+    | Ok _ -> Ok s
     | Error e -> Error (`Msg e)
   in
-  Arg.conv (parse, Hypervisor.Faults.pp_spec)
+  Arg.conv (parse, Fmt.string)
 
-type exec_opts = {
-  fault_spec : Hypervisor.Faults.spec option;
-  fault_seed : int;
-  max_retries : int option;
-  step_timeout : int option;
-  snapshot_budget : int option;
-  journal_file : string option;
-  resume : bool;
-  engine : Ksim.Engine.kind;
-}
-
-let exec_opts_term =
+(* The robustness, engine and journal options every diagnosing
+   subcommand but compare takes, plus the subcommand's own pipeline
+   flags; the result is validated and its journal opened once. *)
+let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None)
+    ?(snapshot_cache = Term.const false) jobs =
   let fault_spec =
     Arg.(value & opt (some fault_spec_conv) None
          & info [ "fault-spec" ] ~docv:"SPEC"
@@ -156,7 +188,9 @@ let exec_opts_term =
                 instruction label")
   in
   let fault_seed =
-    Arg.(value & opt (nonneg_int ~what:"--fault-seed") 1
+    Arg.(value
+         & opt (nonneg_int ~what:"--fault-seed")
+             Aitia.Batch.default_request.rq_fault_seed
          & info [ "fault-seed" ] ~docv:"N"
              ~doc:
                "Seed of the fault-injection stream; identical \
@@ -185,8 +219,8 @@ let exec_opts_term =
          & info [ "snapshot-budget" ] ~docv:"BYTES"
              ~doc:
                "Byte budget (estimated) of the prefix-sharing snapshot \
-                cache enabled by $(b,--snapshot-cache); 0 disables the \
-                cache")
+                cache enabled by $(b,--snapshot-cache), which it \
+                requires (exit 2 without it); 0 disables the cache")
   in
   let journal_file =
     Arg.(value & opt (some string) None
@@ -207,11 +241,7 @@ let exec_opts_term =
   in
   let engine =
     Arg.(value
-         & opt
-             (enum
-                [ ("reference", Ksim.Engine.Reference);
-                  ("compiled", Ksim.Engine.Compiled) ])
-             Ksim.Engine.default
+         & opt (enum Ksim.Engine.names) Ksim.Engine.default
          & info [ "engine" ] ~docv:"ENGINE"
              ~doc:
                "Machine implementation the guest VMs run on: \
@@ -221,70 +251,22 @@ let exec_opts_term =
                 semantics.  Chains, verdicts and race sets are \
                 bit-identical across engines")
   in
-  let make fault_spec fault_seed max_retries step_timeout snapshot_budget
+  let make rq_prune rq_order rq_snapshot_cache rq_jobs rq_fault_spec
+      rq_fault_seed rq_max_retries rq_step_timeout rq_snapshot_budget
       journal_file resume engine =
-    { fault_spec; fault_seed; max_retries; step_timeout; snapshot_budget;
-      journal_file; resume; engine }
+    let knobs =
+      { defaults.knobs with
+        rq_jobs = Some rq_jobs; rq_prune; rq_order; rq_snapshot_cache;
+        rq_snapshot_budget; rq_fault_spec; rq_fault_seed; rq_max_retries;
+        rq_step_timeout; rq_engine = Some engine }
+    in
+    let ok = function Ok x -> x | Error e -> usage_error "%s" e in
+    let knobs = ok (Aitia.Batch.validate knobs) in
+    { knobs; journal = ok (Aitia.Journal.open_ ~resume journal_file) }
   in
-  Term.(const make $ fault_spec $ fault_seed $ max_retries $ step_timeout
-        $ snapshot_budget $ journal_file $ resume $ engine)
-
-(* Usage errors detected after parsing (option combinations, unreadable
-   journals) exit with code 2, like parse errors. *)
-let usage_error fmt =
-  Fmt.kstr
-    (fun msg ->
-      Fmt.epr "aitia: %s@." msg;
-      exit 2)
-    fmt
-
-let setup_journal (o : exec_opts) : Aitia.Journal.t option =
-  match o.journal_file with
-  | None ->
-    if o.resume then usage_error "--resume requires --journal FILE"
-    else None
-  | Some file ->
-    if o.resume then (
-      match Aitia.Journal.load file with
-      | Ok j -> Some j
-      | Error e -> usage_error "cannot resume: %s" e)
-    else Some (Aitia.Journal.create file)
-
-(* A fresh fault harness per bug: multi-bug invocations inject the same
-   per-bug fault schedule as single-bug ones. *)
-let faults_for (o : exec_opts) =
-  Option.map
-    (fun spec -> Hypervisor.Faults.create ~seed:o.fault_seed spec)
-    o.fault_spec
-
-let resilience_for (o : exec_opts) : Aitia.Resilience.policy option =
-  match (o.fault_spec, o.max_retries) with
-  | None, None -> None
-  | _ ->
-    let max_retries =
-      Option.value ~default:Aitia.Resilience.default_policy.max_retries
-        o.max_retries
-    in
-    (* No retry budget, no quorum either: --max-retries 0 means "accept
-       whatever a single attempt produced, degraded". *)
-    let quorum =
-      if max_retries = 0 then 1
-      else Aitia.Resilience.default_policy.quorum
-    in
-    Some
-      { Aitia.Resilience.max_retries; quorum;
-        backoff_base = Aitia.Resilience.default_policy.backoff_base }
-
-let diagnose_bug ?prune ?order ?jobs ?snapshot_cache ?opts
-    ?journal (bug : Bugs.Bug.t) =
-  let faults = Option.bind opts faults_for in
-  let resilience = Option.bind opts resilience_for in
-  let max_steps = Option.bind opts (fun o -> o.step_timeout) in
-  let snapshot_budget = Option.bind opts (fun o -> o.snapshot_budget) in
-  let engine = Option.map (fun o -> o.engine) opts in
-  Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-    ?prune ?order ?jobs ?snapshot_cache ?snapshot_budget
-    ?max_steps ?faults ?resilience ?journal ?engine (bug.case ())
+  Term.(const make $ prune $ order $ snapshot_cache $ jobs $ fault_spec
+        $ fault_seed $ max_retries $ step_timeout $ snapshot_budget
+        $ journal_file $ resume $ engine)
 
 let jobs_arg =
   Cmdliner.Arg.(
@@ -295,9 +277,10 @@ let jobs_arg =
              "Fan the diagnosis out over $(docv) workers (pool backend: \
               %s): LIFS frontiers and Causality flips run in parallel \
               shards merged deterministically, so chains and verdicts \
-              are bit-identical to $(b,--jobs 1).  Ignored under \
-              $(b,--order gain) or fault injection, where execution \
-              order feeds back into decisions"
+              are bit-identical to $(b,--jobs 1).  More than one worker \
+              is a usage error (exit 2) under $(b,--order gain) or \
+              $(b,--fault-spec), where execution order feeds back into \
+              decisions"
              Hypervisor.Pool.backend))
 
 let snapshot_cache_flag =
@@ -314,13 +297,11 @@ let snapshot_cache_flag =
            `stats')")
 
 (* Static-proof level and schedule-order selection, shared by diagnose
-   and stats. *)
+   and stats (analyze reads --prune too). *)
 let prune_arg =
   Cmdliner.Arg.(
     value
-    & opt
-        (some (enum [ ("none", `None); ("invariants", `Invariants) ]))
-        None
+    & opt (some (enum Aitia.Causality.prune_names)) None
     & info [ "prune" ] ~docv:"LEVEL"
         ~doc:
           "Static proofs that may skip a re-execution: $(b,none) runs \
@@ -333,7 +314,7 @@ let prune_arg =
 let order_arg =
   Cmdliner.Arg.(
     value
-    & opt (enum [ ("backward", `Fixed); ("gain", `Gain) ]) `Fixed
+    & opt (enum Aitia.Causality.order_names) `Fixed
     & info [ "order" ] ~docv:"ORDER"
         ~doc:
           "Schedule-selection order: $(b,backward) is the paper's fixed \
@@ -341,6 +322,12 @@ let order_arg =
            ranks candidates by expected information gain — closest to \
            even odds first, updated by the verdicts and reproduction \
            attempts the session accumulates")
+
+(* The full knob set of diagnose and stats. *)
+let pipeline_term =
+  diagnosis_term ~prune:prune_arg
+    ~order:Term.(const Option.some $ order_arg)
+    ~snapshot_cache:snapshot_cache_flag jobs_arg
 
 (* --- list ------------------------------------------------------------- *)
 
@@ -367,15 +354,11 @@ let diagnose_cmd =
     Arg.(value & flag
          & info [ "flips" ] ~doc:"Print the Causality Analysis flip log")
   in
-  let run () ids show_flips prune order jobs snapshot_cache opts =
-    let journal = setup_journal opts in
+  let run () ids show_flips d =
     let reports =
       List.map
         (fun bug ->
-          let report =
-            diagnose_bug ?prune ~order ~jobs ~snapshot_cache ~opts ?journal
-              bug
-          in
+          let report = diagnose d bug in
           Fmt.pr "%a@." Aitia.Report.pp report;
           (if show_flips then
              match report.causality with
@@ -393,7 +376,7 @@ let diagnose_cmd =
           report)
         (resolve ids)
     in
-    Aitia.Report.exit_status reports
+    exit_of reports
   in
   Cmd.v
     (Cmd.info "diagnose"
@@ -406,8 +389,7 @@ let diagnose_cmd =
              ~doc:
                "diagnosis degraded: retry budget exhausted or quorum \
                 disagreement, the chain is partial" ])
-    Term.(const run $ setup_logs $ bug_arg $ flips $ prune_arg
-          $ order_arg $ jobs_arg $ snapshot_cache_flag $ exec_opts_term)
+    Term.(const run $ setup_logs $ bug_arg $ flips $ pipeline_term)
 
 (* --- analyze ---------------------------------------------------------- *)
 
@@ -435,7 +417,7 @@ let analyze_cmd =
           in
           if with_invariants then
             let rel = Analysis.Absdom.of_group case.group in
-            Analysis.Report_json.obj
+            Telemetry.Json.obj
               [ ("analysis", candidates);
                 ("invariants",
                  Analysis.Report_json.invariants_to_string rel
@@ -485,11 +467,11 @@ let lint_cmd =
         (String.concat ","
            (List.map
               (fun ((bug : Bugs.Bug.t), r, red) ->
-                Analysis.Report_json.obj
-                  [ ("bug", Analysis.Report_json.str bug.id);
+                Telemetry.Json.obj
+                  [ ("bug", Telemetry.Json.str bug.id);
                     ("lint", Analysis.Report_json.lint_to_string r);
                     ("redundant_sections",
-                     Analysis.Report_json.arr
+                     Telemetry.Json.arr
                        (List.map Analysis.Report_json.redundant_json red))
                   ])
               reports))
@@ -533,8 +515,7 @@ let stats_cmd =
              ~doc:"Emit one flat metrics JSON object per bug instead of \
                    the table")
   in
-  let run () ids prune order jobs snapshot_cache json opts =
-    let journal = setup_journal opts in
+  let run () ids json d =
     let reports = ref [] in
     List.iter
       (fun (bug : Bugs.Bug.t) ->
@@ -549,17 +530,15 @@ let stats_cmd =
             Telemetry.Sink.tee outer (Telemetry.Recorder.sink r)
         in
         let report =
-          Telemetry.Probe.with_sink sink (fun () ->
-              diagnose_bug ?prune ~order ~jobs ~snapshot_cache ~opts
-                ?journal bug)
+          Telemetry.Probe.with_sink sink (fun () -> diagnose d bug)
         in
         reports := report :: !reports;
         if json then
           Fmt.pr "%s@."
-            (Analysis.Report_json.obj
-               [ ("bug", Analysis.Report_json.str bug.id);
+            (Telemetry.Json.obj
+               [ ("bug", Telemetry.Json.str bug.id);
                  ("reproduced",
-                  Analysis.Report_json.bool
+                  Telemetry.Json.bool
                     (Aitia.Diagnose.reproduced report));
                  ("metrics",
                   Telemetry.Metrics.to_string r) ])
@@ -578,23 +557,22 @@ let stats_cmd =
                 (s.s_total_us /. 1000.0))
             (Telemetry.Recorder.span_stats r)))
       (resolve ids);
-    Aitia.Report.exit_status (List.rev !reports)
+    exit_of (List.rev !reports)
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Diagnose under a telemetry recorder and print the collected \
              metrics: schedule/flip/instruction counters and per-span \
              wall-time rollups")
-    Term.(const run $ setup_logs $ bug_arg $ prune_arg $ order_arg
-          $ jobs_arg $ snapshot_cache_flag $ json $ exec_opts_term)
+    Term.(const run $ setup_logs $ bug_arg $ json $ pipeline_term)
 
 (* --- chain ------------------------------------------------------------ *)
 
 let chain_cmd =
-  let run () ids jobs opts =
+  let run () ids d =
     List.iter
       (fun (bug : Bugs.Bug.t) ->
-        let report = diagnose_bug ~jobs ~opts bug in
+        let report = diagnose d bug in
         match report.chain with
         | Some chain -> Fmt.pr "%-18s %a@." bug.id Aitia.Chain.pp chain
         | None -> Fmt.pr "%-18s (not reproduced)@." bug.id)
@@ -602,7 +580,7 @@ let chain_cmd =
     0
   in
   Cmd.v (Cmd.info "chain" ~doc:"Print only the causality chain")
-    Term.(const run $ setup_logs $ bug_arg $ jobs_arg $ exec_opts_term)
+    Term.(const run $ setup_logs $ bug_arg $ diagnosis_term jobs_arg)
 
 (* --- batch ------------------------------------------------------------ *)
 
@@ -617,7 +595,10 @@ let batch_cmd =
                 per-request knobs $(b,jobs), $(b,prune), $(b,order), \
                 $(b,snapshot_cache), $(b,snapshot_budget), \
                 $(b,fault_spec), $(b,fault_seed), $(b,max_retries), \
-                $(b,step_timeout), $(b,journal)")
+                $(b,step_timeout), $(b,journal), $(b,engine) — with the \
+                values and the rejected combinations of the same \
+                $(b,diagnose) flags (a rejected request rejects the \
+                whole manifest, exit 2)")
   in
   let batch_jobs =
     Arg.(value & opt (pos_int ~what:"--jobs") 1
@@ -641,8 +622,8 @@ let batch_cmd =
          & info [ "resume" ]
              ~doc:
                "Load the per-request journals from $(b,--journal-dir) \
-                (or each request's $(b,journal) field) instead of \
-                truncating them")
+                or each request's $(b,journal) field instead of \
+                truncating them; a request with neither fails (exit 2)")
   in
   let out =
     Arg.(value & opt (some string) None
@@ -652,21 +633,13 @@ let batch_cmd =
                 plus per-request outcomes) to $(docv)")
   in
   let run () manifest jobs journal_dir resume out =
-    (match (resume, journal_dir) with
-    | true, None -> usage_error "batch --resume requires --journal-dir"
-    | _ -> ());
     let requests =
       match Aitia.Batch.manifest_of_file manifest with
       | Ok rqs -> rqs
       | Error e -> usage_error "bad manifest %s: %s" manifest e
     in
-    let resolve id =
-      Option.map
-        (fun (b : Bugs.Bug.t) -> (b.case (), b.max_interleavings))
-        (Bugs.Registry.find id)
-    in
     let summary =
-      Aitia.Batch.run ~jobs ?journal_dir ~resume ~resolve requests
+      Aitia.Batch.run ~jobs ?journal_dir ~resume ~resolve:case_of_id requests
     in
     Fmt.pr "%-12s %-18s %-4s %-10s %-8s %9s  %s@." "ID" "BUG" "EXIT"
       "REPRODUCED" "DEGRADED" "ELAPSED" "CHAIN/ERROR";
@@ -761,7 +734,7 @@ let compare_cmd =
     Fmt.pr "%-18s %-6s %-7s %-5s %-5s@." "ID" "AITIA" "KAIRUX" "CBL" "MUVI";
     List.iter
       (fun (bug : Bugs.Bug.t) ->
-        let report = diagnose_bug bug in
+        let report = diagnose defaults bug in
         match Baselines.Requirements.evidence_of_report report with
         | None -> Fmt.pr "%-18s (not reproduced)@." bug.id
         | Some ev ->

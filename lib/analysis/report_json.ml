@@ -1,16 +1,7 @@
-(* JSON emission for the analyze report.  The base combinators moved
-   to Telemetry.Json (shared with the metrics exporters and the perf
-   gate); this module re-exports them so existing callers keep
-   compiling, and keeps the analysis-specific serializers. *)
+(* JSON emission for the analyze and lint reports, built on the
+   Telemetry.Json combinators. *)
 
-let escape = Telemetry.Json.escape
-let str = Telemetry.Json.str
-let arr = Telemetry.Json.arr
-let obj = Telemetry.Json.obj
-let str_list = Telemetry.Json.str_list
-let bool = Telemetry.Json.bool
-let int = Telemetry.Json.int
-let float = Telemetry.Json.float
+open Telemetry.Json
 
 let kind_json k = str (Fmt.to_to_string Ksim.Instr.pp_access_kind k)
 
@@ -58,8 +49,6 @@ let to_string (r : Candidates.result) =
       ("sites", arr (List.map site_json r.sites));
       ("pairs", arr (List.map pair_json r.pairs)) ]
 
-let pp ppf r = Fmt.string ppf (to_string r)
-
 (* --- lock-order lint ---------------------------------------------------- *)
 
 let edge_json (e : Lockorder.edge) =
@@ -97,8 +86,6 @@ let lint_to_string (r : Lockorder.report) =
       ("edges", arr (List.map edge_json r.edges));
       ("cycles", arr (List.map cycle_json r.cycles));
       ("inversions", arr (List.map inversion_json r.inversions)) ]
-
-let pp_lint ppf r = Fmt.string ppf (lint_to_string r)
 
 (* --- error-invariant sections ------------------------------------------ *)
 

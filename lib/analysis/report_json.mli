@@ -1,42 +1,14 @@
 (** JSON serialization of the static analysis, for `aitia analyze` and
-    trajectory tracking.  Hand-rolled emission (the repo carries no JSON
-    dependency); strings are escaped per RFC 8259. *)
-
-val escape : string -> string
-(** JSON string contents (without the surrounding quotes). *)
-
-(** Emission combinators, for callers assembling their own documents
-    (the bench harness, the lint report) without hand-concatenating
-    strings. *)
-
-val str : string -> string
-(** A quoted, escaped JSON string. *)
-
-val arr : string list -> string
-(** A JSON array of already-serialized values. *)
-
-val obj : (string * string) list -> string
-(** A JSON object from key / already-serialized-value pairs. *)
-
-val str_list : string list -> string
-val bool : bool -> string
-val int : int -> string
-
-val float : float -> string
-(** Fixed four-decimal rendering, stable across platforms. *)
+    trajectory tracking, built on the {!Telemetry.Json} combinators. *)
 
 val to_string : Candidates.result -> string
 (** The full report: threads, serial prologue, headline stats, every
     site with its locksets, every classified pair. *)
 
-val pp : Candidates.result Fmt.t
-
 val lint_to_string : Lockorder.report -> string
 (** The lock-order lint report: acquisition edges, cycles with witness
     paths and MHP schedulability, guarded-publication inversions with
     their two-node witness cycles. *)
-
-val pp_lint : Lockorder.report Fmt.t
 
 val redundant_json : Invariants.redundant -> string
 (** One invariant-proven redundant critical section, with its witness

@@ -29,6 +29,12 @@ type request = {
   rq_engine : Ksim.Engine.kind option;
 }
 
+let default_request =
+  { rq_id = ""; rq_bug = ""; rq_jobs = None; rq_prune = None;
+    rq_order = None; rq_snapshot_cache = false; rq_snapshot_budget = None;
+    rq_fault_spec = None; rq_fault_seed = 1; rq_max_retries = None;
+    rq_step_timeout = None; rq_journal = None; rq_engine = None }
+
 type outcome = {
   o_id : string;
   o_bug : string;
@@ -71,16 +77,44 @@ let bool_field name fields =
   | Some (Json.Bool b) -> Ok (Some b)
   | Some _ -> Error (Fmt.str "field %S must be a boolean" name)
 
+let enum_field rq_id name table fields =
+  let* s = str_field name fields in
+  match s with
+  | None -> Ok None
+  | Some s -> (
+    match List.assoc_opt s table with
+    | Some v -> Ok (Some v)
+    | None ->
+      Error
+        (Fmt.str "request %S: %s must be %s (got %S)" rq_id name
+           (String.concat "/" (List.map fst table))
+           s))
+
+(* The combinations the pipeline cannot honour.  The pool runs only
+   where execution order cannot feed back into decisions, so rather
+   than silently running such a request sequentially it is refused. *)
+let validate (rq : request) : (request, string) result =
+  let parallel = Option.value ~default:1 rq.rq_jobs > 1 in
+  if parallel && rq.rq_order = Some `Gain then
+    Error
+      "jobs > 1 cannot be combined with order gain (the gain order picks \
+       each run from the verdicts before it)"
+  else if parallel && rq.rq_fault_spec <> None then
+    Error
+      "jobs > 1 cannot be combined with fault injection (injected faults \
+       couple the runs through one fault stream)"
+  else if rq.rq_snapshot_budget <> None && not rq.rq_snapshot_cache then
+    Error "a snapshot budget needs the snapshot cache"
+  else Ok rq
+
 let request_of_json (j : Json.t) : (request, string) result =
   match j with
   | Json.Obj fields ->
     let* () =
-      List.fold_left
-        (fun acc (k, _) ->
-          let* () = acc in
-          if List.mem k known_fields then Ok ()
-          else Error (Fmt.str "unknown field %S" k))
-        (Ok ()) fields
+      match List.find_opt (fun (k, _) -> not (List.mem k known_fields)) fields
+      with
+      | Some (k, _) -> Error (Fmt.str "unknown field %S" k)
+      | None -> Ok ()
     in
     let* id = str_field "id" fields in
     let* bug = str_field "bug" fields in
@@ -95,28 +129,8 @@ let request_of_json (j : Json.t) : (request, string) result =
       | _ -> Error (Fmt.str "request %S needs a \"bug\"" rq_id)
     in
     let* rq_jobs = int_field ~min:1 "jobs" fields in
-    let* prune = str_field "prune" fields in
-    let* rq_prune =
-      match prune with
-      | None -> Ok None
-      | Some "none" -> Ok (Some `None)
-      | Some "invariants" -> Ok (Some `Invariants)
-      | Some s ->
-        Error
-          (Fmt.str "request %S: prune must be none/invariants (got %S)"
-             rq_id s)
-    in
-    let* order = str_field "order" fields in
-    let* rq_order =
-      match order with
-      | None -> Ok None
-      | Some "backward" -> Ok (Some `Fixed)
-      | Some "gain" -> Ok (Some `Gain)
-      | Some s ->
-        Error
-          (Fmt.str "request %S: order must be backward/gain (got %S)" rq_id
-             s)
-    in
+    let* rq_prune = enum_field rq_id "prune" Causality.prune_names fields in
+    let* rq_order = enum_field rq_id "order" Causality.order_names fields in
     let* snap = bool_field "snapshot_cache" fields in
     let* rq_snapshot_budget = int_field "snapshot_budget" fields in
     let* rq_fault_spec = str_field "fault_spec" fields in
@@ -124,21 +138,15 @@ let request_of_json (j : Json.t) : (request, string) result =
     let* rq_max_retries = int_field "max_retries" fields in
     let* rq_step_timeout = int_field ~min:1 "step_timeout" fields in
     let* rq_journal = str_field "journal" fields in
-    let* engine = str_field "engine" fields in
-    let* rq_engine =
-      match engine with
-      | None -> Ok None
-      | Some s -> (
-        match Ksim.Engine.of_string s with
-        | Ok k -> Ok (Some k)
-        | Error e -> Error (Fmt.str "request %S: %s" rq_id e))
-    in
-    Ok
-      { rq_id; rq_bug; rq_jobs; rq_prune; rq_order;
-        rq_snapshot_cache = Option.value ~default:false snap;
-        rq_snapshot_budget; rq_fault_spec;
-        rq_fault_seed = Option.value ~default:1 seed;
-        rq_max_retries; rq_step_timeout; rq_journal; rq_engine }
+    let* rq_engine = enum_field rq_id "engine" Ksim.Engine.names fields in
+    Result.map_error (Fmt.str "request %S: %s" rq_id)
+      (validate
+         { rq_id; rq_bug; rq_jobs; rq_prune; rq_order;
+           rq_snapshot_cache = Option.value ~default:false snap;
+           rq_snapshot_budget; rq_fault_spec;
+           rq_fault_seed =
+             Option.value ~default:default_request.rq_fault_seed seed;
+           rq_max_retries; rq_step_timeout; rq_journal; rq_engine })
   | _ -> Error "each request must be a JSON object"
 
 let manifest_of_string (s : string) : (request list, string) result =
@@ -182,44 +190,15 @@ let manifest_of_file (path : string) : (request list, string) result =
 
 (* --- execution ---------------------------------------------------------- *)
 
-let resilience_of (rq : request) : Resilience.policy option =
-  match (rq.rq_fault_spec, rq.rq_max_retries) with
-  | None, None -> None
-  | _ ->
-    let max_retries =
-      Option.value ~default:Resilience.default_policy.max_retries
-        rq.rq_max_retries
-    in
-    let quorum =
-      if max_retries = 0 then 1 else Resilience.default_policy.quorum
-    in
-    Some
-      { Resilience.max_retries; quorum;
-        backoff_base = Resilience.default_policy.backoff_base }
-
-let journal_of ?journal_dir ~resume (rq : request) :
-    (Journal.t option, string) result =
-  let path =
-    match rq.rq_journal with
-    | Some p -> Some p
-    | None ->
-      Option.map
-        (fun dir -> Filename.concat dir (rq.rq_id ^ ".journal.json"))
-        journal_dir
-  in
-  match path with
-  | None -> Ok None
-  | Some p ->
-    if resume then Result.map Option.some (Journal.load p)
-    else Ok (Some (Journal.create p))
-
-let run_request ?journal_dir ~resume ~resolve (rq : request) :
+let diagnose ?journal ~resolve (rq : request) :
     (Diagnose.report, string) result =
-  let* case, default_max_interleavings =
+  let* case, max_interleavings =
     match resolve rq.rq_bug with
     | Some x -> Ok x
     | None -> Error (Fmt.str "unknown bug id %S" rq.rq_bug)
   in
+  (* A fresh fault harness per request: a multi-bug CLI run injects the
+     same per-bug fault schedule as single-bug ones. *)
   let* faults =
     match rq.rq_fault_spec with
     | None -> Ok None
@@ -229,22 +208,15 @@ let run_request ?journal_dir ~resume ~resolve (rq : request) :
         Ok (Some (Hypervisor.Faults.create ~seed:rq.rq_fault_seed spec))
       | Error e -> Error (Fmt.str "bad fault_spec: %s" e))
   in
-  let* journal = journal_of ?journal_dir ~resume rq in
-  match
-    Diagnose.diagnose
-      ?max_interleavings:default_max_interleavings
-      ?max_steps:rq.rq_step_timeout ?prune:rq.rq_prune ?order:rq.rq_order
-      ?jobs:rq.rq_jobs ~snapshot_cache:rq.rq_snapshot_cache
-      ?snapshot_budget:rq.rq_snapshot_budget ?faults
-      ?resilience:(resilience_of rq) ?journal ?engine:rq.rq_engine case
-  with
-  | report -> Ok report
-  | exception e -> Error (Fmt.str "diagnosis raised: %s" (Printexc.to_string e))
-
-let exit_of_report (r : Diagnose.report) : int =
-  if (not (Diagnose.reproduced r)) && not r.Diagnose.degraded then 1
-  else if r.Diagnose.degraded then 3
-  else 0
+  let resilience =
+    Resilience.policy_for ~faulted:(faults <> None) rq.rq_max_retries
+  in
+  Ok
+    (Diagnose.diagnose ?max_interleavings ?max_steps:rq.rq_step_timeout
+       ?prune:rq.rq_prune ?order:rq.rq_order ?jobs:rq.rq_jobs
+       ~snapshot_cache:rq.rq_snapshot_cache
+       ?snapshot_budget:rq.rq_snapshot_budget ?faults ?resilience ?journal
+       ?engine:rq.rq_engine case)
 
 let run ?(jobs = 1) ?journal_dir ?(resume = false) ~resolve
     (requests : request list) : summary =
@@ -266,13 +238,25 @@ let run ?(jobs = 1) ?journal_dir ?(resume = false) ~resolve
     let result =
       match (dir_error, rq.rq_journal) with
       | Some e, None -> Error e
-      | _ -> run_request ?journal_dir ~resume ~resolve rq
+      | _ -> (
+        let path =
+          match rq.rq_journal with
+          | Some _ as p -> p
+          | None ->
+            Option.map
+              (fun dir -> Filename.concat dir (rq.rq_id ^ ".journal.json"))
+              journal_dir
+        in
+        let* journal = Journal.open_ ~resume path in
+        try diagnose ?journal ~resolve rq
+        with e ->
+          Error (Fmt.str "diagnosis raised: %s" (Printexc.to_string e)))
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     match result with
     | Ok report ->
       { o_id = rq.rq_id; o_bug = rq.rq_bug;
-        o_exit = exit_of_report report;
+        o_exit = Report.exit_code report;
         o_reproduced = Diagnose.reproduced report;
         o_degraded = report.Diagnose.degraded;
         o_chain = Option.map Chain.to_string report.Diagnose.chain;
@@ -285,11 +269,8 @@ let run ?(jobs = 1) ?journal_dir ?(resume = false) ~resolve
   in
   let pool = Hypervisor.Pool.create ~jobs in
   let outcomes = Hypervisor.Pool.map_list pool exec requests in
-  let has code = List.exists (fun o -> o.o_exit = code) outcomes in
-  let batch_exit =
-    if has 2 then 2 else if has 1 then 1 else if has 3 then 3 else 0
-  in
-  { outcomes; batch_exit }
+  { outcomes;
+    batch_exit = Report.worst_exit (List.map (fun o -> o.o_exit) outcomes) }
 
 (* --- report ------------------------------------------------------------- *)
 

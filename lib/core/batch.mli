@@ -1,11 +1,16 @@
-(** Batch diagnosis: a manifest of diagnosis requests executed with
-    bounded concurrency and consolidated into one JSON report.
+(** Diagnosis requests, and batches of them executed with bounded
+    concurrency and consolidated into one JSON report.
+
+    A {!request} is the one description of a diagnosis: a corpus bug
+    plus every per-diagnosis knob.  [aitia diagnose], [stats], [chain]
+    and [compare] build one from their flags, a batch manifest holds a
+    list of them, and both validate it with {!validate} and run it with
+    {!diagnose}.
 
     A manifest is a JSON array of request objects (or an object with a
-    ["requests"] array).  Each request names a corpus bug and may
-    override the per-diagnosis knobs the CLI exposes; requests get
-    isolated journals, so an interrupted batch resumes per-request just
-    like [aitia diagnose --journal --resume].
+    ["requests"] array).  Requests get isolated journals, so an
+    interrupted batch resumes per-request just like
+    [aitia diagnose --journal --resume].
 
     Requests are independent by construction — one guest, one journal,
     one fault stream each — so the batch layer fans them out across a
@@ -30,10 +35,20 @@ type request = {
       (** machine implementation for this request's VMs *)
 }
 
+val default_request : request
+(** No knob set, every diagnosis default ([rq_fault_seed] 1); empty
+    [rq_id] and [rq_bug]. *)
+
+val validate : request -> (request, string) result
+(** Reject the knob combinations the pipeline cannot honour: more than
+    one job under the gain order or under fault injection, and a
+    snapshot budget without the snapshot cache. *)
+
 val manifest_of_string : string -> (request list, string) result
 (** Parse a manifest document.  Errors on malformed JSON, a missing /
-    mistyped field, an unknown field name, or duplicate request ids —
-    the whole manifest is rejected, nothing runs. *)
+    mistyped field, an unknown field name, a request {!validate}
+    rejects, or duplicate request ids — the whole manifest is rejected,
+    nothing runs. *)
 
 val manifest_of_file : string -> (request list, string) result
 
@@ -54,10 +69,17 @@ type outcome = {
 
 type summary = {
   outcomes : outcome list;  (** in manifest order *)
-  batch_exit : int;
-      (** [2] if any request erred, else [1] if any clean
-          non-reproduction, else [3] if any degraded, else [0] *)
+  batch_exit : int;  (** {!Report.worst_exit} of the outcomes *)
 }
+
+val diagnose :
+  ?journal:Journal.t ->
+  resolve:(string -> (Diagnose.case * int option) option) ->
+  request ->
+  (Diagnose.report, string) result
+(** Run one request, checkpointing into [journal] (opened by the
+    caller; [rq_journal] is not read).  [Error] for an unknown bug or a
+    malformed fault spec; exceptions propagate. *)
 
 val run :
   ?jobs:int ->
@@ -75,9 +97,10 @@ val run :
     [<dir>/<id>.journal.json].  A missing [dir] is created (one level)
     before any request runs; if that fails, each request journaling
     there fails with exit 2.  [resume] loads those journals instead of
-    truncating them.  A request failure — bad configuration or an
-    escaped exception — is confined to its outcome; the rest of the
-    batch still runs. *)
+    truncating them; a request with neither a [journal] field nor a
+    [journal_dir] then fails with exit 2.  A request failure — bad
+    configuration or an escaped exception — is confined to its outcome;
+    the rest of the batch still runs. *)
 
 val summary_to_json : summary -> string
 (** The consolidated report: [{"exit": N, "requests": [...]}] with one

@@ -66,6 +66,9 @@ let zero_stats =
 type prune = [ `None | `Invariants ]
 type order = [ `Fixed | `Gain ]
 
+let prune_names = [ ("none", `None); ("invariants", `Invariants) ]
+let order_names = [ ("backward", `Fixed); ("gain", `Gain) ]
+
 type result = {
   tested : tested list;          (* in testing order *)
   root_causes : Race.t list;     (* in trace order (second access asc.) *)

@@ -54,6 +54,13 @@ type order = [ `Fixed | `Gain ]
 (** Test order: the fixed (backward, nested-first) order, or the
     expected-information-gain scheduler ({!Analysis.Gain}). *)
 
+val prune_names : (string * prune) list
+(** The user-facing names of the pruning levels, read by the CLI's
+    [--prune] and the batch manifest's ["prune"] field. *)
+
+val order_names : (string * order) list
+(** Likewise for [--order] / ["order"]: ["backward"] is [`Fixed]. *)
+
 type result = {
   tested : tested list;           (** in testing order *)
   root_causes : Race.t list;      (** in trace order *)

@@ -84,7 +84,8 @@ val diagnose :
     [jobs] workers, with results merged deterministically so chains
     and verdicts are bit-identical to a sequential run.  The pool is
     declined internally under [`Gain] order or fault injection, where
-    execution order feeds back into decisions.
+    execution order feeds back into decisions ({!Batch.validate}
+    rejects those combinations for the CLI and manifests).
     [snapshot_cache] (default [false]) gives each slice attempt a
     prefix-sharing snapshot cache (budget [snapshot_budget] bytes,
     estimated): LIFS children resume from their parent's cached prefix

@@ -307,13 +307,25 @@ let of_json path j =
 let load path =
   if not (Sys.file_exists path) then Ok (create path)
   else
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    match J.of_string text with
-    | Error e -> Error (Fmt.str "%s: %s" path e)
-    | Ok j -> (
-      match of_json path j with
-      | t -> Ok t
-      | exception Bad msg -> Error (Fmt.str "%s: %s" path msg))
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error e -> Error e
+    | text -> (
+      match J.of_string text with
+      | Error e -> Error (Fmt.str "%s: %s" path e)
+      | Ok j -> (
+        match of_json path j with
+        | t -> Ok t
+        | exception Bad msg -> Error (Fmt.str "%s: %s" path msg)))
+
+let open_ ~resume path =
+  match path with
+  | None when resume ->
+    Error
+      "--resume needs a journal (--journal FILE; in a batch, a \"journal\" \
+       field or --journal-dir)"
+  | None -> Ok None
+  | Some p when resume -> (
+    match load p with
+    | Ok t -> Ok (Some t)
+    | Error e -> Error ("cannot resume: " ^ e))
+  | Some p -> Ok (Some (create p))

@@ -72,6 +72,11 @@ val load : string -> (t, string) result
     (resuming from nothing is starting over), a malformed one is an
     [Error] with a parse message. *)
 
+val open_ : resume:bool -> string option -> (t option, string) result
+(** The journal a diagnosis runs with: {!load} the file when [resume],
+    else {!create} it; no journal for [None], an [Error] for [None]
+    with [resume]. *)
+
 val path : t -> string
 val save : t -> unit
 val find_case : t -> string -> case_entry option

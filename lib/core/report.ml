@@ -137,16 +137,13 @@ let pp ppf (r : Diagnose.report) =
 
 let to_string r = Fmt.str "%a" pp r
 
-(* Process exit status over all diagnosed cases, for scripting:
-   0 = every case diagnosed cleanly;
-   1 = some case failed to reproduce (and was not merely degraded);
-   3 = every case reproduced (or degraded), but some diagnosis is
-       partial / low-confidence.
-   (2 is reserved for usage/configuration errors, raised by the CLI.) *)
-let exit_status (reports : Diagnose.report list) : int =
-  let clean_no_repro r =
-    (not (Diagnose.reproduced r)) && not r.Diagnose.degraded
-  in
-  if List.exists clean_no_repro reports then 1
-  else if List.exists (fun r -> r.Diagnose.degraded) reports then 3
-  else 0
+(* Exit codes, for scripting (2, a usage or request error, is raised by
+   the callers). *)
+let exit_code (r : Diagnose.report) : int =
+  if r.Diagnose.degraded then 3 else if Diagnose.reproduced r then 0 else 1
+
+(* An error hides everything, a clean non-reproduction hides a degraded
+   diagnosis. *)
+let worst_exit (codes : int list) : int =
+  Option.value ~default:0
+    (List.find_opt (fun c -> List.mem c codes) [ 2; 1; 3 ])

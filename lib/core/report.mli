@@ -16,8 +16,12 @@ val pp : Diagnose.report Fmt.t
 
 val to_string : Diagnose.report -> string
 
-val exit_status : Diagnose.report list -> int
-(** Process exit status over all diagnosed cases: [0] all diagnosed,
-    [1] some case cleanly failed to reproduce, [3] all reproduced or
-    degraded but some diagnosis is partial / low-confidence.  ([2] is
-    reserved for usage/configuration errors.) *)
+val exit_code : Diagnose.report -> int
+(** A diagnosis's exit code: [0] diagnosed, [1] cleanly failed to
+    reproduce, [3] reproduced or not, but degraded — partial / low
+    confidence.  ([2] is a usage, configuration or request error,
+    raised by the callers.) *)
+
+val worst_exit : int list -> int
+(** The exit code over several diagnoses: the gravest of [codes] in
+    the order [2 > 1 > 3 > 0]; [0] for the empty list. *)

@@ -8,6 +8,17 @@ type policy = {
 
 let default_policy = { max_retries = 3; quorum = 3; backoff_base = 0.05 }
 
+let policy_for ~faulted max_retries =
+  if (not faulted) && max_retries = None then None
+  else
+    let max_retries =
+      Option.value ~default:default_policy.max_retries max_retries
+    in
+    (* No retry budget, no quorum either: [max_retries = 0] means
+       "accept whatever a single attempt produced, degraded". *)
+    let quorum = if max_retries = 0 then 1 else default_policy.quorum in
+    Some { default_policy with max_retries; quorum }
+
 type stats = {
   mutable retries : int;
   mutable gave_up : int;

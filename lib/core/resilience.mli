@@ -22,6 +22,12 @@ type policy = {
 val default_policy : policy
 (** 3 retries, quorum of 3, 0.05 s backoff base. *)
 
+val policy_for : faulted:bool -> int option -> policy option
+(** The policy a diagnosis runs under, given whether faults are
+    injected and the requested retry budget: [None] when neither is
+    set; otherwise {!default_policy} with that budget, and with quorum
+    1 when the budget is 0 (no retrying, no confirmation runs). *)
+
 type stats = {
   mutable retries : int;          (** tainted attempts re-run *)
   mutable gave_up : int;          (** decisions whose budget exhausted *)

@@ -9,14 +9,15 @@ type kind = Reference | Compiled
 
 let default = Compiled
 
-let to_string = function Reference -> "reference" | Compiled -> "compiled"
+let names = [ ("reference", Reference); ("compiled", Compiled) ]
 
-let of_string = function
-  | "reference" -> Ok Reference
-  | "compiled" -> Ok Compiled
-  | s -> Error (Fmt.str "unknown engine %S (expected reference|compiled)" s)
+let to_string k = fst (List.find (fun (_, k') -> k' = k) names)
 
-let pp ppf k = Fmt.string ppf (to_string k)
+let of_string s =
+  Option.to_result (List.assoc_opt s names)
+    ~none:
+      (Fmt.str "unknown engine %S (expected %s)" s
+         (String.concat "|" (List.map fst names)))
 
 let boot = function
   | Reference -> Machine.create

@@ -17,9 +17,12 @@ val default : kind
 (** {!Compiled} — parity with the reference engine is enforced by the
     differential oracle, so the fast engine is the default. *)
 
+val names : (string * kind) list
+(** The user-facing engine names, read by the CLI's [--engine] and the
+    batch manifest's ["engine"] field. *)
+
 val to_string : kind -> string
 val of_string : string -> (kind, string) result
-val pp : kind Fmt.t
 
 val boot : kind -> Program.group -> Machine.t
 (** A fresh machine on the chosen engine. *)

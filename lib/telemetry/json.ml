@@ -2,10 +2,8 @@
 
    Two halves, both dependency-free:
 
-   - string-building combinators ([str], [arr], [obj], …) — the same
-     surface `Analysis.Report_json` exposed historically; that module
-     now re-exports these so every report in the tree shares one
-     emitter;
+   - string-building combinators ([str], [arr], [obj], …), the one
+     emitter every report in the tree is built with;
    - a small recursive-descent parser ([of_string]) with accessors,
      for consumers of our own artifacts: the perf-regression gate
      compares two bench JSON files, and the tests check Chrome traces

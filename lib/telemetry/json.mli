@@ -1,5 +1,5 @@
 (** Minimal JSON: the emission combinators shared by every report in
-    the tree ({!Analysis.Report_json} re-exports them) and a parser for
+    the tree and a parser for
     consuming our own artifacts (the perf gate, the trace tests).
     Strings are escaped per RFC 8259.  No external dependency. *)
 

@@ -283,7 +283,7 @@ let test_stats () =
 let test_json_escaping () =
   Alcotest.(check string)
     "escapes" "a\\\"b\\\\c\\nd\\u0001"
-    (Analysis.Report_json.escape "a\"b\\c\nd\x01")
+    (Telemetry.Json.escape "a\"b\\c\nd\x01")
 
 let test_json_shape () =
   let group =

@@ -312,6 +312,37 @@ let test_corruption_poisons_cache () =
   checkb "snapshot.poisoned_refusals telemetry counter" true
     (Telemetry.Recorder.counter recorder "snapshot.poisoned_refusals" > 0)
 
+(* --- CLI and manifest helpers ---------------------------------------------- *)
+
+let cli =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "aitia_cli.exe" ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Run the CLI; its exit code, stdout and stderr. *)
+let run_cli args =
+  let out = Filename.temp_file "aitia-cli" ".out" in
+  let err = Filename.temp_file "aitia-cli" ".err" in
+  let code =
+    Sys.command (Filename.quote_command cli ~stdout:out ~stderr:err args)
+  in
+  let o = read_file out and e = read_file err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, o, e)
+
+let registry_case id =
+  Option.map
+    (fun (b : Bugs.Bug.t) -> (b.case (), b.max_interleavings))
+    (Bugs.Registry.find id)
+
+let manifest doc =
+  match Aitia.Batch.manifest_of_string doc with
+  | Ok rqs -> rqs
+  | Error e -> Alcotest.failf "manifest: %s" e
+
 (* --- unit: journal load/save --------------------------------------------- *)
 
 let test_journal_files () =
@@ -327,7 +358,10 @@ let test_journal_files () =
   (match Journal.load garbage with
   | Ok _ -> Alcotest.fail "malformed journal must be an Error"
   | Error _ -> ());
-  Sys.remove garbage
+  Sys.remove garbage;
+  (match Journal.load (Filename.get_temp_dir_name ()) with
+  | Ok _ -> Alcotest.fail "an unreadable path must be an Error"
+  | Error _ -> ())
 
 (* Batch.run creates a missing journal directory itself; when it cannot,
    the requests journaling there fail with exit 2 and nothing else. *)
@@ -335,19 +369,9 @@ let test_batch_creates_journal_dir () =
   let base = Filename.temp_file "aitia-batch" "" in
   Sys.remove base;
   let dir = base ^ ".d" in
-  let resolve id =
-    Option.map
-      (fun (b : Bugs.Bug.t) -> (b.case (), b.max_interleavings))
-      (Bugs.Registry.find id)
-  in
-  let requests doc =
-    match Aitia.Batch.manifest_of_string doc with
-    | Ok rqs -> rqs
-    | Error e -> Alcotest.failf "manifest: %s" e
-  in
   let s =
-    Aitia.Batch.run ~journal_dir:dir ~resolve
-      (requests {|[{"id": "r1", "bug": "fig1"}]|})
+    Aitia.Batch.run ~journal_dir:dir ~resolve:registry_case
+      (manifest {|[{"id": "r1", "bug": "fig1"}]|})
   in
   checkb "directory created" true (Sys.is_directory dir);
   let journal = Filename.concat dir "r1.journal.json" in
@@ -357,8 +381,8 @@ let test_batch_creates_journal_dir () =
   let s =
     Aitia.Batch.run
       ~journal_dir:(Filename.concat (dir ^ ".missing") "sub")
-      ~resolve
-      (requests
+      ~resolve:registry_case
+      (manifest
          (Fmt.str
             {|[{"id": "r1", "bug": "fig1"},
                {"id": "r2", "bug": "fig1", "journal": %S}]|}
@@ -375,6 +399,71 @@ let test_batch_creates_journal_dir () =
   | _ -> Alcotest.fail "expected two outcomes");
   List.iter Sys.remove [ journal; own ];
   Sys.rmdir dir
+
+(* batch --resume needs no --journal-dir when requests name their own
+   journals: the resumed batch reports the same chains and exit codes,
+   and only a request with no journal at all fails. *)
+let test_batch_resume_own_journals () =
+  let base = Filename.temp_file "aitia-batch-resume" "" in
+  let j1 = base ^ ".r1.json" and j2 = base ^ ".r2.json" in
+  let doc =
+    Fmt.str
+      {|[{"id": "r1", "bug": "fig1", "journal": %S},
+         {"id": "r2", "bug": "fig5", "journal": %S}]|}
+      j1 j2
+  in
+  let manifest_file = base ^ ".manifest.json" in
+  Out_channel.with_open_text manifest_file (fun oc ->
+      Out_channel.output_string oc doc);
+  let batch args =
+    let out = base ^ ".report.json" in
+    let code, _, _ =
+      run_cli ([ "batch"; manifest_file; "--out"; out ] @ args)
+    in
+    let module J = Telemetry.Json in
+    let report =
+      match J.of_string (read_file out) with
+      | Ok j -> j
+      | Error e -> Alcotest.failf "batch report: %s" e
+    in
+    Sys.remove out;
+    let outcomes =
+      match J.member "requests" report with
+      | Some (J.Arr rs) ->
+        List.map
+          (fun r ->
+            let field k = Option.map J.render (J.member k r) in
+            (field "id", field "exit", field "chain", field "error"))
+          rs
+      | _ -> Alcotest.fail "batch report has no requests"
+    in
+    (code, outcomes)
+  in
+  let fresh_code, fresh = batch [] in
+  checki "fresh batch diagnoses" 0 fresh_code;
+  checkb "journals written" true (Sys.file_exists j1 && Sys.file_exists j2);
+  let resumed_code, resumed = batch [ "--resume" ] in
+  checki "resumed batch exit" fresh_code resumed_code;
+  checkb "resumed batch reports the same chains and exit codes" true
+    (fresh = resumed);
+  let no_journal =
+    Aitia.Batch.run ~resume:true ~resolve:registry_case
+      (manifest
+         (Fmt.str
+            {|[{"id": "r1", "bug": "fig1", "journal": %S},
+               {"id": "r3", "bug": "fig1"}]|}
+            j1))
+  in
+  (match no_journal.outcomes with
+  | [ r1; r3 ] ->
+    checki "request with its own journal resumes" 0 r1.o_exit;
+    checki "request with no journal fails" 2 r3.o_exit;
+    checkb "error says a journal is needed" true
+      (match r3.o_error with
+      | Some e -> String.starts_with ~prefix:"--resume needs a journal" e
+      | None -> false)
+  | _ -> Alcotest.fail "expected two outcomes");
+  List.iter Sys.remove [ j1; j2; manifest_file; base ]
 
 let test_journal_fixpoint () =
   (* A journaled diagnosis, loaded and saved again, round-trips to the
@@ -434,12 +523,15 @@ let test_exit_status () =
       if r.degraded then r else degraded_at (seed + 1)
   in
   let deg = degraded_at 1 in
-  checki "all clean => 0" 0 (Aitia.Report.exit_status [ ok ]);
-  checki "clean non-reproduction => 1" 1 (Aitia.Report.exit_status [ norepro ]);
-  checki "non-reproduction dominates" 1
-    (Aitia.Report.exit_status [ ok; norepro; deg ]);
-  checki "degraded => 3" 3 (Aitia.Report.exit_status [ ok; deg ]);
-  checki "empty => 0" 0 (Aitia.Report.exit_status [])
+  let exit_status reports =
+    Aitia.Report.worst_exit (List.map Aitia.Report.exit_code reports)
+  in
+  checki "all clean => 0" 0 (exit_status [ ok ]);
+  checki "clean non-reproduction => 1" 1 (exit_status [ norepro ]);
+  checki "non-reproduction dominates" 1 (exit_status [ ok; norepro; deg ]);
+  checki "degraded => 3" 3 (exit_status [ ok; deg ]);
+  checki "empty => 0" 0 (exit_status []);
+  checki "a request error dominates" 2 (Aitia.Report.worst_exit [ 3; 1; 2; 0 ])
 
 (* --- acceptance: chaos parity across the corpus ---------------------------- *)
 
@@ -539,7 +631,9 @@ let test_degraded_mode () =
   checkb "faults actually fired across the corpus" true (injected > 0);
   checkb "at least one diagnosis degraded" true
     (List.exists (fun (r : Aitia.Diagnose.report) -> r.degraded) reports);
-  let status = Aitia.Report.exit_status reports in
+  let status =
+    Aitia.Report.worst_exit (List.map Aitia.Report.exit_code reports)
+  in
   checkb "degradation is visible in the exit status" true
     (status = 1 || status = 3)
 
@@ -667,23 +761,70 @@ let test_manifest_errors () =
       ( "duplicate id",
         {|[{"id": "r1", "bug": "fig5"}, {"id": "r1", "bug": "fig1"}]|},
         {|duplicate request id "r1"|} );
-      ("empty manifest", "[]", "manifest has no requests") ]
+      ("empty manifest", "[]", "manifest has no requests");
+      ( "unknown engine",
+        {|[{"id": "r1", "bug": "fig5", "engine": "jit"}]|},
+        "engine must be reference/compiled" ) ]
 
 (* The CLI takes --prune none|invariants only: any other level is a
    usage error (exit 2) when flags are parsed. *)
 let test_cli_prune_levels () =
-  let cli =
-    List.fold_left Filename.concat
-      (Filename.dirname Sys.executable_name)
-      [ Filename.parent_dir_name; "bin"; "aitia_cli.exe" ]
-  in
   let run level =
-    Sys.command
-      (Filename.quote_command cli ~stdout:Filename.null ~stderr:Filename.null
-         [ "diagnose"; "fig5"; "--prune"; level ])
+    let code, _, _ = run_cli [ "diagnose"; "fig5"; "--prune"; level ] in
+    code
   in
   checki "--prune invariants diagnoses" 0 (run "invariants");
   checki "--prune flipfeas is a usage error" 2 (run "flipfeas")
+
+(* The combinations the pipeline cannot honour are refused by one
+   validator: a manifest naming one is rejected, and the same knobs on
+   the CLI exit 2 with the same message. *)
+let test_rejected_combinations () =
+  List.iter
+    (fun (what, fields, args) ->
+      let doc = Fmt.str {|[{"id": "r1", "bug": "fig5", %s}]|} fields in
+      let msg =
+        match Aitia.Batch.manifest_of_string doc with
+        | Ok _ -> Alcotest.failf "%s: manifest accepted" what
+        | Error e ->
+          let prefix = {|request "r1": |} in
+          checkb (Fmt.str "%s: %S names the request" what e) true
+            (String.starts_with ~prefix e);
+          String.sub e (String.length prefix)
+            (String.length e - String.length prefix)
+      in
+      let code, _, err = run_cli ("diagnose" :: "fig5" :: args) in
+      checki (what ^ ": CLI exit") 2 code;
+      checks (what ^ ": CLI message") ("aitia: " ^ msg ^ "\n") err)
+    [ ( "jobs under gain order", {|"jobs": 2, "order": "gain"|},
+        [ "--jobs"; "2"; "--order"; "gain" ] );
+      ( "jobs under faults", {|"jobs": 2, "fault_spec": "rate=0.05"|},
+        [ "--jobs"; "2"; "--fault-spec"; "rate=0.05" ] );
+      ( "snapshot budget without the cache", {|"snapshot_budget": 4096|},
+        [ "--snapshot-budget"; "4096" ] ) ]
+
+(* The CLI and a one-request manifest run the same diagnosis: same
+   chain, same exit code. *)
+let test_cli_manifest_parity () =
+  let code, out, _ =
+    run_cli
+      [ "diagnose"; "fig5"; "--fault-spec"; "rate=0.05"; "--fault-seed"; "7" ]
+  in
+  let s =
+    Aitia.Batch.run ~resolve:registry_case
+      (manifest
+         {|[{"id": "r1", "bug": "fig5", "fault_spec": "rate=0.05",
+             "fault_seed": 7}]|})
+  in
+  match s.outcomes with
+  | [ o ] ->
+    checki "same exit code" o.o_exit code;
+    (match o.o_chain with
+    | Some chain ->
+      checkb "CLI prints the manifest's chain" true
+        (contains ~sub:("causality chain:\n  " ^ chain ^ "\n") out)
+    | None -> Alcotest.fail "manifest request produced no chain")
+  | _ -> Alcotest.fail "expected one outcome"
 
 (* --- suite ------------------------------------------------------------------ *)
 
@@ -713,12 +854,17 @@ let () =
           Alcotest.test_case "save/load fixpoint" `Quick
             test_journal_fixpoint;
           Alcotest.test_case "batch creates a missing journal directory"
-            `Quick test_batch_creates_journal_dir ] );
+            `Quick test_batch_creates_journal_dir;
+          Alcotest.test_case "batch resumes from per-request journals"
+            `Quick test_batch_resume_own_journals ] );
       ("exit-codes", [ Alcotest.test_case "exit_status" `Quick test_exit_status ]);
       ( "validation",
         [ Alcotest.test_case "manifest errors" `Quick test_manifest_errors;
-          Alcotest.test_case "CLI prune levels" `Quick test_cli_prune_levels
-        ] );
+          Alcotest.test_case "CLI prune levels" `Quick test_cli_prune_levels;
+          Alcotest.test_case "rejected combinations" `Quick
+            test_rejected_combinations;
+          Alcotest.test_case "CLI and manifest parity" `Quick
+            test_cli_manifest_parity ] );
       ("chaos-parity", parity_cases);
       ( "degraded-mode",
         [ Alcotest.test_case "retries disabled: visible, never crashes"
