@@ -173,7 +173,7 @@ let fault_spec_conv =
    subcommand but compare takes, plus the subcommand's own pipeline
    flags; the result is validated and its journal opened once. *)
 let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None)
-    ?(snapshot_cache = Term.const false) jobs =
+    ?(snapshot = Term.const (false, None)) jobs =
   let fault_spec =
     Arg.(value & opt (some fault_spec_conv) None
          & info [ "fault-spec" ] ~docv:"SPEC"
@@ -214,14 +214,6 @@ let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None)
                 controller steps, so a hung run is cut off \
                 deterministically instead of running forever")
   in
-  let snapshot_budget =
-    Arg.(value & opt (some (nonneg_int ~what:"--snapshot-budget")) None
-         & info [ "snapshot-budget" ] ~docv:"BYTES"
-             ~doc:
-               "Byte budget (estimated) of the prefix-sharing snapshot \
-                cache enabled by $(b,--snapshot-cache), which it \
-                requires (exit 2 without it); 0 disables the cache")
-  in
   let journal_file =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"FILE"
@@ -251,8 +243,8 @@ let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None)
                 semantics.  Chains, verdicts and race sets are \
                 bit-identical across engines")
   in
-  let make rq_prune rq_order rq_snapshot_cache rq_jobs rq_fault_spec
-      rq_fault_seed rq_max_retries rq_step_timeout rq_snapshot_budget
+  let make rq_prune rq_order (rq_snapshot_cache, rq_snapshot_budget) rq_jobs
+      rq_fault_spec rq_fault_seed rq_max_retries rq_step_timeout
       journal_file resume engine =
     let knobs =
       { defaults.knobs with
@@ -264,9 +256,9 @@ let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None)
     let knobs = ok (Aitia.Batch.validate knobs) in
     { knobs; journal = ok (Aitia.Journal.open_ ~resume journal_file) }
   in
-  Term.(const make $ prune $ order $ snapshot_cache $ jobs $ fault_spec
-        $ fault_seed $ max_retries $ step_timeout $ snapshot_budget
-        $ journal_file $ resume $ engine)
+  Term.(const make $ prune $ order $ snapshot $ jobs $ fault_spec
+        $ fault_seed $ max_retries $ step_timeout $ journal_file $ resume
+        $ engine)
 
 let jobs_arg =
   Cmdliner.Arg.(
@@ -283,18 +275,32 @@ let jobs_arg =
               decisions"
              Hypervisor.Pool.backend))
 
-let snapshot_cache_flag =
-  Cmdliner.Arg.(
-    value & flag
-    & info [ "snapshot-cache" ]
-        ~doc:
-          "Re-execute schedules through the prefix-sharing snapshot \
-           cache: LIFS children resume from their parent's cached \
-           prefix and Causality flips restore the snapshot just before \
-           the flipped race instead of rebooting.  Schedules, verdicts \
-           and chains are bit-identical with or without the cache; only \
-           re-execution is avoided (see the snapshot.* counters under \
-           `stats')")
+(* The snapshot cache and its budget travel together: the budget is
+   offered only where the cache is. *)
+let snapshot_args =
+  let cache =
+    Cmdliner.Arg.(
+      value & flag
+      & info [ "snapshot-cache" ]
+          ~doc:
+            "Re-execute schedules through the prefix-sharing snapshot \
+             cache: LIFS children resume from their parent's cached \
+             prefix and Causality flips restore the snapshot just \
+             before the flipped race instead of rebooting.  Schedules, \
+             verdicts and chains are bit-identical with or without the \
+             cache; only re-execution is avoided (see the snapshot.* \
+             counters under `stats')")
+  in
+  let budget =
+    Cmdliner.Arg.(
+      value & opt (some (nonneg_int ~what:"--snapshot-budget")) None
+      & info [ "snapshot-budget" ] ~docv:"BYTES"
+          ~doc:
+            "Byte budget (estimated) of the prefix-sharing snapshot \
+             cache enabled by $(b,--snapshot-cache), which it requires \
+             (exit 2 without it); 0 disables the cache")
+  in
+  Term.(const (fun c b -> (c, b)) $ cache $ budget)
 
 (* Static-proof level and schedule-order selection, shared by diagnose
    and stats (analyze reads --prune too). *)
@@ -327,7 +333,7 @@ let order_arg =
 let pipeline_term =
   diagnosis_term ~prune:prune_arg
     ~order:Term.(const Option.some $ order_arg)
-    ~snapshot_cache:snapshot_cache_flag jobs_arg
+    ~snapshot:snapshot_args jobs_arg
 
 (* --- list ------------------------------------------------------------- *)
 

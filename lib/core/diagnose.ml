@@ -81,7 +81,7 @@ let empty_lifs_result () : Lifs.result =
   { found = None;
     stats = { schedules = 0; pruned = 0; static_pruned = 0;
               invariant_pruned = 0; gain_reorderings = 0;
-              interleavings = 0; elapsed = 0.; simulated = 0.;
+              interleavings = 0; simulated = 0.;
               executed_instrs = 0 };
     db = Ksim.Kcov.empty;
     runs = [] }
@@ -98,29 +98,6 @@ let hints_of_group (group : Ksim.Program.group) (prologue : int list) :
   Analysis.Summary.hints (Analysis.Candidates.analyze ~serial group)
 
 (* --- journal conversions ------------------------------------------------ *)
-
-let summary_of_lifs (s : Lifs.stats) : Journal.lifs_summary =
-  { l_schedules = s.schedules;
-    l_pruned = s.pruned;
-    l_static_pruned = s.static_pruned;
-    l_invariant_pruned = s.invariant_pruned;
-    l_gain_reorderings = s.gain_reorderings;
-    l_interleavings = s.interleavings;
-    l_simulated = s.simulated;
-    l_executed_instrs = s.executed_instrs }
-
-(* Elapsed host time is not replayable (and not reported); everything
-   the report prints is journaled. *)
-let lifs_stats_of_summary (s : Journal.lifs_summary) : Lifs.stats =
-  { schedules = s.l_schedules;
-    pruned = s.l_pruned;
-    static_pruned = s.l_static_pruned;
-    invariant_pruned = s.l_invariant_pruned;
-    gain_reorderings = s.l_gain_reorderings;
-    interleavings = s.l_interleavings;
-    elapsed = 0.;
-    simulated = s.l_simulated;
-    executed_instrs = s.l_executed_instrs }
 
 let flip_of_tested (t : Causality.tested) : Journal.flip =
   { f_race = Race.key t.race;
@@ -258,13 +235,12 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
           Journal.Reproduced
             { r_threads = slice_threads;
               r_schedule = success.Lifs.schedule;
-              r_lifs = summary_of_lifs lifs.Lifs.stats;
+              r_lifs = lifs.Lifs.stats;
               r_races = success.Lifs.races;
               r_flips = List.rev !flips;
               r_ca_schedules = st.Causality.schedules;
               r_ca_simulated = st.Causality.simulated;
               r_ca_instrs = st.Causality.executed_instrs;
-              r_ca_elapsed = st.Causality.elapsed;
               r_ca_complete = complete_ca }
         in
         (if !pushed then jslices := slice :: List.tl !jslices
@@ -386,7 +362,7 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
                jslices :=
                  Journal.No_repro
                    { nr_threads = slice_threads;
-                     nr_lifs = summary_of_lifs lifs.stats }
+                     nr_lifs = lifs.stats }
                  :: !jslices;
                jsave ~complete:false));
             Error lifs
@@ -411,7 +387,7 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
             jsave ~complete:false;
             Error
               { Lifs.found = None;
-                stats = lifs_stats_of_summary s.nr_lifs;
+                stats = s.nr_lifs;
                 db = Ksim.Kcov.empty;
                 runs = [] }
           | Some (Journal.Reproduced s)
@@ -435,7 +411,7 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
               in
               let lifs =
                 { Lifs.found = Some success;
-                  stats = lifs_stats_of_summary s.r_lifs;
+                  stats = s.r_lifs;
                   db = Executor.learn Ksim.Kcov.empty r;
                   runs = [ (s.r_schedule, r.outcome) ] }
               in
@@ -443,8 +419,7 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
                 { Causality.zero_stats with
                   schedules = s.r_ca_schedules;
                   simulated = s.r_ca_simulated;
-                  executed_instrs = s.r_ca_instrs;
-                  elapsed = s.r_ca_elapsed }
+                  executed_instrs = s.r_ca_instrs }
               in
               let ca, chain, metrics =
                 run_causality ~group ~prologue ~snapshots ~slice_threads

@@ -80,12 +80,14 @@ val diagnose :
     breadth-first LIFS frontier with the expected-information-gain
     scheduler ({!Analysis.Gain}).
     [jobs] (default 1) shares one {!Hypervisor.Pool} across the whole
-    diagnosis: LIFS frontiers and Causality flips fan out over up to
-    [jobs] workers, with results merged deterministically so chains
-    and verdicts are bit-identical to a sequential run.  The pool is
-    declined internally under [`Gain] order or fault injection, where
-    execution order feeds back into decisions ({!Batch.validate}
-    rejects those combinations for the CLI and manifests).
+    diagnosis: LIFS frontiers and Causality flips run through
+    {!Executor.ordered}, which fans them out over up to [jobs] workers
+    and merges the results in order, so chains and verdicts are
+    bit-identical to a sequential run.  The pool goes unused under
+    [`Gain] order (LIFS and Causality pass none: each pick reads the
+    merges before it) and under fault injection (the runner declines
+    it for a faulted VM); {!Batch.validate} rejects both combinations
+    for the CLI and manifests.
     [snapshot_cache] (default [false]) gives each slice attempt a
     prefix-sharing snapshot cache (budget [snapshot_budget] bytes,
     estimated): LIFS children resume from their parent's cached prefix

@@ -21,32 +21,20 @@ type flip = {
   f_confidence : float;
 }
 
-type lifs_summary = {
-  l_schedules : int;
-  l_pruned : int;
-  l_static_pruned : int;
-  l_invariant_pruned : int;
-  l_gain_reorderings : int;
-  l_interleavings : int;
-  l_simulated : float;
-  l_executed_instrs : int;
-}
-
 type slice =
   | No_repro of {
       nr_threads : string list;
-      nr_lifs : lifs_summary;
+      nr_lifs : Lifs.stats;
     }
   | Reproduced of {
       r_threads : string list;
       r_schedule : Schedule.preemption;
-      r_lifs : lifs_summary;
+      r_lifs : Lifs.stats;
       r_races : Race.t list;
       r_flips : flip list;
       r_ca_schedules : int;
       r_ca_simulated : float;
       r_ca_instrs : int;
-      r_ca_elapsed : float;
       r_ca_complete : bool;
     }
 
@@ -116,16 +104,16 @@ let flip_json (f : flip) =
       ("disappeared", J.str_list f.f_disappeared);
       ("confidence", J.float f.f_confidence) ]
 
-let lifs_json (l : lifs_summary) =
+let lifs_json (l : Lifs.stats) =
   J.obj
-    [ ("schedules", J.int l.l_schedules);
-      ("pruned", J.int l.l_pruned);
-      ("static_pruned", J.int l.l_static_pruned);
-      ("invariant_pruned", J.int l.l_invariant_pruned);
-      ("gain_reorderings", J.int l.l_gain_reorderings);
-      ("interleavings", J.int l.l_interleavings);
-      ("simulated", J.float l.l_simulated);
-      ("executed_instrs", J.int l.l_executed_instrs) ]
+    [ ("schedules", J.int l.schedules);
+      ("pruned", J.int l.pruned);
+      ("static_pruned", J.int l.static_pruned);
+      ("invariant_pruned", J.int l.invariant_pruned);
+      ("gain_reorderings", J.int l.gain_reorderings);
+      ("interleavings", J.int l.interleavings);
+      ("simulated", J.float l.simulated);
+      ("executed_instrs", J.int l.executed_instrs) ]
 
 let slice_json = function
   | No_repro s ->
@@ -146,7 +134,6 @@ let slice_json = function
            [ ("schedules", J.int s.r_ca_schedules);
              ("simulated", J.float s.r_ca_simulated);
              ("instrs", J.int s.r_ca_instrs);
-             ("elapsed", J.float s.r_ca_elapsed);
              ("complete", J.bool s.r_ca_complete) ]) ]
 
 let to_string t =
@@ -257,15 +244,15 @@ let get_int_opt k j =
   | Some f -> int_of_float f
   | None -> 0
 
-let lifs_of_json j : lifs_summary =
-  { l_schedules = get_int "schedules" j;
-    l_pruned = get_int "pruned" j;
-    l_static_pruned = get_int "static_pruned" j;
-    l_invariant_pruned = get_int_opt "invariant_pruned" j;
-    l_gain_reorderings = get_int_opt "gain_reorderings" j;
-    l_interleavings = get_int "interleavings" j;
-    l_simulated = get_num "simulated" j;
-    l_executed_instrs = get_int "executed_instrs" j }
+let lifs_of_json j : Lifs.stats =
+  { schedules = get_int "schedules" j;
+    pruned = get_int "pruned" j;
+    static_pruned = get_int "static_pruned" j;
+    invariant_pruned = get_int_opt "invariant_pruned" j;
+    gain_reorderings = get_int_opt "gain_reorderings" j;
+    interleavings = get_int "interleavings" j;
+    simulated = get_num "simulated" j;
+    executed_instrs = get_int "executed_instrs" j }
 
 let slice_of_json j : slice =
   match get_str "kind" j with
@@ -284,7 +271,6 @@ let slice_of_json j : slice =
         r_ca_schedules = get_int "schedules" ca;
         r_ca_simulated = get_num "simulated" ca;
         r_ca_instrs = get_int "instrs" ca;
-        r_ca_elapsed = get_num "elapsed" ca;
         r_ca_complete = get_bool "complete" ca }
   | k -> bad "unknown slice kind %S" k
 
@@ -324,6 +310,13 @@ let open_ ~resume path =
       "--resume needs a journal (--journal FILE; in a batch, a \"journal\" \
        field or --journal-dir)"
   | None -> Ok None
+  | Some p
+    when let dir = Filename.dirname p in
+         not (Sys.file_exists dir && Sys.is_directory dir) ->
+    (* Caught here, not at the first checkpoint mid-diagnosis. *)
+    Error
+      (Fmt.str "cannot journal to %s: directory %s does not exist" p
+         (Filename.dirname p))
   | Some p when resume -> (
     match load p with
     | Ok t -> Ok (Some t)

@@ -24,35 +24,22 @@ type flip = {
   f_confidence : float;
 }
 
-type lifs_summary = {
-  l_schedules : int;
-  l_pruned : int;
-  l_static_pruned : int;
-  l_invariant_pruned : int;
-      (** 0 when replaying a journal written before the counter existed *)
-  l_gain_reorderings : int;  (** likewise optional on read, default 0 *)
-  l_interleavings : int;
-  l_simulated : float;
-  l_executed_instrs : int;
-}
-
 (** One attempted slice of a case, in attempt order. *)
 type slice =
   | No_repro of {
       nr_threads : string list;  (** thread names of the slice *)
-      nr_lifs : lifs_summary;
+      nr_lifs : Lifs.stats;
     }
   | Reproduced of {
       r_threads : string list;
       r_schedule : Hypervisor.Schedule.preemption;
           (** the failure-reproducing schedule found by LIFS *)
-      r_lifs : lifs_summary;
+      r_lifs : Lifs.stats;
       r_races : Race.t list;  (** full test set, endpoint data included *)
       r_flips : flip list;    (** journaled so far, in testing order *)
       r_ca_schedules : int;
       r_ca_simulated : float;
       r_ca_instrs : int;
-      r_ca_elapsed : float;
       r_ca_complete : bool;   (** every flip of [r_races] is journaled *)
     }
 
@@ -75,7 +62,7 @@ val load : string -> (t, string) result
 val open_ : resume:bool -> string option -> (t option, string) result
 (** The journal a diagnosis runs with: {!load} the file when [resume],
     else {!create} it; no journal for [None], an [Error] for [None]
-    with [resume]. *)
+    with [resume] and for a path whose directory does not exist. *)
 
 val path : t -> string
 val save : t -> unit

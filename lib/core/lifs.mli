@@ -14,7 +14,6 @@ type stats = {
   gain_reorderings : int;
       (** candidates the gain scheduler popped out of discovery order *)
   interleavings : int;  (** interleaving count of the failing schedule *)
-  elapsed : float;      (** host wall-clock seconds *)
   simulated : float;    (** modeled guest seconds (Vm cost model) *)
   executed_instrs : int;
       (** instructions executed, excluding prefixes restored from the

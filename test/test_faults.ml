@@ -361,7 +361,57 @@ let test_journal_files () =
   Sys.remove garbage;
   (match Journal.load (Filename.get_temp_dir_name ()) with
   | Ok _ -> Alcotest.fail "an unreadable path must be an Error"
-  | Error _ -> ())
+  | Error _ -> ());
+  (* Journals once carried the host time of Causality Analysis as
+     "ca"."elapsed"; it is no longer written, and still loads. *)
+  let legacy = Filename.temp_file "aitia-journal-legacy" ".json" in
+  Out_channel.with_open_text legacy (fun oc ->
+      Out_channel.output_string oc
+        {|{"version": 1, "cases": {"c": {"complete": true, "slices": [
+           {"kind": "reproduced", "threads": ["a"],
+            "schedule": {"order": [0], "switches": []},
+            "lifs": {"schedules": 1, "pruned": 0, "static_pruned": 0,
+                     "interleavings": 0, "simulated": 0.5,
+                     "executed_instrs": 9},
+            "races": [], "flips": [],
+            "ca": {"schedules": 0, "simulated": 0, "instrs": 0,
+                   "elapsed": 1.5, "complete": true}}]}}}|});
+  (match Journal.load legacy with
+  | Ok j ->
+    checkb "a journal with \"ca\".\"elapsed\" loads" true
+      (match Journal.find_case j "c" with
+      | Some { slices = [ Journal.Reproduced r ]; _ } ->
+        r.r_lifs.executed_instrs = 9 && r.r_ca_complete
+      | _ -> false)
+  | Error e -> Alcotest.failf "legacy journal: %s" e);
+  Sys.remove legacy;
+  (* A journal whose directory is missing is refused up front: an
+     Error from open_, exit 2 from the CLI, and a failed batch request
+     naming the directory. *)
+  let nowhere = Filename.concat (missing ^ ".d") "x.json" in
+  List.iter
+    (fun resume ->
+      match Journal.open_ ~resume (Some nowhere) with
+      | Ok _ -> Alcotest.failf "resume=%b: missing directory accepted" resume
+      | Error e ->
+        checkb "error names the directory" true
+          (String.starts_with ~prefix:"cannot journal" e))
+    [ false; true ];
+  let code, _, _ = run_cli [ "diagnose"; "fig1"; "--journal"; nowhere ] in
+  checki "CLI: missing journal directory is a usage error" 2 code;
+  let s =
+    Aitia.Batch.run ~resolve:registry_case
+      (manifest
+         (Fmt.str {|[{"id": "r1", "bug": "fig1", "journal": %S}]|} nowhere))
+  in
+  match s.outcomes with
+  | [ r1 ] ->
+    checki "batch: request error" 2 r1.o_exit;
+    checkb "batch: error names the directory" true
+      (match r1.o_error with
+      | Some e -> String.starts_with ~prefix:"cannot journal" e
+      | None -> false)
+  | _ -> Alcotest.fail "expected one outcome"
 
 (* Batch.run creates a missing journal directory itself; when it cannot,
    the requests journaling there fail with exit 2 and nothing else. *)
@@ -801,7 +851,12 @@ let test_rejected_combinations () =
       ( "jobs under faults", {|"jobs": 2, "fault_spec": "rate=0.05"|},
         [ "--jobs"; "2"; "--fault-spec"; "rate=0.05" ] );
       ( "snapshot budget without the cache", {|"snapshot_budget": 4096|},
-        [ "--snapshot-budget"; "4096" ] ) ]
+        [ "--snapshot-budget"; "4096" ] ) ];
+  (* chain has no snapshot cache, so it offers no budget either *)
+  let code, _, err = run_cli [ "chain"; "fig1"; "--snapshot-budget"; "1" ] in
+  checki "chain --snapshot-budget: CLI exit" 2 code;
+  checkb "chain --snapshot-budget is refused at flag parsing" true
+    (contains ~sub:"unknown option '--snapshot-budget'" err)
 
 (* The CLI and a one-request manifest run the same diagnosis: same
    chain, same exit code. *)
