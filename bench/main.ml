@@ -3,8 +3,9 @@
 
      dune exec bench/main.exe            — everything
      dune exec bench/main.exe -- LIST    — only the named targets
-     ... -- causality --jobs 4          — adds parallel speedup/parity
-                                          columns to the causality rows
+     ... -- causality --jobs 4          — adds the pooled corpus row:
+                                          the 22 bugs diagnosed side by
+                                          side on 4 workers vs in turn
      ... -- causality --baseline FILE   — gates the causality rows;
                                           exit 1 on any violation
      ... -- causality --jobs 4 --min-speedup F
@@ -62,9 +63,11 @@ let chain_str (r : Aitia.Diagnose.report) =
 let json_file : string option ref = ref None
 let json_docs : (string * string) list ref = ref []
 
-(* --jobs N: the causality target then re-runs each bug's diagnosis
-   fanned out over N pool workers and reports wall-clock speedup and
-   chain parity next to the sequential columns. *)
+(* --jobs N: the causality target then times one more sequential
+   diagnosis per bug and a pass fanning the corpus out over N pool
+   workers, one diagnosis per worker (as `aitia batch --jobs N' runs
+   requests), and reports the wall-clock speedup and chain parity in a
+   [_corpus] row. *)
 let jobs_opt : int ref = ref 1
 
 (* --baseline FILE: after the rows are written, gate the causality
@@ -706,9 +709,7 @@ let causality () =
     "snap#i" "plain#t" "inv#t" "chain";
   let corpus = Bugs.Registry.cves @ Bugs.Registry.syzkaller in
   let rows = ref [] in
-  let par_seq_total = ref 0.0 in
-  let par_par_total = ref 0.0 in
-  let par_all_identical = ref true in
+  let seq_total = ref 0.0 in
   let seq_chains = ref [] in
   (* engine columns: per-bug step throughput of each engine plus the
      reference-vs-compiled chain parity; aggregated into the corpus
@@ -736,30 +737,19 @@ let causality () =
               ~prune:`Invariants ~order:`Gain (bug.case ()))
       in
       let host_elapsed = Unix.gettimeofday () -. t0 in
-      (* Parallel pass (--jobs N): one fresh sequential diagnosis and
-         one fanned out over N pool workers, timed back to back on the
-         same case — the chains must match and the wall-clock ratio is
-         the per-bug speedup.  Wall times measure the host, so the gate
-         ignores these columns. *)
-      let par =
-        if !jobs_opt <= 1 then None
-        else begin
-          let t0 = Unix.gettimeofday () in
-          let seq_r =
-            Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-              (bug.case ())
-          in
-          let t1 = Unix.gettimeofday () in
-          let par_r =
-            Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-              ~jobs:!jobs_opt (bug.case ())
-          in
-          let t2 = Unix.gettimeofday () in
-          seq_chains := chain_str seq_r :: !seq_chains;
-          Some (t1 -. t0, t2 -. t1, par_r,
-                String.equal (chain_str seq_r) (chain_str par_r))
-        end
-      in
+      (* --jobs N: one more fresh diagnosis, timed, for the pooled pass
+         to be compared with.  Wall times measure the host, so the gate
+         ignores them. *)
+      if !jobs_opt > 1 then begin
+        let t0 = Unix.gettimeofday () in
+        let chain =
+          chain_str
+            (Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+               (bug.case ()))
+        in
+        seq_total := !seq_total +. (Unix.gettimeofday () -. t0);
+        seq_chains := chain :: !seq_chains
+      end;
       match plain.causality, snap.causality, inv.causality with
       | Some pca, Some sca, Some ica ->
         let flips = List.length ica.tested in
@@ -794,18 +784,6 @@ let causality () =
           pca.stats.simulated sca.stats.simulated plain_instrs snap_instrs
           plain_total inv_total
           (if snap_chain && inv_chain then "identical" else "DIFFERS");
-        Option.iter
-          (fun (seq_wall, par_wall, _, par_identical) ->
-            par_seq_total := !par_seq_total +. seq_wall;
-            par_par_total := !par_par_total +. par_wall;
-            if not par_identical then par_all_identical := false;
-            pr
-              "  parallel (--jobs %d): seq %.3fs  par %.3fs  speedup \
-               %.2fx  chain %s@."
-              !jobs_opt seq_wall par_wall
-              (if par_wall > 0. then seq_wall /. par_wall else 0.)
-              (if par_identical then "identical" else "DIFFERS"))
-          par;
         let eng_group = (bug.case ()).Aitia.Diagnose.group in
         (* three interleaved leg pairs, keeping each engine's best-rate
            leg: transient host contention slows individual legs, and
@@ -843,7 +821,7 @@ let causality () =
         let open Telemetry.Json in
         rows :=
           obj
-            ([ ("bug", str bug.id);
+            [ ("bug", str bug.id);
               ("flips", int flips);
               ("flips_executed", int executed);
               ("flips_pruned", int pruned);
@@ -878,31 +856,14 @@ let causality () =
               ("engine_compiled_ips", float cmp_ips);
               ("engine_speedup", float eng_speedup);
               ("engine_chain_identical", bool eng_chain) ]
-             @ (match par with
-              | None -> []
-              | Some (seq_wall, par_wall, par_r, par_identical) ->
-                let par_rate =
-                  match par_r.Aitia.Diagnose.causality with
-                  | Some pca ->
-                    per_simsec pca.stats.schedules pca.stats.simulated
-                  | None -> 0.
-                in
-                [ ("jobs", int !jobs_opt);
-                  ("seq_wall_s", float seq_wall);
-                  ("par_wall_s", float par_wall);
-                  ("speedup",
-                   float
-                     (if par_wall > 0. then seq_wall /. par_wall else 0.));
-                  ("par_sched_per_simsec", float par_rate);
-                  ("par_chain_identical", bool par_identical) ]))
           :: !rows
       | _ -> pr "%-18s not diagnosed@." bug.id)
     corpus;
   if !jobs_opt > 1 then begin
     (* Pooled pass: the whole corpus fanned out over an N-worker pool,
-       --jobs 1 inside each diagnosis (batch-style).  Bugs are
-       independent, so an N-core host should approach Nx over the
-       sequential per-bug total. *)
+       one diagnosis per worker (batch-style).  Bugs are independent,
+       so an N-core host should approach Nx over the sequential per-bug
+       total. *)
     let t0 = Unix.gettimeofday () in
     let pooled_chains =
       Hypervisor.Pool.map_list
@@ -915,26 +876,21 @@ let causality () =
     in
     let pooled_wall = Unix.gettimeofday () -. t0 in
     let pooled_identical = pooled_chains = List.rev !seq_chains in
-    let ratio wall = if wall > 0. then !par_seq_total /. wall else 0. in
+    let pooled_speedup =
+      if pooled_wall > 0. then !seq_total /. pooled_wall else 0.
+    in
     pr
-      "corpus parallel summary (--jobs %d, pool backend %s): seq %.3fs  \
-       par %.3fs (%.2fx, chains %s)  pooled %.3fs (%.2fx, chains %s)@."
-      !jobs_opt Hypervisor.Pool.backend !par_seq_total !par_par_total
-      (ratio !par_par_total)
-      (if !par_all_identical then "all identical" else "SOME DIFFER")
-      pooled_wall (ratio pooled_wall)
+      "corpus pooled summary (--jobs %d, pool backend %s): in turn %.3fs  \
+       pooled %.3fs (%.2fx, chains %s)@."
+      !jobs_opt Hypervisor.Pool.backend !seq_total pooled_wall pooled_speedup
       (if pooled_identical then "all identical" else "SOME DIFFER");
     let open Telemetry.Json in
     rows :=
       obj
         [ ("bug", str "_corpus");
           ("jobs", int !jobs_opt);
-          ("seq_wall_s", float !par_seq_total);
-          ("par_wall_s", float !par_par_total);
-          ("speedup", float (ratio !par_par_total));
-          ("par_chain_identical", bool !par_all_identical);
           ("pooled_wall_s", float pooled_wall);
-          ("pooled_speedup", float (ratio pooled_wall));
+          ("pooled_speedup", float pooled_speedup);
           ("pooled_chain_identical", bool pooled_identical) ]
       :: !rows
   end;
@@ -975,8 +931,7 @@ let causality () =
    gating flag every [*_identical] column must be [true]. *)
 let host_columns =
   [ "host_elapsed_s"; "plain_sched_per_simsec"; "snap_sched_per_simsec";
-    "jobs"; "seq_wall_s"; "par_wall_s"; "speedup"; "par_sched_per_simsec";
-    "pooled_wall_s"; "pooled_speedup"; "engine_ref_ips";
+    "jobs"; "pooled_wall_s"; "pooled_speedup"; "engine_ref_ips";
     "engine_compiled_ips"; "engine_speedup"; "corpus_engine_speedup" ]
 
 let parse_json what s =

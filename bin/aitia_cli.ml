@@ -173,7 +173,7 @@ let fault_spec_conv =
    subcommand but compare takes, plus the subcommand's own pipeline
    flags; the result is validated and its journal opened once. *)
 let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None)
-    ?(snapshot = Term.const (false, None)) jobs =
+    ?(snapshot = Term.const (false, None)) () =
   let fault_spec =
     Arg.(value & opt (some fault_spec_conv) None
          & info [ "fault-spec" ] ~docv:"SPEC"
@@ -243,37 +243,21 @@ let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None)
                 semantics.  Chains, verdicts and race sets are \
                 bit-identical across engines")
   in
-  let make rq_prune rq_order (rq_snapshot_cache, rq_snapshot_budget) rq_jobs
+  let make rq_prune rq_order (rq_snapshot_cache, rq_snapshot_budget)
       rq_fault_spec rq_fault_seed rq_max_retries rq_step_timeout
       journal_file resume engine =
     let knobs =
       { defaults.knobs with
-        rq_jobs = Some rq_jobs; rq_prune; rq_order; rq_snapshot_cache;
-        rq_snapshot_budget; rq_fault_spec; rq_fault_seed; rq_max_retries;
-        rq_step_timeout; rq_engine = Some engine }
+        rq_prune; rq_order; rq_snapshot_cache; rq_snapshot_budget;
+        rq_fault_spec; rq_fault_seed; rq_max_retries; rq_step_timeout;
+        rq_engine = Some engine }
     in
     let ok = function Ok x -> x | Error e -> usage_error "%s" e in
     let knobs = ok (Aitia.Batch.validate knobs) in
     { knobs; journal = ok (Aitia.Journal.open_ ~resume journal_file) }
   in
-  Term.(const make $ prune $ order $ snapshot $ jobs $ fault_spec
-        $ fault_seed $ max_retries $ step_timeout $ journal_file $ resume
-        $ engine)
-
-let jobs_arg =
-  Cmdliner.Arg.(
-    value & opt (pos_int ~what:"--jobs") 1
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          (Fmt.str
-             "Fan the diagnosis out over $(docv) workers (pool backend: \
-              %s): LIFS frontiers and Causality flips run in parallel \
-              shards merged deterministically, so chains and verdicts \
-              are bit-identical to $(b,--jobs 1).  More than one worker \
-              is a usage error (exit 2) under $(b,--order gain) or \
-              $(b,--fault-spec), where execution order feeds back into \
-              decisions"
-             Hypervisor.Pool.backend))
+  Term.(const make $ prune $ order $ snapshot $ fault_spec $ fault_seed
+        $ max_retries $ step_timeout $ journal_file $ resume $ engine)
 
 (* The snapshot cache and its budget travel together: the budget is
    offered only where the cache is. *)
@@ -333,7 +317,7 @@ let order_arg =
 let pipeline_term =
   diagnosis_term ~prune:prune_arg
     ~order:Term.(const Option.some $ order_arg)
-    ~snapshot:snapshot_args jobs_arg
+    ~snapshot:snapshot_args ()
 
 (* --- list ------------------------------------------------------------- *)
 
@@ -586,7 +570,7 @@ let chain_cmd =
     0
   in
   Cmd.v (Cmd.info "chain" ~doc:"Print only the causality chain")
-    Term.(const run $ setup_logs $ bug_arg $ diagnosis_term jobs_arg)
+    Term.(const run $ setup_logs $ bug_arg $ diagnosis_term ())
 
 (* --- batch ------------------------------------------------------------ *)
 
@@ -598,7 +582,7 @@ let batch_cmd =
                "JSON manifest of diagnosis requests: an array (or an \
                 object with a $(b,requests) array) of objects, each with \
                 a unique $(b,id), a corpus $(b,bug), and optional \
-                per-request knobs $(b,jobs), $(b,prune), $(b,order), \
+                per-request knobs $(b,prune), $(b,order), \
                 $(b,snapshot_cache), $(b,snapshot_budget), \
                 $(b,fault_spec), $(b,fault_seed), $(b,max_retries), \
                 $(b,step_timeout), $(b,journal), $(b,engine) — with the \
@@ -610,9 +594,12 @@ let batch_cmd =
     Arg.(value & opt (pos_int ~what:"--jobs") 1
          & info [ "jobs" ] ~docv:"N"
              ~doc:
-               "Run up to $(docv) requests concurrently (pool backend: \
-                see `aitia diagnose --help'); outcomes are reported in \
-                manifest order regardless of completion order")
+               (Fmt.str
+                  "Run up to $(docv) requests concurrently (pool \
+                   backend: %s), each diagnosed sequentially on its own \
+                   VMs; outcomes are reported in manifest order \
+                   regardless of completion order"
+                  Hypervisor.Pool.backend))
   in
   let journal_dir =
     Arg.(value & opt (some string) None

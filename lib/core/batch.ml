@@ -16,7 +16,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type request = {
   rq_id : string;
   rq_bug : string;
-  rq_jobs : int option;
   rq_prune : Causality.prune option;
   rq_order : Causality.order option;
   rq_snapshot_cache : bool;
@@ -30,7 +29,7 @@ type request = {
 }
 
 let default_request =
-  { rq_id = ""; rq_bug = ""; rq_jobs = None; rq_prune = None;
+  { rq_id = ""; rq_bug = ""; rq_prune = None;
     rq_order = None; rq_snapshot_cache = false; rq_snapshot_budget = None;
     rq_fault_spec = None; rq_fault_seed = 1; rq_max_retries = None;
     rq_step_timeout = None; rq_journal = None; rq_engine = None }
@@ -53,7 +52,7 @@ type summary = { outcomes : outcome list; batch_exit : int }
 let ( let* ) = Result.bind
 
 let known_fields =
-  [ "id"; "bug"; "jobs"; "prune"; "order"; "snapshot_cache";
+  [ "id"; "bug"; "prune"; "order"; "snapshot_cache";
     "snapshot_budget"; "fault_spec"; "fault_seed"; "max_retries";
     "step_timeout"; "journal"; "engine" ]
 
@@ -90,45 +89,34 @@ let enum_field rq_id name table fields =
            (String.concat "/" (List.map fst table))
            s))
 
-(* The combinations the pipeline cannot honour.  The pool runs only
-   where execution order cannot feed back into decisions, so rather
-   than silently running such a request sequentially it is refused. *)
+(* The combinations the pipeline cannot honour: rather than silently
+   ignoring a knob, the request is refused. *)
 let validate (rq : request) : (request, string) result =
-  let parallel = Option.value ~default:1 rq.rq_jobs > 1 in
-  if parallel && rq.rq_order = Some `Gain then
-    Error
-      "jobs > 1 cannot be combined with order gain (the gain order picks \
-       each run from the verdicts before it)"
-  else if parallel && rq.rq_fault_spec <> None then
-    Error
-      "jobs > 1 cannot be combined with fault injection (injected faults \
-       couple the runs through one fault stream)"
-  else if rq.rq_snapshot_budget <> None && not rq.rq_snapshot_cache then
+  if rq.rq_snapshot_budget <> None && not rq.rq_snapshot_cache then
     Error "a snapshot budget needs the snapshot cache"
   else Ok rq
 
 let request_of_json (j : Json.t) : (request, string) result =
   match j with
   | Json.Obj fields ->
-    let* () =
-      match List.find_opt (fun (k, _) -> not (List.mem k known_fields)) fields
-      with
-      | Some (k, _) -> Error (Fmt.str "unknown field %S" k)
-      | None -> Ok ()
-    in
     let* id = str_field "id" fields in
-    let* bug = str_field "bug" fields in
     let* rq_id =
       match id with
       | Some s when s <> "" -> Ok s
       | _ -> Error "request needs a non-empty \"id\""
     in
+    let* () =
+      match List.find_opt (fun (k, _) -> not (List.mem k known_fields)) fields
+      with
+      | Some (k, _) -> Error (Fmt.str "request %S: unknown field %S" rq_id k)
+      | None -> Ok ()
+    in
+    let* bug = str_field "bug" fields in
     let* rq_bug =
       match bug with
       | Some s when s <> "" -> Ok s
       | _ -> Error (Fmt.str "request %S needs a \"bug\"" rq_id)
     in
-    let* rq_jobs = int_field ~min:1 "jobs" fields in
     let* rq_prune = enum_field rq_id "prune" Causality.prune_names fields in
     let* rq_order = enum_field rq_id "order" Causality.order_names fields in
     let* snap = bool_field "snapshot_cache" fields in
@@ -141,7 +129,7 @@ let request_of_json (j : Json.t) : (request, string) result =
     let* rq_engine = enum_field rq_id "engine" Ksim.Engine.names fields in
     Result.map_error (Fmt.str "request %S: %s" rq_id)
       (validate
-         { rq_id; rq_bug; rq_jobs; rq_prune; rq_order;
+         { rq_id; rq_bug; rq_prune; rq_order;
            rq_snapshot_cache = Option.value ~default:false snap;
            rq_snapshot_budget; rq_fault_spec;
            rq_fault_seed =
@@ -213,7 +201,7 @@ let diagnose ?journal ~resolve (rq : request) :
   in
   Ok
     (Diagnose.diagnose ?max_interleavings ?max_steps:rq.rq_step_timeout
-       ?prune:rq.rq_prune ?order:rq.rq_order ?jobs:rq.rq_jobs
+       ?prune:rq.rq_prune ?order:rq.rq_order
        ~snapshot_cache:rq.rq_snapshot_cache
        ?snapshot_budget:rq.rq_snapshot_budget ?faults ?resilience ?journal
        ?engine:rq.rq_engine case)

@@ -21,7 +21,6 @@
 type request = {
   rq_id : string;            (** unique within the manifest *)
   rq_bug : string;           (** corpus bug id, resolved by the caller *)
-  rq_jobs : int option;      (** intra-diagnosis workers (default 1) *)
   rq_prune : Causality.prune option;
   rq_order : Causality.order option;
   rq_snapshot_cache : bool;
@@ -40,15 +39,14 @@ val default_request : request
     [rq_id] and [rq_bug]. *)
 
 val validate : request -> (request, string) result
-(** Reject the knob combinations the pipeline cannot honour: more than
-    one job under the gain order or under fault injection, and a
+(** Reject the knob combinations the pipeline cannot honour: a
     snapshot budget without the snapshot cache. *)
 
 val manifest_of_string : string -> (request list, string) result
 (** Parse a manifest document.  Errors on malformed JSON, a missing /
-    mistyped field, an unknown field name, a request {!validate}
-    rejects, or duplicate request ids — the whole manifest is rejected,
-    nothing runs. *)
+    mistyped field, an unknown field name (named with its request), a
+    request {!validate} rejects, or duplicate request ids — the whole
+    manifest is rejected, nothing runs. *)
 
 val manifest_of_file : string -> (request list, string) result
 
@@ -89,10 +87,10 @@ val run :
   request list ->
   summary
 (** Execute the manifest.  [jobs] (default 1) bounds how many requests
-    run concurrently; each request's own diagnosis uses [rq_jobs]
-    workers (default 1), so batch-level and intra-diagnosis parallelism
-    compose.  [resolve] maps a bug id to its case and default
-    interleaving bound ([None] → request error, exit 2).
+    run concurrently, each diagnosed sequentially on its own VMs; this
+    is the one place diagnoses run in parallel.  [resolve] maps a bug
+    id to its case and default interleaving bound ([None] → request
+    error, exit 2).
     [journal_dir] gives every request an isolated journal at
     [<dir>/<id>.journal.json].  A missing [dir] is created (one level)
     before any request runs; if that fails, each request journaling

@@ -14,11 +14,11 @@
    a race that surrounds a nested root-cause race is reported ambiguous
    because its flip cannot preserve the nested order (Figure 7).
 
-   Flips are decided, run and accounted through {!Executor.ordered}: a
-   journaled or statically pruned verdict is a known item, every other
-   flip a plan to run, and one merge function checkpoints each verdict
-   in test order, whether the runner fans the plans out over a pool
-   (fixed order) or the gain scheduler picks them one at a time. *)
+   Every flip goes through one function, in test order: a journaled
+   verdict is replayed, a statically pruned one recorded, any other
+   flip run on the analysis VM, and each verdict not replayed is
+   checkpointed before the next flip is picked, whether the order is
+   fixed or the gain scheduler picks the flips one at a time. *)
 
 module Iid = Ksim.Access.Iid
 module Schedule = Hypervisor.Schedule
@@ -254,9 +254,8 @@ let survived (o : Controller.outcome) =
    purely on the trace, under [`Invariants].  A proof makes the flip
    Benign without execution (the Benign verdict covers every
    non-completing outcome).  Depends only on the failing trace and the
-   plan, never on other flips' outcomes — which is what lets the
-   parallel path run it as a sequential pre-pass.  [ctx] is the failing
-   trace's shared context. *)
+   plan, never on other flips' outcomes.  [ctx] is the failing trace's
+   shared context. *)
 let static_proof ~(prune : prune) ~(ctx : Analysis.Flipfeas.ctx)
     (r : Race.t) (plan : Schedule.plan) : string option =
   match prune with
@@ -310,7 +309,7 @@ let executed_tested ~(races : Race.t list) (r : Race.t) (run : Executor.run)
     confidence = run.confidence }
 
 let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
-    ?(order = (`Fixed : order)) ?pool ?snapshots ?resilience
+    ?(order = (`Fixed : order)) ?snapshots ?resilience
     ?replay ?checkpoint ?(stats_base = zero_stats) (vm : Hypervisor.Vm.t)
     ~(failing : Controller.outcome) ~(races : Race.t list) () : result =
   Telemetry.Probe.span_begin ~cat:"causality" "causality.analyze";
@@ -345,48 +344,34 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
       ("pruned", Option.value ~default:"" t.pruned);
       ("enforced", if t.enforced then "true" else "false") ]
   in
-  (* A flip is decided without a run when the journal holds its verdict
-     or a flip-feasibility proof makes the re-run redundant; neither
-     reads other flips' outcomes. *)
-  let item r : (_, _) Executor.item =
-    match Option.bind replay (fun lookup -> lookup r) with
-    | Some t -> Executor.Known (`Replayed t)
-    | None -> (
-      let plan = flip_plan ctx r in
-      match static_proof ~prune ~ctx r plan with
-      | Some reason -> Executor.Known (`Tested (pruned_tested r reason))
-      | None -> Executor.Run (r, plan))
-  in
-  let exec wvm (r, plan) =
-    Telemetry.Probe.span_begin ~cat:"causality" "causality.flip";
-    let t =
-      executed_tested ~races r
-        (Executor.run_plan ?max_steps ~prologue ?snapshots ?resilience wvm
-           plan)
-    in
-    if Telemetry.Probe.installed () then
-      Telemetry.Probe.span_end ~args:(flip_args t) ();
-    `Tested t
-  in
-  (* In test order: a replayed verdict is only counted; a pruned or
-     executed one closes its flip span and is checkpointed with the
-     progress so far.  The running verdict counts feed the gain
-     scheduler. *)
+  (* One flip, in test order: a journaled verdict is only counted; any
+     other is decided by a flip-feasibility proof or by running the
+     flip, closes its flip span and is checkpointed with the progress
+     so far.  The running verdict counts feed the gain scheduler. *)
   let executed = ref 0 in
   let roots = ref 0 and benigns = ref 0 in
   let tested_rev = ref [] in
-  let merge res =
+  let test r =
     let t =
-      match res with
-      | `Replayed t ->
+      match Option.bind replay (fun lookup -> lookup r) with
+      | Some t ->
         Telemetry.Probe.count "causality.flips_replayed";
         t
-      | `Tested t ->
-        if t.pruned = None then incr executed
-        else (
-          Telemetry.Probe.span_begin ~cat:"causality" "causality.flip";
-          if Telemetry.Probe.installed () then
-            Telemetry.Probe.span_end ~args:(flip_args t) ());
+      | None ->
+        let plan = flip_plan ctx r in
+        let proof = static_proof ~prune ~ctx r plan in
+        Telemetry.Probe.span_begin ~cat:"causality" "causality.flip";
+        let t =
+          match proof with
+          | Some reason -> pruned_tested r reason
+          | None ->
+            incr executed;
+            executed_tested ~races r
+              (Executor.run_plan ?max_steps ~prologue ?snapshots ?resilience
+                 vm plan)
+        in
+        if Telemetry.Probe.installed () then
+          Telemetry.Probe.span_end ~args:(flip_args t) ();
         (match checkpoint with
         | Some save -> save t (current_stats ())
         | None -> ());
@@ -397,64 +382,58 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
     | Benign -> incr benigns);
     tested_rev := t :: !tested_rev
   in
-  let items =
-    match order with
-    | `Fixed -> Seq.map item (List.to_seq ordered)
-    | `Gain ->
-      (* Adaptive order: always flip the race whose verdict is least
-         predictable.  Rank 0 (lifetime or write-write endpoints) races
-         are the likeliest survivors; the running verdict counts feed
-         the Beta posterior (pruned flips are proven Benign: they count
-         as evidence), so a streak of benign verdicts drains the
-         expected information of look-alike flips.  Nested races stay
-         ahead of the races surrounding them (the ambiguity pass
-         depends on it); ties fall back to the base backward order. *)
-      let race_rank (r : Race.t) =
-        let lifetime =
-          match (r.first.addr, r.second.addr) with
-          | Ksim.Addr.Whole _, _ | _, Ksim.Addr.Whole _ -> true
-          | _ -> false
-        in
-        let ww =
-          Ksim.Access.is_write r.first && Ksim.Access.is_write r.second
-        in
-        if lifetime || ww then 0 else 1
+  (match order with
+  | `Fixed -> List.iter test ordered
+  | `Gain ->
+    (* Adaptive order: always flip the race whose verdict is least
+       predictable.  Rank 0 (lifetime or write-write endpoints) races
+       are the likeliest survivors; the running verdict counts feed
+       the Beta posterior (pruned flips are proven Benign: they count
+       as evidence), so a streak of benign verdicts drains the
+       expected information of look-alike flips.  Nested races stay
+       ahead of the races surrounding them (the ambiguity pass
+       depends on it); ties fall back to the base backward order. *)
+    let race_rank (r : Race.t) =
+      let lifetime =
+        match (r.first.addr, r.second.addr) with
+        | Ksim.Addr.Whole _, _ | _, Ksim.Addr.Whole _ -> true
+        | _ -> false
       in
-      let remaining = ref ordered in
-      Seq.of_dispenser (fun () ->
-          match !remaining with
-          | [] -> None
-          | hd :: _ ->
-            let eligible =
-              List.filter
-                (fun r ->
-                  not (List.exists (fun r' -> Race.surrounds r r') !remaining))
-                !remaining
-            in
-            let eligible = if eligible = [] then !remaining else eligible in
-            let gain_of r =
-              Analysis.Gain.flip_gain ~rank:(race_rank r) ~roots:!roots
-                ~benigns:!benigns
-            in
-            let pick, _ =
-              List.fold_left
-                (fun (best, bg) r ->
-                  let g = gain_of r in
-                  if bg >= g then (best, bg) else (r, g))
-                (List.hd eligible, gain_of (List.hd eligible))
-                (List.tl eligible)
-            in
-            if not (Race.equal hd pick) then (
-              incr reorderings;
-              Telemetry.Probe.count "causality.gain_reorderings");
-            remaining :=
-              List.filter (fun r -> not (Race.equal r pick)) !remaining;
-            Some (item pick))
-  in
-  (* Each gain pick reads the verdicts merged before it, so that order
-     runs without a pool. *)
-  let pool = match order with `Fixed -> pool | `Gain -> None in
-  ignore (Executor.ordered ?pool vm ~exec ~merge:(Each merge) items : int);
+      let ww =
+        Ksim.Access.is_write r.first && Ksim.Access.is_write r.second
+      in
+      if lifetime || ww then 0 else 1
+    in
+    let rec loop remaining =
+      match remaining with
+      | [] -> ()
+      | hd :: _ ->
+        let eligible =
+          List.filter
+            (fun r ->
+              not (List.exists (fun r' -> Race.surrounds r r') remaining))
+            remaining
+        in
+        let eligible = if eligible = [] then remaining else eligible in
+        let gain_of r =
+          Analysis.Gain.flip_gain ~rank:(race_rank r) ~roots:!roots
+            ~benigns:!benigns
+        in
+        let pick, _ =
+          List.fold_left
+            (fun (best, bg) r ->
+              let g = gain_of r in
+              if bg >= g then (best, bg) else (r, g))
+            (List.hd eligible, gain_of (List.hd eligible))
+            (List.tl eligible)
+        in
+        if not (Race.equal hd pick) then (
+          incr reorderings;
+          Telemetry.Probe.count "causality.gain_reorderings");
+        test pick;
+        loop (List.filter (fun r -> not (Race.equal r pick)) remaining)
+    in
+    loop ordered);
   let tested = List.rev !tested_rev in
   let root_tested =
     List.filter (fun t -> t.verdict = Root_cause) tested

@@ -97,7 +97,6 @@ val analyze :
   ?direction:[ `Backward | `Forward ] ->
   ?prune:prune ->
   ?order:order ->
-  ?pool:Hypervisor.Pool.t ->
   ?snapshots:Hypervisor.Snapshots.t * string ->
   ?resilience:Resilience.t ->
   ?replay:(Race.t -> tested option) ->
@@ -117,15 +116,8 @@ val analyze :
     With the defaults the behaviour is bit-identical to the plain
     analysis.
 
-    [pool] is handed to {!Executor.ordered} under [`Fixed] order:
-    without faults, the flips that neither the journal nor a static
-    proof decides run in one wave, one fresh guest each, and merge in test
-    order — the tested list, chains, telemetry counters and checkpoint
-    sequence are bit-identical to a sequential run; only
-    [stats.simulated] may differ slightly, because per-flip guests lose
-    the consecutive-run reboot-avoidance credit of a single guest.
-    Under [`Gain] (each pick reads the verdicts before it) or fault
-    injection the flips run one at a time.  [snapshots] is the cache and
+    Every flip runs on [vm], one at a time in test order, so each gain
+    pick reads the verdicts before it.  [snapshots] is the cache and
     the preemption key of the reproduced failure run: each flip then
     restores the snapshot just before its flipped race instead of
     rebooting and re-executing the shared prefix — verdicts, chains and
@@ -136,8 +128,9 @@ val analyze :
     diagnosis: [replay] maps a race to its already-journaled verdict —
     a hit skips the flip re-run entirely (ambiguity and edges are
     recomputed over the full tested list, so a resumed analysis yields
-    the same result); [checkpoint] is invoked after every {e executed}
-    flip with the fresh verdict and the cumulative stats so far;
+    the same result); [checkpoint] is invoked after every flip decided
+    here (executed or statically pruned, not replayed) with the fresh
+    verdict and the cumulative stats so far;
     [stats_base] (default {!zero_stats}) is the journaled progress of
     the interrupted run, folded into the returned [stats] (except
     [flips_statically_pruned], recomputed from the final tested list). *)

@@ -140,17 +140,12 @@ let tested_of_flip (keyed : (string * Race.t) list) (fl : Journal.flip) :
 
 let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
     ?(order = (`Fixed : Causality.order))
-    ?(jobs = 1) ?(snapshot_cache = false) ?snapshot_budget
+    ?(snapshot_cache = false) ?snapshot_budget
     ?(slice_order = `Nearest_first) ?faults ?resilience:rpolicy ?journal
     ?(engine = Ksim.Engine.default) (case : case) : report =
   Telemetry.Probe.with_span ~cat:"diagnose" "diagnose"
     ~args:[ ("case", case.case_name) ]
   @@ fun () ->
-  (* One worker pool for the whole diagnosis; LIFS and Causality
-     Analysis decline it themselves under [`Gain] or fault injection. *)
-  let pool =
-    if jobs > 1 then Some (Hypervisor.Pool.create ~jobs) else None
-  in
   (* With faults armed, a Resilience.t always exists — even a
      zero-retry policy must account give-ups and low-confidence
      verdicts so the report can say the diagnosis is degraded. *)
@@ -276,7 +271,7 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
             record ~st ~complete_ca:false)
     in
     let ca =
-      Causality.analyze ?max_steps ~prologue ~prune ~order ?pool
+      Causality.analyze ?max_steps ~prologue ~prune ~order
         ?snapshots:ca_snapshots ?resilience ?replay ?checkpoint ~stats_base
         ca_vm ~failing:success.Lifs.outcome ~races:success.Lifs.races ()
     in
@@ -353,8 +348,8 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
           let snapshots = make_snapshots () in
           let lifs =
             Lifs.search ?max_interleavings ?max_steps ~prologue
-              ?static_hints:hints ?invariants ?focus ~order ?pool
-              ?snapshots ?resilience lifs_vm ~target ()
+              ?static_hints:hints ?invariants ?focus ~order ?snapshots
+              ?resilience lifs_vm ~target ()
           in
           match lifs.found with
           | None ->

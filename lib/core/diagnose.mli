@@ -53,7 +53,6 @@ val diagnose :
   ?max_steps:int ->
   ?prune:Causality.prune ->
   ?order:Causality.order ->
-  ?jobs:int ->
   ?snapshot_cache:bool ->
   ?snapshot_budget:int ->
   ?slice_order:[ `Nearest_first | `Farthest_first ] ->
@@ -79,15 +78,8 @@ val diagnose :
     [order:`Gain] replaces the fixed backward flip order and the
     breadth-first LIFS frontier with the expected-information-gain
     scheduler ({!Analysis.Gain}).
-    [jobs] (default 1) shares one {!Hypervisor.Pool} across the whole
-    diagnosis: LIFS frontiers and Causality flips run through
-    {!Executor.ordered}, which fans them out over up to [jobs] workers
-    and merges the results in order, so chains and verdicts are
-    bit-identical to a sequential run.  The pool goes unused under
-    [`Gain] order (LIFS and Causality pass none: each pick reads the
-    merges before it) and under fault injection (the runner declines
-    it for a faulted VM); {!Batch.validate} rejects both combinations
-    for the CLI and manifests.
+    A diagnosis runs sequentially, one schedule at a time on one VM per
+    stage; requests run in parallel only side by side ({!Batch.run}).
     [snapshot_cache] (default [false]) gives each slice attempt a
     prefix-sharing snapshot cache (budget [snapshot_budget] bytes,
     estimated): LIFS children resume from their parent's cached prefix

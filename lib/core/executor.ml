@@ -331,111 +331,3 @@ let failed (r : run) =
   match r.outcome.verdict with
   | Hypervisor.Controller.Failed f -> Some f
   | _ -> None
-
-(* --- the ordered runner ------------------------------------------------- *)
-
-(* LIFS frontiers and Causality flips share one shape: an in-order
-   stream of tasks, some already decided, some needing a run, merged
-   strictly in stream order.  Every run, pooled or not, goes through
-   here, so the decline rule, worker guests, per-task recorders and the
-   merge accounting exist once. *)
-
-type ('s, 'r) item = Known of 'r | Run of 's
-
-type step = Continue | Stop
-
-type 'r merge = Until of ('r -> step) | Each of ('r -> unit)
-
-(* Run one schedule on a fresh guest derived from [vm], under its own
-   telemetry recorder when the caller has a sink installed ([telemetry]
-   is read on the caller: sinks are per domain).  The recorder is
-   replayed at merge time, so the trace keeps stream order. *)
-let on_worker ~telemetry vm exec s =
-  let wvm =
-    Hypervisor.Vm.create ~engine:(Hypervisor.Vm.engine vm)
-      (Hypervisor.Vm.group vm)
-  in
-  if telemetry then (
-    let rc = Telemetry.Recorder.create () in
-    let r =
-      Telemetry.Probe.with_sink (Telemetry.Recorder.sink rc) (fun () ->
-          exec wvm s)
-    in
-    (r, wvm, Some rc))
-  else (exec wvm s, wvm, None)
-
-let ordered ?pool (vm : Hypervisor.Vm.t) ~exec ~merge items =
-  let can_stop, merge =
-    match merge with
-    | Until f -> (true, f)
-    | Each f ->
-      ( false,
-        fun r ->
-          f r;
-          Continue )
-  in
-  match pool with
-  | Some p
-    when Hypervisor.Pool.jobs p > 1 && Hypervisor.Vm.faults vm = None ->
-    (* Fault injection couples runs through the VM's one fault stream,
-       so a faulted VM never fans out (the branch below).  Waves bound
-       the runs wasted past a [Stop]; a merge that cannot stop runs the
-       whole stream as one wave. *)
-    let wave = if can_stop then Hypervisor.Pool.jobs p * 4 else max_int in
-    let telemetry = Telemetry.Probe.installed () in
-    (* The next items up to and including the [wave]-th schedule. *)
-    let rec pull acc n items =
-      if n = wave then (List.rev acc, items)
-      else
-        match items () with
-        | Seq.Nil -> (List.rev acc, Seq.empty)
-        | Seq.Cons ((Run _ as it), rest) -> pull (it :: acc) (n + 1) rest
-        | Seq.Cons ((Known _ as it), rest) -> pull (it :: acc) n rest
-    in
-    let rec waves items =
-      match pull [] 0 items with
-      | [], _ -> 0
-      | batch, rest ->
-        let runs =
-          Array.of_list
-            (List.filter_map
-               (function Run s -> Some s | Known _ -> None)
-               batch)
-        in
-        let results =
-          Hypervisor.Pool.run p
-            (fun i -> on_worker ~telemetry vm exec runs.(i))
-            (Array.length runs)
-        in
-        (* Merge in stream order.  Results past a [Stop] were computed
-           speculatively, a sequential walk would never have run them:
-           they are dropped unmerged and only counted. *)
-        let next = ref 0 and stopped = ref false and discarded = ref 0 in
-        List.iter
-          (function
-            | Known r -> if not !stopped then stopped := merge r = Stop
-            | Run _ ->
-              let r, wvm, rc = results.(!next) in
-              incr next;
-              if !stopped then incr discarded
-              else (
-                Hypervisor.Vm.absorb vm wvm;
-                (match (rc, Telemetry.Probe.current_sink ()) with
-                | Some rc, Some sink -> Telemetry.Recorder.replay rc sink
-                | _ -> ());
-                stopped := merge r = Stop))
-          batch;
-        if !stopped then !discarded else waves rest
-    in
-    waves items
-  | Some _ | None ->
-    (* One item at a time on the caller's guest: the next item is
-       pulled only after the previous one merged. *)
-    let rec go items =
-      match items () with
-      | Seq.Nil -> 0
-      | Seq.Cons (it, rest) -> (
-        let r = match it with Known r -> r | Run s -> exec vm s in
-        match merge r with Stop -> 0 | Continue -> go rest)
-    in
-    go items

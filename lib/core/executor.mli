@@ -46,45 +46,3 @@ val learn : Ksim.Kcov.db -> run -> Ksim.Kcov.db
     thread base names. *)
 
 val failed : run -> Ksim.Failure.t option
-
-(** {1 The ordered runner}
-
-    The one place schedules of LIFS frontiers and Causality flips are
-    run and merged. *)
-
-type ('s, 'r) item =
-  | Known of 'r  (** a result decided without a run (skipped, pruned,
-                     replayed from a journal) *)
-  | Run of 's    (** a schedule to execute *)
-
-type step = Continue | Stop
-
-type 'r merge =
-  | Until of ('r -> step)  (** may end the walk by returning [Stop] *)
-  | Each of ('r -> unit)   (** merges every result *)
-
-val ordered :
-  ?pool:Hypervisor.Pool.t -> Hypervisor.Vm.t ->
-  exec:(Hypervisor.Vm.t -> 's -> 'r) -> merge:'r merge ->
-  ('s, 'r) item Seq.t -> int
-(** [ordered ?pool vm ~exec ~merge items] runs every [Run] item with
-    [exec] and hands each item's result to [merge], in sequence order,
-    until an [Until] merge returns [Stop] or the sequence ends.
-
-    Without a usable pool — none, one worker, or a VM that injects
-    faults (one fault stream couples its runs) — each schedule runs on
-    [vm] as soon as it is pulled, and the next item is pulled only
-    after the previous one merged, so the sequence may be computed
-    from earlier merges (the gain schedulers rely on this) and nothing
-    past a [Stop] is ever forced.
-
-    With a pool, schedules run concurrently, each on a fresh guest with
-    [vm]'s engine and under its own telemetry recorder: in waves of
-    [4 * jobs] under [Until], which bound the runs wasted past a
-    [Stop], and in one wave of the whole sequence under [Each].  The
-    merge then absorbs each worker guest into [vm]
-    ({!Hypervisor.Vm.absorb}), replays its recorder into the current
-    sink and calls [merge], in order — so merged results, counters and
-    spans match the sequential walk.  Results past a [Stop] are
-    discarded unmerged; their number is returned (always 0 without a
-    pool). *)

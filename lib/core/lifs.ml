@@ -17,10 +17,11 @@
    target — are pruned and counted, mirroring the partial-order-reduction
    skips of Figure 5.
 
-   Every candidate, in either order, passes one admission check and is
-   run and accounted through {!Executor.ordered}: a frontier is a lazy
-   sequence the runner may fan out over a pool, the gain queue one it
-   pulls one candidate at a time. *)
+   Every candidate, in either order, goes through one function: the
+   admission check, the run on the search's VM, and the accounting.  A
+   frontier is walked in order and the gain queue popped one candidate
+   at a time, each step after the previous run was accounted, and the
+   walk ends at the reproduction. *)
 
 module Iid = Ksim.Access.Iid
 module Schedule = Hypervisor.Schedule
@@ -342,7 +343,7 @@ type item = {
    search runs without it. *)
 let search ?(max_interleavings = default_max_interleavings) ?max_steps
     ?(prologue = []) ?(prune = true) ?static_hints ?invariants ?focus
-    ?(order = (`Fixed : [ `Fixed | `Gain ])) ?pool ?snapshots ?resilience
+    ?(order = (`Fixed : [ `Fixed | `Gain ])) ?snapshots ?resilience
     (vm : Hypervisor.Vm.t) ~(target : Ksim.Failure.t -> bool) () : result =
   Telemetry.Probe.span_begin ~cat:"lifs" "lifs.search";
   let group = Hypervisor.Vm.group vm in
@@ -389,50 +390,30 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
         ());
     { found; stats; db = !db; runs = List.rev !executed }
   in
-  (* Admission, the one check every candidate passes: exact duplicates
-     of an admitted schedule are skipped always, and extensions
-     equivalent to an admitted one when [prune].  It reads schedule
-     keys only, never outcomes, so a pooled walk can admit ahead of
-     the merges.  [tag] rides along to the merge. *)
-  let admit tag equiv_sig sched : (_, _) Executor.item =
+  (* One candidate, in order.  Admission: exact duplicates of an
+     admitted schedule are skipped always, and extensions equivalent to
+     an admitted one when [prune]; a skip is counted.  An admitted
+     candidate runs, feeds the database and the run list, and the first
+     run failing as reported is the reproduction.  Returns the run. *)
+  let try_candidate equiv_sig sched =
     let key = signature sched in
-    if Hashtbl.mem seen key || (prune && Hashtbl.mem seen equiv_sig) then
-      Executor.Known (tag, None)
+    if Hashtbl.mem seen key || (prune && Hashtbl.mem seen equiv_sig) then (
+      incr pruned;
+      None)
     else (
       Hashtbl.add seen key ();
       if prune then Hashtbl.add seen equiv_sig ();
-      Executor.Run (tag, sched))
-  in
-  let exec wvm (tag, sched) =
-    ( tag,
-      Some
-        ( sched,
-          Executor.run_preemption ?max_steps ~prologue ?snapshots
-            ?resilience wvm sched ) )
-  in
-  (* The in-order accounting of one candidate: a skip is counted, a run
-     feeds the database and the run list, and the first run failing
-     as reported is the reproduction. *)
-  let account = function
-    | None -> incr pruned
-    | Some (sched, (r : Executor.run)) -> (
+      let r =
+        Executor.run_preemption ?max_steps ~prologue ?snapshots ?resilience
+          vm sched
+      in
       db := Executor.learn !db r;
       executed := (sched, r.outcome) :: !executed;
-      match Executor.failed r with
+      (match Executor.failed r with
       | Some f when target f -> found := Some (sched, r.outcome, f)
-      | Some _ | None -> ())
+      | Some _ | None -> ());
+      Some r)
   in
-  let run ?pool items ~merge =
-    let speculative =
-      Executor.ordered ?pool vm ~exec ~merge:(Until merge) items
-    in
-    if speculative > 0 then (
-      Telemetry.Probe.count ~by:speculative "lifs.speculative_runs";
-      Log.debug (fun m ->
-          m "discarded %d speculative wave runs past the reproduction"
-            speculative))
-  in
-  let step () = if !found = None then Executor.Continue else Executor.Stop in
   let success sched (outcome : Controller.outcome) failure =
     let races =
       Race.of_trace outcome.trace
@@ -471,15 +452,15 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
     Telemetry.Probe.span_begin ~cat:"lifs" "lifs.phase";
     Telemetry.Probe.observe "lifs.frontier_size"
       (float_of_int (List.length frontier));
-    (* The frontier in order, admitted lazily: nothing past the
-       reproduction is keyed. *)
-    run ?pool
-      (Seq.map
-         (fun (equiv_sig, _rank, _site, sched) -> admit () equiv_sig sched)
-         (List.to_seq frontier))
-      ~merge:(fun ((), ran) ->
-        account ran;
-        step ());
+    (* The frontier in order, up to the reproduction: nothing past it
+       is keyed or run. *)
+    let rec walk = function
+      | [] -> ()
+      | (equiv_sig, _rank, _site, sched) :: rest ->
+        ignore (try_candidate equiv_sig sched : Executor.run option);
+        if !found = None then walk rest
+    in
+    walk frontier;
     if Telemetry.Probe.installed () then
       Telemetry.Probe.span_end
         ~args:
@@ -532,8 +513,8 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
      race database — while the remaining serials score below any
      extension, so for straight-line workloads the search jumps to
      promising preemptions after a single serial run instead of
-     exhausting every start order first.  Each pop reads the merges
-     before it, so the queue runs without a pool. *)
+     exhausting every start order first.  Each pop reads every run
+     accounted before it. *)
   let run_gain () =
     let seqno = ref 0 in
     let site_runs : (string, int) Hashtbl.t = Hashtbl.create 32 in
@@ -614,13 +595,15 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
         if List.exists (fun x -> x.it_seq < it.it_seq) !pending then (
           incr reorderings;
           Telemetry.Probe.count "lifs.gain_reorderings");
-        Some (admit it it.it_sig it.it_sched)
+        Some it
     in
-    run (Seq.of_dispenser pop) ~merge:(fun (it, ran) ->
-        account ran;
-        (match ran with
+    let rec loop () =
+      match pop () with
+      | None -> ()
+      | Some it ->
+        (match try_candidate it.it_sig it.it_sched with
         | None -> ()
-        | Some (sched, (r : Executor.run)) -> (
+        | Some (r : Executor.run) -> (
           (match it.it_gain with
           | `Ext (_, _, site) ->
             Hashtbl.replace site_runs site
@@ -632,8 +615,10 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
               (* a completed serial grows the database; re-extend every
                  executed run against it, oldest first *)
               List.iter (fun (s, o) -> extend s o) (List.rev !executed)
-            | `Ext _ -> extend sched r.outcome));
-        step ());
+            | `Ext _ -> extend it.it_sched r.outcome));
+        if !found = None then loop ()
+    in
+    loop ();
     match !found with
     | Some (sched, outcome, f) ->
       Log.debug (fun m ->

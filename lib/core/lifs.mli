@@ -49,7 +49,6 @@ val search :
   ?invariants:Analysis.Absdom.t ->
   ?focus:int ->
   ?order:[ `Fixed | `Gain ] ->
-  ?pool:Hypervisor.Pool.t ->
   ?snapshots:Hypervisor.Snapshots.t ->
   ?resilience:Resilience.t ->
   Hypervisor.Vm.t ->
@@ -76,17 +75,9 @@ val search :
     to reproduce decay.  [focus] (the thread holding the reported crash
     site) runs the serial orders starting with that thread first.
 
-    [pool] (under [`Fixed] order without faults; ignored otherwise)
-    executes each frontier in bounded parallel waves, one fresh guest
-    per run sharing the snapshot cache.  A sequential dedup pre-pass
-    fixes which candidates run, and the merge walks results in
-    frontier order up to the first target failure, so the reproducing
-    schedule, database, telemetry counters and run list are
-    bit-identical to a sequential search; wave results past the
-    failure are discarded (counted by the [lifs.speculative_runs]
-    telemetry counter), and [stats.simulated] may differ slightly
-    because per-run guests lose the consecutive-run reboot-avoidance
-    credit.
+    Every candidate runs on [vm], one at a time and in order, and the
+    search ends at the first run whose failure satisfies [target]:
+    nothing past it is run.
 
     [snapshots] lets frontier expansion resume
     each child schedule from its parent's cached prefix — the explored

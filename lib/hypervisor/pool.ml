@@ -22,13 +22,10 @@ type t = { pool_jobs : int }
 
 let backend = Pool_backend.name
 let parallel_available = Pool_backend.parallel
-let default_jobs () = max 1 (Pool_backend.cpu_count ())
 
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   { pool_jobs = jobs }
-
-let jobs t = t.pool_jobs
 
 let run_seq f n =
   if n = 0 then [||]

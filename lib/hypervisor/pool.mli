@@ -17,18 +17,12 @@ val backend : string
 val parallel_available : bool
 (** [true] iff the backend can actually run tasks concurrently. *)
 
-val default_jobs : unit -> int
-(** Recommended worker count for this machine (1 on the sequential
-    backend). *)
-
 val create : jobs:int -> t
 (** [create ~jobs] makes a pool that runs batches on [jobs] workers
     (the calling thread participates as worker 0; [jobs - 1] domains
     are spawned per batch).  Raises [Invalid_argument] if [jobs < 1].
     On the sequential backend any [jobs] value degrades gracefully to
     in-order execution. *)
-
-val jobs : t -> int
 
 val run : t -> (int -> 'a) -> int -> 'a array
 (** [run t f n] evaluates [f 0 .. f (n-1)], possibly concurrently, and

@@ -5,7 +5,6 @@
 
 let name = "domains"
 let parallel = true
-let cpu_count () = Domain.recommended_domain_count ()
 
 module Lock = struct
   type t = Mutex.t

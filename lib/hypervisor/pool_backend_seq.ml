@@ -5,7 +5,6 @@
 
 let name = "sequential"
 let parallel = false
-let cpu_count () = 1
 
 module Lock = struct
   type t = unit

@@ -148,26 +148,6 @@ let resume ?max_steps ?observe t (start : Controller.start) policy =
    the delay to the cost model instead of the host clock. *)
 let penalize t seconds = t.stats.penalty <- t.stats.penalty +. seconds
 
-(* Fold a worker guest's accounting into an aggregate VM.  The pool
-   gives each task its own guest (the paper runs 32 in parallel) and
-   the coordinator absorbs them in shard-index order, so the merged
-   counters match the order tasks were submitted, not the order they
-   finished.  [last_run_failed] is deliberately left alone: it couples
-   consecutive runs of one guest, a relation that does not exist
-   between guests. *)
-let absorb t (other : t) =
-  let s = t.stats and o = other.stats in
-  s.runs <- s.runs + o.runs;
-  s.failures <- s.failures + o.failures;
-  s.deadlocks <- s.deadlocks + o.deadlocks;
-  s.steps <- s.steps + o.steps;
-  s.reverts <- s.reverts + o.reverts;
-  s.executed <- s.executed + o.executed;
-  s.saved_steps <- s.saved_steps + o.saved_steps;
-  s.resumes <- s.resumes + o.resumes;
-  s.sim_saved <- s.sim_saved +. o.sim_saved;
-  s.penalty <- s.penalty +. o.penalty
-
 let runs t = t.stats.runs
 let failures t = t.stats.failures
 let total_steps t = t.stats.steps

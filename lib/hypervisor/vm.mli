@@ -30,8 +30,7 @@ val create :
 (** [faults] arms fault injection for every run of this VM; omitted,
     all paths are bit-identical to the fault-free build.  [engine]
     selects the machine implementation every boot of this guest uses
-    (default {!Ksim.Engine.default}); worker guests the pool derives
-    from this VM inherit it. *)
+    (default {!Ksim.Engine.default}). *)
 
 val group : t -> Ksim.Program.group
 
@@ -65,16 +64,6 @@ val penalize : t -> float -> unit
 (** Add modeled seconds to the cost model — the resilience layer's
     exponential backoff between retries, charged to simulated time
     instead of the host clock. *)
-
-val absorb : t -> t -> unit
-(** [absorb t worker] folds the worker guest's accounting (runs,
-    failures, steps, savings, penalties) into [t].  The pool gives
-    each task its own guest and the coordinator absorbs them in
-    shard-index order.  [t]'s [last_run_failed] coupling is left
-    untouched: it relates consecutive runs of one guest, so the
-    reboot-avoided credit of {!resume} can differ slightly between a
-    sequential run and a parallel one — chains and schedule counts do
-    not. *)
 
 val runs : t -> int
 val failures : t -> int

@@ -64,12 +64,10 @@ let histograms t = sorted_bindings t.rec_histograms
 let histogram t name = Hashtbl.find_opt t.rec_histograms name
 
 (* Replay everything this recorder captured into another sink, in
-   capture order.  Used by the worker pool: each worker records into a
-   private recorder, and the coordinator replays the recorders in shard
-   index order, so the merged stream is deterministic regardless of
-   which worker finished first.  Counters are replayed as one on_count
-   per name (sorted) with the accumulated total; observations are kept
-   raw so downstream histograms match a sequential run exactly. *)
+   capture order: a private recorder forwarded to an outer sink
+   afterwards.  Counters are replayed as one on_count per name (sorted)
+   with the accumulated total; observations are kept raw so downstream
+   histograms match a direct recording exactly. *)
 let replay t (s : Sink.t) =
   List.iter (fun sp -> s.Sink.on_span sp) (List.rev t.rec_spans);
   List.iter (fun i -> s.Sink.on_instant i) (List.rev t.rec_instants);

@@ -38,7 +38,6 @@ val span_stats : t -> (string * span_stat) list
 val replay : t -> Sink.t -> unit
 (** Replay everything captured by this recorder into another sink, in
     capture order (counters as one accumulated on_count per name,
-    sorted; observations raw).  The worker pool records into a private
-    recorder per task and replays them in shard-index order, making the
-    merged telemetry stream deterministic regardless of completion
-    order. *)
+    sorted; observations raw), so a private recorder can be forwarded
+    to an outer sink afterwards with histograms matching a direct
+    recording. *)

@@ -18,17 +18,20 @@ let diagnose (bug : Bugs.Bug.t) =
 
 (* --- LIFS ---------------------------------------------------------------- *)
 
-let lifs_on (bug : Bugs.Bug.t) =
+(* The first slice of a bug, realized: its guest, prologue and crash. *)
+let realized (bug : Bugs.Bug.t) =
   let case = bug.case () in
-  let crash = Trace.History.crash case.history in
   let slice = List.hd (Trace.Slicer.slices case.history) in
-  let group, prologue =
-    match Aitia.Diagnose.realize case slice with
-    | Some x -> x
-    | None -> Alcotest.fail "slice not realizable"
-  in
+  match Aitia.Diagnose.realize case slice with
+  | Some (group, prologue) ->
+    (group, prologue, Trace.History.crash case.history)
+  | None -> Alcotest.fail "slice not realizable"
+
+let lifs_on ?order (bug : Bugs.Bug.t) =
+  let group, prologue, crash = realized bug in
   let vm = Hypervisor.Vm.create group in
-  ( Aitia.Lifs.search ~prologue vm ~target:(Trace.Crash.matches crash) (),
+  ( Aitia.Lifs.search ~prologue ?order vm
+      ~target:(Trace.Crash.matches crash) (),
     vm )
 
 let test_lifs_reproduces_fig1 () =
@@ -87,6 +90,24 @@ let test_lifs_discovers_kthread_dynamically () =
     in
     checkb "three contexts in failing run" true (List.length tids >= 3)
 
+(* The search runs one candidate at a time and ends at the reproduction:
+   the failing schedule is the last run, in either order. *)
+let test_lifs_stops_at_reproduction () =
+  List.iter
+    (fun order ->
+      let result, vm = lifs_on ~order Bugs.Cve_2017_15649.bug in
+      match (result.found, List.rev result.runs) with
+      | Some s, (last, _) :: _ ->
+        checkb "the reproducing schedule is the last run" true
+          (String.equal
+             (Hypervisor.Schedule.preemption_key last)
+             (Hypervisor.Schedule.preemption_key s.schedule));
+        checki "every run is in the run list" result.stats.schedules
+          (List.length result.runs);
+        checki "and on the VM" result.stats.schedules (Hypervisor.Vm.runs vm)
+      | _ -> Alcotest.fail "cve-2017-15649 not reproduced")
+    [ `Fixed; `Gain ]
+
 (* --- Causality Analysis --------------------------------------------------- *)
 
 let causality_of (bug : Bugs.Bug.t) =
@@ -119,6 +140,43 @@ let test_causality_ambiguity_fig7 () =
   let amb = List.hd ca.ambiguous in
   (* the surrounding race A1 => B2 *)
   Alcotest.(check string) "surrounding race" "A1" amb.first.iid.Iid.label
+
+(* Flips are decided one at a time, in test order: each checkpoint
+   comes with exactly the runs of the executed flips up to it, so every
+   flip ran before the next one was picked. *)
+let test_causality_one_flip_at_a_time () =
+  let bug = Bugs.Cve_2017_15649.bug in
+  let found =
+    match (fst (lifs_on bug)).found with
+    | Some s -> s
+    | None -> Alcotest.fail "cve-2017-15649 not reproduced"
+  in
+  let group, prologue, _ = realized bug in
+  List.iter
+    (fun (prune, order) ->
+      let checkpoints = ref [] in
+      let ca =
+        Aitia.Causality.analyze ~prologue ~prune ~order
+          ~checkpoint:(fun t st -> checkpoints := (t, st) :: !checkpoints)
+          (Hypervisor.Vm.create group) ~failing:found.outcome
+          ~races:found.races ()
+      in
+      let checkpoints = List.rev !checkpoints in
+      let race (t : Aitia.Causality.tested) = t.race in
+      checkb "one checkpoint per flip, in test order" true
+        (List.equal Aitia.Race.equal
+           (List.map (fun (t, _) -> race t) checkpoints)
+           (List.map race ca.tested));
+      ignore
+        (List.fold_left
+           (fun runs
+                ((t : Aitia.Causality.tested), (st : Aitia.Causality.stats)) ->
+             let runs = if t.pruned = None then runs + 1 else runs in
+             checki "runs so far" runs st.schedules;
+             runs)
+           0 checkpoints
+          : int))
+    [ (`None, `Fixed); (`Invariants, `Gain) ]
 
 let test_causality_tests_backward () =
   let _, ca = causality_of Bugs.Fig1_nullderef.bug in
@@ -498,12 +556,16 @@ let () =
           Alcotest.test_case "bounded give-up" `Quick
             test_lifs_gives_up_within_bound;
           Alcotest.test_case "dynamic kthread" `Quick
-            test_lifs_discovers_kthread_dynamically ] );
+            test_lifs_discovers_kthread_dynamically;
+          Alcotest.test_case "stops at the reproduction" `Quick
+            test_lifs_stops_at_reproduction ] );
       ( "causality",
         [ Alcotest.test_case "fig1 roots" `Quick test_causality_fig1;
           Alcotest.test_case "benign filtered" `Quick
             test_causality_filters_benign;
           Alcotest.test_case "ambiguity" `Quick test_causality_ambiguity_fig7;
+          Alcotest.test_case "one flip at a time" `Quick
+            test_causality_one_flip_at_a_time;
           Alcotest.test_case "backward order" `Quick
             test_causality_tests_backward;
           Alcotest.test_case "flip plan" `Quick test_flip_plan_moves_block;

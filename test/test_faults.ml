@@ -807,7 +807,10 @@ let test_manifest_errors () =
         "order must be backward/gain" );
       ( "unknown field",
         {|[{"id": "r1", "bug": "fig5", "bogus": 1}]|},
-        {|unknown field "bogus"|} );
+        {|request "r1": unknown field "bogus"|} );
+      ( "retired jobs field",
+        {|[{"id": "r1", "bug": "fig5", "jobs": 2}]|},
+        {|request "r1": unknown field "jobs"|} );
       ( "duplicate id",
         {|[{"id": "r1", "bug": "fig5"}, {"id": "r1", "bug": "fig1"}]|},
         {|duplicate request id "r1"|} );
@@ -846,17 +849,21 @@ let test_rejected_combinations () =
       let code, _, err = run_cli ("diagnose" :: "fig5" :: args) in
       checki (what ^ ": CLI exit") 2 code;
       checks (what ^ ": CLI message") ("aitia: " ^ msg ^ "\n") err)
-    [ ( "jobs under gain order", {|"jobs": 2, "order": "gain"|},
-        [ "--jobs"; "2"; "--order"; "gain" ] );
-      ( "jobs under faults", {|"jobs": 2, "fault_spec": "rate=0.05"|},
-        [ "--jobs"; "2"; "--fault-spec"; "rate=0.05" ] );
-      ( "snapshot budget without the cache", {|"snapshot_budget": 4096|},
+    [ ( "snapshot budget without the cache", {|"snapshot_budget": 4096|},
         [ "--snapshot-budget"; "4096" ] ) ];
   (* chain has no snapshot cache, so it offers no budget either *)
   let code, _, err = run_cli [ "chain"; "fig1"; "--snapshot-budget"; "1" ] in
   checki "chain --snapshot-budget: CLI exit" 2 code;
   checkb "chain --snapshot-budget is refused at flag parsing" true
     (contains ~sub:"unknown option '--snapshot-budget'" err)
+
+(* A diagnosis runs on one VM at a time: diagnose, chain and stats
+   take no --jobs (only batch does), so the flag is a parse error. *)
+let test_cli_no_jobs sub () =
+  let code, _, err = run_cli [ sub; "fig1"; "--jobs"; "2" ] in
+  checki (sub ^ " --jobs: CLI exit") 2 code;
+  checkb (sub ^ " --jobs is refused at flag parsing") true
+    (contains ~sub:"unknown option '--jobs'" err)
 
 (* The CLI and a one-request manifest run the same diagnosis: same
    chain, same exit code. *)
@@ -918,6 +925,12 @@ let () =
           Alcotest.test_case "CLI prune levels" `Quick test_cli_prune_levels;
           Alcotest.test_case "rejected combinations" `Quick
             test_rejected_combinations;
+          Alcotest.test_case "diagnose takes no --jobs" `Quick
+            (test_cli_no_jobs "diagnose");
+          Alcotest.test_case "chain takes no --jobs" `Quick
+            (test_cli_no_jobs "chain");
+          Alcotest.test_case "stats takes no --jobs" `Quick
+            (test_cli_no_jobs "stats");
           Alcotest.test_case "CLI and manifest parity" `Quick
             test_cli_manifest_parity ] );
       ("chaos-parity", parity_cases);

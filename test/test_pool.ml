@@ -1,11 +1,11 @@
 (* Worker-pool tests: work-stealing units (ordering, exhaustion,
    exception propagation), mutual exclusion through the backend lock,
-   the ordered runner's merge order, stop point and decline rule,
-   qcheck properties that no worker count ever changes a merged
-   result, chain and per-flip verdict parity between sequential,
-   intra-diagnosis (--jobs 4) and pooled diagnoses on every corpus bug,
-   and shared snapshot-cache behaviour under contention —
-   including the generation counter that closes the hit→store window. *)
+   qcheck properties that no worker count changes a pooled result and
+   that the snapshot cache never changes a diagnosis, chain and
+   per-flip verdict parity between sequential and pooled (batch-style)
+   passes over every corpus bug, and the shared snapshot cache under
+   contention — including the generation counter that closes the
+   hit→store window. *)
 
 module Pool = Hypervisor.Pool
 
@@ -67,7 +67,6 @@ let test_backend_sane () =
     (List.mem Pool.backend [ "domains"; "sequential" ]);
   checkb "parallel_available matches the backend" true
     (Pool.parallel_available = (Pool.backend = "domains"));
-  checkb "default_jobs is positive" true (Pool.default_jobs () >= 1);
   Alcotest.check_raises "jobs < 1 is rejected"
     (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
       ignore (Pool.create ~jobs:0))
@@ -104,116 +103,13 @@ let prop_pool_order =
       Pool.map_list p f l = List.map f l
       && Pool.run p (fun i -> i * i) n = Array.init n (fun i -> i * i))
 
-(* --- the ordered runner --------------------------------------------------- *)
-
-(* A synthetic stream: every third item is a result already known, the
-   rest are schedules whose result is ten times the schedule; the merge
-   stops at result 170 (schedule 17).  [pulled] counts forced items. *)
-let runner_items pulled =
-  Seq.map
-    (fun i ->
-      incr pulled;
-      if i mod 3 = 0 then Aitia.Executor.Known (-i) else Aitia.Executor.Run i)
-    (Seq.init 60 Fun.id)
-
-let stop_at = 170
-
-let run_ordered ?pool vm =
-  let pulled = ref 0 and merged = ref [] and execs = Atomic.make [] in
-  let exec wvm s =
-    let rec push () =
-      let old = Atomic.get execs in
-      if not (Atomic.compare_and_set execs old ((s, wvm) :: old)) then push ()
-    in
-    push ();
-    10 * s
-  in
-  let merge r =
-    merged := r :: !merged;
-    if r = stop_at then Aitia.Executor.Stop else Aitia.Executor.Continue
-  in
-  let discarded =
-    Aitia.Executor.ordered ?pool vm ~exec ~merge:(Until merge)
-      (runner_items pulled)
-  in
-  (List.rev !merged, List.rev (Atomic.get execs), !pulled, discarded)
-
-let expected_merges =
-  List.init 18 (fun i -> if i mod 3 = 0 then -i else 10 * i)
-
-let runner_vm ?faults () =
-  Hypervisor.Vm.create ?faults (Bugs.Fig1_nullderef.bug.case ()).group
-
-let test_runner_sequential () =
-  let vm = runner_vm () in
-  let merged, execs, pulled, discarded = run_ordered vm in
-  checkb "merges in item order, up to and including the stop" true
-    (merged = expected_merges);
-  checkb "the schedules up to the stop ran, in order, on the caller's VM"
-    true
-    (List.map fst execs
-     = List.filter (fun i -> i mod 3 <> 0) (List.init 18 Fun.id)
-    && List.for_all (fun (_, w) -> w == vm) execs);
-  checki "nothing past the stop is pulled" 18 pulled;
-  checki "nothing discarded" 0 discarded
-
-let test_runner_pooled () =
-  let vm = runner_vm () in
-  let merged, execs, _, discarded =
-    run_ordered ~pool:(Pool.create ~jobs:4) vm
-  in
-  checkb "same merged sequence and stop point as without a pool" true
-    (merged = expected_merges);
-  checkb "schedules ran on fresh worker guests" true
-    (execs <> [] && List.for_all (fun (_, w) -> w != vm) execs);
-  (* one wave of 16 schedules covers schedule 17 (the 12th); the four
-     after it ran speculatively and were dropped unmerged *)
-  checki "runs past the stop discarded" 4 discarded;
-  checki "every wave run either merged or discarded" (List.length execs)
-    (12 + discarded)
-
-let test_runner_each () =
-  let vm = runner_vm () in
-  let pulled = ref 0 and merged = ref [] and pulled_at_first = ref (-1) in
-  let merge r =
-    if !merged = [] then pulled_at_first := !pulled;
-    merged := r :: !merged
-  in
-  let discarded =
-    Aitia.Executor.ordered ~pool:(Pool.create ~jobs:4) vm
-      ~exec:(fun wvm s -> if wvm == vm then -1000 else 10 * s)
-      ~merge:(Each merge) (runner_items pulled)
-  in
-  checkb "every item merged in order, each schedule on a worker guest" true
-    (List.rev !merged
-     = List.init 60 (fun i -> if i mod 3 = 0 then -i else 10 * i));
-  checki "a merge that cannot stop runs the whole stream as one wave" 60
-    !pulled_at_first;
-  checki "nothing discarded" 0 discarded
-
-let test_runner_faulted () =
-  let faults =
-    match Hypervisor.Faults.spec_of_string "rate=0" with
-    | Ok spec -> Hypervisor.Faults.create ~seed:1 spec
-    | Error e -> Alcotest.fail e
-  in
-  let vm = runner_vm ~faults () in
-  let merged, execs, pulled, discarded =
-    run_ordered ~pool:(Pool.create ~jobs:4) vm
-  in
-  checkb "a faulted VM does not fan out" true
-    (List.for_all (fun (_, w) -> w == vm) execs);
-  checkb "same merged sequence" true (merged = expected_merges);
-  checki "pulled lazily" 18 pulled;
-  checki "nothing discarded" 0 discarded
-
 (* Everything a diagnosis decides, rendered comparable; simulated time
-   and host time are deliberately excluded (per-flip guests lose the
-   consecutive-run reboot-avoidance credit — documented divergence). *)
-let diag_fingerprint ?snapshot_cache ~jobs ~prune (bug : Bugs.Bug.t) =
+   and host time are deliberately excluded (the snapshot cache changes
+   both). *)
+let diag_fingerprint ?snapshot_cache ~prune (bug : Bugs.Bug.t) =
   let r =
-    Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings ~jobs
-      ~prune ?snapshot_cache (bug.case ())
+    Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings ~prune
+      ?snapshot_cache (bug.case ())
   in
   let chain =
     match r.chain with Some c -> Aitia.Chain.to_string c | None -> "-"
@@ -241,35 +137,32 @@ let prunes = [ ("none", `None); ("invariants", `Invariants) ]
 
 let prop_chain_parity =
   QCheck.Test.make ~count:10
-    ~name:"pooled diagnosis is chain- and verdict-identical to sequential"
+    ~name:"a cached diagnosis is chain- and verdict-identical to uncached"
     (QCheck.make
-       ~print:(fun (i, jobs, (name, _), snapshot_cache) ->
-         Fmt.str "%s jobs=%d prune=%s snapshot_cache=%b" corpus.(i).id jobs
-           name snapshot_cache)
+       ~print:(fun (i, (name, _), snapshot_cache) ->
+         Fmt.str "%s prune=%s snapshot_cache=%b" corpus.(i).id name
+           snapshot_cache)
        QCheck.Gen.(
-         quad
+         triple
            (int_range 0 (Array.length corpus - 1))
-           (int_range 2 4) (oneofl prunes) bool))
-    (fun (i, jobs, (_, prune), snapshot_cache) ->
-      diag_fingerprint ~jobs:1 ~prune corpus.(i)
-      = diag_fingerprint ~snapshot_cache ~jobs ~prune corpus.(i))
+           (oneofl prunes) bool))
+    (fun (i, (_, prune), snapshot_cache) ->
+      diag_fingerprint ~prune corpus.(i)
+      = diag_fingerprint ~snapshot_cache ~prune corpus.(i))
 
-(* Every corpus bug, three ways: sequential, --jobs 4 inside LIFS and
-   Causality Analysis, and one batch-style pass fanning the whole corpus
-   out over a 4-worker pool with --jobs 1 inside each diagnosis.  The
-   pooled pass runs once, shared by the per-bug cases. *)
+(* Every corpus bug, two ways: sequential, and one batch-style pass
+   fanning the whole corpus out over a 4-worker pool, one diagnosis per
+   worker.  The pooled pass runs once, shared by the per-bug cases. *)
 let pooled_corpus =
   lazy
     (Pool.map_list (Pool.create ~jobs:4)
-       (diag_fingerprint ~jobs:1 ~prune:`None)
+       (diag_fingerprint ~prune:`None)
        (Array.to_list corpus))
 
 let test_corpus_parity i () =
-  let seq = diag_fingerprint ~jobs:1 ~prune:`None corpus.(i) in
-  checkb "--jobs 4 is fingerprint-identical to --jobs 1" true
-    (diag_fingerprint ~jobs:4 ~prune:`None corpus.(i) = seq);
-  checkb "pooled pass is fingerprint-identical to --jobs 1" true
-    (List.nth (Lazy.force pooled_corpus) i = seq)
+  checkb "pooled pass is fingerprint-identical to a sequential one" true
+    (List.nth (Lazy.force pooled_corpus) i
+    = diag_fingerprint ~prune:`None corpus.(i))
 
 (* --- shared snapshot cache under contention ------------------------------ *)
 
@@ -284,9 +177,9 @@ let lifs_fingerprint (r : Aitia.Lifs.result) =
           Fmt.str "%a" Hypervisor.Controller.pp_verdict o.verdict ))
       r.runs )
 
-(* N workers hammer one shared cache (every run stores into and
-   restores from it concurrently); the search must be fingerprint-
-   identical to the plain sequential, uncached one. *)
+(* Four searches of the same slice share one cache under a 4-worker
+   pool (every run stores into and restores from it concurrently); each
+   must be fingerprint-identical to the plain, uncached one. *)
 let test_shared_cache_contention (bug : Bugs.Bug.t) () =
   let case = bug.case () in
   let crash = Trace.History.crash case.history in
@@ -294,19 +187,25 @@ let test_shared_cache_contention (bug : Bugs.Bug.t) () =
   match Aitia.Diagnose.realize case slice with
   | None -> Alcotest.fail "slice not realizable"
   | Some (group, prologue) ->
-    let search ?pool ?snapshots () =
+    let search ?snapshots () =
       let vm = Hypervisor.Vm.create group in
-      Aitia.Lifs.search ?max_interleavings:bug.max_interleavings ~prologue
-        ?pool ?snapshots vm
-        ~target:(Trace.Crash.matches crash) ()
+      lifs_fingerprint
+        (Aitia.Lifs.search ?max_interleavings:bug.max_interleavings
+           ~prologue ?snapshots vm ~target:(Trace.Crash.matches crash) ())
     in
     let plain = search () in
     let cache = Hypervisor.Snapshots.create () in
-    let pooled =
-      search ~pool:(Pool.create ~jobs:4) ~snapshots:cache ()
+    let shared =
+      Pool.map_list (Pool.create ~jobs:4)
+        (fun () -> search ~snapshots:cache ())
+        [ (); (); (); () ]
     in
-    checkb "pooled+shared-cache search is fingerprint-identical" true
-      (lifs_fingerprint plain = lifs_fingerprint pooled);
+    List.iteri
+      (fun i fp ->
+        checkb
+          (Fmt.str "search %d on the shared cache is fingerprint-identical" i)
+          true (fp = plain))
+      shared;
     checkb "the shared cache was actually exercised" true
       (Hypervisor.Snapshots.cached_vectors cache > 0)
 
@@ -366,12 +265,6 @@ let () =
       ( "lock",
         [ Alcotest.test_case "mutual exclusion" `Quick
             test_lock_mutual_exclusion ] );
-      ( "runner",
-        [ Alcotest.test_case "no pool" `Quick test_runner_sequential;
-          Alcotest.test_case "jobs 4" `Quick test_runner_pooled;
-          Alcotest.test_case "jobs 4, merge cannot stop" `Quick
-            test_runner_each;
-          Alcotest.test_case "faulted VM" `Quick test_runner_faulted ] );
       ( "shared-cache",
         [ Alcotest.test_case "contention (fig5)" `Quick
             (test_shared_cache_contention Bugs.Fig5_search.bug);
