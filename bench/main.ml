@@ -36,18 +36,27 @@ let section title =
 
 (* --- memoized diagnoses ------------------------------------------------- *)
 
-let reports : (string, Aitia.Diagnose.report) Hashtbl.t = Hashtbl.create 32
+(* Each diagnosis with the baselines' evidence, gathered while it runs. *)
+let diagnoses :
+    ( string,
+      Aitia.Diagnose.report * Baselines.Requirements.evidence option )
+    Hashtbl.t =
+  Hashtbl.create 32
 
-let report_of (bug : Bugs.Bug.t) =
-  match Hashtbl.find_opt reports bug.id with
-  | Some r -> r
+let diagnosis_of (bug : Bugs.Bug.t) =
+  match Hashtbl.find_opt diagnoses bug.id with
+  | Some d -> d
   | None ->
-    let r =
-      Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-        (bug.case ())
+    let d =
+      Baselines.Requirements.diagnose (fun ~on_run ->
+          Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+            ~on_run (bug.case ()))
     in
-    Hashtbl.add reports bug.id r;
-    r
+    Hashtbl.add diagnoses bug.id d;
+    d
+
+let report_of bug = fst (diagnosis_of bug)
+let evidence_of bug = snd (diagnosis_of bug)
 
 let chain_len (r : Aitia.Diagnose.report) =
   match r.chain with Some c -> Aitia.Chain.length c | None -> 0
@@ -102,7 +111,7 @@ let table1 () =
   let caps =
     List.filter_map
       (fun (bug : Bugs.Bug.t) ->
-        match Baselines.Requirements.evidence_of_report (report_of bug) with
+        match evidence_of bug with
         | Some ev ->
           Some
             (Baselines.Requirements.capability
@@ -172,7 +181,7 @@ let table_5_3 () =
   let totals = Array.make 4 0 in
   List.iter
     (fun (bug : Bugs.Bug.t) ->
-      match Baselines.Requirements.evidence_of_report (report_of bug) with
+      match evidence_of bug with
       | None -> ()
       | Some ev ->
         let cap =
@@ -232,18 +241,19 @@ let fig5 () =
   | None -> pr "slice not realizable@."
   | Some (group, prologue) ->
     let vm = Hypervisor.Vm.create group in
-    let result =
-      Aitia.Lifs.search ~prologue vm ~target:(Trace.Crash.matches crash) ()
+    let order = ref 0 in
+    let on_run (sched : Hypervisor.Schedule.preemption)
+        (o : Hypervisor.Controller.outcome) =
+      incr order;
+      pr "search order %d: inter=%d  %-52s %a@." !order
+        (Hypervisor.Schedule.interleaving_count sched)
+        (Fmt.str "%a" Hypervisor.Schedule.pp_preemption sched)
+        Hypervisor.Controller.pp_verdict o.verdict
     in
-    List.iteri
-      (fun i
-           ( (sched : Hypervisor.Schedule.preemption),
-             (o : Hypervisor.Controller.outcome) ) ->
-        pr "search order %d: inter=%d  %-52s %a@." (i + 1)
-          (Hypervisor.Schedule.interleaving_count sched)
-          (Fmt.str "%a" Hypervisor.Schedule.pp_preemption sched)
-          Hypervisor.Controller.pp_verdict o.verdict)
-      result.runs;
+    let result =
+      Aitia.Lifs.search ~prologue ~on_run vm
+        ~target:(Trace.Crash.matches crash) ()
+    in
     pr "pruned as equivalent (the figure's 'skip' nodes): %d@."
       result.stats.pruned;
     (match result.found with

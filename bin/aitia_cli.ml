@@ -148,9 +148,10 @@ let case_of_id id =
     (fun (b : Bugs.Bug.t) -> (b.case (), b.max_interleavings))
     (Bugs.Registry.find id)
 
-let diagnose (d : diagnosis) (bug : Bugs.Bug.t) : Aitia.Diagnose.report =
+let diagnose ?on_run (d : diagnosis) (bug : Bugs.Bug.t) :
+    Aitia.Diagnose.report =
   match
-    Aitia.Batch.diagnose ?journal:d.journal ~resolve:case_of_id
+    Aitia.Batch.diagnose ?journal:d.journal ?on_run ~resolve:case_of_id
       { d.knobs with rq_id = bug.id; rq_bug = bug.id }
   with
   | Ok report -> report
@@ -727,8 +728,11 @@ let compare_cmd =
     Fmt.pr "%-18s %-6s %-7s %-5s %-5s@." "ID" "AITIA" "KAIRUX" "CBL" "MUVI";
     List.iter
       (fun (bug : Bugs.Bug.t) ->
-        let report = diagnose defaults bug in
-        match Baselines.Requirements.evidence_of_report report with
+        match
+          snd
+            (Baselines.Requirements.diagnose (fun ~on_run ->
+                 diagnose ~on_run defaults bug))
+        with
         | None -> Fmt.pr "%-18s (not reproduced)@." bug.id
         | Some ev ->
           let single_variable = bug.variables = Bugs.Bug.Single in

@@ -7,12 +7,14 @@ let () =
   (* One bug in detail: the tight multi-variable L2TP UAF (#3). *)
   let bug = Bugs.Syz_03_l2tp_uaf.bug in
   Fmt.pr "=== baselines on %s ===@." bug.id;
-  let report =
-    Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-      (bug.case ())
+  let diagnose (bug : Bugs.Bug.t) =
+    snd
+      (Baselines.Requirements.diagnose (fun ~on_run ->
+           Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+             ~on_run (bug.case ())))
   in
   let ev =
-    match Baselines.Requirements.evidence_of_report report with
+    match diagnose bug with
     | Some ev -> ev
     | None -> failwith "not diagnosed"
   in
@@ -54,14 +56,10 @@ let () =
   let caps =
     List.filter_map
       (fun (bug : Bugs.Bug.t) ->
-        let report =
-          Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-            (bug.case ())
-        in
         Option.map
           (Baselines.Requirements.capability
              ~single_variable:(bug.variables = Bugs.Bug.Single))
-          (Baselines.Requirements.evidence_of_report report))
+          (diagnose bug))
       Bugs.Registry.syzkaller
   in
   Fmt.pr "%-30s %-6s %-6s %-6s@." "tool" "compr." "p-agn." "concise";

@@ -15,31 +15,31 @@ let () =
     | None -> failwith "slice not realizable"
   in
   let vm = Hypervisor.Vm.create group in
-  let result =
-    Aitia.Lifs.search ~prologue vm ~target:(Trace.Crash.matches crash) ()
-  in
   Fmt.pr "LIFS search tree over %s (threads A, B + dynamic kworker K):@.@."
     case.case_name;
   let last_inter = ref (-1) in
-  List.iteri
-    (fun i
-         ( (sched : Hypervisor.Schedule.preemption),
-           (o : Hypervisor.Controller.outcome) ) ->
-      let inter = Hypervisor.Schedule.interleaving_count sched in
-      if inter <> !last_inter then (
-        last_inter := inter;
-        Fmt.pr "--- interleaving count %d ---@." inter);
-      let accesses =
-        List.filter_map (fun (e : Ksim.Machine.event) -> e.access) o.trace
-      in
-      Fmt.pr "search order %2d: %-40s -> %a@."
-        (i + 1)
-        (Fmt.str "%a"
-           (Fmt.list ~sep:(Fmt.any " ") (fun ppf (a : Ksim.Access.t) ->
-                Ksim.Access.Iid.pp ppf a.iid))
-           accesses)
-        Hypervisor.Controller.pp_verdict o.verdict)
-    result.runs;
+  let order = ref 0 in
+  let on_run (sched : Hypervisor.Schedule.preemption)
+      (o : Hypervisor.Controller.outcome) =
+    incr order;
+    let inter = Hypervisor.Schedule.interleaving_count sched in
+    if inter <> !last_inter then (
+      last_inter := inter;
+      Fmt.pr "--- interleaving count %d ---@." inter);
+    let accesses =
+      List.filter_map (fun (e : Ksim.Machine.event) -> e.access) o.trace
+    in
+    Fmt.pr "search order %2d: %-40s -> %a@." !order
+      (Fmt.str "%a"
+         (Fmt.list ~sep:(Fmt.any " ") (fun ppf (a : Ksim.Access.t) ->
+              Ksim.Access.Iid.pp ppf a.iid))
+         accesses)
+      Hypervisor.Controller.pp_verdict o.verdict
+  in
+  let result =
+    Aitia.Lifs.search ~prologue ~on_run vm
+      ~target:(Trace.Crash.matches crash) ()
+  in
   Fmt.pr "@.%d schedule(s) executed, %d pruned as equivalent (the 'skip' \
           nodes of Figure 5)@."
     result.stats.schedules result.stats.pruned;

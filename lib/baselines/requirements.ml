@@ -40,21 +40,30 @@ let chain_of e =
   | Some c -> c
   | None -> invalid_arg "Requirements: bug was not diagnosed"
 
-(* Build the evidence from a completed AITIA diagnosis: the baselines
-   get the same failing execution and the passing runs LIFS explored. *)
-let evidence_of_report (report : Aitia.Diagnose.report) : evidence option =
-  match report.lifs.found with
-  | None -> None
-  | Some success ->
-    let passing =
-      List.filter_map
-        (fun (_, (o : Hypervisor.Controller.outcome)) ->
-          match o.verdict with
-          | Hypervisor.Controller.Completed -> Some o
-          | _ -> None)
-        report.lifs.runs
-    in
-    Some { report; failing = success.outcome; passing }
+(* Run an AITIA diagnosis and build the evidence from it: the baselines
+   get the same failing execution and the passing runs LIFS explored on
+   the reproducing slice, gathered through the diagnosis's [on_run]
+   hook as they happen. *)
+let diagnose run : Aitia.Diagnose.report * evidence option =
+  let passing = ref [] in  (* (slice, outcome), newest first *)
+  let on_run ~slice _ (o : Hypervisor.Controller.outcome) =
+    match o.verdict with
+    | Hypervisor.Controller.Completed -> passing := (slice, o) :: !passing
+    | _ -> ()
+  in
+  let (report : Aitia.Diagnose.report) = run ~on_run in
+  let evidence =
+    match report.lifs.found with
+    | None -> None
+    | Some success ->
+      let passing =
+        List.rev !passing
+        |> List.filter_map (fun (slice, o) ->
+               if slice = report.slices_tried - 1 then Some o else None)
+      in
+      Some { report; failing = success.outcome; passing }
+  in
+  (report, evidence)
 
 (* Per-bug capability of each tool: did it fully explain this bug? *)
 type capability = {

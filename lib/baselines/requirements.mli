@@ -22,9 +22,19 @@ type evidence = {
 
 val chain_of : evidence -> Aitia.Chain.t
 
-val evidence_of_report : Aitia.Diagnose.report -> evidence option
-(** The baselines get the same failing execution and the passing runs
-    LIFS explored. *)
+val diagnose :
+  (on_run:
+     (slice:int ->
+     Hypervisor.Schedule.preemption ->
+     Hypervisor.Controller.outcome ->
+     unit) ->
+  Aitia.Diagnose.report) ->
+  Aitia.Diagnose.report * evidence option
+(** [diagnose run] runs a diagnosis, [run ~on_run] (pass [on_run] on to
+    {!Aitia.Diagnose.diagnose}), and returns its report with the
+    evidence when it reproduced: the baselines get the same failing
+    execution and the passing runs LIFS explored on the reproducing
+    slice. *)
 
 val production_runs :
   ?count:int -> Ksim.Program.group -> Hypervisor.Controller.outcome list

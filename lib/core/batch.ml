@@ -178,7 +178,7 @@ let manifest_of_file (path : string) : (request list, string) result =
 
 (* --- execution ---------------------------------------------------------- *)
 
-let diagnose ?journal ~resolve (rq : request) :
+let diagnose ?journal ?on_run ~resolve (rq : request) :
     (Diagnose.report, string) result =
   let* case, max_interleavings =
     match resolve rq.rq_bug with
@@ -204,7 +204,7 @@ let diagnose ?journal ~resolve (rq : request) :
        ?prune:rq.rq_prune ?order:rq.rq_order
        ~snapshot_cache:rq.rq_snapshot_cache
        ?snapshot_budget:rq.rq_snapshot_budget ?faults ?resilience ?journal
-       ?engine:rq.rq_engine case)
+       ?engine:rq.rq_engine ?on_run case)
 
 let run ?(jobs = 1) ?journal_dir ?(resume = false) ~resolve
     (requests : request list) : summary =

@@ -72,12 +72,18 @@ type summary = {
 
 val diagnose :
   ?journal:Journal.t ->
+  ?on_run:
+    (slice:int ->
+    Hypervisor.Schedule.preemption ->
+    Hypervisor.Controller.outcome ->
+    unit) ->
   resolve:(string -> (Diagnose.case * int option) option) ->
   request ->
   (Diagnose.report, string) result
 (** Run one request, checkpointing into [journal] (opened by the
-    caller; [rq_journal] is not read).  [Error] for an unknown bug or a
-    malformed fault spec; exceptions propagate. *)
+    caller; [rq_journal] is not read).  [on_run] is passed to
+    {!Diagnose.diagnose}.  [Error] for an unknown bug or a malformed
+    fault spec; exceptions propagate. *)
 
 val run :
   ?jobs:int ->

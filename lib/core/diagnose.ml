@@ -83,7 +83,6 @@ let empty_lifs_result () : Lifs.result =
               invariant_pruned = 0; gain_reorderings = 0;
               interleavings = 0; simulated = 0.;
               executed_instrs = 0 };
-    db = Ksim.Kcov.empty;
     runs = [] }
 
 (* Static lockset/MHP hints for a realized slice: the prologue threads
@@ -142,7 +141,8 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
     ?(order = (`Fixed : Causality.order))
     ?(snapshot_cache = false) ?snapshot_budget
     ?(slice_order = `Nearest_first) ?faults ?resilience:rpolicy ?journal
-    ?(engine = Ksim.Engine.default) (case : case) : report =
+    ?(engine = Ksim.Engine.default) ?(on_run = fun ~slice:_ _ _ -> ())
+    (case : case) : report =
   Telemetry.Probe.with_span ~cat:"diagnose" "diagnose"
     ~args:[ ("case", case.case_name) ]
   @@ fun () ->
@@ -349,7 +349,7 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
           let lifs =
             Lifs.search ?max_interleavings ?max_steps ~prologue
               ?static_hints:hints ?invariants ?focus ~order ?snapshots
-              ?resilience lifs_vm ~target ()
+              ?resilience ~on_run:(on_run ~slice:tried) lifs_vm ~target ()
           in
           match lifs.found with
           | None ->
@@ -383,7 +383,6 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
             Error
               { Lifs.found = None;
                 stats = s.nr_lifs;
-                db = Ksim.Kcov.empty;
                 runs = [] }
           | Some (Journal.Reproduced s)
             when s.r_threads = slice_threads -> (
@@ -407,7 +406,6 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
               let lifs =
                 { Lifs.found = Some success;
                   stats = s.r_lifs;
-                  db = Executor.learn Ksim.Kcov.empty r;
                   runs = [ (s.r_schedule, r.outcome) ] }
               in
               let stats_base =

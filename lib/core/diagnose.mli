@@ -60,6 +60,11 @@ val diagnose :
   ?resilience:Resilience.policy ->
   ?journal:Journal.t ->
   ?engine:Ksim.Engine.kind ->
+  ?on_run:
+    (slice:int ->
+    Hypervisor.Schedule.preemption ->
+    Hypervisor.Controller.outcome ->
+    unit) ->
   case ->
   report
 (** The full pipeline.  Tries slices nearest-to-failure first until one
@@ -101,4 +106,9 @@ val diagnose :
     implementation every VM of this diagnosis boots — the compiled
     arena/undo-log interpreter or the persistent reference semantics.
     Chains, verdicts and race sets are bit-identical across engines;
-    the differential oracle in test/test_engine.ml enforces it. *)
+    the differential oracle in test/test_engine.ml enforces it.
+
+    [on_run] is {!Lifs.search}'s hook on every slice attempt's search:
+    [slice] numbers the realized attempts from 0, so a reproducing
+    report's runs are those with [slice = slices_tried - 1].  A slice
+    replayed from the journal runs no search and reports no run. *)

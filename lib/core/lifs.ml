@@ -21,7 +21,19 @@
    admission check, the run on the search's VM, and the accounting.  A
    frontier is walked in order and the gain queue popped one candidate
    at a time, each step after the previous run was accounted, and the
-   walk ends at the reproduction. *)
+   walk ends at the reproduction.
+
+   The search keeps each executed run only as its schedule and its
+   step sequence ({!Controller.recording}): what it needs of a run is
+   the access database, fed right after the run, and the run's trace
+   and final machine when it is extended as a parent.  Those are
+   re-derived by re-stepping the sequence on a fresh boot, only for
+   the parent being extended, so one replayed trace is live at a time.
+   The machine is deterministic and every accepted trace is a genuine
+   execution (flaps rewrite only the verdict, injected hangs only
+   truncate the trace, spurious switches show in the recorded threads,
+   snapshot-resumed traces include their prefix), so the replay is the
+   run. *)
 
 module Iid = Ksim.Access.Iid
 module Schedule = Hypervisor.Schedule
@@ -55,9 +67,8 @@ type success = {
 type result = {
   found : success option;
   stats : stats;
-  db : Ksim.Kcov.db;
-  (* Every executed run, for baselines that need failing/passing traces. *)
   runs : (Schedule.preemption * Controller.outcome) list;
+      (* the reproducing run, or nothing *)
 }
 
 let default_max_interleavings = 3
@@ -344,7 +355,8 @@ type item = {
 let search ?(max_interleavings = default_max_interleavings) ?max_steps
     ?(prologue = []) ?(prune = true) ?static_hints ?invariants ?focus
     ?(order = (`Fixed : [ `Fixed | `Gain ])) ?snapshots ?resilience
-    (vm : Hypervisor.Vm.t) ~(target : Ksim.Failure.t -> bool) () : result =
+    ?(on_run = fun _ _ -> ()) (vm : Hypervisor.Vm.t)
+    ~(target : Ksim.Failure.t -> bool) () : result =
   Telemetry.Probe.span_begin ~cat:"lifs" "lifs.search";
   let group = Hypervisor.Vm.group vm in
   let n_top = List.length group.Ksim.Program.threads in
@@ -358,7 +370,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
   let static_pruned = ref 0 in
   let invariant_pruned = ref 0 in
   let reorderings = ref 0 in
-  let executed = ref [] in  (* (sched, outcome) newest first *)
+  let executed = ref [] in  (* (sched, recording) newest first *)
   let found = ref None in
   let runs_before = Hypervisor.Vm.runs vm in
   let instrs_before = Hypervisor.Vm.executed_steps vm in
@@ -388,13 +400,30 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
             ("interleavings", string_of_int interleavings);
             ("reproduced", if found = None then "false" else "true") ]
         ());
-    { found; stats; db = !db; runs = List.rev !executed }
+    let runs =
+      match found with Some s -> [ (s.schedule, s.outcome) ] | None -> []
+    in
+    { found; stats; runs }
+  in
+  (* An executed run's trace and final machine, re-derived on a fresh
+     boot of the VM's own engine and group: no VM run, no fault draw, no
+     VM accounting. *)
+  let replay recording =
+    let o =
+      Controller.replay
+        (Ksim.Engine.boot (Hypervisor.Vm.engine vm) group)
+        recording
+    in
+    Telemetry.Probe.count "lifs.replayed_runs";
+    Telemetry.Probe.count ~by:o.steps "lifs.replayed_steps";
+    o
   in
   (* One candidate, in order.  Admission: exact duplicates of an
      admitted schedule are skipped always, and extensions equivalent to
      an admitted one when [prune]; a skip is counted.  An admitted
-     candidate runs, feeds the database and the run list, and the first
-     run failing as reported is the reproduction.  Returns the run. *)
+     candidate runs, feeds the database, [on_run] and the run list, and
+     the first run failing as reported is the reproduction.  Returns the
+     run. *)
   let try_candidate equiv_sig sched =
     let key = signature sched in
     if Hashtbl.mem seen key || (prune && Hashtbl.mem seen equiv_sig) then (
@@ -408,7 +437,8 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
           vm sched
       in
       db := Executor.learn !db r;
-      executed := (sched, r.outcome) :: !executed;
+      on_run sched r.outcome;
+      executed := (sched, Controller.record r.outcome) :: !executed;
       (match Executor.failed r with
       | Some f when target f -> found := Some (sched, r.outcome, f)
       | Some _ | None -> ());
@@ -483,7 +513,8 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
       if k >= max_interleavings then finish None k
       else (
         (* Extend every executed run of interleaving count k by one more
-           preemption, using the database as known so far. *)
+           preemption, using the database as known so far; each parent
+           is replayed just before its own extension. *)
         let parents =
           List.filter
             (fun ((s : Schedule.preemption), _) ->
@@ -493,10 +524,10 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
         let next =
           Telemetry.Probe.with_span ~cat:"lifs" "lifs.extend" (fun () ->
               List.concat_map
-                (fun (s, o) ->
+                (fun (s, recording) ->
                   let cands, skips, inv_skips =
                     extensions ~db:!db ~n_top ~prologue ?hints:static_hints
-                      ?invariants s o
+                      ?invariants s (replay recording)
                   in
                   static_pruned := !static_pruned + skips;
                   invariant_pruned := !invariant_pruned + inv_skips;
@@ -553,14 +584,16 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
        start order never executed (guarded branches), and the completed
        database reveals conflicts — and therefore candidates — the
        per-run pass could not see.  [shared] keeps the re-passes from
-       re-emitting candidates already pushed. *)
-    let extend (s : Schedule.preemption) (o : Controller.outcome) =
+       re-emitting candidates already pushed.  [outcome] yields the run's
+       outcome inside the extension span: the fresh one right after the
+       run, a replay on re-extension. *)
+    let extend (s : Schedule.preemption) outcome =
       let k = Schedule.interleaving_count s in
       if k < max_interleavings then (
         let cands, skips, inv_skips =
           Telemetry.Probe.with_span ~cat:"lifs" "lifs.extend" (fun () ->
               extensions ~db:!db ~n_top ~prologue ?hints:static_hints
-                ?invariants ~shared s o)
+                ?invariants ~shared s (outcome ()))
         in
         static_pruned := !static_pruned + skips;
         invariant_pruned := !invariant_pruned + inv_skips;
@@ -609,13 +642,17 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
             Hashtbl.replace site_runs site
               (1 + Option.value ~default:0 (Hashtbl.find_opt site_runs site))
           | `Serial _ -> ());
-          if !found = None then
-            match it.it_gain with
+          if !found = None then (
+            (match it.it_gain with
             | `Serial _ ->
               (* a completed serial grows the database; re-extend every
-                 executed run against it, oldest first *)
-              List.iter (fun (s, o) -> extend s o) (List.rev !executed)
-            | `Ext _ -> extend it.it_sched r.outcome));
+                 executed run against it, oldest first, ending with the
+                 serial itself *)
+              List.iter
+                (fun (s, recording) -> extend s (fun () -> replay recording))
+                (List.rev (List.tl !executed))
+            | `Ext _ -> ());
+            extend it.it_sched (fun () -> r.outcome))));
         if !found = None then loop ()
     in
     loop ();

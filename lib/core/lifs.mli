@@ -30,10 +30,10 @@ type success = {
 type result = {
   found : success option;
   stats : stats;
-  db : Ksim.Kcov.db;
   runs :
     (Hypervisor.Schedule.preemption * Hypervisor.Controller.outcome) list;
-    (** every executed run, for baselines needing pass/fail populations *)
+    (** the reproducing run ([found]'s schedule and outcome), or nothing;
+        every executed run goes to [search]'s [on_run] instead *)
 }
 
 val default_max_interleavings : int
@@ -51,6 +51,8 @@ val search :
   ?order:[ `Fixed | `Gain ] ->
   ?snapshots:Hypervisor.Snapshots.t ->
   ?resilience:Resilience.t ->
+  ?on_run:
+    (Hypervisor.Schedule.preemption -> Hypervisor.Controller.outcome -> unit) ->
   Hypervisor.Vm.t ->
   target:(Ksim.Failure.t -> bool) ->
   unit ->
@@ -77,7 +79,13 @@ val search :
 
     Every candidate runs on [vm], one at a time and in order, and the
     search ends at the first run whose failure satisfies [target]:
-    nothing past it is run.
+    nothing past it is run.  [on_run] sees every executed run, in
+    order, right after it ran (the reproducing run last); it is the
+    only way to see the runs that did not reproduce.  The search itself
+    keeps each run only as its schedule and step sequence, and
+    re-derives a parent's trace by re-stepping it when extending it
+    (counted in [lifs.replayed_runs] and [lifs.replayed_steps]; no VM
+    run, fault draw or VM accounting).
 
     [snapshots] lets frontier expansion resume
     each child schedule from its parent's cached prefix — the explored

@@ -85,10 +85,10 @@ let context_switches (trace : Ksim.Machine.event list) =
 
    An unobserved run's intermediate machines are unreachable once it
    ends, so its final machine is detached from the undo log that built
-   it: an outcome kept for later (LIFS keeps every one) then holds the
-   state alone.  An observer may hold earlier machines of the same run
-   (the snapshot cache does), so an observed run's final is left as
-   is. *)
+   it: an outcome kept for later (the reproducing run, a flip's
+   outcome) then holds the state alone.  An observer may hold earlier
+   machines of the same run (the snapshot cache does), so an observed
+   run's final is left as is. *)
 let run_from ?(max_steps = default_max_steps) ?observe (start : start)
     (policy : policy) : outcome =
   let stop verdict m acc steps =
@@ -143,6 +143,57 @@ let run_raw ?max_steps ?observe (m : Ksim.Machine.t) (policy : policy) :
   run_from ?max_steps ?observe
     { start_machine = m; start_trace_rev = []; start_steps = 0 }
     policy
+
+(* A run reduced to what re-derives it.  The machine is deterministic,
+   so the thread of every step determines the trace and the final
+   machine; the steps are kept run-length encoded, [tid; count] pairs
+   in one flat array, since a run switches threads far less often than
+   it steps.  The verdict is kept as the run reported it (a flap
+   rewrites only the verdict), and [failed_final] says whether the
+   final machine holds a failure: a run ends either at its last step
+   (watchdog, failure, refused step) or one loop turn later, when
+   nothing can step and the leak check may flag the machine — only the
+   latter adds a failure the last step did not, and a replay needs one
+   more turn exactly then. *)
+type recording = {
+  tids : int array;
+  rec_steps : int;
+  rec_verdict : verdict;
+  failed_final : bool;
+}
+
+let record (o : outcome) : recording =
+  (* [acc] holds the finished pairs, reversed; [n] steps of [tid] are
+     pending *)
+  let rec pairs acc tid n = function
+    | [] -> if n > 0 then n :: tid :: acc else acc
+    | (e : Ksim.Machine.event) :: rest ->
+      let t = e.iid.Ksim.Access.Iid.tid in
+      if t = tid then pairs acc tid (n + 1) rest
+      else pairs (if n > 0 then n :: tid :: acc else acc) t 1 rest
+  in
+  { tids = Array.of_list (List.rev (pairs [] (-1) 0 o.trace));
+    rec_steps = o.steps;
+    rec_verdict = o.verdict;
+    failed_final = Ksim.Machine.failed o.final <> None }
+
+(* Re-step a recording through the same loop, under a policy that
+   replays the recorded threads in order.  Uninstrumented: the run was
+   accounted when it executed. *)
+let replay (m : Ksim.Machine.t) (r : recording) : outcome =
+  let pair = ref 0 and used = ref 0 in
+  let policy _ _ =
+    if !pair >= Array.length r.tids then None
+    else (
+      let tid = r.tids.(!pair) in
+      incr used;
+      if !used = r.tids.(!pair + 1) then (
+        pair := !pair + 2;
+        used := 0);
+      Some tid)
+  in
+  let max_steps = r.rec_steps + if r.failed_final then 1 else 0 in
+  { (run_raw ~max_steps m policy) with verdict = r.rec_verdict }
 
 (* The instrumented entry point: one span per enforced schedule, plus
    the step-loop counters (instructions stepped, context switches —

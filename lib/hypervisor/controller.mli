@@ -59,6 +59,21 @@ val run :
     {!Ksim.Machine.detach}ed, so a retained outcome does not retain the
     run's undo log; with it, [final] is the run's last machine. *)
 
+type recording
+(** A run reduced to what re-derives it: the thread of every step,
+    run-length encoded (no cap on thread ids), its step count, its
+    reported verdict, and whether its final machine holds a failure. *)
+
+val record : outcome -> recording
+
+val replay : Ksim.Machine.t -> recording -> outcome
+(** [replay m r] re-steps [r]'s threads through the same loop on [m], a
+    fresh boot of the recorded run's engine and group.  The machine is
+    deterministic, so the trace, step count and final machine equal the
+    recorded run's (the final up to {!Ksim.Machine.fingerprint}), and
+    the verdict is the one the run reported.  Uninstrumented: no span
+    and no counter, as the run was accounted when it executed. *)
+
 val resume : ?max_steps:int -> ?observe:observer -> start -> policy -> outcome
 (** Continue a run from a restored snapshot position.  The outcome's
     trace and step count cover the whole run (prefix + suffix), exactly

@@ -6,12 +6,14 @@ module Iid = Ksim.Access.Iid
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let diagnose (bug : Bugs.Bug.t) =
-  Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+let diagnose ?on_run (bug : Bugs.Bug.t) =
+  Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings ?on_run
     (bug.case ())
 
 let evidence (bug : Bugs.Bug.t) =
-  match Baselines.Requirements.evidence_of_report (diagnose bug) with
+  match
+    snd (Baselines.Requirements.diagnose (fun ~on_run -> diagnose ~on_run bug))
+  with
   | Some ev -> ev
   | None -> Alcotest.failf "%s not diagnosed" bug.id
 

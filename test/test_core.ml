@@ -27,10 +27,10 @@ let realized (bug : Bugs.Bug.t) =
     (group, prologue, Trace.History.crash case.history)
   | None -> Alcotest.fail "slice not realizable"
 
-let lifs_on ?order (bug : Bugs.Bug.t) =
+let lifs_on ?order ?on_run (bug : Bugs.Bug.t) =
   let group, prologue, crash = realized bug in
   let vm = Hypervisor.Vm.create group in
-  ( Aitia.Lifs.search ~prologue ?order vm
+  ( Aitia.Lifs.search ~prologue ?order ?on_run vm
       ~target:(Trace.Crash.matches crash) (),
     vm )
 
@@ -95,18 +95,115 @@ let test_lifs_discovers_kthread_dynamically () =
 let test_lifs_stops_at_reproduction () =
   List.iter
     (fun order ->
-      let result, vm = lifs_on ~order Bugs.Cve_2017_15649.bug in
-      match (result.found, List.rev result.runs) with
-      | Some s, (last, _) :: _ ->
+      let seen = ref [] in
+      let on_run s o = seen := (s, o) :: !seen in
+      let result, vm = lifs_on ~order ~on_run Bugs.Cve_2017_15649.bug in
+      match (result.found, !seen) with
+      | Some s, (last, o) :: _ ->
         checkb "the reproducing schedule is the last run" true
           (String.equal
              (Hypervisor.Schedule.preemption_key last)
              (Hypervisor.Schedule.preemption_key s.schedule));
-        checki "every run is in the run list" result.stats.schedules
-          (List.length result.runs);
+        checkb "with its own outcome" true (o == s.outcome);
+        checki "every run is seen" result.stats.schedules
+          (List.length !seen);
         checki "and on the VM" result.stats.schedules (Hypervisor.Vm.runs vm)
       | _ -> Alcotest.fail "cve-2017-15649 not reproduced")
     [ `Fixed; `Gain ]
+
+(* The search keeps no outcome but the reproducing one: every other run
+   handed to [on_run] is garbage once the search returns, and [runs]
+   holds exactly the reproducing run — also when the diagnosis resumes
+   from a journal instead of searching. *)
+let test_lifs_retains_only_the_reproduction () =
+  let bug = Bugs.Cve_2017_15649.bug in
+  let outcomes = ref [] in
+  let on_run ~slice:_ _ (o : Hypervisor.Controller.outcome) =
+    let w = Weak.create 1 in
+    Weak.set w 0 (Some o);
+    outcomes := w :: !outcomes
+  in
+  let path = Filename.temp_file "aitia-retention" ".json" in
+  let diagnose ?on_run journal =
+    Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+      ~journal ?on_run (bug.case ())
+  in
+  let only_the_reproduction what (report : Aitia.Diagnose.report) =
+    match (report.lifs.found, report.lifs.runs) with
+    | Some s, [ (sched, o) ] ->
+      checkb (what ^ ": runs holds the reproducing run") true
+        (sched == s.schedule && o == s.outcome)
+    | _ -> Alcotest.failf "%s: runs is not the reproducing run" what
+  in
+  let fresh = diagnose ~on_run (Aitia.Journal.create path) in
+  only_the_reproduction "fresh" fresh;
+  Gc.full_major ();
+  let live =
+    List.filter (fun w -> Weak.check w 0) (List.tl !outcomes)
+  in
+  checkb "runs were seen" true (List.length !outcomes > 1);
+  checki "non-reproducing outcomes still live" 0 (List.length live);
+  (match Aitia.Journal.load path with
+  | Ok j -> only_the_reproduction "resumed" (diagnose j)
+  | Error e -> Alcotest.failf "journal: %s" e);
+  Sys.remove path
+
+(* Replay parity: for every run LIFS hands out, re-stepping its recorded
+   thread sequence on a fresh boot of the same engine and group gives
+   the same trace, event for event, and the same final machine.  Every
+   case, under one pipeline setting. *)
+let test_replay_parity ~engine setting () =
+  List.iter
+    (fun (bug : Bugs.Bug.t) ->
+      let case = bug.case () in
+      let groups =
+        Trace.Slicer.slices case.history
+        |> List.filter_map (fun slice ->
+               Option.map fst (Aitia.Diagnose.realize case slice))
+        |> Array.of_list
+      in
+      let n = ref 0 in
+      let on_run ~slice _ (o : Hypervisor.Controller.outcome) =
+        incr n;
+        let what = Fmt.str "%s run %d" bug.id !n in
+        let r =
+          Hypervisor.Controller.replay
+            (Ksim.Engine.boot engine groups.(slice))
+            (Hypervisor.Controller.record o)
+        in
+        checkb (what ^ ": same trace") true (r.trace = o.trace);
+        checki (what ^ ": same steps") o.steps r.steps;
+        let threads (m : Ksim.Machine.t) =
+          List.map
+            (fun tid ->
+              (tid, Ksim.Machine.thread_base m tid, Ksim.Machine.is_done m tid))
+            (Ksim.Machine.thread_ids m)
+        in
+        checkb (what ^ ": same threads") true
+          (threads r.final = threads o.final);
+        Alcotest.(check string)
+          (what ^ ": same final machine")
+          (Ksim.Machine.fingerprint o.final)
+          (Ksim.Machine.fingerprint r.final)
+      in
+      let faults =
+        match setting with
+        | `Faults ->
+          Some (Hypervisor.Faults.create ~seed:7 (Hypervisor.Faults.mixed 0.05))
+        | _ -> None
+      in
+      let prune, order =
+        match setting with
+        | `Gain_invariants -> (Some `Invariants, Some `Gain)
+        | _ -> (None, None)
+      in
+      ignore
+        (Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+           ?prune ?order ~snapshot_cache:(setting = `Snapshots) ?faults
+           ~engine ~on_run case
+          : Aitia.Diagnose.report);
+      checkb (bug.id ^ ": runs were replayed") true (!n > 0))
+    Bugs.Registry.all
 
 (* --- Causality Analysis --------------------------------------------------- *)
 
@@ -558,7 +655,23 @@ let () =
           Alcotest.test_case "dynamic kthread" `Quick
             test_lifs_discovers_kthread_dynamically;
           Alcotest.test_case "stops at the reproduction" `Quick
-            test_lifs_stops_at_reproduction ] );
+            test_lifs_stops_at_reproduction;
+          Alcotest.test_case "retains only the reproduction" `Quick
+            test_lifs_retains_only_the_reproduction ] );
+      ( "replay parity",
+        List.concat_map
+          (fun (engine, ename) ->
+            List.map
+              (fun (setting, sname) ->
+                Alcotest.test_case
+                  (Fmt.str "%s, %s" ename sname)
+                  `Quick
+                  (test_replay_parity ~engine setting))
+              [ (`Plain, "plain"); (`Snapshots, "snapshot cache");
+                (`Gain_invariants, "gain+invariants");
+                (`Faults, "rate=0.05 faults") ])
+          [ (Ksim.Engine.Compiled, "compiled");
+            (Ksim.Engine.Reference, "reference") ] );
       ( "causality",
         [ Alcotest.test_case "fig1 roots" `Quick test_causality_fig1;
           Alcotest.test_case "benign filtered" `Quick

@@ -166,16 +166,21 @@ let test_corpus_parity i () =
 
 (* --- shared snapshot cache under contention ------------------------------ *)
 
-let lifs_fingerprint (r : Aitia.Lifs.result) =
+(* A search's result with every run it executed, in order, seen
+   through [on_run]. *)
+let lifs_fingerprint search =
+  let runs = ref [] in
+  let on_run s (o : Hypervisor.Controller.outcome) =
+    runs :=
+      ( Hypervisor.Schedule.preemption_key s,
+        Fmt.str "%a" Hypervisor.Controller.pp_verdict o.verdict )
+      :: !runs
+  in
+  let (r : Aitia.Lifs.result) = search ~on_run in
   ( (match r.found with
     | Some s -> Hypervisor.Schedule.preemption_key s.schedule
     | None -> "-"),
-    r.stats.schedules, r.stats.pruned,
-    List.map
-      (fun (s, (o : Hypervisor.Controller.outcome)) ->
-        ( Hypervisor.Schedule.preemption_key s,
-          Fmt.str "%a" Hypervisor.Controller.pp_verdict o.verdict ))
-      r.runs )
+    r.stats.schedules, r.stats.pruned, List.rev !runs )
 
 (* Four searches of the same slice share one cache under a 4-worker
    pool (every run stores into and restores from it concurrently); each
@@ -189,9 +194,10 @@ let test_shared_cache_contention (bug : Bugs.Bug.t) () =
   | Some (group, prologue) ->
     let search ?snapshots () =
       let vm = Hypervisor.Vm.create group in
-      lifs_fingerprint
-        (Aitia.Lifs.search ?max_interleavings:bug.max_interleavings
-           ~prologue ?snapshots vm ~target:(Trace.Crash.matches crash) ())
+      lifs_fingerprint (fun ~on_run ->
+          Aitia.Lifs.search ?max_interleavings:bug.max_interleavings
+            ~prologue ?snapshots ~on_run vm
+            ~target:(Trace.Crash.matches crash) ())
     in
     let plain = search () in
     let cache = Hypervisor.Snapshots.create () in
