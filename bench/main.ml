@@ -669,9 +669,11 @@ let analysis () =
 let step_throughput engine group ~seconds =
   Gc.full_major ();
   let steps = ref 0 and elapsed = ref 0.0 in
-  (* executor-style driving: consult [runnable] before every step, as
-     the diagnosis scheduler does, so both the scheduling query and the
-     step itself are inside the timed region *)
+  (* executor-style driving: consult [runnable] before every step, so
+     both a scheduling query and the step itself are inside the timed
+     region.  The controller now asks [first_runnable] instead, which
+     builds no list; this loop keeps [runnable] because the gated
+     [_engine] baseline ratio was recorded with it. *)
   while !elapsed < seconds do
     let m = ref (Ksim.Engine.boot engine group) in
     let t0 = Unix.gettimeofday () in

@@ -41,7 +41,8 @@ let round ~group ~prologue ~(rng : Fuzz.Rng.t) ~window
   let stall_left = ref 0 in
   let hit : report option ref = ref None in
   let sampled_access = ref None in
-  let policy m runnable =
+  let policy m =
+    let runnable = Ksim.Machine.runnable m in
     let victim = target_iid.Iid.tid in
     let at_trap =
       Ksim.Machine.has_thread m victim

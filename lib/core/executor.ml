@@ -322,10 +322,10 @@ let run_plan ?max_steps ?(prologue = []) ?snapshots ?resilience
 
 (* Update the cross-run access database from a run, keyed by stable
    thread base names. *)
-let learn (db : Ksim.Kcov.db) (r : run) : Ksim.Kcov.db =
-  let final = r.outcome.final in
-  let thread_base tid = Ksim.Machine.thread_base final tid in
-  Ksim.Kcov.add_trace ~thread_base db r.outcome.trace
+let learn (db : Ksim.Kcov.db) (r : run) =
+  Ksim.Kcov.add_trace
+    ~thread_base:(Ksim.Machine.thread_base r.outcome.final)
+    db r.outcome.trace
 
 let failed (r : run) =
   match r.outcome.verdict with

@@ -41,8 +41,8 @@ val run_plan :
     at the longest matching prefix, instead of rebooting.  Lookup only
     — flip runs are executed once and not themselves cached. *)
 
-val learn : Ksim.Kcov.db -> run -> Ksim.Kcov.db
-(** Fold the run's accesses into the cross-run database, keyed by stable
-    thread base names. *)
+val learn : Ksim.Kcov.db -> run -> unit
+(** Learn the run's accesses into the cross-run database, keyed by
+    stable thread base names ({!Ksim.Kcov.add_trace}). *)
 
 val failed : run -> Ksim.Failure.t option

@@ -364,7 +364,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
   let interesting =
     List.filter (fun tid -> not (List.mem tid prologue)) top
   in
-  let db = ref Ksim.Kcov.empty in
+  let db = Ksim.Kcov.create () in
   let seen = Hashtbl.create 256 in
   let pruned = ref 0 in
   let static_pruned = ref 0 in
@@ -436,7 +436,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
         Executor.run_preemption ?max_steps ~prologue ?snapshots ?resilience
           vm sched
       in
-      db := Executor.learn !db r;
+      Executor.learn db r;
       on_run sched r.outcome;
       executed := (sched, Controller.record r.outcome) :: !executed;
       (match Executor.failed r with
@@ -447,7 +447,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
   let success sched (outcome : Controller.outcome) failure =
     let races =
       Race.of_trace outcome.trace
-      @ Race.pending_of_failure ~db:!db ~final:outcome.final outcome.trace
+      @ Race.pending_of_failure ~db ~final:outcome.final outcome.trace
     in
     (* The pending scan can re-derive the faulting pair already found in
        the trace; keep one copy of each race. *)
@@ -526,7 +526,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
               List.concat_map
                 (fun (s, recording) ->
                   let cands, skips, inv_skips =
-                    extensions ~db:!db ~n_top ~prologue ?hints:static_hints
+                    extensions ~db ~n_top ~prologue ?hints:static_hints
                       ?invariants s (replay recording)
                   in
                   static_pruned := !static_pruned + skips;
@@ -592,7 +592,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
       if k < max_interleavings then (
         let cands, skips, inv_skips =
           Telemetry.Probe.with_span ~cat:"lifs" "lifs.extend" (fun () ->
-              extensions ~db:!db ~n_top ~prologue ?hints:static_hints
+              extensions ~db ~n_top ~prologue ?hints:static_hints
                 ?invariants ~shared s (outcome ()))
         in
         static_pruned := !static_pruned + skips;

@@ -24,8 +24,8 @@ type stats = {
    the "diversify interleavings" strategy of stress-style kernel
    fuzzers. *)
 let random_policy (rng : Rng.t) : Hypervisor.Controller.policy =
- fun _m runnable ->
-  match runnable with
+ fun m ->
+  match Ksim.Machine.runnable m with
   | [] -> None
   | xs -> Some (Rng.pick rng xs)
 

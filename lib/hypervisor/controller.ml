@@ -23,12 +23,16 @@ type outcome = {
 
 let is_failure o = match o.verdict with Failed _ -> true | _ -> false
 
-(* A policy sees the machine and the runnable set and picks a thread, or
-   [None] to give up (treated as deadlock if threads remain).  A policy
-   value drives exactly one run: the schedule policies keep per-run
-   state (run queue, pending switches, prologue progress) that only moves
-   forward, so each run builds its own. *)
-type policy = Ksim.Machine.t -> int list -> int option
+(* A policy sees the machine and picks a thread, or [None] to give up
+   (treated as deadlock if threads remain).  The loop calls it only
+   while some thread can step; it asks the machine about the threads it
+   cares about ([Ksim.Machine.can_step], [first_runnable], the pc-level
+   queries) and builds the whole runnable set only when its choice
+   needs every candidate.  A policy value drives exactly one run: the
+   schedule policies keep per-run state (run queue, pending switches,
+   prologue progress) that only moves forward, so each run builds its
+   own. *)
+type policy = Ksim.Machine.t -> int option
 
 (* An observer sees every successfully executed step: the machine after
    the step, the trace so far in reverse order, and the step count.  The
@@ -47,18 +51,6 @@ type start = {
 }
 
 let default_max_steps = 200_000
-
-(* A hardware interrupt handler that has started, among the runnable
-   threads.  On the CPU that took the interrupt the handler is not
-   preemptible, but it races freely with threads on other CPUs — which
-   is exactly the bug class of the paper's §4.6 — so this is exposed for
-   policies that model a single-CPU guest, not enforced globally. *)
-let irq_in_progress m runnable =
-  List.find_opt
-    (fun tid ->
-      Ksim.Machine.thread_context m tid = Ksim.Program.Hardirq
-      && Ksim.Machine.has_started m tid)
-    runnable
 
 let verdict_name = function
   | Completed -> "completed"
@@ -111,10 +103,10 @@ let run_from ?(max_steps = default_max_steps) ?observe (start : start)
       match Ksim.Machine.failed m with
       | Some f -> stop (Failed f) m acc steps
       | None -> (
-        match Ksim.Machine.runnable m with
-        | [] -> settle m acc steps
-        | runnable -> (
-          match policy m runnable with
+        match Ksim.Machine.first_runnable m with
+        | None -> settle m acc steps
+        | Some _ -> (
+          match policy m with
           | None -> settle m acc steps
           | Some tid -> (
             match Ksim.Engine.step m tid with
@@ -129,7 +121,7 @@ let run_from ?(max_steps = default_max_steps) ?observe (start : start)
             | Error Ksim.Machine.Thread_not_runnable ->
               (* The policy picked a thread that cannot step; treat as
                  deadlock rather than spinning — policies are expected
-                 to consult the runnable set. *)
+                 to ask [Ksim.Machine.can_step]. *)
               stop Deadlock m acc steps
             | Error Ksim.Machine.Machine_failed -> (
               match Ksim.Machine.failed m with
@@ -182,7 +174,7 @@ let record (o : outcome) : recording =
    accounted when it executed. *)
 let replay (m : Ksim.Machine.t) (r : recording) : outcome =
   let pair = ref 0 and used = ref 0 in
-  let policy _ _ =
+  let policy _ =
     if !pair >= Array.length r.tids then None
     else (
       let tid = r.tids.(!pair) in

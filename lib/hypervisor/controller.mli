@@ -21,11 +21,16 @@ type outcome = {
 
 val is_failure : outcome -> bool
 
-type policy = Ksim.Machine.t -> int list -> int option
-(** A policy sees the machine and the runnable set and picks a thread;
-    [None] gives up (deadlock if threads remain).  A policy value drives
-    exactly one run: the schedule policies keep per-run state that only
-    moves forward, so build a fresh one for every run. *)
+type policy = Ksim.Machine.t -> int option
+(** A policy sees the machine and picks a thread; [None] gives up
+    (deadlock if threads remain).  It is called only while some thread
+    can step.  It asks the machine about the threads it cares about
+    ({!Ksim.Machine.can_step}, {!Ksim.Machine.first_runnable}, the
+    pc-level queries) and builds {!Ksim.Machine.runnable} only when its
+    choice needs the whole set.  Picking a thread that cannot step ends
+    the run as a deadlock.  A policy value drives exactly one run: the
+    schedule policies keep per-run state that only moves forward, so
+    build a fresh one for every run. *)
 
 type observer = Ksim.Machine.t -> Ksim.Machine.event list -> int -> unit
 (** Called after every successfully executed step with the machine
@@ -43,12 +48,6 @@ type start = {
     re-executing the prefix from a fresh boot. *)
 
 val default_max_steps : int
-
-val irq_in_progress : Ksim.Machine.t -> int list -> int option
-(** A started hardware-interrupt handler among the runnable threads.  On
-    its own CPU a handler is not preemptible, but it races freely with
-    threads on other CPUs (the paper's §4.6 bug class); policies modeling
-    a single-CPU guest can use this to run it to completion. *)
 
 val run :
   ?max_steps:int -> ?observe:observer -> Ksim.Machine.t -> policy -> outcome

@@ -181,14 +181,16 @@ let wrap_policy t (policy : Controller.policy) : Controller.policy =
   else (
     let at = 1 + pick t 64 in
     let calls = ref 0 in
-    fun m runnable ->
-      let choice = policy m runnable in
+    fun m ->
+      let choice = policy m in
       incr calls;
       if !calls <> at then choice
       else
         match choice with
         | Some tid -> (
-          match List.find_opt (fun u -> u <> tid) runnable with
+          match
+            List.find_opt (fun u -> u <> tid) (Ksim.Machine.runnable m)
+          with
           | Some u ->
             note t `Spurious;
             t.attempt_tainted <- true;

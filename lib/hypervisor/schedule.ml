@@ -62,6 +62,21 @@ let preemption_key p =
 
 (* --- preemption policy ------------------------------------------------ *)
 
+(* An instruction a policy waits for, resolved to a pc of its thread
+   once that thread exists; the policies then compare ints at every
+   step instead of hashing labels.  [unresolved] until the thread
+   exists, [-1] for a label its program lacks, which never executes. *)
+let unresolved = -2
+
+let resolve m tid label =
+  match Ksim.Machine.pc_of_label m tid label with Some pc -> pc | None -> -1
+
+(* The first thread of [q] that can step. *)
+let rec first_steppable m = function
+  | [] -> None
+  | t :: rest ->
+    if Ksim.Machine.can_step m t then Some t else first_steppable m rest
+
 (* The run queue: head is the active thread.  Spawned threads are
    inserted immediately after their spawner, modeling kworkerd/RCU work
    that becomes runnable as soon as it is queued.  The active thread runs
@@ -78,6 +93,7 @@ let queue_policy ~(queue : int list) ~(switches : switch list) :
     Controller.policy * (unit -> int list * switch list) =
   let queue = ref queue in
   let pending = ref switches in
+  let trigger_pc = ref unresolved in  (* of the head pending switch *)
   (* Thread ids are dense and never retired, so every id below [seen_n]
      has been considered for the queue and a new thread is exactly an
      id at or above it.  The first call walks every thread (the initial
@@ -102,7 +118,7 @@ let queue_policy ~(queue : int list) ~(switches : switch list) :
     go q
   in
   let to_front tid q = tid :: List.filter (fun x -> x <> tid) q in
-  let policy m runnable =
+  let policy m =
     (* Fold spawn and switch effects of the previous step lazily: we
        inspect the machine to learn about new threads, in ascending id
        order. *)
@@ -118,21 +134,20 @@ let queue_policy ~(queue : int list) ~(switches : switch list) :
     (match !pending with
     | { after; switch_to } :: rest ->
       let tid = after.Iid.tid in
-      let executed =
-        Ksim.Machine.has_thread m tid
-        && Ksim.Machine.occurrences m tid after.Iid.label >= after.Iid.occ
-      in
-      if executed then (
-        pending := rest;
-        queue := to_front switch_to !queue)
+      if Ksim.Machine.has_thread m tid then (
+        if !trigger_pc = unresolved then
+          trigger_pc := resolve m tid after.Iid.label;
+        let count =
+          if !trigger_pc < 0 then 0
+          else Ksim.Machine.occurrences_at m tid !trigger_pc
+        in
+        if count >= after.Iid.occ then (
+          pending := rest;
+          trigger_pc := unresolved;
+          queue := to_front switch_to !queue))
     | [] -> ());
     (* Run the first runnable thread in queue order. *)
-    let rec first = function
-      | [] -> None
-      | t :: rest ->
-        if List.mem t runnable then Some t else first rest
-    in
-    first !queue
+    first_steppable m !queue
   in
   (policy, fun () -> (!queue, !pending))
 
@@ -160,18 +175,18 @@ let resume_policy ~queue ~switches = queue_policy ~queue ~switches
 let with_prologue (prologue : int list) (policy : Controller.policy) :
     Controller.policy =
   let remaining = ref prologue in
-  fun m runnable ->
+  fun m ->
     let rec pick = function
       | [] ->
         remaining := [];
-        policy m runnable
+        policy m
       | tid :: rest as l ->
         if Ksim.Machine.is_done m tid then pick rest
         else (
           remaining := l;
-          if List.mem tid runnable then Some tid else None)
+          if Ksim.Machine.can_step m tid then Some tid else None)
     in
-    match !remaining with [] -> policy m runnable | l -> pick l
+    match !remaining with [] -> policy m | l -> pick l
 
 (* --- plan schedules --------------------------------------------------- *)
 
@@ -200,58 +215,52 @@ let pp_plan ppf p =
 let plan_policy (p : plan) : Controller.policy =
   let remaining = ref p.events in
   let budget = ref p.run_through_budget in
-  fun m runnable ->
+  let head_pc = ref unresolved in  (* of the head planned event *)
+  let advance rest =
+    remaining := rest;
+    budget := p.run_through_budget;
+    head_pc := unresolved
+  in
+  fun m ->
     let rec decide () =
       match !remaining with
-      | [] -> (match runnable with [] -> None | t :: _ -> Some t)
+      | [] -> Ksim.Machine.first_runnable m
       | ev :: rest -> (
         let tid = ev.Iid.tid in
         let drop () =
-          remaining := rest;
-          budget := p.run_through_budget;
+          advance rest;
           decide ()
         in
         if not (Ksim.Machine.has_thread m tid) then drop ()
         else
-          match Ksim.Machine.next_label m tid with
-          | None -> drop ()  (* thread finished before the planned event *)
-          | Some next ->
-            if List.mem tid runnable then (
-              let next_occ = Ksim.Machine.occurrences m tid next + 1 in
-              if String.equal next ev.Iid.label && next_occ = ev.Iid.occ then (
-                (* Stepping [tid] now executes exactly [ev]. *)
-                remaining := rest;
-                budget := p.run_through_budget;
-                Some tid)
-              else if !budget > 0 then (
-                (* Control flow diverged from the plan (race-steered):
-                   run the thread through the new path, hoping it
-                   reconverges on the planned instruction. *)
-                decr budget;
-                Some tid)
-              else drop ())
-            else
-              (* Planned thread blocked on a lock: preserve liveness by
-                 running the holder (the paper's critical-section rule
-                 keeps planned flips away from lock cycles; this is the
-                 runtime backstop). *)
-              match Ksim.Machine.blocked_on m tid with
-              | Some lock -> (
-                match Ksim.Machine.lock_holder m lock with
-                | Some holder when List.mem holder runnable -> Some holder
-                | Some _ | None -> None)
-              | None -> drop ())
+          let next = Ksim.Machine.next_pc m tid in
+          if next < 0 then drop ()  (* thread finished before the planned event *)
+          else if Ksim.Machine.can_step m tid then (
+            if !head_pc = unresolved then head_pc := resolve m tid ev.Iid.label;
+            if
+              next = !head_pc
+              && Ksim.Machine.occurrences_at m tid next + 1 = ev.Iid.occ
+            then (
+              (* Stepping [tid] now executes exactly [ev]. *)
+              advance rest;
+              Some tid)
+            else if !budget > 0 then (
+              (* Control flow diverged from the plan (race-steered):
+                 run the thread through the new path, hoping it
+                 reconverges on the planned instruction. *)
+              decr budget;
+              Some tid)
+            else drop ())
+          else
+            (* Planned thread blocked on a lock: preserve liveness by
+               running the holder (the paper's critical-section rule
+               keeps planned flips away from lock cycles; this is the
+               runtime backstop). *)
+            match Ksim.Machine.blocked_on m tid with
+            | Some lock -> (
+              match Ksim.Machine.lock_holder m lock with
+              | Some holder when Ksim.Machine.can_step m holder -> Some holder
+              | Some _ | None -> None)
+            | None -> drop ())
     in
     decide ()
-
-(* Which planned events actually executed in [trace]? Used to detect
-   disappeared data races after a flip. *)
-let executed_events (p : plan) (trace : Ksim.Machine.event list) =
-  let executed =
-    List.fold_left
-      (fun acc (e : Ksim.Machine.event) -> (e.iid.Iid.tid, e.iid.Iid.label, e.iid.Iid.occ) :: acc)
-      [] trace
-  in
-  List.filter
-    (fun (ev : Iid.t) -> List.mem (ev.Iid.tid, ev.Iid.label, ev.Iid.occ) executed)
-    p.events

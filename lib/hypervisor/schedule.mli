@@ -79,7 +79,3 @@ val plan_drop : plan -> int -> plan
     enforced once a snapshot restored the state they produced. *)
 
 val plan_policy : plan -> Controller.policy
-
-val executed_events : plan -> Ksim.Machine.event list -> Iid.t list
-(** Which planned events actually executed — disappeared ones witness
-    race-steered control flows. *)

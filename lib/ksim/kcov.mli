@@ -12,18 +12,21 @@ type site = {
 val site_compare : site -> site -> int
 val pp_site : site Fmt.t
 
-module Site_map : Map.S with type key = site
-
 type db
-(** The cross-run access database: which addresses each instruction site
-    has been seen to access, and the reverse index. *)
+(** The cross-run access database, learned in place: which addresses
+    each instruction site has been seen to access, and the reverse
+    index. *)
 
-val empty : db
+val create : unit -> db
+(** An empty database. *)
 
-val add_event : thread_base:(int -> string) -> db -> Machine.event -> db
-val add_trace : thread_base:(int -> string) -> db -> trace -> db
-(** [thread_base] maps dynamic thread ids to stable names (see
-    {!Machine.thread_base}). *)
+val add_trace : thread_base:(int -> string) -> db -> trace -> unit
+(** Learn the accesses of a trace, in trace order.  [thread_base] maps
+    the trace's thread ids to stable names (see {!Machine.thread_base}).
+    An access the database already holds, by (thread base, label,
+    address, kind), costs one label probe and one address probe; only
+    a new one is added, so the reverse index grows exactly as a fold
+    over every event would grow it. *)
 
 val accessors : db -> Addr.t -> (site * Instr.access_kind) list
 (** Sites known to access [addr] or an overlapping location. *)
@@ -33,6 +36,7 @@ val has_conflict :
 (** Does some other thread's site conflict with an access by [site]? *)
 
 val sites : db -> site list
+(** Every site with a known access, in {!site_compare} order. *)
 
 val coverage :
   trace list -> thread_base:(int -> string) -> int Map.Make(String).t

@@ -180,6 +180,49 @@ let runnable t =
         && blocked_on t tid = None)
       (thread_ids t)
 
+(* Membership in [runnable] for one thread, without building the list:
+   the machine is healthy, the thread exists and has an instruction
+   left, and that instruction is not a lock it would block on. *)
+let can_step t tid =
+  match t.failure with
+  | Some _ -> false
+  | None -> (
+    match Imap.find_opt tid t.threads with
+    | None -> false
+    | Some th -> (
+      th.status = Runnable
+      && th.pc < Program.length th.program
+      &&
+      match (Program.get th.program th.pc).instr with
+      | Instr.Lock l -> not (Smap.mem l t.locks)
+      | _ -> true))
+
+(* The head of [runnable]: thread ids are dense from 0. *)
+let rec first_steppable t tid =
+  if tid >= t.next_tid then None
+  else if can_step t tid then Some tid
+  else first_steppable t (tid + 1)
+
+let first_runnable t = first_steppable t 0
+
+(* Program positions: a thread's program never changes, so a label
+   resolves to one pc per thread for the whole run. *)
+let pc_of_label t tid label =
+  match Program.position_of_label (find_thread t tid).program label with
+  | pc -> Some pc
+  | exception Program.Unknown_label _ -> None
+
+let next_pc t tid =
+  let th = find_thread t tid in
+  match th.status with
+  | Done -> -1
+  | Runnable -> if th.pc < Program.length th.program then th.pc else -1
+
+let occurrences_at t tid pc =
+  let th = find_thread t tid in
+  Option.value ~default:0
+    (Smap.find_opt (Program.get th.program pc).label th.occ)
+
 let all_done t =
   List.for_all (fun tid -> next_labeled t tid = None) (thread_ids t)
 
@@ -1230,7 +1273,8 @@ module Fast = struct
 
   (* Read-only view of [h]'s state: the live arena when [h] is the tip,
      a throwaway rewound clone otherwise. *)
-  let reading h f = if is_current h then f h.h_arena else f (clone_at h)
+  let arena h = if is_current h then h.h_arena else clone_at h
+  let reading h f = f (arena h)
 
   let retip ar =
     let h =
@@ -1785,6 +1829,15 @@ module Fast = struct
 
   let lock_holder h l = reading h (fun ar -> List.assoc_opt l ar.ar_locks)
 
+  (* Not done and not about to block on a held lock. *)
+  let steppable ar tid =
+    let th = ar.ar_threads.(tid) in
+    running th
+    &&
+    match th.a_prog.c_code.(th.a_pc).ci_op with
+    | O_lock l -> not (List.mem_assoc l ar.ar_locks)
+    | _ -> true
+
   let runnable h =
     match h.h_failure with
     | Some _ -> []
@@ -1799,6 +1852,35 @@ module Fast = struct
               | _ -> acc := tid :: !acc)
           done;
           !acc)
+
+  let can_step h tid =
+    match h.h_failure with
+    | Some _ -> false
+    | None -> tid >= 0 && tid < h.h_nthreads && steppable (arena h) tid
+
+  let rec first_steppable ar tid =
+    if tid >= ar.ar_nthreads then None
+    else if steppable ar tid then Some tid
+    else first_steppable ar (tid + 1)
+
+  let first_runnable h =
+    match h.h_failure with
+    | Some _ -> None
+    | None -> first_steppable (arena h) 0
+
+  let pc_of_label h tid label =
+    match Program.position_of_label (thread_rec h tid).a_prog.c_source label with
+    | pc -> Some pc
+    | exception Program.Unknown_label _ -> None
+
+  let next_pc h tid =
+    check_tid h tid;
+    let th = (arena h).ar_threads.(tid) in
+    if running th then th.a_pc else -1
+
+  let occurrences_at h tid pc =
+    check_tid h tid;
+    (arena h).ar_threads.(tid).a_occ.(pc)
 
   let all_done h =
     reading h (fun ar ->
@@ -2044,6 +2126,27 @@ let lock_holder m l =
   match m with Pure p -> lock_holder p l | Fast h -> Fast.lock_holder h l
 
 let runnable = function Pure p -> runnable p | Fast h -> Fast.runnable h
+
+let can_step m tid =
+  match m with Pure p -> can_step p tid | Fast h -> Fast.can_step h tid
+
+let first_runnable = function
+  | Pure p -> first_runnable p
+  | Fast h -> Fast.first_runnable h
+
+let pc_of_label m tid label =
+  match m with
+  | Pure p -> pc_of_label p tid label
+  | Fast h -> Fast.pc_of_label h tid label
+
+let next_pc m tid =
+  match m with Pure p -> next_pc p tid | Fast h -> Fast.next_pc h tid
+
+let occurrences_at m tid pc =
+  match m with
+  | Pure p -> occurrences_at p tid pc
+  | Fast h -> Fast.occurrences_at h tid pc
+
 let all_done = function Pure p -> all_done p | Fast h -> Fast.all_done h
 
 let reg m tid r =

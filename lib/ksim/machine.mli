@@ -65,6 +65,24 @@ val has_started : t -> int -> bool
 val occurrences : t -> int -> string -> int
 (** How many times thread [tid] has executed instruction [label]. *)
 
+(** {2 Program positions}
+
+    A thread's program is fixed, so a label names one pc of the thread
+    for the whole run.  A scheduler that waits for an instruction
+    resolves its label once and then compares ints at every step. *)
+
+val pc_of_label : t -> int -> string -> int option
+(** The pc of [label] in thread [tid]'s program; [None] if the program
+    has no such label. *)
+
+val next_pc : t -> int -> int
+(** The pc [tid] executes next, or [-1] once it is done: the position
+    of {!next_label}. *)
+
+val occurrences_at : t -> int -> int -> int
+(** [occurrences_at m tid pc] is [occurrences m tid label] for the
+    label at [pc], a valid pc of [tid]'s program. *)
+
 val thread_name : t -> int -> string
 
 val thread_base : t -> int -> string
@@ -86,6 +104,13 @@ val lock_holder : t -> string -> int option
 
 val runnable : t -> int list
 (** Threads that can step: not done, not lock-blocked, machine healthy. *)
+
+val can_step : t -> int -> bool
+(** [can_step m tid] holds exactly when [tid] is in [runnable m];
+    builds no list. *)
+
+val first_runnable : t -> int option
+(** The head of [runnable m]; builds no list. *)
 
 val all_done : t -> bool
 val reg : t -> int -> string -> Value.t option

@@ -205,6 +205,89 @@ let test_replay_parity ~engine setting () =
       checkb (bug.id ^ ": runs were replayed") true (!n > 0))
     Bugs.Registry.all
 
+(* Access-database parity: the in-place database LIFS learns into, fed
+   each run as LIFS hands it out, against a whole-trace fold of every
+   event into persistent maps (the database as it was once built, kept
+   here as the oracle).  After every run of every case the two hold the
+   same sites and, for every address, the same accessors in the same
+   order: that order feeds the LIFS candidate order, and so the
+   chains. *)
+module Site_map = Map.Make (struct
+  type t = Ksim.Kcov.site
+
+  let compare = Ksim.Kcov.site_compare
+end)
+
+type fold_db = {
+  f_by_site : (Ksim.Addr.t * Ksim.Instr.access_kind) list Site_map.t;
+  f_by_addr : (Ksim.Kcov.site * Ksim.Instr.access_kind) list Ksim.Addr.Map.t;
+}
+
+let fold_add_event ~thread_base db (e : Ksim.Machine.event) =
+  match e.access with
+  | None -> db
+  | Some a ->
+    let s =
+      { Ksim.Kcov.site_thread = thread_base e.iid.Iid.tid;
+        site_label = e.iid.Iid.label }
+    in
+    let known = Option.value ~default:[] (Site_map.find_opt s db.f_by_site) in
+    if List.exists (fun (ad, k) -> Ksim.Addr.equal ad a.addr && k = a.kind) known
+    then db
+    else
+      { f_by_site = Site_map.add s ((a.addr, a.kind) :: known) db.f_by_site;
+        f_by_addr =
+          Ksim.Addr.Map.update a.addr
+            (fun l -> Some ((s, a.kind) :: Option.value ~default:[] l))
+            db.f_by_addr }
+
+let fold_accessors db addr =
+  Ksim.Addr.Map.fold
+    (fun a sites acc ->
+      if Ksim.Addr.overlaps a addr then List.rev_append sites acc else acc)
+    db.f_by_addr []
+
+let test_access_db_parity ~pruned () =
+  List.iter
+    (fun (bug : Bugs.Bug.t) ->
+      (* one database per slice, as each slice's search keeps its own *)
+      let dbs = Hashtbl.create 4 in
+      let n = ref 0 in
+      let on_run ~slice _ (o : Hypervisor.Controller.outcome) =
+        incr n;
+        let what = Fmt.str "%s run %d" bug.id !n in
+        let db, fold =
+          match Hashtbl.find_opt dbs slice with
+          | Some x -> x
+          | None ->
+            ( Ksim.Kcov.create (),
+              { f_by_site = Site_map.empty; f_by_addr = Ksim.Addr.Map.empty } )
+        in
+        let thread_base = Ksim.Machine.thread_base o.final in
+        Ksim.Kcov.add_trace ~thread_base db o.trace;
+        let fold =
+          List.fold_left (fold_add_event ~thread_base) fold o.trace
+        in
+        Hashtbl.replace dbs slice (db, fold);
+        checkb (what ^ ": same sites") true
+          (Ksim.Kcov.sites db = List.map fst (Site_map.bindings fold.f_by_site));
+        Ksim.Addr.Map.iter
+          (fun addr _ ->
+            if Ksim.Kcov.accessors db addr <> fold_accessors fold addr then
+              Alcotest.failf "%s: accessors of %a differ" what Ksim.Addr.pp
+                addr)
+          fold.f_by_addr
+      in
+      let prune, order =
+        if pruned then (Some `Invariants, Some `Gain) else (None, None)
+      in
+      ignore
+        (Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+           ?prune ?order ~snapshot_cache:pruned ~on_run (bug.case ())
+          : Aitia.Diagnose.report);
+      checkb (bug.id ^ ": runs were learned") true (!n > 0))
+    Bugs.Registry.all
+
 (* --- Causality Analysis --------------------------------------------------- *)
 
 let causality_of (bug : Bugs.Bug.t) =
@@ -672,6 +755,12 @@ let () =
                 (`Faults, "rate=0.05 faults") ])
           [ (Ksim.Engine.Compiled, "compiled");
             (Ksim.Engine.Reference, "reference") ] );
+      ( "access database",
+        [ Alcotest.test_case "fold parity, plain" `Quick
+            (test_access_db_parity ~pruned:false);
+          Alcotest.test_case
+            "fold parity, gain+invariants+snapshot cache" `Quick
+            (test_access_db_parity ~pruned:true) ] );
       ( "causality",
         [ Alcotest.test_case "fig1 roots" `Quick test_causality_fig1;
           Alcotest.test_case "benign filtered" `Quick

@@ -6,7 +6,11 @@
    with an identical schedule, and after every step asserts: identical
    runnable sets, identical events (iid, instruction, access, lock op,
    spawn edges, context), identical failure state and identical
-   [Machine.fingerprint].  At the end of a run the leak-checked
+   [Machine.fingerprint].  On each engine it also checks the queries
+   the schedulers use against the ones they replace: [can_step] is
+   membership in [runnable], [first_runnable] its head, and the
+   pc-level [next_pc]/[occurrences_at] agree with
+   [next_label]/[occurrences].  At the end of a run the leak-checked
    failures must agree (failure iff-equivalence), the race sets
    independently recomputed from each engine's trace must be equal, and
    the kcov coverage extracted from each trace must agree.
@@ -123,6 +127,45 @@ let try_step m tid =
   | Error e -> S_err e
   | exception Machine.Model_error msg -> S_model msg
 
+(* The per-thread and pc-level queries on one engine's machine, against
+   the list and label queries they stand for.  [last] is the event just
+   stepped: its label's count is read both ways too.  Thread ids one
+   past either end must not step. *)
+let query_mismatch m runnable (last : Machine.event option) =
+  let tids = Machine.thread_ids m in
+  let outside = [ -1; List.length tids ] in
+  let label_agrees tid label =
+    match Machine.pc_of_label m tid label with
+    | Some pc -> Machine.occurrences_at m tid pc = Machine.occurrences m tid label
+    | None -> false
+  in
+  let next_agrees tid =
+    let pc = Machine.next_pc m tid in
+    match Machine.next_label m tid with
+    | None -> pc = -1
+    | Some label ->
+      Machine.pc_of_label m tid label = Some pc && label_agrees tid label
+  in
+  if
+    List.exists
+      (fun t -> Machine.can_step m t <> List.mem t runnable)
+      (outside @ tids)
+  then Some "can_step disagrees with runnable"
+  else if
+    Machine.first_runnable m
+    <> match runnable with [] -> None | t :: _ -> Some t
+  then Some "first_runnable is not the head of runnable"
+  else if not (List.for_all next_agrees tids) then
+    Some "next_pc/occurrences_at disagree with next_label/occurrences"
+  else if
+    match last with
+    | Some e -> not (label_agrees e.iid.Iid.tid e.iid.Iid.label)
+    | None -> false
+  then Some "occurrences_at disagrees with occurrences for the last step"
+  else if List.exists (fun t -> Machine.pc_of_label m t "\000" <> None) tids
+  then Some "pc_of_label resolves a label no program has"
+  else None
+
 (* Drive both engines under one schedule, checking parity after every
    step.  Every generated program terminates under every schedule; the
    step cap only guards corpus noise loops against scheduler livelock
@@ -130,6 +173,7 @@ let try_step m tid =
 let lockstep ?(max_steps = 6_000) ~pick group : (run, divergence) result =
   let rec go mr mc trace_r trace_c picked steps =
     let err reason = Error { at_step = steps; reason; picked } in
+    let last = function [] -> None | e :: _ -> Some e in
     if not (String.equal (Engine.fingerprint mr) (Engine.fingerprint mc))
     then err "fingerprints diverge"
     else if failure_str mr <> failure_str mc then err "failures diverge"
@@ -137,6 +181,13 @@ let lockstep ?(max_steps = 6_000) ~pick group : (run, divergence) result =
       let runnable = Machine.runnable mr in
       if runnable <> Machine.runnable mc then err "runnable sets diverge"
       else
+        match
+          ( query_mismatch mr runnable (last trace_r),
+            query_mismatch mc runnable (last trace_c) )
+        with
+        | Some what, _ -> err ("reference engine: " ^ what)
+        | None, Some what -> err ("compiled engine: " ^ what)
+        | None, None ->
         let finish mr mc =
           let mr = Machine.check_leaks mr and mc = Machine.check_leaks mc in
           let fr = failure_str mr and fc = failure_str mc in

@@ -531,7 +531,8 @@ let test_kcov_db () =
   let m, ea = run_thread m 0 in
   let m, eb = run_thread m 1 in
   let thread_base tid = Machine.thread_base m tid in
-  let db = Kcov.add_trace ~thread_base Kcov.empty (ea @ eb) in
+  let db = Kcov.create () in
+  Kcov.add_trace ~thread_base db (ea @ eb);
   checki "two sites" 2 (List.length (Kcov.sites db));
   checkb "conflict for A:s" true
     (Kcov.has_conflict db
@@ -541,6 +542,28 @@ let test_kcov_db () =
     (Kcov.has_conflict db
        ~site:{ Kcov.site_thread = "B"; site_label = "l" }
        ~addr:(Addr.Global "y") ~kind:Instr.Read)
+
+(* The database learns only what is new: re-learning the same accesses
+   in another order changes nothing, and an address's accessors stay
+   oldest first. *)
+let test_kcov_learns_only_new () =
+  let ta = thread "A" [ store "s" (g "x") (cint 1); store "t" (g "y") (cint 2) ] in
+  let tb = thread "B" [ load "l" "v" (g "x") ] in
+  let m = Machine.create (group [ ta; tb ]) in
+  let m, ea = run_thread m 0 in
+  let m, eb = run_thread m 1 in
+  let thread_base tid = Machine.thread_base m tid in
+  let db = Kcov.create () in
+  Kcov.add_trace ~thread_base db (ea @ eb);
+  let site t l = { Kcov.site_thread = t; site_label = l } in
+  let x_accessors = [ (site "A" "s", Instr.Write); (site "B" "l", Instr.Read) ] in
+  checkb "x: oldest first" true (Kcov.accessors db (Addr.Global "x") = x_accessors);
+  Kcov.add_trace ~thread_base db (eb @ ea);
+  checkb "x: unchanged" true (Kcov.accessors db (Addr.Global "x") = x_accessors);
+  checkb "y: one accessor" true
+    (Kcov.accessors db (Addr.Global "y") = [ (site "A" "t", Instr.Write) ]);
+  checkb "sites in order" true
+    (Kcov.sites db = [ site "A" "s"; site "A" "t"; site "B" "l" ])
 
 let () =
   Alcotest.run "ksim"
@@ -599,6 +622,8 @@ let () =
           Alcotest.test_case "leak detection" `Quick test_leak_detection;
           Alcotest.test_case "persistence" `Quick test_persistence_snapshot;
           Alcotest.test_case "kcov db" `Quick test_kcov_db;
+          Alcotest.test_case "kcov learns only new" `Quick
+            test_kcov_learns_only_new;
           Alcotest.test_case "same_bug" `Quick test_failure_same_bug;
           Alcotest.test_case "failure printing" `Quick test_failure_printing;
           Alcotest.test_case "kcov coverage" `Quick test_kcov_coverage ] ) ]

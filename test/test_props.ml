@@ -92,8 +92,10 @@ let gen_seed = QCheck.Gen.int_range 0 1_000_000
 let random_run group seed =
   let rng = Fuzz.Rng.create seed in
   Hypervisor.Controller.run (Ksim.Machine.create group)
-    (fun _m runnable ->
-      match runnable with [] -> None | xs -> Some (Fuzz.Rng.pick rng xs))
+    (fun m ->
+      match Ksim.Machine.runnable m with
+      | [] -> None
+      | xs -> Some (Fuzz.Rng.pick rng xs))
 
 let arb_group_seed =
   QCheck.make
@@ -563,8 +565,9 @@ module Schedule = Hypervisor.Schedule
 module Controller = Hypervisor.Controller
 
 (* The preemption policy in its plainest form, kept as the
-   specification: every call re-derives the run queue from the
-   machine's full thread list, and the prologue wrapper re-checks every
+   specification: every call builds the runnable set, re-derives the
+   run queue from the machine's full thread list and looks its switch
+   trigger up by label, and the prologue wrapper re-checks every
    prologue thread at every step. *)
 let spec_preemption_policy ~prologue (p : Schedule.preemption) :
     Controller.policy =
@@ -605,7 +608,8 @@ let spec_preemption_policy ~prologue (p : Schedule.preemption) :
     | [] -> ());
     List.find_opt (fun t -> List.mem t runnable) !queue
   in
-  fun m runnable ->
+  fun m ->
+    let runnable = Ksim.Machine.runnable m in
     let rec pick = function
       | [] -> policy m runnable
       | tid :: rest ->

@@ -118,11 +118,10 @@ let test_pending_race_after_failure () =
   (* Learn A's access in a passing run. *)
   let pass = run_plan grp [ (0, "a1"); (1, "b1"); (1, "b2") ] in
   checkb "passes" true (pass.verdict = Controller.Completed);
-  let db =
-    Ksim.Kcov.add_trace
-      ~thread_base:(Ksim.Machine.thread_base pass.final)
-      Ksim.Kcov.empty pass.trace
-  in
+  let db = Ksim.Kcov.create () in
+  Ksim.Kcov.add_trace
+    ~thread_base:(Ksim.Machine.thread_base pass.final)
+    db pass.trace;
   (* Failing order: b1 reads 0, BUG fires, a1 never runs. *)
   let fail_ = run_plan grp [ (1, "b1"); (1, "b2"); (0, "a1") ] in
   checkb "fails" true
@@ -246,8 +245,8 @@ let identity_pool =
                      let rng = Fuzz.Rng.create seed in
                      let o =
                        Controller.run (Ksim.Machine.create grp)
-                         (fun _m runnable ->
-                           match runnable with
+                         (fun m ->
+                           match Ksim.Machine.runnable m with
                            | [] -> None
                            | xs -> Some (Fuzz.Rng.pick rng xs))
                      in
