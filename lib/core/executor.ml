@@ -22,7 +22,6 @@
    bit-identical to the fault-free build. *)
 
 type run = {
-  schedule_kind : [ `Preemption | `Plan ];
   outcome : Hypervisor.Controller.outcome;
   confidence : float;
 }
@@ -52,9 +51,8 @@ let verdict_class (o : Hypervisor.Controller.outcome) =
 (* When even the retry budget cannot produce a booted run, synthesize a
    zero-step aborted outcome: diagnosis proceeds (degraded) instead of
    crashing or hanging. *)
-let aborted kind (vm : Hypervisor.Vm.t) =
-  { schedule_kind = kind;
-    outcome =
+let aborted (vm : Hypervisor.Vm.t) =
+  { outcome =
       { Hypervisor.Controller.verdict = Hypervisor.Controller.Step_limit;
         trace = [];
         final =
@@ -64,7 +62,7 @@ let aborted kind (vm : Hypervisor.Vm.t) =
 
 type attempt_outcome = Clean of run | Exhausted of run option
 
-let resilient ?resilience ~kind (vm : Hypervisor.Vm.t)
+let resilient ?resilience (vm : Hypervisor.Vm.t)
     (attempt : unit -> run) : run =
   match Hypervisor.Vm.faults vm with
   | None -> attempt ()
@@ -109,7 +107,7 @@ let resilient ?resilience ~kind (vm : Hypervisor.Vm.t)
       Telemetry.Probe.count "resilience.gave_up";
       match res with
       | Some r -> { r with confidence = 0. }
-      | None -> aborted kind vm
+      | None -> aborted vm
     in
     let quorum_vote first =
       (* Gather clean runs until some verdict class holds a certain
@@ -181,144 +179,131 @@ let resilient ?resilience ~kind (vm : Hypervisor.Vm.t)
       if Hypervisor.Faults.flappy f && policy.quorum > 1 then quorum_vote r
       else r)
 
+(* --- one attempt body per schedule kind --------------------------------- *)
+
+(* The cache an attempt may use: one is enabled and the attempt
+   enforces the schedule as given.  An injected breakpoint miss
+   rewrites the schedule the hypervisor actually enforces, and a
+   perturbed attempt must not touch the cache: neither look up (the
+   prefix belongs to the unperturbed schedule) nor store (the vector
+   would be filed under the wrong key). *)
+let usable ~missed cache =
+  (not missed) && Hypervisor.Snapshots.enabled cache
+
+(* A hit whose restore is detected as corrupted poisons [source], the
+   vector it came from, so nothing restores from it again, and the run
+   degrades to the reboot path. *)
+let restorable (vm : Hypervisor.Vm.t) cache ~source hit =
+  let corrupted () =
+    match Hypervisor.Vm.faults vm with
+    | Some f -> Hypervisor.Faults.corrupt_restore f
+    | None -> false
+  in
+  match hit with
+  | Some h when corrupted () ->
+    Hypervisor.Snapshots.poison cache ~key:(source h);
+    None
+  | Some _ | None -> hit
+
+(* A tainted run executed perturbed steps (hang truncation is harmless
+   but incomplete; a spurious switch diverges from the schedule): its
+   snapshots are never stored. *)
+let untainted (vm : Hypervisor.Vm.t) =
+  match Hypervisor.Vm.faults vm with
+  | Some f -> not (Hypervisor.Faults.tainted f)
+  | None -> true
+
+(* A hit only changes where the run starts: the restored position and
+   the policy's dumped state (the parent's run queue with exactly the
+   child's new switch pending), instead of a fresh boot under the
+   schedule's own order and switches.  With the cache every executed
+   step is captured, and the run's vector is stored under its schedule
+   for future children, on top of the restored prefix. *)
 let run_preemption ?max_steps ?(prologue = []) ?snapshots ?resilience
     (vm : Hypervisor.Vm.t) (sched : Hypervisor.Schedule.preemption) : run =
   Telemetry.Probe.with_span ~cat:"executor" "executor.preemption"
   @@ fun () ->
   Telemetry.Probe.count "executor.preemption_runs";
-  let faults = Hypervisor.Vm.faults vm in
-  let attempt () =
-    (* An injected breakpoint miss rewrites the schedule the hypervisor
-       actually enforces.  A perturbed attempt must not touch the cache:
-       neither look up (the prefix belongs to the unperturbed schedule)
-       nor store (the vector would be filed under the wrong key). *)
-    let enforced, missed =
-      match faults with
-      | Some f ->
-        let switches, missed =
-          Hypervisor.Faults.drop_switches f sched.Hypervisor.Schedule.switches
-        in
-        ({ sched with Hypervisor.Schedule.switches }, missed)
-      | None -> (sched, false)
-    in
-    match snapshots with
-    | Some cache when Hypervisor.Snapshots.enabled cache && not missed ->
-      let key = Hypervisor.Schedule.preemption_key enforced in
-      let snaps_rev = ref [] in
-      let fresh () =
-        let policy, dump =
-          Hypervisor.Schedule.preemption_policy_tracked enforced
-        in
-        let policy = Hypervisor.Schedule.with_prologue prologue policy in
-        ( Hypervisor.Vm.run ?max_steps ~observe:(capture dump snaps_rev) vm
-            policy,
-          [||],
-          None )
+  resilient ?resilience vm @@ fun () ->
+  let enforced, missed =
+    match Hypervisor.Vm.faults vm with
+    | Some f ->
+      let switches, missed =
+        Hypervisor.Faults.drop_switches f sched.Hypervisor.Schedule.switches
       in
-      let outcome, base, parent =
-        match Hypervisor.Snapshots.find_preemption cache enforced with
-        | Some hit ->
-          if
-            match faults with
-            | Some f -> Hypervisor.Faults.corrupt_restore f
-            | None -> false
-          then (
-            (* Detected restore corruption: poison the source vector so
-               nothing restores from it again, and degrade this run to
-               the reboot path. *)
-            Hypervisor.Snapshots.poison cache ~key:hit.vector_key;
-            fresh ())
-          else
-            let policy, dump =
-              Hypervisor.Schedule.resume_policy ~queue:hit.resume_queue
-                ~switches:hit.resume_switches
-            in
-            let policy =
-              Hypervisor.Schedule.with_prologue prologue policy
-            in
-            ( Hypervisor.Vm.resume ?max_steps
-                ~observe:(capture dump snaps_rev) vm hit.start policy,
-              hit.base,
-              (* Remember where the base prefix came from: if that
-                 vector gets poisoned by a concurrent worker before we
-                 store, the store must be dropped. *)
-              Some (hit.vector_key, hit.parent_generation) )
-        | None -> fresh ()
-      in
-      (* A tainted run executed perturbed steps (hang truncation is
-         harmless but incomplete; a spurious switch diverges from the
-         schedule): never store its snapshots. *)
-      let store_ok =
-        match faults with
-        | Some f -> not (Hypervisor.Faults.tainted f)
-        | None -> true
-      in
-      if store_ok then
-        Hypervisor.Snapshots.store cache ~key ?parent ~base
-          ~suffix_rev:!snaps_rev ();
-      { schedule_kind = `Preemption; outcome; confidence = 1. }
-    | Some _ | None ->
-      let policy =
-        Hypervisor.Schedule.with_prologue prologue
-          (Hypervisor.Schedule.preemption_policy enforced)
-      in
-      let outcome = Hypervisor.Vm.run ?max_steps vm policy in
-      { schedule_kind = `Preemption; outcome; confidence = 1. }
+      ({ sched with Hypervisor.Schedule.switches }, missed)
+    | None -> (sched, false)
   in
-  match faults with
-  | None -> attempt ()
-  | Some _ -> resilient ?resilience ~kind:`Preemption vm attempt
+  let cache =
+    match snapshots with
+    | Some c when usable ~missed c -> Some c
+    | Some _ | None -> None
+  in
+  let hit =
+    Option.bind cache (fun c ->
+        restorable vm c
+          ~source:(fun (h : Hypervisor.Snapshots.preemption_hit) ->
+            h.vector_key)
+          (Hypervisor.Snapshots.find_preemption c enforced))
+  in
+  let start, queue, switches, base, parent =
+    match hit with
+    | Some h ->
+      (* [parent] remembers where the base prefix came from: if that
+         vector gets poisoned by a concurrent worker before we store,
+         the store must be dropped. *)
+      ( Some h.start, h.resume_queue, h.resume_switches, h.base,
+        Some (h.vector_key, h.parent_generation) )
+    | None -> (None, enforced.order, enforced.switches, [||], None)
+  in
+  let policy, dump = Hypervisor.Schedule.queue_policy ~queue ~switches in
+  let snaps_rev = ref [] in
+  let outcome =
+    Hypervisor.Vm.run ?max_steps
+      ?observe:(Option.map (fun _ -> capture dump snaps_rev) cache)
+      ?start vm
+      (Hypervisor.Schedule.with_prologue prologue policy)
+  in
+  (match cache with
+  | Some c when untainted vm ->
+    Hypervisor.Snapshots.store c
+      ~key:(Hypervisor.Schedule.preemption_key enforced)
+      ?parent ~base ~suffix_rev:!snaps_rev ()
+  | Some _ | None -> ());
+  { outcome; confidence = 1. }
 
 (* Plan runs (Causality Analysis flips) only look snapshots up — each
    flip is executed once, so caching its own suffix buys nothing; the
-   payoff is restoring the failure run's prefix under [key] instead of
-   rebooting. *)
+   payoff is restoring the failure run's prefix under [key] and
+   enforcing only the suffix plan instead of rebooting. *)
 let run_plan ?max_steps ?(prologue = []) ?snapshots ?resilience
     (vm : Hypervisor.Vm.t) (plan : Hypervisor.Schedule.plan) : run =
   Telemetry.Probe.with_span ~cat:"executor" "executor.plan" @@ fun () ->
   Telemetry.Probe.count "executor.plan_runs";
-  let faults = Hypervisor.Vm.faults vm in
-  let attempt () =
-    let enforced, missed =
-      match faults with
-      | Some f -> Hypervisor.Faults.drop_plan_event f plan
-      | None -> (plan, false)
-    in
-    let fresh () =
-      let policy =
-        Hypervisor.Schedule.with_prologue prologue
-          (Hypervisor.Schedule.plan_policy enforced)
-      in
-      let outcome = Hypervisor.Vm.run ?max_steps vm policy in
-      { schedule_kind = `Plan; outcome; confidence = 1. }
-    in
-    match snapshots with
-    | Some (cache, key) when Hypervisor.Snapshots.enabled cache && not missed
-      -> (
-      match Hypervisor.Snapshots.find_plan cache ~key enforced with
-      | Some hit ->
-        if
-          match faults with
-          | Some f -> Hypervisor.Faults.corrupt_restore f
-          | None -> false
-        then (
-          Hypervisor.Snapshots.poison cache ~key;
-          fresh ())
-        else
-          let policy =
-            Hypervisor.Schedule.with_prologue prologue
-              (Hypervisor.Schedule.plan_policy hit.suffix)
-          in
-          let outcome =
-            Hypervisor.Vm.resume ?max_steps vm hit.plan_start policy
-          in
-          { schedule_kind = `Plan; outcome; confidence = 1. }
-      | None -> fresh ())
-    | Some _ | None -> fresh ()
+  resilient ?resilience vm @@ fun () ->
+  let enforced, missed =
+    match Hypervisor.Vm.faults vm with
+    | Some f -> Hypervisor.Faults.drop_plan_event f plan
+    | None -> (plan, false)
   in
-  match faults with
-  | None -> attempt ()
-  | Some _ -> resilient ?resilience ~kind:`Plan vm attempt
+  let hit =
+    match snapshots with
+    | Some (c, key) when usable ~missed c ->
+      restorable vm c ~source:(fun _ -> key)
+        (Hypervisor.Snapshots.find_plan c ~key enforced)
+    | Some _ | None -> None
+  in
+  let start, plan =
+    match hit with
+    | Some h -> (Some h.plan_start, h.suffix)
+    | None -> (None, enforced)
+  in
+  let outcome =
+    Hypervisor.Vm.run ?max_steps ?start vm
+      (Hypervisor.Schedule.with_prologue prologue
+         (Hypervisor.Schedule.plan_policy plan))
+  in
+  { outcome; confidence = 1. }
 
 (* Update the cross-run access database from a run, keyed by stable
    thread base names. *)

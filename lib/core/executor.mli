@@ -12,7 +12,6 @@
     fault-free build. *)
 
 type run = {
-  schedule_kind : [ `Preemption | `Plan ];
   outcome : Hypervisor.Controller.outcome;
   confidence : float;
       (** 1.0 normally; the quorum vote share when clean runs

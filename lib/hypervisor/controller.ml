@@ -42,8 +42,10 @@ type observer = Ksim.Machine.t -> Ksim.Machine.event list -> int -> unit
 
 (* A resumable position inside a run: the machine after [start_steps]
    steps together with the reversed trace that produced it.  Resuming
-   from a start is bit-identical to re-executing the prefix because the
-   machine is a persistent value — the start IS the mid-run state. *)
+   from a start is bit-identical to re-executing the prefix: a
+   reference-engine machine is a persistent value, so the start IS the
+   mid-run state; a compiled-engine start is a frozen arena handle,
+   which the first step clones and rewinds to its undo-log mark. *)
 type start = {
   start_machine : Ksim.Machine.t;
   start_trace_rev : Ksim.Machine.event list;
@@ -130,11 +132,9 @@ let run_from ?(max_steps = default_max_steps) ?observe (start : start)
   in
   loop start.start_machine start.start_trace_rev start.start_steps
 
-let run_raw ?max_steps ?observe (m : Ksim.Machine.t) (policy : policy) :
-    outcome =
-  run_from ?max_steps ?observe
-    { start_machine = m; start_trace_rev = []; start_steps = 0 }
-    policy
+(* The start of a run on a freshly booted machine. *)
+let at_boot (m : Ksim.Machine.t) =
+  { start_machine = m; start_trace_rev = []; start_steps = 0 }
 
 (* A run reduced to what re-derives it.  The machine is deterministic,
    so the thread of every step determines the trace and the final
@@ -185,47 +185,45 @@ let replay (m : Ksim.Machine.t) (r : recording) : outcome =
       Some tid)
   in
   let max_steps = r.rec_steps + if r.failed_final then 1 else 0 in
-  { (run_raw ~max_steps m policy) with verdict = r.rec_verdict }
+  { (run_from ~max_steps (at_boot m) policy) with verdict = r.rec_verdict }
 
-(* The instrumented entry point: one span per enforced schedule, plus
-   the step-loop counters (instructions stepped, context switches —
-   our breakpoint hits).  The counters are derived after the run from
-   local state, so the disabled path costs one ref read. *)
-let run ?max_steps ?observe (m : Ksim.Machine.t) (policy : policy) : outcome =
-  Telemetry.Probe.span_begin ~cat:"hypervisor" "controller.run";
-  let o = run_raw ?max_steps ?observe m policy in
+(* The instrumented body behind both entry points: one span per
+   enforced schedule, plus the step-loop counters (instructions stepped,
+   context switches — our breakpoint hits).  A resumed run counts only
+   what it executes, never the restored prefix — that is the saving the
+   snapshot cache exists to make: the instructions beyond [start], and
+   the switches between consecutive executed steps, the one at the
+   restore boundary included (the trace's switches minus the
+   prefix's).  The counters are derived after the run from local state,
+   so the disabled path costs one ref read. *)
+let instrumented ~resumed ?max_steps ?observe (start : start)
+    (policy : policy) : outcome =
+  Telemetry.Probe.span_begin ~cat:"hypervisor"
+    (if resumed then "controller.resume" else "controller.run");
+  let o = run_from ?max_steps ?observe start policy in
   if Telemetry.Probe.installed () then (
-    Telemetry.Probe.count "controller.runs";
-    Telemetry.Probe.count ~by:o.steps "controller.instructions";
+    let prefix = start.start_steps in
     Telemetry.Probe.count
-      ~by:(context_switches o.trace)
+      (if resumed then "controller.resumed_runs" else "controller.runs");
+    Telemetry.Probe.count ~by:(o.steps - prefix) "controller.instructions";
+    Telemetry.Probe.count
+      ~by:(context_switches o.trace - context_switches start.start_trace_rev)
       "controller.context_switches";
     Telemetry.Probe.count ("controller.verdict." ^ verdict_name o.verdict);
     Telemetry.Probe.span_end
       ~args:
-        [ ("verdict", verdict_name o.verdict);
-          ("steps", string_of_int o.steps) ]
+        (("verdict", verdict_name o.verdict)
+        :: (if resumed then [ ("prefix_steps", string_of_int prefix) ]
+            else [])
+        @ [ ("steps", string_of_int o.steps) ])
       ());
   o
 
-(* A resumed run executes only the suffix beyond [start]: the span and
-   instruction counter cover the divergent steps, never the restored
-   prefix — that is the saving the snapshot cache exists to make. *)
+let run ?max_steps ?observe (m : Ksim.Machine.t) (policy : policy) : outcome =
+  instrumented ~resumed:false ?max_steps ?observe (at_boot m) policy
+
 let resume ?max_steps ?observe (start : start) (policy : policy) : outcome =
-  Telemetry.Probe.span_begin ~cat:"hypervisor" "controller.resume";
-  let o = run_from ?max_steps ?observe start policy in
-  if Telemetry.Probe.installed () then (
-    Telemetry.Probe.count "controller.resumed_runs";
-    Telemetry.Probe.count ~by:(o.steps - start.start_steps)
-      "controller.instructions";
-    Telemetry.Probe.count ("controller.verdict." ^ verdict_name o.verdict);
-    Telemetry.Probe.span_end
-      ~args:
-        [ ("verdict", verdict_name o.verdict);
-          ("prefix_steps", string_of_int start.start_steps);
-          ("steps", string_of_int o.steps) ]
-      ());
-  o
+  instrumented ~resumed:true ?max_steps ?observe start policy
 
 let pp_verdict ppf = function
   | Completed -> Fmt.string ppf "completed"

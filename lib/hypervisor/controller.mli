@@ -43,9 +43,13 @@ type start = {
   start_trace_rev : Ksim.Machine.event list;  (** reversed prefix trace *)
   start_steps : int;
 }
-(** A resumable mid-run position.  The machine is persistent, so a start
-    IS the state after its prefix — resuming is bit-identical to
-    re-executing the prefix from a fresh boot. *)
+(** A resumable mid-run position.  On the reference engine the machine
+    is a persistent value, so a start IS the state after its prefix.
+    On the compiled (default) engine it is a frozen arena handle — an
+    arena plus the undo-log mark of that state — and the first step
+    from it clones the arena and rewinds the undo suffix to the mark,
+    leaving the cached handle untouched.  Either way resuming is
+    bit-identical to re-executing the prefix from a fresh boot. *)
 
 val default_max_steps : int
 
@@ -57,6 +61,15 @@ val run :
     bit-identical.  Without [observe] the outcome's [final] is
     {!Ksim.Machine.detach}ed, so a retained outcome does not retain the
     run's undo log; with it, [final] is the run's last machine. *)
+
+val resume : ?max_steps:int -> ?observe:observer -> start -> policy -> outcome
+(** Continue a run from a restored snapshot position, through the same
+    instrumented body as {!run} (span [controller.resume], counter
+    [controller.resumed_runs]).  The outcome's trace and step count
+    cover the whole run (prefix + suffix), exactly as [run] would
+    report, but only the suffix executes: the instruction and
+    context-switch counters count the suffix alone, the switch at the
+    restore boundary included. *)
 
 type recording
 (** A run reduced to what re-derives it: the thread of every step,
@@ -73,11 +86,6 @@ val replay : Ksim.Machine.t -> recording -> outcome
     the verdict is the one the run reported.  Uninstrumented: no span
     and no counter, as the run was accounted when it executed. *)
 
-val resume : ?max_steps:int -> ?observe:observer -> start -> policy -> outcome
-(** Continue a run from a restored snapshot position.  The outcome's
-    trace and step count cover the whole run (prefix + suffix), exactly
-    as [run] would report, but only the suffix instructions execute —
-    the telemetry instruction counter reflects the suffix alone. *)
 
 val context_switches : Ksim.Machine.event list -> int
 (** Context switches of a trace — the scheduling analogue of the

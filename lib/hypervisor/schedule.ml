@@ -154,15 +154,6 @@ let queue_policy ~(queue : int list) ~(switches : switch list) :
 let preemption_policy (p : preemption) : Controller.policy =
   fst (queue_policy ~queue:p.order ~switches:p.switches)
 
-let preemption_policy_tracked (p : preemption) =
-  queue_policy ~queue:p.order ~switches:p.switches
-
-(* Resume from a snapshot: start from the dumped run queue with the
-   not-yet-consumed switches still pending.  The snapshot cache arranges
-   that exactly the suffix switches are passed, so the policy behaves
-   bit-identically to the fresh policy from that position onward. *)
-let resume_policy ~queue ~switches = queue_policy ~queue ~switches
-
 (* --- prologue --------------------------------------------------------- *)
 
 (* Prologue threads (resource-setup system calls pulled in by the

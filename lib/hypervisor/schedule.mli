@@ -38,27 +38,24 @@ val pp_switch : switch Fmt.t
 val pp_preemption : preemption Fmt.t
 
 val preemption_policy : preemption -> Controller.policy
-(** Spawned background threads enter the run queue right after their
+(** {!queue_policy} started from the schedule, without the dump.
+    Spawned background threads enter the run queue right after their
     spawner; the active thread runs until it finishes, blocks or hits a
     scheduling point. *)
 
-val preemption_policy_tracked :
-  preemption -> Controller.policy * (unit -> int list * switch list)
-(** [preemption_policy] plus a dump of the live run queue and the
-    not-yet-consumed switches.  Policy state only mutates inside policy
-    calls, so a dump taken right after the call that decided step [k]
-    is exactly the state the next call starts from — the invariant the
-    snapshot cache captures. *)
-
-val resume_policy :
+val queue_policy :
   queue:int list ->
   switches:switch list ->
   Controller.policy * (unit -> int list * switch list)
-(** The policy to continue a run restored from a snapshot: the dumped
-    run queue with only the not-yet-consumed switches pending, plus the
-    same state dump as {!preemption_policy_tracked} so the resumed run
-    can itself be captured.  Bit-identical to the fresh policy from
-    that position onward. *)
+(** The one queue policy, from any starting state: a fresh schedule's
+    [order] and [switches], or a run queue dumped from a snapshot with
+    only the not-yet-consumed switches pending.  The returned dump
+    reads the live run queue and pending switches.  Policy state only
+    mutates inside policy calls, so a dump taken right after the call
+    that decided step [k] is exactly the state the next call starts
+    from — the invariant the snapshot cache captures, and the reason a
+    policy started from a dumped state is bit-identical to the fresh
+    policy from that position onward. *)
 
 val with_prologue : int list -> Controller.policy -> Controller.policy
 (** Force resource-setup threads to run to completion, in order, before

@@ -1,14 +1,19 @@
 (* Prefix-sharing snapshot cache (our analogue of AITIA's VM snapshot
    tree).
 
-   The machine is a persistent value, so a "snapshot" is just keeping
-   the machine reached after each step of a run — copy-on-write through
-   the persistent maps, no deep copy.  A run's snapshots form one
-   vector, keyed by the schedule that produced it; because consecutive
-   schedules explored by LIFS differ by one appended switch, the vector
-   of a schedule IS the snapshot tree path shared with all its children:
-   a child run restores the parent's snapshot at its divergence point
-   and executes only the suffix.  Causality Analysis flip plans likewise
+   A "snapshot" is just keeping the machine reached after each step of
+   a run.  On the reference engine that machine is a persistent value
+   — copy-on-write through the persistent maps, no deep copy.  On the
+   default compiled engine it is a handle into the run's arena, an
+   undo-log mark: [store] freezes it, so the arena is only read from
+   then on, and a restore clones the arena and rewinds it to the mark
+   on its first step.  Either way a restore only changes where the
+   next run starts.  A run's snapshots form one vector, keyed by the
+   schedule that produced it; because consecutive schedules explored
+   by LIFS differ by one appended switch, the vector of a schedule IS
+   the snapshot tree path shared with all its children: a child run
+   restores the parent's snapshot at its divergence point and executes
+   only the suffix.  Causality Analysis flip plans likewise
    share a long prefix with the failure trace they permute, so each flip
    restores the snapshot just before the flipped race instead of
    rebooting.
@@ -32,12 +37,13 @@
 
    Shared tier: every public operation takes one cache-wide lock (a
    no-op mutex on the single-domain build), so one cache can back all
-   workers of a pool.  Machines are persistent values — restoring a
-   snapshot never mutates it — so sharing needs no copying; the only
-   new hazard under contention is the hit→store window: worker A
-   restores a prefix from a parent vector, worker B poisons that
-   vector (its restore was detected corrupted), and A would then store
-   a child vector built on the bad prefix.  Each vector therefore
+   workers of a pool.  Restoring a snapshot never mutates it (a
+   persistent value, or a frozen handle the restore clones), so
+   sharing needs no copying; the only new hazard under contention is
+   the hit→store window: worker A restores a prefix from a parent
+   vector, worker B poisons that vector (its restore was detected
+   corrupted), and A would then store a child vector built on the bad
+   prefix.  Each vector therefore
    carries a generation counter, bumped on poison; a preemption hit
    records the parent's generation and [store ~parent] silently drops
    the child when the recorded generation is stale. *)
@@ -123,7 +129,7 @@ let estimate_bytes (snaps : snap array) =
   Array.iteri
     (fun k s ->
       let prev = if k = 0 then None else Some snaps.(k - 1).machine in
-      total := !total + Ksim.Engine.snapshot_cost ?prev s.machine)
+      total := !total + Ksim.Machine.snapshot_cost ?prev s.machine)
     snaps;
   !total
 
@@ -182,13 +188,11 @@ let store t ~key ?(parent : (string * int) option) ~(base : snap array)
         let snaps =
           Array.append base (Array.of_list (List.rev suffix_rev))
         in
-        (* Capture through the engine interface before publishing: a
-           compiled-engine machine is frozen and gives up its in-place
-           fast path, so concurrent restores from other workers only
-           ever read the shared arena.  No-op for reference machines. *)
-        Array.iter
-          (fun s -> ignore (Ksim.Engine.snapshot s.machine : Ksim.Engine.snapshot))
-          snaps;
+        (* Freeze before publishing: a compiled-engine machine gives up
+           its in-place fast path, so concurrent restores from other
+           workers only ever read the shared arena.  No-op for
+           reference machines. *)
+        Array.iter (fun s -> Ksim.Machine.freeze s.machine) snaps;
         if Array.length snaps > 0 then (
           let iids =
             Array.map

@@ -1,12 +1,14 @@
 (** Prefix-sharing snapshot cache — the analogue of AITIA's VM snapshot
     tree.
 
-    The machine is persistent, so a snapshot is the machine value
-    reached after each step of a run (copy-on-write through the
-    persistent maps, no deep copy).  A run's snapshots form one vector
-    keyed by its schedule; a child schedule (one more switch, or a flip
-    plan permuting the same trace) restores the longest cached prefix
-    and executes only the divergent suffix.
+    A snapshot is the machine reached after each step of a run: on the
+    reference engine a persistent value (copy-on-write through the
+    persistent maps, no deep copy), on the default compiled engine an
+    arena handle — an undo-log mark — that {!store} freezes and a
+    restore clones and rewinds on its first step.  A run's snapshots
+    form one vector keyed by its schedule; a child schedule (one more
+    switch, or a flip plan permuting the same trace) restores the
+    longest cached prefix and executes only the divergent suffix.
 
     Two invariants are enforced at lookup time: a preemption hit
     requires the parent policy's pending-switch list to be empty at the
@@ -19,10 +21,11 @@
 
     The cache is safe to share between the workers of a {!Pool}: every
     operation holds one cache-wide lock (a no-op on the single-domain
-    build), machines are persistent so restores never mutate shared
-    state, and per-vector generation counters close the hit→store
-    window — a child vector whose restored prefix came from a vector
-    poisoned in between is silently dropped. *)
+    build), restores never mutate shared state (a persistent value,
+    or a frozen handle the restore clones), and per-vector generation
+    counters close the hit→store window — a child vector whose
+    restored prefix came from a vector poisoned in between is silently
+    dropped. *)
 
 module Iid = Ksim.Access.Iid
 

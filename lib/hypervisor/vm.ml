@@ -109,37 +109,38 @@ let settle t ~hang (o : Controller.outcome) =
   | _ -> ());
   o
 
-(* Run one schedule on a fresh guest. *)
-let run ?max_steps ?observe t policy =
+(* Run one schedule: on a fresh guest, or from [start], a restored
+   mid-run snapshot, executing only the suffix beyond it.  In cost-model
+   terms a restore replaces the fresh boot (and, when the previous run
+   on this guest failed, the reboot that recovery would have required)
+   — the savings accumulate in [sim_saved] so that with the cache
+   disabled the accounting is bit-identical to before. *)
+let run ?max_steps ?observe ?start t policy =
   let max_steps, policy, hang, flap = fault_plan t ~max_steps policy in
-  let m = boot t in
-  let o = Controller.run ?max_steps ?observe m policy in
+  let o =
+    match start with
+    | None -> Controller.run ?max_steps ?observe (boot t) policy
+    | Some start -> Controller.resume ?max_steps ?observe start policy
+  in
   let o = flap (settle t ~hang o) in
-  record t ~executed:o.steps o;
-  o
-
-(* Continue a schedule from a restored mid-run snapshot: only the suffix
-   beyond [start] executes.  In cost-model terms the restore replaces
-   the fresh boot (and, when the previous run on this guest failed, the
-   reboot that recovery would have required) — the savings accumulate in
-   [sim_saved] so that with the cache disabled the accounting is
-   bit-identical to before. *)
-let resume ?max_steps ?observe t (start : Controller.start) policy =
-  let max_steps, policy, hang, flap = fault_plan t ~max_steps policy in
-  t.stats.resumes <- t.stats.resumes + 1;
-  t.stats.saved_steps <- t.stats.saved_steps + start.Controller.start_steps;
-  if t.stats.last_run_failed then
-    t.stats.sim_saved <- t.stats.sim_saved +. t.costs.per_reboot;
-  Telemetry.Probe.count "vm.resumes";
-  let o = Controller.resume ?max_steps ?observe start policy in
-  let o = flap (settle t ~hang o) in
-  let prefix = start.Controller.start_steps in
-  (if o.steps > 0 then
-     let share =
-       t.costs.per_schedule *. float_of_int prefix /. float_of_int o.steps
-     in
-     t.stats.sim_saved <-
-       t.stats.sim_saved +. Float.max 0. (share -. t.costs.per_restore));
+  let prefix =
+    match start with
+    | None -> 0
+    | Some start ->
+      let prefix = start.Controller.start_steps in
+      t.stats.resumes <- t.stats.resumes + 1;
+      t.stats.saved_steps <- t.stats.saved_steps + prefix;
+      if t.stats.last_run_failed then
+        t.stats.sim_saved <- t.stats.sim_saved +. t.costs.per_reboot;
+      Telemetry.Probe.count "vm.resumes";
+      (if o.steps > 0 then
+         let share =
+           t.costs.per_schedule *. float_of_int prefix /. float_of_int o.steps
+         in
+         t.stats.sim_saved <-
+           t.stats.sim_saved +. Float.max 0. (share -. t.costs.per_restore));
+      prefix
+  in
   record t ~executed:(o.steps - prefix) o;
   o
 
@@ -150,7 +151,6 @@ let penalize t seconds = t.stats.penalty <- t.stats.penalty +. seconds
 
 let runs t = t.stats.runs
 let failures t = t.stats.failures
-let total_steps t = t.stats.steps
 let executed_steps t = t.stats.executed
 let saved_steps t = t.stats.saved_steps
 let resumes t = t.stats.resumes

@@ -43,22 +43,20 @@ val boot : t -> Ksim.Machine.t
     @raise Boot_failure when fault injection fails the boot. *)
 
 val run :
-  ?max_steps:int -> ?observe:Controller.observer -> t ->
-  Controller.policy -> Controller.outcome
-(** Run one schedule on a fresh guest, recording the outcome.  Under
-    fault injection the run may be truncated by an injected hang
-    (verdict [Step_limit]), perturbed by a spurious extra context
-    switch, or have its verdict flapped; see {!Faults}.
+  ?max_steps:int -> ?observe:Controller.observer ->
+  ?start:Controller.start -> t -> Controller.policy -> Controller.outcome
+(** Run one schedule, recording the outcome.  Without [start] the run
+    boots a fresh guest; with it, the run continues from that restored
+    mid-run snapshot and only the suffix beyond it executes, but the
+    outcome covers the whole run exactly as a fresh run would report
+    it.  Only a run with [start] counts in {!resumes} and
+    {!saved_steps}, and credits [simulated_saved] with the modeled cost
+    of the restored prefix (and of the reboot the restore made
+    unnecessary, when the previous run failed).  Under fault injection
+    the run may be truncated by an injected hang (verdict
+    [Step_limit]), perturbed by a spurious extra context switch, or
+    have its verdict flapped; see {!Faults}.
     @raise Boot_failure when fault injection fails the boot. *)
-
-val resume :
-  ?max_steps:int -> ?observe:Controller.observer -> t ->
-  Controller.start -> Controller.policy -> Controller.outcome
-(** Continue a schedule from a restored mid-run snapshot: only the
-    suffix beyond the start executes, but the outcome covers the whole
-    run exactly as [run] would report it.  The modeled cost of the
-    restored prefix (and of the reboot the restore made unnecessary,
-    when the previous run failed) is credited to [simulated_saved]. *)
 
 val penalize : t -> float -> unit
 (** Add modeled seconds to the cost model — the resilience layer's
@@ -67,11 +65,8 @@ val penalize : t -> float -> unit
 
 val runs : t -> int
 val failures : t -> int
-val total_steps : t -> int
-
 val executed_steps : t -> int
-(** Instructions actually executed — excludes restored prefixes, which
-    [total_steps] includes. *)
+(** Instructions actually executed — excludes restored prefixes. *)
 
 val saved_steps : t -> int
 (** Prefix instructions obtained from snapshots instead of execution. *)

@@ -1,9 +1,8 @@
 (* The execution-engine selector: one name for "which Machine
    implementation runs the guest", threaded from the CLI through Vm into
-   every layer that boots machines.  The interface deliberately mirrors
-   how the executor and the snapshot cache consume machines — step,
-   snapshot, restore, fingerprint — so those layers need never
-   pattern-match on machine internals. *)
+   every layer that boots machines.  Everything past the boot goes
+   through [Machine] itself, which answers every query identically on
+   both engines. *)
 
 type kind = Reference | Compiled
 
@@ -23,21 +22,4 @@ let boot = function
   | Reference -> Machine.create
   | Compiled -> Machine.create_compiled
 
-let kind_of m = if Machine.compiled m then Compiled else Reference
-
 let step = Machine.step
-
-(* A snapshot is the machine value itself: the reference engine is
-   persistent, and the compiled engine is frozen so the shared arena is
-   only ever read (restores clone-and-rewind from it). *)
-type snapshot = Machine.t
-
-let snapshot m =
-  Machine.freeze m;
-  m
-
-let restore s = s
-
-let snapshot_cost ?prev (m : Machine.t) = Machine.snapshot_cost ?prev m
-
-let fingerprint = Machine.fingerprint

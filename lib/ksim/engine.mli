@@ -5,11 +5,9 @@
     and the arena/undo-log {e compiled} engine (see {!Machine}).  This
     module is the single switch point — [--engine=reference|compiled] on
     the CLI becomes a {!kind} carried by [Hypervisor.Vm], and every
-    layer that boots a machine goes through {!boot}.
-
-    The [step]/[snapshot]/[restore]/[fingerprint] quartet is the engine
-    interface the executor and snapshot cache consume, so they never
-    pattern-match on machine internals. *)
+    layer that boots a machine goes through {!boot}.  Past the boot a
+    machine of either engine answers every {!Machine} query
+    identically, so no other layer pattern-matches on the engine. *)
 
 type kind = Reference | Compiled
 
@@ -27,30 +25,5 @@ val of_string : string -> (kind, string) result
 val boot : kind -> Program.group -> Machine.t
 (** A fresh machine on the chosen engine. *)
 
-val kind_of : Machine.t -> kind
-
-(** {1 The engine interface} *)
-
 val step : Machine.t -> int -> (Machine.t * Machine.event, Machine.step_error) result
-
-type snapshot
-
-val snapshot : Machine.t -> snapshot
-(** Capture the machine's state for later restoration.  Freezes a
-    compiled-engine machine so the snapshot may be restored concurrently
-    from several domains. *)
-
-val restore : snapshot -> Machine.t
-(** The machine at the snapshotted state.  O(1); a compiled-engine
-    restore defers the arena clone-and-rewind until the machine is
-    actually stepped or inspected. *)
-
-val snapshot_cost : ?prev:Machine.t -> Machine.t -> int
-(** Estimated marginal bytes of retaining a snapshot, given the
-    previously accounted snapshot of the same chain — the unit the
-    snapshot cache's LRU budget counts in.  Reference-engine snapshots
-    cost a flat per-step constant (persistent-map spine sharing);
-    compiled-engine snapshots sharing an arena cost their undo-log
-    delta, and a fresh arena is charged as a full clone. *)
-
-val fingerprint : Machine.t -> string
+(** {!Machine.step}. *)

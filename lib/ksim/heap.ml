@@ -74,11 +74,6 @@ let leaked t =
     t.objs []
   |> List.rev
 
-let live_count t =
-  Int_map.fold
-    (fun _ o n -> match o.state with Live -> n + 1 | Freed _ -> n)
-    t.objs 0
-
 (* In-order enumeration of every object (live and freed), for the
    machine fingerprint: Int_map folds in increasing key order, so the
    traversal is canonical regardless of insertion history. *)

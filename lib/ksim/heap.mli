@@ -39,8 +39,6 @@ val check_access :
 val leaked : t -> (Value.obj_id * string) list
 (** Live [leak_check] objects, for the end-of-run leak report. *)
 
-val live_count : t -> int
-
 val fold : (Value.obj_id -> obj -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over every object, live and freed, in increasing id order —
     a canonical traversal for state fingerprinting. *)

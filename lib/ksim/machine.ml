@@ -116,7 +116,6 @@ let create (group : Program.group) =
 (* --- inspection ----------------------------------------------------- *)
 
 let failed t = t.failure
-let clock t = t.clock
 let thread_ids t = Imap.fold (fun id _ acc -> id :: acc) t.threads [] |> List.rev
 let find_thread t tid =
   match Imap.find_opt tid t.threads with
@@ -133,8 +132,6 @@ let has_started t tid =
 (* How many times has [tid] executed the instruction [label] so far? *)
 let occurrences t tid label =
   Option.value ~default:0 (Smap.find_opt label (find_thread t tid).occ)
-
-let thread_name t tid = (find_thread t tid).name
 
 (* Stable identity of a thread across runs of the same group: the
    thread-spec name for top-level threads, the entry name for spawned
@@ -239,8 +236,6 @@ let mem_read t addr =
   match Addr.Map.find_opt addr t.mem with
   | Some v -> v
   | None -> v_zero  (* zero-initialized memory *)
-
-let live_objects t = Heap.live_count t.heap
 
 (* --- expression evaluation ------------------------------------------ *)
 
@@ -1796,7 +1791,6 @@ module Fast = struct
     check_tid h tid;
     h.h_arena.ar_threads.(tid)
 
-  let thread_name h tid = (thread_rec h tid).a_name
   let thread_base h tid = (thread_rec h tid).a_base
   let thread_context h tid = (thread_rec h tid).a_context
   let thread_parent h tid = (thread_rec h tid).a_parent
@@ -1932,16 +1926,6 @@ module Fast = struct
           else v_zero
         | Addr.Whole _ -> v_zero)
 
-  let live_objects h =
-    reading h (fun ar ->
-        let n = ref 0 in
-        for i = 0 to ar.ar_nobjs - 1 do
-          match ar.ar_objs.(i).Heap.state with
-          | Heap.Live -> incr n
-          | Heap.Freed _ -> ()
-        done;
-        !n)
-
   (* --- leaks ---------------------------------------------------------- *)
 
   let check_leaks h =
@@ -2072,10 +2056,8 @@ type t = Pure of pure | Fast of Fast.handle
 
 let create group = Pure (create group)
 let create_compiled group = Fast (Fast.create group)
-let compiled = function Pure _ -> false | Fast _ -> true
 
 let failed = function Pure p -> failed p | Fast h -> h.Fast.h_failure
-let clock = function Pure p -> clock p | Fast h -> h.Fast.h_clock
 let thread_ids = function Pure p -> thread_ids p | Fast h -> Fast.thread_ids h
 
 let has_thread m tid =
@@ -2089,9 +2071,6 @@ let occurrences m tid label =
   | Pure p -> occurrences p tid label
   | Fast h -> Fast.occurrences h tid label
 
-let thread_name m tid =
-  match m with Pure p -> thread_name p tid | Fast h -> Fast.thread_name h tid
-
 let thread_base m tid =
   match m with Pure p -> thread_base p tid | Fast h -> Fast.thread_base h tid
 
@@ -2104,11 +2083,6 @@ let thread_parent m tid =
   match m with
   | Pure p -> thread_parent p tid
   | Fast h -> Fast.thread_parent h tid
-
-let next_labeled m tid =
-  match m with
-  | Pure p -> next_labeled p tid
-  | Fast h -> Fast.next_labeled h tid
 
 let is_done m tid =
   match m with Pure p -> is_done p tid | Fast h -> Fast.is_done h tid
@@ -2154,10 +2128,6 @@ let reg m tid r =
 
 let mem_read m addr =
   match m with Pure p -> mem_read p addr | Fast h -> Fast.mem_read h addr
-
-let live_objects = function
-  | Pure p -> live_objects p
-  | Fast h -> Fast.live_objects h
 
 let step m tid =
   match m with

@@ -49,13 +49,9 @@ val create_compiled : Program.group -> t
     Programs are compiled once per group (a small process-wide cache
     keyed by the group's physical identity). *)
 
-val compiled : t -> bool
-(** Is this machine running on the compiled engine? *)
-
 (** {1 Inspection} *)
 
 val failed : t -> Failure.t option
-val clock : t -> int
 val thread_ids : t -> int list
 val has_thread : t -> int -> bool
 
@@ -83,8 +79,6 @@ val occurrences_at : t -> int -> int -> int
 (** [occurrences_at m tid pc] is [occurrences m tid label] for the
     label at [pc], a valid pc of [tid]'s program. *)
 
-val thread_name : t -> int -> string
-
 val thread_base : t -> int -> string
 (** Stable identity across runs of the same group: the thread-spec name
     for top-level threads, the entry name for spawned kthreads. *)
@@ -92,7 +86,6 @@ val thread_base : t -> int -> string
 val thread_context : t -> int -> Program.context
 val thread_parent : t -> int -> int option
 
-val next_labeled : t -> int -> Program.labeled option
 val next_label : t -> int -> string option
 val is_done : t -> int -> bool
 
@@ -116,8 +109,6 @@ val all_done : t -> bool
 val reg : t -> int -> string -> Value.t option
 val mem_read : t -> Addr.t -> Value.t
 (** Unwritten memory reads as zero. *)
-
-val live_objects : t -> int
 
 (** {1 Stepping} *)
 

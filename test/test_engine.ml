@@ -174,7 +174,7 @@ let lockstep ?(max_steps = 6_000) ~pick group : (run, divergence) result =
   let rec go mr mc trace_r trace_c picked steps =
     let err reason = Error { at_step = steps; reason; picked } in
     let last = function [] -> None | e :: _ -> Some e in
-    if not (String.equal (Engine.fingerprint mr) (Engine.fingerprint mc))
+    if not (String.equal (Machine.fingerprint mr) (Machine.fingerprint mc))
     then err "fingerprints diverge"
     else if failure_str mr <> failure_str mc then err "failures diverge"
     else
@@ -194,7 +194,7 @@ let lockstep ?(max_steps = 6_000) ~pick group : (run, divergence) result =
           if fr <> fc then err "leak-checked failures diverge"
           else if
             not
-              (String.equal (Engine.fingerprint mr) (Engine.fingerprint mc))
+              (String.equal (Machine.fingerprint mr) (Machine.fingerprint mc))
           then err "post-leak-check fingerprints diverge"
           else
             Ok
@@ -339,7 +339,7 @@ let prop_restore_equals_fresh =
           | Error _ | (exception Machine.Model_error _) ->
             (List.rev tids, List.rev fps)
           | Ok (m', _) ->
-            record m' (tid :: tids) (Engine.fingerprint m' :: fps)
+            record m' (tid :: tids) (Machine.fingerprint m' :: fps)
               (steps + 1))
       in
       let sched, fps = record m0 [] [] 0 in
@@ -357,10 +357,11 @@ let prop_restore_equals_fresh =
               | Ok (m', _) -> m := m'
               | Error _ -> Alcotest.fail "prefix replay refused a step")
           sched;
-        let snap = Engine.snapshot !m in
+        let snap = !m in
+        Machine.freeze snap;
         (* Step past the snapshot so the restore is a genuine rewind,
            not the arena tip. *)
-        let dirty = ref (Engine.restore snap) in
+        let dirty = ref snap in
         List.iteri
           (fun i tid ->
             if i >= cut then
@@ -370,7 +371,7 @@ let prop_restore_equals_fresh =
           sched;
         (* Restore and re-drive: every suffix step must reproduce the
            fresh run's fingerprint exactly. *)
-        let r = ref (Engine.restore snap) in
+        let r = ref snap in
         let ok = ref true in
         List.iteri
           (fun i tid ->
@@ -380,7 +381,7 @@ let prop_restore_equals_fresh =
                 r := m';
                 if
                   not
-                    (String.equal (Engine.fingerprint m') (List.nth fps i))
+                    (String.equal (Machine.fingerprint m') (List.nth fps i))
                 then ok := false
               | Error _ -> ok := false)
           sched;
@@ -418,7 +419,7 @@ let prop_detach_equals_original =
         | _ -> m
       in
       let m = prefix (Engine.boot Engine.Compiled group) cut in
-      let fp = Engine.fingerprint m and runnable = Machine.runnable m in
+      let fp = Machine.fingerprint m and runnable = Machine.runnable m in
       let d = Machine.detach m in
       (* Run the detached machine to the end first, recording each step;
          the original must then be exactly where it was and replay the
@@ -431,16 +432,17 @@ let prop_detach_equals_original =
           let tid = pick tids in
           match try_step m tid with
           | S_ok (m', ev) ->
-            drive m' (steps + 1) ((tid, `Ev ev, Engine.fingerprint m') :: acc)
+            drive m' (steps + 1)
+              ((tid, `Ev ev, Machine.fingerprint m') :: acc)
           | S_err e -> List.rev ((tid, `Err e, "") :: acc)
           | S_model msg -> List.rev ((tid, `Model msg, "") :: acc))
       in
       let ok =
-        String.equal (Engine.fingerprint d) fp
+        String.equal (Machine.fingerprint d) fp
         && Machine.runnable d = runnable
         &&
         let steps = drive d 0 [] in
-        String.equal (Engine.fingerprint m) fp
+        String.equal (Machine.fingerprint m) fp
         &&
         let rec replay m = function
           | [] -> true
@@ -448,7 +450,7 @@ let prop_detach_equals_original =
             match (try_step m tid, expected) with
             | S_ok (m', ev), `Ev e ->
               event_mismatch ev e = None
-              && String.equal (Engine.fingerprint m') efp
+              && String.equal (Machine.fingerprint m') efp
               && replay m' rest
             | S_err a, `Err b -> a = b
             | S_model a, `Model b -> String.equal a b

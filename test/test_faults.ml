@@ -312,6 +312,59 @@ let test_corruption_poisons_cache () =
   checkb "snapshot.poisoned_refusals telemetry counter" true
     (Telemetry.Recorder.counter recorder "snapshot.poisoned_refusals" > 0)
 
+(* --- unit: a breakpoint miss bypasses the cache ------------------------- *)
+
+(* A missed scheduling point rewrites what the attempt enforces, so the
+   attempt may neither look up (a cached prefix belongs to the
+   unperturbed schedule) nor store (its vector would be filed under the
+   wrong key).  Against a warm cache that would serve both kinds, a
+   miss on every attempt leaves every cache counter where it was. *)
+let test_miss_bypasses_cache () =
+  let group = benign_group () in
+  let cache = Snapshots.create () in
+  let parent =
+    (Executor.run_preemption ~snapshots:cache (Hypervisor.Vm.create group)
+       serial_sched)
+      .outcome
+  in
+  let child = child_of parent ~index:1 ~switch_to:1 in
+  let child_run =
+    (Executor.run_preemption ~snapshots:cache (Hypervisor.Vm.create group)
+       child)
+      .outcome
+  in
+  (* Either of the grandchild's two switches may be missed; what is
+     left still has a cached parent, so a lookup would hit. *)
+  let grandchild =
+    { child with
+      Schedule.switches =
+        child.Schedule.switches
+        @ [ { Schedule.after = (List.nth child_run.trace 3).Ksim.Machine.iid;
+              switch_to = 0 } ] }
+  in
+  let key = Schedule.preemption_key serial_sched in
+  let plan = Schedule.plan (iids_of parent) in
+  checkb "warm cache serves the plan" true
+    (Snapshots.find_plan cache ~key plan <> None);
+  let hits = Snapshots.hits cache
+  and misses = Snapshots.misses cache
+  and vectors = Snapshots.cached_vectors cache in
+  let spec =
+    match Faults.spec_of_string "miss=1.0" with
+    | Ok s -> s
+    | Error e -> failwith e
+  in
+  let faults = Faults.create spec in
+  let vm = Hypervisor.Vm.create ~faults group in
+  ignore (Executor.run_preemption ~snapshots:cache vm grandchild);
+  checki "a switch was missed" 1 (Faults.counts faults).n_miss;
+  ignore (Executor.run_plan ~snapshots:(cache, key) vm plan);
+  checki "a plan event was missed too" 2 (Faults.counts faults).n_miss;
+  checki "no hit" hits (Snapshots.hits cache);
+  checki "no lookup" misses (Snapshots.misses cache);
+  checki "nothing stored" vectors (Snapshots.cached_vectors cache);
+  checki "no run resumed" 0 (Hypervisor.Vm.resumes vm)
+
 (* --- CLI and manifest helpers ---------------------------------------------- *)
 
 let cli =
@@ -909,7 +962,9 @@ let () =
           Alcotest.test_case "quorum: masking and disagreement" `Quick
             test_quorum_masks_and_flags;
           Alcotest.test_case "corrupted restore poisons the cache" `Quick
-            test_corruption_poisons_cache ] );
+            test_corruption_poisons_cache;
+          Alcotest.test_case "breakpoint miss bypasses the cache" `Quick
+            test_miss_bypasses_cache ] );
       ( "journal",
         [ Alcotest.test_case "missing and malformed files" `Quick
             test_journal_files;

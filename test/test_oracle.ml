@@ -104,7 +104,7 @@ let enumerate_memo ?(max_states = 300_000) ?(engine = Ksim.Engine.Reference)
   let rec go m =
     if o.capped then ()
     else
-      let fp = Ksim.Engine.fingerprint m in
+      let fp = Ksim.Machine.fingerprint m in
       if Hashtbl.mem seen fp then ()
       else begin
         Hashtbl.replace seen fp ();

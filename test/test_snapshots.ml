@@ -29,8 +29,8 @@ let same_outcome (a : Hypervisor.Controller.outcome)
   && List.length a.trace = List.length b.trace
   && List.for_all2 Iid.equal (iids_of a) (iids_of b)
   && String.equal
-       (Ksim.Engine.fingerprint a.final)
-       (Ksim.Engine.fingerprint b.final)
+       (Ksim.Machine.fingerprint a.final)
+       (Ksim.Machine.fingerprint b.final)
 
 (* --- fixtures ----------------------------------------------------------- *)
 
@@ -124,6 +124,56 @@ let test_child_hit () =
   checkb "grandchild identical to fresh run" true
     (same_outcome gc_cached gc_fresh)
 
+(* --- unit: a resumed run counts the switches it executes ---------------- *)
+
+(* Context switches between consecutive steps of a trace. *)
+let rec switches = function
+  | (a : Ksim.Machine.event) :: (b :: _ as rest) ->
+    (if a.iid.Iid.tid <> b.iid.Iid.tid then 1 else 0) + switches rest
+  | [ _ ] | [] -> 0
+
+(* A grandchild resumes past a prefix that holds one switch of its own.
+   The [controller.context_switches] counter must cover the executed
+   suffix alone: the switch at the restore boundary (from the last
+   restored step to the first executed one) counts, the prefix's do
+   not. *)
+let test_resumed_switches () =
+  let group = benign_group () in
+  let cache = Snapshots.create () in
+  let vm = Hypervisor.Vm.create group in
+  let parent =
+    (Executor.run_preemption ~snapshots:cache vm serial_sched).outcome
+  in
+  let child = child_of parent ~index:1 ~switch_to:1 in
+  let child_run =
+    (Executor.run_preemption ~snapshots:cache vm child).outcome
+  in
+  let grandchild =
+    { child with
+      Schedule.switches =
+        child.Schedule.switches
+        @ [ { Schedule.after = (List.nth child_run.trace 3).Ksim.Machine.iid;
+              switch_to = 0 } ] }
+  in
+  let restored = Snapshots.restored_instrs cache in
+  let recorder = Telemetry.Recorder.create () in
+  let o =
+    Telemetry.Probe.with_sink (Telemetry.Recorder.sink recorder) (fun () ->
+        (Executor.run_preemption ~snapshots:cache vm grandchild).outcome)
+  in
+  let prefix = Snapshots.restored_instrs cache - restored in
+  let c = Telemetry.Recorder.counter recorder in
+  checki "resumed" 1 (c "controller.resumed_runs");
+  checki "prefix holds a switch" 1
+    (switches (List.filteri (fun i _ -> i < prefix) o.trace));
+  let executed = List.filteri (fun i _ -> i >= prefix - 1) o.trace in
+  checki "suffix instructions counted" (prefix + c "controller.instructions")
+    o.steps;
+  checki "suffix switches counted, boundary included" (switches executed)
+    (c "controller.context_switches");
+  checkb "boundary switch taken" true
+    (switches executed > switches (List.tl executed))
+
 (* --- unit: eviction ------------------------------------------------------ *)
 
 let test_eviction () =
@@ -172,7 +222,7 @@ let test_undo_log_accounting () =
     List.mapi
       (fun k m ->
         let prev = if k = 0 then None else Some (List.nth ms (k - 1)) in
-        Ksim.Engine.snapshot_cost ?prev m)
+        Ksim.Machine.snapshot_cost ?prev m)
       ms
   in
   let rc = costs (chain Ksim.Engine.Reference) in
@@ -195,7 +245,7 @@ let test_undo_log_accounting () =
   (match compiled with
   | m :: _ ->
     checki "unrelated predecessor: full clone" 4096
-      (Ksim.Engine.snapshot_cost ~prev:unrelated m)
+      (Ksim.Machine.snapshot_cost ~prev:unrelated m)
   | [] -> ());
   (* Cache-level: the stored vector's byte estimate follows the same
      accounting through Snapshots.store. *)
@@ -521,6 +571,8 @@ let () =
             test_zero_budget;
           Alcotest.test_case "child schedule hits parent prefix" `Quick
             test_child_hit;
+          Alcotest.test_case "resumed run counts its executed switches"
+            `Quick test_resumed_switches;
           Alcotest.test_case "eviction falls back gracefully" `Quick
             test_eviction;
           Alcotest.test_case "undo-log snapshot accounting" `Quick
