@@ -704,21 +704,19 @@ let guest_instrs f =
   Option.iter (Telemetry.Recorder.replay rc) (Telemetry.Probe.current_sink ());
   (r, Telemetry.Recorder.counter rc "controller.instructions")
 
-(* Snapshot-cache re-execution and --prune invariants: per bug, plain
-   Causality Analysis vs the snapshot-cached pipeline vs
+(* --prune invariants: per bug, plain Causality Analysis vs
    --prune invariants with gain scheduling — flips executed, flips
-   pruned, schedules, simulated cost, instructions actually executed
-   and the schedules-per-simulated-second throughput, with the
-   chain-parity checks that make every optimisation trustworthy.  Rows
+   pruned, schedules, simulated cost, instructions executed and the
+   schedules-per-simulated-second throughput, with the chain-parity
+   checks that make every optimisation trustworthy.  Rows
    land in BENCH_causality.json under --json, and --baseline gates them
    (see [gate_causality]). *)
 let causality () =
   section
-    "Causality Analysis: snapshot cache and --prune invariants (plain vs \
-     cached vs invariants+gain)";
-  pr "%-18s %6s | %7s %7s %7s | %8s %8s | %9s %9s | %6s %6s | %s@." "bug"
-    "flips" "plain#s" "inv#s" "pruned" "plain(s)" "snap(s)" "plain#i"
-    "snap#i" "plain#t" "inv#t" "chain";
+    "Causality Analysis: --prune invariants (plain vs invariants+gain)";
+  pr "%-18s %6s | %7s %7s %7s | %8s | %9s | %6s %6s | %s@." "bug" "flips"
+    "plain#s" "inv#s" "pruned" "plain(s)" "plain#i" "plain#t" "inv#t"
+    "chain";
   let corpus = Bugs.Registry.cves @ Bugs.Registry.syzkaller in
   let rows = ref [] in
   let seq_total = ref 0.0 in
@@ -739,10 +737,6 @@ let causality () =
             Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
               (bug.case ()))
       in
-      let snap =
-        Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-          ~snapshot_cache:true (bug.case ())
-      in
       let inv, inv_instrs =
         guest_instrs (fun () ->
             Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
@@ -762,8 +756,8 @@ let causality () =
         seq_total := !seq_total +. (Unix.gettimeofday () -. t0);
         seq_chains := chain :: !seq_chains
       end;
-      match plain.causality, snap.causality, inv.causality with
-      | Some pca, Some sca, Some ica ->
+      match plain.causality, inv.causality with
+      | Some pca, Some ica ->
         let flips = List.length ica.tested in
         let executed =
           List.length
@@ -772,7 +766,6 @@ let causality () =
                ica.tested)
         in
         let pruned = ica.stats.flips_statically_pruned in
-        let snap_chain = String.equal (chain_str plain) (chain_str snap) in
         let inv_chain = String.equal (chain_str plain) (chain_str inv) in
         (* executed-schedule totals (LIFS + CA) per pruning level;
            --prune invariants must never cost more than --prune none,
@@ -783,19 +776,14 @@ let causality () =
         let plain_instrs =
           plain.lifs.stats.executed_instrs + pca.stats.executed_instrs
         in
-        let snap_instrs =
-          snap.lifs.stats.executed_instrs + sca.stats.executed_instrs
-        in
         let per_simsec schedules simulated =
           if simulated > 0. then float_of_int schedules /. simulated else 0.
         in
         let plain_rate = per_simsec pca.stats.schedules pca.stats.simulated in
-        let snap_rate = per_simsec sca.stats.schedules sca.stats.simulated in
-        pr "%-18s %6d | %7d %7d %7d | %8.1f %8.1f | %9d %9d | %6d %6d | %s@."
-          bug.id flips pca.stats.schedules ica.stats.schedules pruned
-          pca.stats.simulated sca.stats.simulated plain_instrs snap_instrs
-          plain_total inv_total
-          (if snap_chain && inv_chain then "identical" else "DIFFERS");
+        pr "%-18s %6d | %7d %7d %7d | %8.1f | %9d | %6d %6d | %s@." bug.id
+          flips pca.stats.schedules ica.stats.schedules pruned
+          pca.stats.simulated plain_instrs plain_total inv_total
+          (if inv_chain then "identical" else "DIFFERS");
         let eng_group = (bug.case ()).Aitia.Diagnose.group in
         (* three interleaved leg pairs, keeping each engine's best-rate
            leg: transient host contention slows individual legs, and
@@ -841,17 +829,9 @@ let causality () =
               ("plain_ca_simulated", float pca.stats.simulated);
               ("plain_lifs_schedules", int plain.lifs.stats.schedules);
               ("plain_lifs_simulated", float plain.lifs.stats.simulated);
-              ("snap_ca_schedules", int sca.stats.schedules);
-              ("snap_ca_simulated", float sca.stats.simulated);
               ("plain_instrs", int plain_instrs);
-              ("snap_instrs", int snap_instrs);
               ("plain_sched_per_simsec", float plain_rate);
-              ("snap_sched_per_simsec", float snap_rate);
               ("host_elapsed_s", float host_elapsed);
-              ("snap_chain_identical", bool snap_chain);
-              ("snap_reduces_sim",
-               bool (sca.stats.simulated < pca.stats.simulated));
-              ("snap_reduces_instrs", bool (snap_instrs < plain_instrs));
               ("inv_lifs_schedules", int inv.lifs.stats.schedules);
               ("inv_ca_schedules", int ica.stats.schedules);
               ("inv_executed_schedules", int inv_total);
@@ -942,9 +922,9 @@ let causality () =
    fails, and the corpus engine speedup is floored at 5x.  Under either
    gating flag every [*_identical] column must be [true]. *)
 let host_columns =
-  [ "host_elapsed_s"; "plain_sched_per_simsec"; "snap_sched_per_simsec";
-    "jobs"; "pooled_wall_s"; "pooled_speedup"; "engine_ref_ips";
-    "engine_compiled_ips"; "engine_speedup"; "corpus_engine_speedup" ]
+  [ "host_elapsed_s"; "plain_sched_per_simsec"; "jobs"; "pooled_wall_s";
+    "pooled_speedup"; "engine_ref_ips"; "engine_compiled_ips";
+    "engine_speedup"; "corpus_engine_speedup" ]
 
 let parse_json what s =
   match Telemetry.Json.of_string s with

@@ -133,8 +133,8 @@ let usage_error fmt =
 
 (* diagnose, stats, chain and compare turn their flags into one
    Batch.request -- the record a batch manifest entry parses into --
-   check it with the validator manifests go through, and run every
-   selected bug through Batch.diagnose, as Batch.run does. *)
+   and run every selected bug through Batch.diagnose, as Batch.run
+   does. *)
 
 type diagnosis = {
   knobs : Aitia.Batch.request;  (** [rq_id]/[rq_bug] are set per bug *)
@@ -172,18 +172,18 @@ let fault_spec_conv =
 
 (* The robustness, engine and journal options every diagnosing
    subcommand but compare takes, plus the subcommand's own pipeline
-   flags; the result is validated and its journal opened once. *)
-let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None)
-    ?(snapshot = Term.const (false, None)) () =
+   flags; the journal is opened once. *)
+let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None) ()
+    =
   let fault_spec =
     Arg.(value & opt (some fault_spec_conv) None
          & info [ "fault-spec" ] ~docv:"SPEC"
              ~doc:
                "Inject deterministic faults into the execution layer; \
                 $(docv) is comma-separated key=value pairs: $(b,rate=R) \
-                splits a total per-run fault rate evenly across all six \
-                kinds, or set $(b,boot), $(b,hang), $(b,miss), \
-                $(b,spurious), $(b,restore), $(b,flap) individually \
+                gives each of the five kinds the rate R/6, or set \
+                $(b,boot), $(b,hang), $(b,miss), $(b,spurious), \
+                $(b,flap) individually \
                 (probabilities in [0,1]); $(b,site=LABEL) restricts \
                 missed preemptions to scheduling points at that \
                 instruction label")
@@ -244,48 +244,22 @@ let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None)
                 semantics.  Chains, verdicts and race sets are \
                 bit-identical across engines")
   in
-  let make rq_prune rq_order (rq_snapshot_cache, rq_snapshot_budget)
-      rq_fault_spec rq_fault_seed rq_max_retries rq_step_timeout
-      journal_file resume engine =
+  let make rq_prune rq_order rq_fault_spec rq_fault_seed rq_max_retries
+      rq_step_timeout journal_file resume engine =
     let knobs =
       { defaults.knobs with
-        rq_prune; rq_order; rq_snapshot_cache; rq_snapshot_budget;
-        rq_fault_spec; rq_fault_seed; rq_max_retries; rq_step_timeout;
-        rq_engine = Some engine }
+        rq_prune; rq_order; rq_fault_spec; rq_fault_seed; rq_max_retries;
+        rq_step_timeout; rq_engine = Some engine }
     in
-    let ok = function Ok x -> x | Error e -> usage_error "%s" e in
-    let knobs = ok (Aitia.Batch.validate knobs) in
-    { knobs; journal = ok (Aitia.Journal.open_ ~resume journal_file) }
+    let journal =
+      match Aitia.Journal.open_ ~resume journal_file with
+      | Ok j -> j
+      | Error e -> usage_error "%s" e
+    in
+    { knobs; journal }
   in
-  Term.(const make $ prune $ order $ snapshot $ fault_spec $ fault_seed
-        $ max_retries $ step_timeout $ journal_file $ resume $ engine)
-
-(* The snapshot cache and its budget travel together: the budget is
-   offered only where the cache is. *)
-let snapshot_args =
-  let cache =
-    Cmdliner.Arg.(
-      value & flag
-      & info [ "snapshot-cache" ]
-          ~doc:
-            "Re-execute schedules through the prefix-sharing snapshot \
-             cache: LIFS children resume from their parent's cached \
-             prefix and Causality flips restore the snapshot just \
-             before the flipped race instead of rebooting.  Schedules, \
-             verdicts and chains are bit-identical with or without the \
-             cache; only re-execution is avoided (see the snapshot.* \
-             counters under `stats')")
-  in
-  let budget =
-    Cmdliner.Arg.(
-      value & opt (some (nonneg_int ~what:"--snapshot-budget")) None
-      & info [ "snapshot-budget" ] ~docv:"BYTES"
-          ~doc:
-            "Byte budget (estimated) of the prefix-sharing snapshot \
-             cache enabled by $(b,--snapshot-cache), which it requires \
-             (exit 2 without it); 0 disables the cache")
-  in
-  Term.(const (fun c b -> (c, b)) $ cache $ budget)
+  Term.(const make $ prune $ order $ fault_spec $ fault_seed $ max_retries
+        $ step_timeout $ journal_file $ resume $ engine)
 
 (* Static-proof level and schedule-order selection, shared by diagnose
    and stats (analyze reads --prune too). *)
@@ -317,8 +291,7 @@ let order_arg =
 (* The full knob set of diagnose and stats. *)
 let pipeline_term =
   diagnosis_term ~prune:prune_arg
-    ~order:Term.(const Option.some $ order_arg)
-    ~snapshot:snapshot_args ()
+    ~order:Term.(const Option.some $ order_arg) ()
 
 (* --- list ------------------------------------------------------------- *)
 
@@ -584,12 +557,10 @@ let batch_cmd =
                 object with a $(b,requests) array) of objects, each with \
                 a unique $(b,id), a corpus $(b,bug), and optional \
                 per-request knobs $(b,prune), $(b,order), \
-                $(b,snapshot_cache), $(b,snapshot_budget), \
                 $(b,fault_spec), $(b,fault_seed), $(b,max_retries), \
                 $(b,step_timeout), $(b,journal), $(b,engine) — with the \
-                values and the rejected combinations of the same \
-                $(b,diagnose) flags (a rejected request rejects the \
-                whole manifest, exit 2)")
+                values of the same $(b,diagnose) flags (a malformed \
+                request rejects the whole manifest, exit 2)")
   in
   let batch_jobs =
     Arg.(value & opt (pos_int ~what:"--jobs") 1

@@ -18,8 +18,6 @@ type request = {
   rq_bug : string;
   rq_prune : Causality.prune option;
   rq_order : Causality.order option;
-  rq_snapshot_cache : bool;
-  rq_snapshot_budget : int option;
   rq_fault_spec : string option;
   rq_fault_seed : int;
   rq_max_retries : int option;
@@ -29,8 +27,7 @@ type request = {
 }
 
 let default_request =
-  { rq_id = ""; rq_bug = ""; rq_prune = None;
-    rq_order = None; rq_snapshot_cache = false; rq_snapshot_budget = None;
+  { rq_id = ""; rq_bug = ""; rq_prune = None; rq_order = None;
     rq_fault_spec = None; rq_fault_seed = 1; rq_max_retries = None;
     rq_step_timeout = None; rq_journal = None; rq_engine = None }
 
@@ -52,9 +49,8 @@ type summary = { outcomes : outcome list; batch_exit : int }
 let ( let* ) = Result.bind
 
 let known_fields =
-  [ "id"; "bug"; "prune"; "order"; "snapshot_cache";
-    "snapshot_budget"; "fault_spec"; "fault_seed"; "max_retries";
-    "step_timeout"; "journal"; "engine" ]
+  [ "id"; "bug"; "prune"; "order"; "fault_spec"; "fault_seed";
+    "max_retries"; "step_timeout"; "journal"; "engine" ]
 
 let str_field name fields =
   match List.assoc_opt name fields with
@@ -70,12 +66,6 @@ let int_field ?(min = 0) name fields =
   | Some _ ->
     Error (Fmt.str "field %S must be an integer >= %d" name min)
 
-let bool_field name fields =
-  match List.assoc_opt name fields with
-  | None -> Ok None
-  | Some (Json.Bool b) -> Ok (Some b)
-  | Some _ -> Error (Fmt.str "field %S must be a boolean" name)
-
 let enum_field rq_id name table fields =
   let* s = str_field name fields in
   match s with
@@ -88,13 +78,6 @@ let enum_field rq_id name table fields =
         (Fmt.str "request %S: %s must be %s (got %S)" rq_id name
            (String.concat "/" (List.map fst table))
            s))
-
-(* The combinations the pipeline cannot honour: rather than silently
-   ignoring a knob, the request is refused. *)
-let validate (rq : request) : (request, string) result =
-  if rq.rq_snapshot_budget <> None && not rq.rq_snapshot_cache then
-    Error "a snapshot budget needs the snapshot cache"
-  else Ok rq
 
 let request_of_json (j : Json.t) : (request, string) result =
   match j with
@@ -119,22 +102,17 @@ let request_of_json (j : Json.t) : (request, string) result =
     in
     let* rq_prune = enum_field rq_id "prune" Causality.prune_names fields in
     let* rq_order = enum_field rq_id "order" Causality.order_names fields in
-    let* snap = bool_field "snapshot_cache" fields in
-    let* rq_snapshot_budget = int_field "snapshot_budget" fields in
     let* rq_fault_spec = str_field "fault_spec" fields in
     let* seed = int_field "fault_seed" fields in
     let* rq_max_retries = int_field "max_retries" fields in
     let* rq_step_timeout = int_field ~min:1 "step_timeout" fields in
     let* rq_journal = str_field "journal" fields in
     let* rq_engine = enum_field rq_id "engine" Ksim.Engine.names fields in
-    Result.map_error (Fmt.str "request %S: %s" rq_id)
-      (validate
-         { rq_id; rq_bug; rq_prune; rq_order;
-           rq_snapshot_cache = Option.value ~default:false snap;
-           rq_snapshot_budget; rq_fault_spec;
-           rq_fault_seed =
-             Option.value ~default:default_request.rq_fault_seed seed;
-           rq_max_retries; rq_step_timeout; rq_journal; rq_engine })
+    Ok
+      { rq_id; rq_bug; rq_prune; rq_order; rq_fault_spec;
+        rq_fault_seed =
+          Option.value ~default:default_request.rq_fault_seed seed;
+        rq_max_retries; rq_step_timeout; rq_journal; rq_engine }
   | _ -> Error "each request must be a JSON object"
 
 let manifest_of_string (s : string) : (request list, string) result =
@@ -201,9 +179,7 @@ let diagnose ?journal ?on_run ~resolve (rq : request) :
   in
   Ok
     (Diagnose.diagnose ?max_interleavings ?max_steps:rq.rq_step_timeout
-       ?prune:rq.rq_prune ?order:rq.rq_order
-       ~snapshot_cache:rq.rq_snapshot_cache
-       ?snapshot_budget:rq.rq_snapshot_budget ?faults ?resilience ?journal
+       ?prune:rq.rq_prune ?order:rq.rq_order ?faults ?resilience ?journal
        ?engine:rq.rq_engine ?on_run case)
 
 let run ?(jobs = 1) ?journal_dir ?(resume = false) ~resolve

@@ -4,8 +4,7 @@
     A {!request} is the one description of a diagnosis: a corpus bug
     plus every per-diagnosis knob.  [aitia diagnose], [stats], [chain]
     and [compare] build one from their flags, a batch manifest holds a
-    list of them, and both validate it with {!validate} and run it with
-    {!diagnose}.
+    list of them, and both run it with {!diagnose}.
 
     A manifest is a JSON array of request objects (or an object with a
     ["requests"] array).  Requests get isolated journals, so an
@@ -23,8 +22,6 @@ type request = {
   rq_bug : string;           (** corpus bug id, resolved by the caller *)
   rq_prune : Causality.prune option;
   rq_order : Causality.order option;
-  rq_snapshot_cache : bool;
-  rq_snapshot_budget : int option;
   rq_fault_spec : string option;  (** {!Hypervisor.Faults.spec_of_string} *)
   rq_fault_seed : int;            (** default 1 *)
   rq_max_retries : int option;
@@ -38,15 +35,11 @@ val default_request : request
 (** No knob set, every diagnosis default ([rq_fault_seed] 1); empty
     [rq_id] and [rq_bug]. *)
 
-val validate : request -> (request, string) result
-(** Reject the knob combinations the pipeline cannot honour: a
-    snapshot budget without the snapshot cache. *)
-
 val manifest_of_string : string -> (request list, string) result
 (** Parse a manifest document.  Errors on malformed JSON, a missing /
-    mistyped field, an unknown field name (named with its request), a
-    request {!validate} rejects, or duplicate request ids — the whole
-    manifest is rejected, nothing runs. *)
+    mistyped field, an unknown field name (named with its request), or
+    duplicate request ids — the whole manifest is rejected, nothing
+    runs. *)
 
 val manifest_of_file : string -> (request list, string) result
 

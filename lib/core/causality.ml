@@ -58,8 +58,7 @@ type stats = {
   gain_reorderings : int;  (* times the gain scheduler picked a flip
                               out of base (backward) order *)
   simulated : float;
-  executed_instrs : int;  (* instructions executed (snapshot-restored
-                             prefixes excluded) *)
+  executed_instrs : int;  (* instructions executed *)
 }
 
 (* The identity for [stats_base] (resumed analyses add the journaled
@@ -309,7 +308,7 @@ let executed_tested ~(races : Race.t list) (r : Race.t) (run : Executor.run)
     confidence = run.confidence }
 
 let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
-    ?(order = (`Fixed : order)) ?snapshots ?resilience
+    ?(order = (`Fixed : order)) ?resilience
     ?replay ?checkpoint ?(stats_base = zero_stats) (vm : Hypervisor.Vm.t)
     ~(failing : Controller.outcome) ~(races : Race.t list) () : result =
   Telemetry.Probe.span_begin ~cat:"causality" "causality.analyze";
@@ -367,8 +366,7 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
           | None ->
             incr executed;
             executed_tested ~races r
-              (Executor.run_plan ?max_steps ~prologue ?snapshots ?resilience
-                 vm plan)
+              (Executor.run_plan ?max_steps ~prologue ?resilience vm plan)
         in
         if Telemetry.Probe.installed () then
           Telemetry.Probe.span_end ~args:(flip_args t) ();

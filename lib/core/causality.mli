@@ -36,9 +36,7 @@ type stats = {
   gain_reorderings : int;
       (** times the gain scheduler picked a flip out of base order *)
   simulated : float;
-  executed_instrs : int;
-      (** instructions executed, excluding prefixes restored from the
-          snapshot cache *)
+  executed_instrs : int;  (** instructions executed *)
 }
 
 val zero_stats : stats
@@ -97,7 +95,6 @@ val analyze :
   ?direction:[ `Backward | `Forward ] ->
   ?prune:prune ->
   ?order:order ->
-  ?snapshots:Hypervisor.Snapshots.t * string ->
   ?resilience:Resilience.t ->
   ?replay:(Race.t -> tested option) ->
   ?checkpoint:(tested -> stats -> unit) ->
@@ -117,11 +114,7 @@ val analyze :
     analysis.
 
     Every flip runs on [vm], one at a time in test order, so each gain
-    pick reads the verdicts before it.  [snapshots] is the cache and
-    the preemption key of the reproduced failure run: each flip then
-    restores the snapshot just before its flipped race instead of
-    rebooting and re-executing the shared prefix — verdicts, chains and
-    traces are unchanged.
+    pick reads the verdicts before it.
 
     [resilience] supplies the retry/quorum policy when the VM injects
     faults.  The remaining three parameters implement resumable

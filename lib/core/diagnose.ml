@@ -138,8 +138,7 @@ let tested_of_flip (keyed : (string * Race.t) list) (fl : Journal.flip) :
         confidence = fl.f_confidence }
 
 let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
-    ?(order = (`Fixed : Causality.order))
-    ?(snapshot_cache = false) ?snapshot_budget
+    ?(order = (`Fixed : Causality.order)) ?snapshot_cache:_
     ?(slice_order = `Nearest_first) ?faults ?resilience:rpolicy ?journal
     ?(engine = Ksim.Engine.default) ?(on_run = fun ~slice:_ _ _ -> ())
     (case : case) : report =
@@ -211,17 +210,11 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
      as it is decided.  [prior_flips] are journaled verdicts from an
      interrupted run (empty on a fresh attempt); they replay without
      re-execution. *)
-  let run_causality ~group ~prologue ~snapshots ~slice_threads
+  let run_causality ~group ~prologue ~slice_threads
       ~(success : Lifs.success) ~(lifs : Lifs.result)
       ~(prior_flips : Journal.flip list)
       ~(stats_base : Causality.stats) =
     let ca_vm = Hypervisor.Vm.create ?faults ~engine group in
-    let ca_snapshots =
-      Option.map
-        (fun cache ->
-          (cache, Hypervisor.Schedule.preemption_key success.Lifs.schedule))
-        snapshots
-    in
     let flips = ref (List.rev prior_flips) in  (* newest first *)
     let pushed = ref false in
     let record ~(st : Causality.stats) ~complete_ca =
@@ -271,9 +264,9 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
             record ~st ~complete_ca:false)
     in
     let ca =
-      Causality.analyze ?max_steps ~prologue ~prune ~order
-        ?snapshots:ca_snapshots ?resilience ?replay ?checkpoint ~stats_base
-        ca_vm ~failing:success.Lifs.outcome ~races:success.Lifs.races ()
+      Causality.analyze ?max_steps ~prologue ~prune ~order ?resilience
+        ?replay ?checkpoint ~stats_base ca_vm ~failing:success.Lifs.outcome
+        ~races:success.Lifs.races ()
     in
     if journal <> None then (
       (* The authoritative flip list (ambiguity resolved, replays
@@ -311,14 +304,6 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
           if tried < Array.length recorded then Some recorded.(tried)
           else None
         in
-        let make_snapshots () =
-          (* One snapshot cache per slice attempt: schedule keys are
-             only meaningful within one realized group, and the LIFS
-             vectors stay warm for Causality Analysis below. *)
-          if snapshot_cache then
-            Some (Hypervisor.Snapshots.create ?budget_bytes:snapshot_budget ())
-          else None
-        in
         (* The whole attempt — LIFS, and Causality Analysis on success
            — is one slice span; the recursion to the next slice happens
            outside it, so slice spans are siblings in the trace. *)
@@ -345,11 +330,10 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
                   List.mem label (Ksim.Program.labels spec.program))
                 group.Ksim.Program.threads
           in
-          let snapshots = make_snapshots () in
           let lifs =
             Lifs.search ?max_interleavings ?max_steps ~prologue
-              ?static_hints:hints ?invariants ?focus ~order ?snapshots
-              ?resilience ~on_run:(on_run ~slice:tried) lifs_vm ~target ()
+              ?static_hints:hints ?invariants ?focus ~order ?resilience
+              ~on_run:(on_run ~slice:tried) lifs_vm ~target ()
           in
           match lifs.found with
           | None ->
@@ -363,8 +347,8 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
             Error lifs
           | Some success ->
             let ca, chain, metrics =
-              run_causality ~group ~prologue ~snapshots ~slice_threads
-                ~success ~lifs ~prior_flips:[]
+              run_causality ~group ~prologue ~slice_threads ~success ~lifs
+                ~prior_flips:[]
                 ~stats_base:Causality.zero_stats
             in
             Ok
@@ -389,10 +373,9 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
             (* Journaled reproduction: re-run only the recorded schedule
                to rebuild the machine state the flips permute. *)
             let lifs_vm = Hypervisor.Vm.create ?faults ~engine group in
-            let snapshots = make_snapshots () in
             let r =
-              Executor.run_preemption ?max_steps ~prologue ?snapshots
-                ?resilience lifs_vm s.r_schedule
+              Executor.run_preemption ?max_steps ~prologue ?resilience
+                lifs_vm s.r_schedule
             in
             match Executor.failed r with
             | Some f when target f ->
@@ -415,8 +398,8 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
                   executed_instrs = s.r_ca_instrs }
               in
               let ca, chain, metrics =
-                run_causality ~group ~prologue ~snapshots ~slice_threads
-                  ~success ~lifs ~prior_flips:s.r_flips ~stats_base
+                run_causality ~group ~prologue ~slice_threads ~success ~lifs
+                  ~prior_flips:s.r_flips ~stats_base
               in
               Ok
                 (assemble ~slices_tried:(tried + 1) ~slice_threads ~lifs

@@ -54,7 +54,6 @@ val diagnose :
   ?prune:Causality.prune ->
   ?order:Causality.order ->
   ?snapshot_cache:bool ->
-  ?snapshot_budget:int ->
   ?slice_order:[ `Nearest_first | `Farthest_first ] ->
   ?faults:Hypervisor.Faults.t ->
   ?resilience:Resilience.policy ->
@@ -85,12 +84,11 @@ val diagnose :
     scheduler ({!Analysis.Gain}).
     A diagnosis runs sequentially, one schedule at a time on one VM per
     stage; requests run in parallel only side by side ({!Batch.run}).
-    [snapshot_cache] (default [false]) gives each slice attempt a
-    prefix-sharing snapshot cache (budget [snapshot_budget] bytes,
-    estimated): LIFS children resume from their parent's cached prefix
-    and every Causality flip restores the snapshot just before its
-    flipped race instead of rebooting — all schedules, verdicts and
-    chains are bit-identical with the cache on or off.
+    [snapshot_cache] is deprecated, accepted and ignored: the prefix
+    snapshot cache it enabled is gone, and it never changed a chain, a
+    verdict or a schedule count.  It stays only because the benchmark
+    harness ([perfbench/bench.ml]) still passes it; ROADMAP item 1
+    removes it together with that call.
 
     [faults] arms deterministic fault injection on every VM the
     diagnosis creates; the executions then go through the resilient

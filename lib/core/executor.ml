@@ -8,9 +8,6 @@
      preemptions, spurious switches) taint the attempt, which is
      retried with exponential backoff — modeled seconds charged to the
      VM cost model, never host sleeps;
-   - snapshot-restore corruption is detected at the restore site: the
-     bad cache entry is poisoned and the run degrades to the reboot
-     path, no retry needed;
    - outcome flaps are undetectable on a single run, so when flaps are
      possible a clean run's verdict is confirmed by quorum: independent
      clean re-executions vote and the majority class wins, early-exit
@@ -25,15 +22,6 @@ type run = {
   outcome : Hypervisor.Controller.outcome;
   confidence : float;
 }
-
-(* Capture a snapshot after every executed step: the machine plus the
-   enforcement policy's dumped state, newest first. *)
-let capture dump snaps_rev : Hypervisor.Controller.observer =
- fun m trace_rev steps ->
-  let queue, pending = dump () in
-  snaps_rev :=
-    { Hypervisor.Snapshots.machine = m; trace_rev; steps; queue; pending }
-    :: !snaps_rev
 
 (* --- the resilience driver -------------------------------------------- *)
 
@@ -181,127 +169,45 @@ let resilient ?resilience (vm : Hypervisor.Vm.t)
 
 (* --- one attempt body per schedule kind --------------------------------- *)
 
-(* The cache an attempt may use: one is enabled and the attempt
-   enforces the schedule as given.  An injected breakpoint miss
-   rewrites the schedule the hypervisor actually enforces, and a
-   perturbed attempt must not touch the cache: neither look up (the
-   prefix belongs to the unperturbed schedule) nor store (the vector
-   would be filed under the wrong key). *)
-let usable ~missed cache =
-  (not missed) && Hypervisor.Snapshots.enabled cache
-
-(* A hit whose restore is detected as corrupted poisons [source], the
-   vector it came from, so nothing restores from it again, and the run
-   degrades to the reboot path. *)
-let restorable (vm : Hypervisor.Vm.t) cache ~source hit =
-  let corrupted () =
-    match Hypervisor.Vm.faults vm with
-    | Some f -> Hypervisor.Faults.corrupt_restore f
-    | None -> false
-  in
-  match hit with
-  | Some h when corrupted () ->
-    Hypervisor.Snapshots.poison cache ~key:(source h);
-    None
-  | Some _ | None -> hit
-
-(* A tainted run executed perturbed steps (hang truncation is harmless
-   but incomplete; a spurious switch diverges from the schedule): its
-   snapshots are never stored. *)
-let untainted (vm : Hypervisor.Vm.t) =
-  match Hypervisor.Vm.faults vm with
-  | Some f -> not (Hypervisor.Faults.tainted f)
-  | None -> true
-
-(* A hit only changes where the run starts: the restored position and
-   the policy's dumped state (the parent's run queue with exactly the
-   child's new switch pending), instead of a fresh boot under the
-   schedule's own order and switches.  With the cache every executed
-   step is captured, and the run's vector is stored under its schedule
-   for future children, on top of the restored prefix. *)
-let run_preemption ?max_steps ?(prologue = []) ?snapshots ?resilience
+(* Each attempt enforces the schedule on a fresh boot.  An injected
+   breakpoint miss rewrites the schedule the hypervisor actually
+   enforces and taints the attempt. *)
+let run_preemption ?max_steps ?(prologue = []) ?resilience
     (vm : Hypervisor.Vm.t) (sched : Hypervisor.Schedule.preemption) : run =
   Telemetry.Probe.with_span ~cat:"executor" "executor.preemption"
   @@ fun () ->
   Telemetry.Probe.count "executor.preemption_runs";
   resilient ?resilience vm @@ fun () ->
-  let enforced, missed =
+  let enforced =
     match Hypervisor.Vm.faults vm with
     | Some f ->
-      let switches, missed =
-        Hypervisor.Faults.drop_switches f sched.Hypervisor.Schedule.switches
-      in
-      ({ sched with Hypervisor.Schedule.switches }, missed)
-    | None -> (sched, false)
+      { sched with
+        Hypervisor.Schedule.switches =
+          Hypervisor.Faults.drop_switches f sched.Hypervisor.Schedule.switches
+      }
+    | None -> sched
   in
-  let cache =
-    match snapshots with
-    | Some c when usable ~missed c -> Some c
-    | Some _ | None -> None
-  in
-  let hit =
-    Option.bind cache (fun c ->
-        restorable vm c
-          ~source:(fun (h : Hypervisor.Snapshots.preemption_hit) ->
-            h.vector_key)
-          (Hypervisor.Snapshots.find_preemption c enforced))
-  in
-  let start, queue, switches, base, parent =
-    match hit with
-    | Some h ->
-      (* [parent] remembers where the base prefix came from: if that
-         vector gets poisoned by a concurrent worker before we store,
-         the store must be dropped. *)
-      ( Some h.start, h.resume_queue, h.resume_switches, h.base,
-        Some (h.vector_key, h.parent_generation) )
-    | None -> (None, enforced.order, enforced.switches, [||], None)
-  in
-  let policy, dump = Hypervisor.Schedule.queue_policy ~queue ~switches in
-  let snaps_rev = ref [] in
   let outcome =
-    Hypervisor.Vm.run ?max_steps
-      ?observe:(Option.map (fun _ -> capture dump snaps_rev) cache)
-      ?start vm
-      (Hypervisor.Schedule.with_prologue prologue policy)
+    Hypervisor.Vm.run ?max_steps vm
+      (Hypervisor.Schedule.with_prologue prologue
+         (Hypervisor.Schedule.preemption_policy enforced))
   in
-  (match cache with
-  | Some c when untainted vm ->
-    Hypervisor.Snapshots.store c
-      ~key:(Hypervisor.Schedule.preemption_key enforced)
-      ?parent ~base ~suffix_rev:!snaps_rev ()
-  | Some _ | None -> ());
   { outcome; confidence = 1. }
 
-(* Plan runs (Causality Analysis flips) only look snapshots up — each
-   flip is executed once, so caching its own suffix buys nothing; the
-   payoff is restoring the failure run's prefix under [key] and
-   enforcing only the suffix plan instead of rebooting. *)
-let run_plan ?max_steps ?(prologue = []) ?snapshots ?resilience
+let run_plan ?max_steps ?(prologue = []) ?resilience
     (vm : Hypervisor.Vm.t) (plan : Hypervisor.Schedule.plan) : run =
   Telemetry.Probe.with_span ~cat:"executor" "executor.plan" @@ fun () ->
   Telemetry.Probe.count "executor.plan_runs";
   resilient ?resilience vm @@ fun () ->
-  let enforced, missed =
+  let enforced =
     match Hypervisor.Vm.faults vm with
     | Some f -> Hypervisor.Faults.drop_plan_event f plan
-    | None -> (plan, false)
-  in
-  let hit =
-    match snapshots with
-    | Some (c, key) when usable ~missed c ->
-      restorable vm c ~source:(fun _ -> key)
-        (Hypervisor.Snapshots.find_plan c ~key enforced)
-    | Some _ | None -> None
-  in
-  let start, plan =
-    match hit with
-    | Some h -> (Some h.plan_start, h.suffix)
-    | None -> (None, enforced)
+    | None -> plan
   in
   let outcome =
-    Hypervisor.Vm.run ?max_steps ?start vm
+    Hypervisor.Vm.run ?max_steps vm
       (Hypervisor.Schedule.with_prologue prologue
-         (Hypervisor.Schedule.plan_policy plan))
+         (Hypervisor.Schedule.plan_policy enforced))
   in
   { outcome; confidence = 1. }
 

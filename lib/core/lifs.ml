@@ -31,9 +31,8 @@
    the parent being extended, so one replayed trace is live at a time.
    The machine is deterministic and every accepted trace is a genuine
    execution (flaps rewrite only the verdict, injected hangs only
-   truncate the trace, spurious switches show in the recorded threads,
-   snapshot-resumed traces include their prefix), so the replay is the
-   run. *)
+   truncate the trace, spurious switches show in the recorded threads),
+   so the replay is the run. *)
 
 module Iid = Ksim.Access.Iid
 module Schedule = Hypervisor.Schedule
@@ -53,8 +52,7 @@ type stats = {
                              out of discovery order *)
   interleavings : int;    (* interleaving count of the failing schedule *)
   simulated : float;      (* modeled guest seconds (Vm cost model) *)
-  executed_instrs : int;  (* instructions executed (restored prefixes
-                             via the snapshot cache excluded) *)
+  executed_instrs : int;  (* instructions executed *)
 }
 
 type success = {
@@ -354,7 +352,7 @@ type item = {
    search runs without it. *)
 let search ?(max_interleavings = default_max_interleavings) ?max_steps
     ?(prologue = []) ?(prune = true) ?static_hints ?invariants ?focus
-    ?(order = (`Fixed : [ `Fixed | `Gain ])) ?snapshots ?resilience
+    ?(order = (`Fixed : [ `Fixed | `Gain ])) ?resilience
     ?(on_run = fun _ _ -> ()) (vm : Hypervisor.Vm.t)
     ~(target : Ksim.Failure.t -> bool) () : result =
   Telemetry.Probe.span_begin ~cat:"lifs" "lifs.search";
@@ -433,8 +431,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
       Hashtbl.add seen key ();
       if prune then Hashtbl.add seen equiv_sig ();
       let r =
-        Executor.run_preemption ?max_steps ~prologue ?snapshots ?resilience
-          vm sched
+        Executor.run_preemption ?max_steps ~prologue ?resilience vm sched
       in
       Executor.learn db r;
       on_run sched r.outcome;

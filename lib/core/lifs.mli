@@ -15,9 +15,7 @@ type stats = {
       (** candidates the gain scheduler popped out of discovery order *)
   interleavings : int;  (** interleaving count of the failing schedule *)
   simulated : float;    (** modeled guest seconds (Vm cost model) *)
-  executed_instrs : int;
-      (** instructions executed, excluding prefixes restored from the
-          snapshot cache *)
+  executed_instrs : int;  (** instructions executed *)
 }
 
 type success = {
@@ -49,7 +47,6 @@ val search :
   ?invariants:Analysis.Absdom.t ->
   ?focus:int ->
   ?order:[ `Fixed | `Gain ] ->
-  ?snapshots:Hypervisor.Snapshots.t ->
   ?resilience:Resilience.t ->
   ?on_run:
     (Hypervisor.Schedule.preemption -> Hypervisor.Controller.outcome -> unit) ->
@@ -87,8 +84,5 @@ val search :
     (counted in [lifs.replayed_runs] and [lifs.replayed_steps]; no VM
     run, fault draw or VM accounting).
 
-    [snapshots] lets frontier expansion resume
-    each child schedule from its parent's cached prefix — the explored
-    schedule set and every outcome are unchanged, only re-execution is
-    avoided.  [resilience] supplies the retry/quorum policy when the VM
+    [resilience] supplies the retry/quorum policy when the VM
     injects faults; without faults it changes nothing. *)

@@ -34,24 +34,6 @@ let is_failure o = match o.verdict with Failed _ -> true | _ -> false
    own. *)
 type policy = Ksim.Machine.t -> int option
 
-(* An observer sees every successfully executed step: the machine after
-   the step, the trace so far in reverse order, and the step count.  The
-   snapshot cache uses it to capture prefix states as they are produced;
-   when absent the loop is unchanged. *)
-type observer = Ksim.Machine.t -> Ksim.Machine.event list -> int -> unit
-
-(* A resumable position inside a run: the machine after [start_steps]
-   steps together with the reversed trace that produced it.  Resuming
-   from a start is bit-identical to re-executing the prefix: a
-   reference-engine machine is a persistent value, so the start IS the
-   mid-run state; a compiled-engine start is a frozen arena handle,
-   which the first step clones and rewinds to its undo-log mark. *)
-type start = {
-  start_machine : Ksim.Machine.t;
-  start_trace_rev : Ksim.Machine.event list;
-  start_steps : int;
-}
-
 let default_max_steps = 200_000
 
 let verdict_name = function
@@ -75,21 +57,16 @@ let context_switches (trace : Ksim.Machine.event list) =
   go None 0 trace
 
 (* Run [m] under [policy] until completion, failure, deadlock or the step
-   watchdog, starting from an arbitrary resumable position.
+   watchdog.
 
-   An unobserved run's intermediate machines are unreachable once it
-   ends, so its final machine is detached from the undo log that built
-   it: an outcome kept for later (the reproducing run, a flip's
-   outcome) then holds the state alone.  An observer may hold earlier
-   machines of the same run (the snapshot cache does), so an observed
-   run's final is left as is. *)
-let run_from ?(max_steps = default_max_steps) ?observe (start : start)
+   The run's intermediate machines are unreachable once it ends, so its
+   final machine is detached from the undo log that built it: an
+   outcome kept for later (the reproducing run, a flip's outcome) then
+   holds the state alone. *)
+let run_loop ?(max_steps = default_max_steps) (m : Ksim.Machine.t)
     (policy : policy) : outcome =
   let stop verdict m acc steps =
-    let final =
-      match observe with None -> Ksim.Machine.detach m | Some _ -> m
-    in
-    { verdict; trace = List.rev acc; final; steps }
+    { verdict; trace = List.rev acc; final = Ksim.Machine.detach m; steps }
   in
   (* No thread will step again: flag leaks, then classify. *)
   let settle m acc steps =
@@ -112,13 +89,7 @@ let run_from ?(max_steps = default_max_steps) ?observe (start : start)
           | None -> settle m acc steps
           | Some tid -> (
             match Ksim.Engine.step m tid with
-            | Ok (m, ev) ->
-              let acc = ev :: acc in
-              let steps = steps + 1 in
-              (match observe with
-              | Some f -> f m acc steps
-              | None -> ());
-              loop m acc steps
+            | Ok (m, ev) -> loop m (ev :: acc) (steps + 1)
             | Error (Ksim.Machine.Blocked_on_lock _)
             | Error Ksim.Machine.Thread_not_runnable ->
               (* The policy picked a thread that cannot step; treat as
@@ -130,11 +101,7 @@ let run_from ?(max_steps = default_max_steps) ?observe (start : start)
               | Some f -> stop (Failed f) m acc steps
               | None -> assert false))))
   in
-  loop start.start_machine start.start_trace_rev start.start_steps
-
-(* The start of a run on a freshly booted machine. *)
-let at_boot (m : Ksim.Machine.t) =
-  { start_machine = m; start_trace_rev = []; start_steps = 0 }
+  loop m [] 0
 
 (* A run reduced to what re-derives it.  The machine is deterministic,
    so the thread of every step determines the trace and the final
@@ -185,45 +152,27 @@ let replay (m : Ksim.Machine.t) (r : recording) : outcome =
       Some tid)
   in
   let max_steps = r.rec_steps + if r.failed_final then 1 else 0 in
-  { (run_from ~max_steps (at_boot m) policy) with verdict = r.rec_verdict }
+  { (run_loop ~max_steps m policy) with verdict = r.rec_verdict }
 
-(* The instrumented body behind both entry points: one span per
-   enforced schedule, plus the step-loop counters (instructions stepped,
-   context switches — our breakpoint hits).  A resumed run counts only
-   what it executes, never the restored prefix — that is the saving the
-   snapshot cache exists to make: the instructions beyond [start], and
-   the switches between consecutive executed steps, the one at the
-   restore boundary included (the trace's switches minus the
-   prefix's).  The counters are derived after the run from local state,
-   so the disabled path costs one ref read. *)
-let instrumented ~resumed ?max_steps ?observe (start : start)
-    (policy : policy) : outcome =
-  Telemetry.Probe.span_begin ~cat:"hypervisor"
-    (if resumed then "controller.resume" else "controller.run");
-  let o = run_from ?max_steps ?observe start policy in
+(* One span per enforced schedule, plus the step-loop counters
+   (instructions stepped, context switches — our breakpoint hits).  The
+   counters are derived after the run from the outcome, so the disabled
+   path costs one ref read. *)
+let run ?max_steps (m : Ksim.Machine.t) (policy : policy) : outcome =
+  Telemetry.Probe.span_begin ~cat:"hypervisor" "controller.run";
+  let o = run_loop ?max_steps m policy in
   if Telemetry.Probe.installed () then (
-    let prefix = start.start_steps in
-    Telemetry.Probe.count
-      (if resumed then "controller.resumed_runs" else "controller.runs");
-    Telemetry.Probe.count ~by:(o.steps - prefix) "controller.instructions";
-    Telemetry.Probe.count
-      ~by:(context_switches o.trace - context_switches start.start_trace_rev)
+    Telemetry.Probe.count "controller.runs";
+    Telemetry.Probe.count ~by:o.steps "controller.instructions";
+    Telemetry.Probe.count ~by:(context_switches o.trace)
       "controller.context_switches";
     Telemetry.Probe.count ("controller.verdict." ^ verdict_name o.verdict);
     Telemetry.Probe.span_end
       ~args:
-        (("verdict", verdict_name o.verdict)
-        :: (if resumed then [ ("prefix_steps", string_of_int prefix) ]
-            else [])
-        @ [ ("steps", string_of_int o.steps) ])
+        [ ("verdict", verdict_name o.verdict);
+          ("steps", string_of_int o.steps) ]
       ());
   o
-
-let run ?max_steps ?observe (m : Ksim.Machine.t) (policy : policy) : outcome =
-  instrumented ~resumed:false ?max_steps ?observe (at_boot m) policy
-
-let resume ?max_steps ?observe (start : start) (policy : policy) : outcome =
-  instrumented ~resumed:true ?max_steps ?observe start policy
 
 let pp_verdict ppf = function
   | Completed -> Fmt.string ppf "completed"

@@ -32,44 +32,14 @@ type policy = Ksim.Machine.t -> int option
     schedule policies keep per-run state that only moves forward, so
     build a fresh one for every run. *)
 
-type observer = Ksim.Machine.t -> Ksim.Machine.event list -> int -> unit
-(** Called after every successfully executed step with the machine
-    after the step, the trace so far in {e reverse} order, and the step
-    count.  The snapshot cache captures prefix states through this; when
-    absent the loop is unchanged. *)
-
-type start = {
-  start_machine : Ksim.Machine.t;
-  start_trace_rev : Ksim.Machine.event list;  (** reversed prefix trace *)
-  start_steps : int;
-}
-(** A resumable mid-run position.  On the reference engine the machine
-    is a persistent value, so a start IS the state after its prefix.
-    On the compiled (default) engine it is a frozen arena handle — an
-    arena plus the undo-log mark of that state — and the first step
-    from it clones the arena and rewinds the undo suffix to the mark,
-    leaving the cached handle untouched.  Either way resuming is
-    bit-identical to re-executing the prefix from a fresh boot. *)
-
 val default_max_steps : int
 
-val run :
-  ?max_steps:int -> ?observe:observer -> Ksim.Machine.t -> policy -> outcome
+val run : ?max_steps:int -> Ksim.Machine.t -> policy -> outcome
 (** Runs under a [controller.run] telemetry span with step-loop
     counters (instructions stepped, context switches); when no sink is
     installed the instrumentation is a no-op and the outcome is
-    bit-identical.  Without [observe] the outcome's [final] is
-    {!Ksim.Machine.detach}ed, so a retained outcome does not retain the
-    run's undo log; with it, [final] is the run's last machine. *)
-
-val resume : ?max_steps:int -> ?observe:observer -> start -> policy -> outcome
-(** Continue a run from a restored snapshot position, through the same
-    instrumented body as {!run} (span [controller.resume], counter
-    [controller.resumed_runs]).  The outcome's trace and step count
-    cover the whole run (prefix + suffix), exactly as [run] would
-    report, but only the suffix executes: the instruction and
-    context-switch counters count the suffix alone, the switch at the
-    restore boundary included. *)
+    bit-identical.  The outcome's [final] is {!Ksim.Machine.detach}ed,
+    so a retained outcome does not retain the run's undo log. *)
 
 type recording
 (** A run reduced to what re-derives it: the thread of every step,

@@ -11,19 +11,19 @@ type spec = {
   hang : float;
   miss : float;
   spurious : float;
-  restore : float;
   flap : float;
   site : string option;
 }
 
 let none =
-  { boot = 0.; hang = 0.; miss = 0.; spurious = 0.; restore = 0.;
-    flap = 0.; site = None }
+  { boot = 0.; hang = 0.; miss = 0.; spurious = 0.; flap = 0.; site = None }
 
+(* Each kind gets a sixth of [rate]: the split predates the retired
+   snapshot-restore kind, and keeping it keeps every seeded fault stream
+   unchanged. *)
 let mixed rate =
   let p = rate /. 6. in
-  { boot = p; hang = p; miss = p; spurious = p; restore = p; flap = p;
-    site = None }
+  { boot = p; hang = p; miss = p; spurious = p; flap = p; site = None }
 
 let spec_of_string s =
   let field acc item =
@@ -49,7 +49,6 @@ let spec_of_string s =
         | "hang" -> { acc with hang = rate () }
         | "miss" -> { acc with miss = rate () }
         | "spurious" -> { acc with spurious = rate () }
-        | "restore" -> { acc with restore = rate () }
         | "flap" -> { acc with flap = rate () }
         | "site" ->
           if String.equal v "" then
@@ -64,8 +63,7 @@ let spec_of_string s =
 let spec_to_string spec =
   let kinds =
     [ ("boot", spec.boot); ("hang", spec.hang); ("miss", spec.miss);
-      ("spurious", spec.spurious); ("restore", spec.restore);
-      ("flap", spec.flap) ]
+      ("spurious", spec.spurious); ("flap", spec.flap) ]
   in
   let parts =
     List.filter_map
@@ -82,12 +80,10 @@ type counts = {
   mutable n_hang : int;
   mutable n_miss : int;
   mutable n_spurious : int;
-  mutable n_restore : int;
   mutable n_flap : int;
 }
 
-let total c =
-  c.n_boot + c.n_hang + c.n_miss + c.n_spurious + c.n_restore + c.n_flap
+let total c = c.n_boot + c.n_hang + c.n_miss + c.n_spurious + c.n_flap
 
 type t = {
   spec : spec;
@@ -101,8 +97,7 @@ let create ?(seed = 1) spec =
   { spec; seed;
     state = Int64.of_int seed;
     counts =
-      { n_boot = 0; n_hang = 0; n_miss = 0; n_spurious = 0; n_restore = 0;
-        n_flap = 0 };
+      { n_boot = 0; n_hang = 0; n_miss = 0; n_spurious = 0; n_flap = 0 };
     attempt_tainted = false }
 
 let spec t = t.spec
@@ -113,7 +108,7 @@ let injected t = total t.counts
 let active t =
   let s = t.spec in
   s.boot > 0. || s.hang > 0. || s.miss > 0. || s.spurious > 0.
-  || s.restore > 0. || s.flap > 0.
+  || s.flap > 0.
 
 let flappy t = t.spec.flap > 0.
 
@@ -153,7 +148,6 @@ let note t kind =
     | `Hang -> c.n_hang <- c.n_hang + 1; "faults.hang"
     | `Miss -> c.n_miss <- c.n_miss + 1; "faults.miss"
     | `Spurious -> c.n_spurious <- c.n_spurious + 1; "faults.spurious"
-    | `Restore -> c.n_restore <- c.n_restore + 1; "faults.restore"
     | `Flap -> c.n_flap <- c.n_flap + 1; "faults.flap"
   in
   Telemetry.Probe.count name
@@ -208,35 +202,28 @@ let eligible_indices t ~label items =
          | Some site -> if String.equal (label it) site then Some i else None)
 
 let drop_switches t (switches : Schedule.switch list) =
-  if switches = [] || not (draw t t.spec.miss) then (switches, false)
+  if switches = [] || not (draw t t.spec.miss) then switches
   else
     let label (sw : Schedule.switch) = sw.after.Ksim.Access.Iid.label in
     match eligible_indices t ~label switches with
-    | [] -> (switches, false)
+    | [] -> switches
     | idxs ->
       let k = List.nth idxs (pick t (List.length idxs)) in
       note t `Miss;
       t.attempt_tainted <- true;
-      (List.filteri (fun i _ -> i <> k) switches, true)
+      List.filteri (fun i _ -> i <> k) switches
 
 let drop_plan_event t (plan : Schedule.plan) =
-  if plan.events = [] || not (draw t t.spec.miss) then (plan, false)
+  if plan.events = [] || not (draw t t.spec.miss) then plan
   else
     let label (iid : Schedule.Iid.t) = iid.Ksim.Access.Iid.label in
     match eligible_indices t ~label plan.events with
-    | [] -> (plan, false)
+    | [] -> plan
     | idxs ->
       let k = List.nth idxs (pick t (List.length idxs)) in
       note t `Miss;
       t.attempt_tainted <- true;
-      ({ plan with events = List.filteri (fun i _ -> i <> k) plan.events },
-       true)
-
-let corrupt_restore t =
-  if draw t t.spec.restore then (
-    note t `Restore;
-    true)
-  else false
+      { plan with events = List.filteri (fun i _ -> i <> k) plan.events }
 
 let flap t (o : Controller.outcome) =
   if not (draw t t.spec.flap) then o

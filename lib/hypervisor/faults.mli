@@ -14,9 +14,6 @@
       preemptions (breakpoint misses), spurious extra context switches.
       These taint the attempt; the executor retries tainted attempts
       with exponential backoff.
-    - {e detected at restore} — snapshot-restore corruption.  The
-      executor poisons the bad cache entry and degrades to the reboot
-      path; no retry is needed.
     - {e undetectable} — outcome flaps (a failing run spuriously
       passing, or a passing run spuriously failing).  Only quorum
       re-execution can mask these. *)
@@ -26,7 +23,6 @@ type spec = {
   hang : float;      (** probability a run hangs before finishing *)
   miss : float;      (** probability one scheduling point is missed *)
   spurious : float;  (** probability of one spurious extra switch *)
-  restore : float;   (** probability a snapshot restore is corrupted *)
   flap : float;      (** probability a run's verdict flips *)
   site : string option;
       (** restrict missed preemptions (breakpoint misses) to scheduling
@@ -36,14 +32,15 @@ type spec = {
 val none : spec
 
 val mixed : float -> spec
-(** [mixed r] splits a total per-run fault rate [r] evenly across the
-    six fault kinds. *)
+(** [mixed r] gives each of the five fault kinds the rate [r /. 6.].
+    The divisor predates the retired snapshot-restore kind; keeping it
+    keeps every seeded fault stream unchanged. *)
 
 val spec_of_string : string -> (spec, string) result
-(** Parse a comma-separated [key=value] spec: [rate=R] (split evenly),
-    the per-kind keys [boot], [hang], [miss], [spurious], [restore],
-    [flap] (each a probability in [[0,1]]), and [site=LABEL].  Later
-    keys override earlier ones. *)
+(** Parse a comma-separated [key=value] spec: [rate=R] (see {!mixed}),
+    the per-kind keys [boot], [hang], [miss], [spurious], [flap] (each
+    a probability in [[0,1]]), and [site=LABEL].  Later keys override
+    earlier ones. *)
 
 val spec_to_string : spec -> string
 val pp_spec : spec Fmt.t
@@ -53,7 +50,6 @@ type counts = {
   mutable n_hang : int;
   mutable n_miss : int;
   mutable n_spurious : int;
-  mutable n_restore : int;
   mutable n_flap : int;
 }
 
@@ -111,19 +107,14 @@ val wrap_policy : t -> Controller.policy -> Controller.policy
     another runnable thread.  Taints the attempt when the diversion
     actually happens. *)
 
-val drop_switches : t -> Schedule.switch list -> Schedule.switch list * bool
+val drop_switches : t -> Schedule.switch list -> Schedule.switch list
 (** Decide whether one scheduling point of a preemption schedule is
     missed (a breakpoint miss) and drop it.  Honours [spec.site].
     Taints the attempt when a switch is dropped. *)
 
-val drop_plan_event : t -> Schedule.plan -> Schedule.plan * bool
+val drop_plan_event : t -> Schedule.plan -> Schedule.plan
 (** The plan-schedule analogue of {!drop_switches}: one planned event
     is not enforced. *)
-
-val corrupt_restore : t -> bool
-(** Decide whether a snapshot restore is corrupted.  Detected by the
-    executor (it poisons the entry and reboots), so this does {e not}
-    taint the attempt. *)
 
 val flap : t -> Controller.outcome -> Controller.outcome
 (** Decide whether this run's verdict flips: a failing verdict becomes

@@ -35,8 +35,8 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list t f xs] is [run] over a list, preserving order. *)
 
 (** Mutex shim shared with the backend: a real [Mutex.t] on the
-    domains backend, a no-op below 5.0.  Used by the shared snapshot
-    cache so it needs no threads dependency on the 4.14 leg. *)
+    domains backend, a no-op below 5.0, so code that guards shared
+    state needs no threads dependency on the 4.14 leg. *)
 module Lock : sig
   type t
 

@@ -80,19 +80,10 @@ let rec first_steppable m = function
 (* The run queue: head is the active thread.  Spawned threads are
    inserted immediately after their spawner, modeling kworkerd/RCU work
    that becomes runnable as soon as it is queued.  The active thread runs
-   until it finishes, blocks, or hits a scheduling point.
-
-   [queue_policy] is the general form: it starts from an arbitrary run
-   queue (a fresh schedule's [order], or a queue dumped from a snapshot)
-   and exposes the live queue through the returned dump function so the
-   snapshot cache can capture it alongside each machine state.  The
-   queue only mutates inside policy calls, so a dump taken right after
-   the call that decided step [k] is exactly the queue the next call
-   would start from. *)
-let queue_policy ~(queue : int list) ~(switches : switch list) :
-    Controller.policy * (unit -> int list * switch list) =
-  let queue = ref queue in
-  let pending = ref switches in
+   until it finishes, blocks, or hits a scheduling point. *)
+let preemption_policy (p : preemption) : Controller.policy =
+  let queue = ref p.order in
+  let pending = ref p.switches in
   let trigger_pc = ref unresolved in  (* of the head pending switch *)
   (* Thread ids are dense and never retired, so every id below [seen_n]
      has been considered for the queue and a new thread is exactly an
@@ -118,7 +109,7 @@ let queue_policy ~(queue : int list) ~(switches : switch list) :
     go q
   in
   let to_front tid q = tid :: List.filter (fun x -> x <> tid) q in
-  let policy m =
+  fun m ->
     (* Fold spawn and switch effects of the previous step lazily: we
        inspect the machine to learn about new threads, in ascending id
        order. *)
@@ -148,11 +139,6 @@ let queue_policy ~(queue : int list) ~(switches : switch list) :
     | [] -> ());
     (* Run the first runnable thread in queue order. *)
     first_steppable m !queue
-  in
-  (policy, fun () -> (!queue, !pending))
-
-let preemption_policy (p : preemption) : Controller.policy =
-  fst (queue_policy ~queue:p.order ~switches:p.switches)
 
 (* --- prologue --------------------------------------------------------- *)
 
@@ -187,18 +173,6 @@ type plan = {
 }
 
 let plan ?(run_through_budget = 2_000) events = { events; run_through_budget }
-
-(* The suffix of a plan after its first [n] events — what remains to be
-   enforced once a snapshot restored the state those events produced.
-   Along a matched prefix the policy resets its run-through budget at
-   every event, so a fresh policy over the suffix plan is state-identical
-   to the original policy after [n] matches. *)
-let plan_drop (p : plan) n =
-  let rec drop n l = if n <= 0 then l else match l with
-    | [] -> []
-    | _ :: rest -> drop (n - 1) rest
-  in
-  { p with events = drop n p.events }
 
 let pp_plan ppf p =
   Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any " => ") Iid.pp_full) p.events

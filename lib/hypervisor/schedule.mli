@@ -38,24 +38,9 @@ val pp_switch : switch Fmt.t
 val pp_preemption : preemption Fmt.t
 
 val preemption_policy : preemption -> Controller.policy
-(** {!queue_policy} started from the schedule, without the dump.
-    Spawned background threads enter the run queue right after their
+(** Spawned background threads enter the run queue right after their
     spawner; the active thread runs until it finishes, blocks or hits a
     scheduling point. *)
-
-val queue_policy :
-  queue:int list ->
-  switches:switch list ->
-  Controller.policy * (unit -> int list * switch list)
-(** The one queue policy, from any starting state: a fresh schedule's
-    [order] and [switches], or a run queue dumped from a snapshot with
-    only the not-yet-consumed switches pending.  The returned dump
-    reads the live run queue and pending switches.  Policy state only
-    mutates inside policy calls, so a dump taken right after the call
-    that decided step [k] is exactly the state the next call starts
-    from — the invariant the snapshot cache captures, and the reason a
-    policy started from a dumped state is bit-identical to the fresh
-    policy from that position onward. *)
 
 val with_prologue : int list -> Controller.policy -> Controller.policy
 (** Force resource-setup threads to run to completion, in order, before
@@ -70,9 +55,5 @@ type plan = {
 
 val plan : ?run_through_budget:int -> Iid.t list -> plan
 val pp_plan : plan Fmt.t
-
-val plan_drop : plan -> int -> plan
-(** The suffix plan after the first [n] events — what remains to be
-    enforced once a snapshot restored the state they produced. *)
 
 val plan_policy : plan -> Controller.policy

@@ -9,20 +9,17 @@
 type cost_model = {
   per_schedule : float;  (** seconds per enforced schedule *)
   per_reboot : float;    (** extra seconds when a run fails *)
-  per_restore : float;   (** seconds to restore a mid-run snapshot *)
 }
 
 val default_costs : cost_model
-(** Calibrated from Table 2's per-schedule rates; a mid-run snapshot
-    restore is a memory revert, far cheaper than a schedule or a
-    reboot. *)
+(** Calibrated from Table 2's per-schedule rates. *)
 
 type t
 
 exception Boot_failure
-(** An injected guest-boot failure (see {!Faults}); raised by {!boot}
-    and by {!run} before any step executes.  The executor's retry loop
-    is the intended handler. *)
+(** An injected guest-boot failure (see {!Faults}); raised by {!run}
+    before any step executes.  The executor's retry loop is the
+    intended handler. *)
 
 val create :
   ?costs:cost_model -> ?faults:Faults.t -> ?engine:Ksim.Engine.kind ->
@@ -38,21 +35,9 @@ val faults : t -> Faults.t option
 
 val engine : t -> Ksim.Engine.kind
 
-val boot : t -> Ksim.Machine.t
-(** A fresh guest (a snapshot restore, in the paper's terms).
-    @raise Boot_failure when fault injection fails the boot. *)
-
-val run :
-  ?max_steps:int -> ?observe:Controller.observer ->
-  ?start:Controller.start -> t -> Controller.policy -> Controller.outcome
-(** Run one schedule, recording the outcome.  Without [start] the run
-    boots a fresh guest; with it, the run continues from that restored
-    mid-run snapshot and only the suffix beyond it executes, but the
-    outcome covers the whole run exactly as a fresh run would report
-    it.  Only a run with [start] counts in {!resumes} and
-    {!saved_steps}, and credits [simulated_saved] with the modeled cost
-    of the restored prefix (and of the reboot the restore made
-    unnecessary, when the previous run failed).  Under fault injection
+val run : ?max_steps:int -> t -> Controller.policy -> Controller.outcome
+(** Run one schedule on a freshly booted guest (a snapshot restore, in
+    the paper's terms), recording the outcome.  Under fault injection
     the run may be truncated by an injected hang (verdict
     [Step_limit]), perturbed by a spurious extra context switch, or
     have its verdict flapped; see {!Faults}.
@@ -66,17 +51,7 @@ val penalize : t -> float -> unit
 val runs : t -> int
 val failures : t -> int
 val executed_steps : t -> int
-(** Instructions actually executed — excludes restored prefixes. *)
-
-val saved_steps : t -> int
-(** Prefix instructions obtained from snapshots instead of execution. *)
-
-val resumes : t -> int
+(** Instructions executed over every run. *)
 
 val simulated_seconds : t -> float
-(** Wall-clock estimate under the cost model, net of snapshot savings. *)
-
-val simulated_saved : t -> float
-(** Modeled seconds the snapshot cache saved ([0.] when disabled). *)
-
-val pp_stats : t Fmt.t
+(** Wall-clock estimate under the cost model. *)

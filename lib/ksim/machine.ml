@@ -655,9 +655,8 @@ let check_leaks t =
    rendered through an order-canonical traversal (maps fold in key
    order), so two machines that are structurally equal produce the same
    digest regardless of how their persistent maps were built.  Used by
-   the snapshot cache's differential tests to assert that restoring a
-   prefix and executing the suffix reaches a state identical to a fresh
-   run. *)
+   the differential tests to assert that both engines reach identical
+   states. *)
 let fingerprint t =
   let b = Buffer.create 1024 in
   let add fmt = Fmt.kstr (Buffer.add_string b) fmt in
@@ -709,9 +708,7 @@ let fingerprint t =
    positioned at the arena's tip and may step in place; stepping or
    inspecting any other handle first clones the arena and rewinds the
    clone's undo suffix back to the handle's mark, reproducing that
-   state.  [freeze] drops the tip handle so a published snapshot can be
-   restored concurrently from several domains — a frozen arena is only
-   ever read. *)
+   state. *)
 
 module Fast = struct
   type cexpr =
@@ -1081,8 +1078,8 @@ module Fast = struct
   and handle = {
     h_arena : arena;
     h_mark : int;  (* undo-log length at this state *)
-    (* Cached tip facts so shared (frozen) handles answer the hot
-       inspection queries without touching the arena state. *)
+    (* Cached tip facts so non-tip handles answer the hot inspection
+       queries without touching the arena state. *)
     h_nthreads : int;
     h_failure : Failure.t option;
     h_clock : int;
@@ -1238,8 +1235,7 @@ module Fast = struct
      handle's mark.  O(state + suffix).  The clone starts a fresh undo
      log: entries below the mark can never be replayed against it (every
      handle of the new arena has a mark at or above its creation point),
-     so the prefix is not copied.  The source arena is only read, so
-     this is safe against a frozen arena from any domain. *)
+     so the prefix is not copied.  The source arena is only read. *)
   let clone_at (h : handle) : arena =
     let src = h.h_arena in
     let ar =
@@ -1279,20 +1275,10 @@ module Fast = struct
     ar.ar_current <- Some h;
     h
 
-  let freeze h = h.h_arena.ar_current <- None
-
   (* [h]'s state on an arena of its own with an empty undo log.  The
      source arena is only read, so every handle into it stays valid;
      once those are dropped, its log can be collected. *)
   let detach h = retip (clone_at h)
-
-  (* Marginal byte cost of keeping [h] alive in a snapshot vector, given
-     the previously accounted snapshot [prev] of the same chain. *)
-  let snapshot_cost ~prev h =
-    match prev with
-    | Some p when p.h_arena == h.h_arena && h.h_mark >= p.h_mark ->
-      48 + (24 * (h.h_mark - p.h_mark))
-    | Some _ | None -> 4096
 
   (* --- construction --------------------------------------------------- *)
 
@@ -2150,16 +2136,7 @@ let fingerprint = function
 
 (* --- compiled-engine management -------------------------------------- *)
 
-let freeze = function Pure _ -> () | Fast h -> Fast.freeze h
-
 let detach = function Pure _ as m -> m | Fast h -> Fast (Fast.detach h)
-
-let snapshot_cost ?prev m =
-  match m with
-  | Pure _ -> 256
-  | Fast h ->
-    let prev = match prev with Some (Fast p) -> Some p | Some (Pure _) | None -> None in
-    Fast.snapshot_cost ~prev h
 
 let instr_flags = Fast.pc_flags
 let instr_globals = Fast.pc_globals

@@ -128,17 +128,8 @@ val fingerprint : t -> string
     equal machines fingerprint identically regardless of the history
     that built their persistent maps {e and regardless of engine}: the
     compiled engine materializes the persistent representation and
-    digests through the same renderer.  Used by the snapshot cache's
-    differential oracle to assert restore+suffix ≡ fresh execution, and
-    by test/test_engine.ml for reference-vs-compiled lockstep parity. *)
-
-(** {1 Snapshot support} *)
-
-val freeze : t -> unit
-(** Release the compiled engine's in-place fast path for this value, so
-    the snapshot can later be restored concurrently from several
-    domains (a frozen arena is only ever read).  No-op on the reference
-    engine.  Call before publishing a machine into a shared cache. *)
+    digests through the same renderer.  Used by test/test_engine.ml for
+    reference-vs-compiled lockstep parity. *)
 
 val detach : t -> t
 (** The same state without the history that produced it.  On the
@@ -146,14 +137,6 @@ val detach : t -> t
     so keeping the result alive does not keep the log alive; every
     other machine stays valid.  The identity on the reference engine.
     O(state). *)
-
-val snapshot_cost : ?prev:t -> t -> int
-(** Approximate bytes of keeping this machine alive in a snapshot
-    vector.  For the compiled engine the cost of a snapshot that shares
-    its predecessor's arena is the marginal undo-log delta; an
-    unrelated snapshot is charged a full arena clone.  Reference-engine
-    snapshots share structure persistently and are charged a small
-    constant. *)
 
 (** {1 Instrumentation tables}
 

@@ -199,8 +199,7 @@ let test_replay_parity ~engine setting () =
       in
       ignore
         (Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-           ?prune ?order ~snapshot_cache:(setting = `Snapshots) ?faults
-           ~engine ~on_run case
+           ?prune ?order ?faults ~engine ~on_run case
           : Aitia.Diagnose.report);
       checkb (bug.id ^ ": runs were replayed") true (!n > 0))
     Bugs.Registry.all
@@ -283,7 +282,7 @@ let test_access_db_parity ~pruned () =
       in
       ignore
         (Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-           ?prune ?order ~snapshot_cache:pruned ~on_run (bug.case ())
+           ?prune ?order ~on_run (bug.case ())
           : Aitia.Diagnose.report);
       checkb (bug.id ^ ": runs were learned") true (!n > 0))
     Bugs.Registry.all
@@ -750,16 +749,14 @@ let () =
                   (Fmt.str "%s, %s" ename sname)
                   `Quick
                   (test_replay_parity ~engine setting))
-              [ (`Plain, "plain"); (`Snapshots, "snapshot cache");
-                (`Gain_invariants, "gain+invariants");
+              [ (`Plain, "plain"); (`Gain_invariants, "gain+invariants");
                 (`Faults, "rate=0.05 faults") ])
           [ (Ksim.Engine.Compiled, "compiled");
             (Ksim.Engine.Reference, "reference") ] );
       ( "access database",
         [ Alcotest.test_case "fold parity, plain" `Quick
             (test_access_db_parity ~pruned:false);
-          Alcotest.test_case
-            "fold parity, gain+invariants+snapshot cache" `Quick
+          Alcotest.test_case "fold parity, gain+invariants" `Quick
             (test_access_db_parity ~pruned:true) ] );
       ( "causality",
         [ Alcotest.test_case "fig1 roots" `Quick test_causality_fig1;

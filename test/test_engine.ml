@@ -21,9 +21,9 @@
    edges), the full modeled bug corpus, and fault-injected diagnoses
    with identical seeded fault streams on both engines.
 
-   Property tests additionally pin the compiled engine's snapshot
-   machinery (undo-log restore == fresh re-execution, including
-   restores from a frozen snapshot whose arena tip moved on) and its
+   Property tests additionally pin the compiled engine's undo log
+   (stepping a stale handle whose arena tip moved on == fresh
+   re-execution) and its
    static instrumentation tables (flag-bitset and watchpoint parity
    against dynamic events under randomly placed breakpoints and
    watchpoints).
@@ -358,9 +358,9 @@ let prop_restore_equals_fresh =
               | Error _ -> Alcotest.fail "prefix replay refused a step")
           sched;
         let snap = !m in
-        Machine.freeze snap;
         (* Step past the snapshot so the restore is a genuine rewind,
-           not the arena tip. *)
+           not the arena tip: stepping the stale handle must clone the
+           arena and undo back to its mark. *)
         let dirty = ref snap in
         List.iteri
           (fun i tid ->

@@ -1,10 +1,8 @@
 (* Fault injection and the resilient execution layer: unit tests for
    the deterministic fault stream (spec parsing, seeded determinism,
    watchdog caps, verdict flaps), the executor's per-class reactions
-   (retry on taint, quorum voting, snapshot poisoning on corrupted
-   restores), the resumable diagnosis journal, batch-manifest and
-   --prune validation, and the acceptance
-   suites — chaos parity across the 22-bug corpus at a 5% mixed fault
+   (retry on taint, quorum voting), the resumable diagnosis journal,
+   batch-manifest and CLI validation, and the acceptance suites — chaos parity across the 22-bug corpus at a 5% mixed fault
    rate, the retries-disabled degraded mode (exit code 3, never a
    crash), and journal resume re-executing strictly fewer instructions
    while producing a byte-identical report.
@@ -16,7 +14,6 @@
 open Ksim.Program.Build
 module Faults = Hypervisor.Faults
 module Schedule = Hypervisor.Schedule
-module Snapshots = Hypervisor.Snapshots
 module Executor = Aitia.Executor
 module Resilience = Aitia.Resilience
 module Journal = Aitia.Journal
@@ -46,7 +43,7 @@ let chain_str (r : Aitia.Diagnose.report) =
 let taintable (c : Faults.counts) =
   c.n_boot + c.n_hang + c.n_miss + c.n_spurious
 
-(* --- fixtures (as in test_snapshots) ------------------------------------ *)
+(* --- fixtures ------------------------------------------------------------ *)
 
 let globals = [ ("g0", Ksim.Value.Int 0); ("g1", Ksim.Value.Int 0) ]
 
@@ -108,9 +105,9 @@ let test_spec_parse () =
   | Error e -> Alcotest.fail e
   | Ok s ->
     let p = 0.3 /. 6. in
-    checkb "rate splits evenly across the six kinds" true
+    checkb "rate gives each of the five kinds a sixth" true
       (s.boot = p && s.hang = p && s.miss = p && s.spurious = p
-     && s.restore = p && s.flap = p && s.site = None));
+     && s.flap = p && s.site = None));
   (match Faults.spec_of_string "boot=0.25, flap=0.5,site=a2" with
   | Error e -> Alcotest.fail e
   | Ok s ->
@@ -280,75 +277,18 @@ let test_quorum_masks_and_flags () =
   checkb "quorum masked an injected flap at some seed" true !masked;
   checkb "quorum flagged a disagreement at some seed" true !flagged
 
-(* --- unit: corrupted restores poison the cache ---------------------------- *)
+(* --- unit: a breakpoint miss drops one scheduling point ------------------ *)
 
-let test_corruption_poisons_cache () =
+(* A missed scheduling point rewrites what the attempt enforces: with
+   its only switch missed, a one-preemption schedule runs as the serial
+   order, and a plan loses one event.  Both taint the attempt. *)
+let test_miss_drops_switch () =
   let group = benign_group () in
-  let faults = Faults.create ~seed:3 { Faults.none with restore = 1.0 } in
-  let cache = Snapshots.create () in
-  let vm = Hypervisor.Vm.create ~faults group in
-  let recorder = Telemetry.Recorder.create () in
-  Telemetry.Probe.with_sink (Telemetry.Recorder.sink recorder) (fun () ->
-      let parent = Executor.run_preemption ~snapshots:cache vm serial_sched in
-      checki "parent stored" 1 (Snapshots.cached_vectors cache);
-      let child = child_of parent.outcome ~index:1 ~switch_to:1 in
-      let cached = Executor.run_preemption ~snapshots:cache vm child in
-      let fresh =
-        (Executor.run_preemption (Hypervisor.Vm.create group) child).outcome
-      in
-      checkb "corrupted restore degrades to a correct fresh run" true
-        (same_outcome cached.outcome fresh);
-      checkb "restore fault counted" true
-        ((Faults.counts faults).n_restore > 0);
-      checkb "entry poisoned" true (Snapshots.poisonings cache > 0);
-      (* The poisoned entry is refused on the next lookup. *)
-      checkb "poisoned entry refused" true
-        (Snapshots.find_preemption cache child = None);
-      checkb "refusal counted" true (Snapshots.poisoned_refusals cache > 0));
-  checkb "faults.restore telemetry counter" true
-    (Telemetry.Recorder.counter recorder "faults.restore" > 0);
-  checkb "snapshot.poisonings telemetry counter" true
-    (Telemetry.Recorder.counter recorder "snapshot.poisonings" > 0);
-  checkb "snapshot.poisoned_refusals telemetry counter" true
-    (Telemetry.Recorder.counter recorder "snapshot.poisoned_refusals" > 0)
-
-(* --- unit: a breakpoint miss bypasses the cache ------------------------- *)
-
-(* A missed scheduling point rewrites what the attempt enforces, so the
-   attempt may neither look up (a cached prefix belongs to the
-   unperturbed schedule) nor store (its vector would be filed under the
-   wrong key).  Against a warm cache that would serve both kinds, a
-   miss on every attempt leaves every cache counter where it was. *)
-let test_miss_bypasses_cache () =
-  let group = benign_group () in
-  let cache = Snapshots.create () in
-  let parent =
-    (Executor.run_preemption ~snapshots:cache (Hypervisor.Vm.create group)
-       serial_sched)
+  let serial =
+    (Executor.run_preemption (Hypervisor.Vm.create group) serial_sched)
       .outcome
   in
-  let child = child_of parent ~index:1 ~switch_to:1 in
-  let child_run =
-    (Executor.run_preemption ~snapshots:cache (Hypervisor.Vm.create group)
-       child)
-      .outcome
-  in
-  (* Either of the grandchild's two switches may be missed; what is
-     left still has a cached parent, so a lookup would hit. *)
-  let grandchild =
-    { child with
-      Schedule.switches =
-        child.Schedule.switches
-        @ [ { Schedule.after = (List.nth child_run.trace 3).Ksim.Machine.iid;
-              switch_to = 0 } ] }
-  in
-  let key = Schedule.preemption_key serial_sched in
-  let plan = Schedule.plan (iids_of parent) in
-  checkb "warm cache serves the plan" true
-    (Snapshots.find_plan cache ~key plan <> None);
-  let hits = Snapshots.hits cache
-  and misses = Snapshots.misses cache
-  and vectors = Snapshots.cached_vectors cache in
+  let child = child_of serial ~index:1 ~switch_to:1 in
   let spec =
     match Faults.spec_of_string "miss=1.0" with
     | Ok s -> s
@@ -356,14 +296,13 @@ let test_miss_bypasses_cache () =
   in
   let faults = Faults.create spec in
   let vm = Hypervisor.Vm.create ~faults group in
-  ignore (Executor.run_preemption ~snapshots:cache vm grandchild);
+  let missed = Executor.run_preemption vm child in
   checki "a switch was missed" 1 (Faults.counts faults).n_miss;
-  ignore (Executor.run_plan ~snapshots:(cache, key) vm plan);
-  checki "a plan event was missed too" 2 (Faults.counts faults).n_miss;
-  checki "no hit" hits (Snapshots.hits cache);
-  checki "no lookup" misses (Snapshots.misses cache);
-  checki "nothing stored" vectors (Snapshots.cached_vectors cache);
-  checki "no run resumed" 0 (Hypervisor.Vm.resumes vm)
+  checkb "the miss taints the attempt" true (Faults.tainted faults);
+  checkb "the child ran as the serial order" true
+    (same_outcome missed.outcome serial);
+  ignore (Executor.run_plan vm (Schedule.plan (iids_of serial)));
+  checki "a plan event was missed too" 2 (Faults.counts faults).n_miss
 
 (* --- CLI and manifest helpers ---------------------------------------------- *)
 
@@ -870,7 +809,10 @@ let test_manifest_errors () =
       ("empty manifest", "[]", "manifest has no requests");
       ( "unknown engine",
         {|[{"id": "r1", "bug": "fig5", "engine": "jit"}]|},
-        "engine must be reference/compiled" ) ]
+        "engine must be reference/compiled" );
+      ( "retired snapshot_cache field",
+        {|[{"id": "r1", "bug": "fig5", "snapshot_cache": true}]|},
+        {|request "r1": unknown field "snapshot_cache"|} ) ]
 
 (* The CLI takes --prune none|invariants only: any other level is a
    usage error (exit 2) when flags are parsed. *)
@@ -882,33 +824,24 @@ let test_cli_prune_levels () =
   checki "--prune invariants diagnoses" 0 (run "invariants");
   checki "--prune flipfeas is a usage error" 2 (run "flipfeas")
 
-(* The combinations the pipeline cannot honour are refused by one
-   validator: a manifest naming one is rejected, and the same knobs on
-   the CLI exit 2 with the same message. *)
-let test_rejected_combinations () =
+(* Options of the retired prefix snapshot cache and its restore fault
+   kind are usage errors (exit 2) when flags are parsed. *)
+let test_retired_options () =
   List.iter
-    (fun (what, fields, args) ->
-      let doc = Fmt.str {|[{"id": "r1", "bug": "fig5", %s}]|} fields in
-      let msg =
-        match Aitia.Batch.manifest_of_string doc with
-        | Ok _ -> Alcotest.failf "%s: manifest accepted" what
-        | Error e ->
-          let prefix = {|request "r1": |} in
-          checkb (Fmt.str "%s: %S names the request" what e) true
-            (String.starts_with ~prefix e);
-          String.sub e (String.length prefix)
-            (String.length e - String.length prefix)
-      in
-      let code, _, err = run_cli ("diagnose" :: "fig5" :: args) in
+    (fun (args, needle) ->
+      let what = String.concat " " args in
+      let code, _, err = run_cli args in
       checki (what ^ ": CLI exit") 2 code;
-      checks (what ^ ": CLI message") ("aitia: " ^ msg ^ "\n") err)
-    [ ( "snapshot budget without the cache", {|"snapshot_budget": 4096|},
-        [ "--snapshot-budget"; "4096" ] ) ];
-  (* chain has no snapshot cache, so it offers no budget either *)
-  let code, _, err = run_cli [ "chain"; "fig1"; "--snapshot-budget"; "1" ] in
-  checki "chain --snapshot-budget: CLI exit" 2 code;
-  checkb "chain --snapshot-budget is refused at flag parsing" true
-    (contains ~sub:"unknown option '--snapshot-budget'" err)
+      checkb (Fmt.str "%s: %S names %S" what err needle) true
+        (contains ~sub:needle err))
+    [ ([ "diagnose"; "fig1"; "--snapshot-cache" ],
+       "unknown option '--snapshot-cache'");
+      ([ "diagnose"; "fig1"; "--snapshot-budget"; "1" ],
+       "unknown option '--snapshot-budget'");
+      ([ "chain"; "fig1"; "--snapshot-budget"; "1" ],
+       "unknown option '--snapshot-budget'");
+      ([ "diagnose"; "fig1"; "--fault-spec"; "restore=0.1" ],
+       {|unknown fault kind "restore"|}) ]
 
 (* A diagnosis runs on one VM at a time: diagnose, chain and stats
    take no --jobs (only batch does), so the flag is a parse error. *)
@@ -961,10 +894,8 @@ let () =
             test_quorum_unanimous_flap;
           Alcotest.test_case "quorum: masking and disagreement" `Quick
             test_quorum_masks_and_flags;
-          Alcotest.test_case "corrupted restore poisons the cache" `Quick
-            test_corruption_poisons_cache;
-          Alcotest.test_case "breakpoint miss bypasses the cache" `Quick
-            test_miss_bypasses_cache ] );
+          Alcotest.test_case "breakpoint miss drops one scheduling point"
+            `Quick test_miss_drops_switch ] );
       ( "journal",
         [ Alcotest.test_case "missing and malformed files" `Quick
             test_journal_files;
@@ -978,8 +909,7 @@ let () =
       ( "validation",
         [ Alcotest.test_case "manifest errors" `Quick test_manifest_errors;
           Alcotest.test_case "CLI prune levels" `Quick test_cli_prune_levels;
-          Alcotest.test_case "rejected combinations" `Quick
-            test_rejected_combinations;
+          Alcotest.test_case "retired options" `Quick test_retired_options;
           Alcotest.test_case "diagnose takes no --jobs" `Quick
             (test_cli_no_jobs "diagnose");
           Alcotest.test_case "chain takes no --jobs" `Quick

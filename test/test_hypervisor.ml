@@ -298,15 +298,13 @@ let test_vm_costs_shape () =
 
 let test_vm_custom_costs () =
   let grp = group [ thread "A" [ bug_on "b" (cint 1) ] ] in
-  let costs = { Hypervisor.Vm.per_schedule = 2.0; per_reboot = 10.0; per_restore = 0.1 } in
+  let costs = { Hypervisor.Vm.per_schedule = 2.0; per_reboot = 10.0 } in
   let vm = Hypervisor.Vm.create ~costs grp in
   let _ =
     Hypervisor.Vm.run vm (Schedule.preemption_policy (Schedule.serial [ 0 ]))
   in
   checkb "custom model applied" true
-    (Float.abs (Hypervisor.Vm.simulated_seconds vm -. 12.0) < 1e-9);
-  checkb "stats render" true
-    (String.length (Fmt.str "%a" Hypervisor.Vm.pp_stats vm) > 5)
+    (Float.abs (Hypervisor.Vm.simulated_seconds vm -. 12.0) < 1e-9)
 
 let test_schedule_printing () =
   let sched =

@@ -1,11 +1,11 @@
-(* Brute-force differential oracle for LIFS + the snapshot cache.
+(* Brute-force differential oracle for LIFS.
 
    For small generated programs the oracle exhaustively enumerates
    EVERY interleaving (every runnable-thread choice at every step) and
-   records which of them fail.  LIFS — searching with the snapshot
-   cache enabled — must find a failure iff the oracle does, its failing
-   trace must be one of the oracle's failing interleavings, and its
-   reported race set must equal an independent computation over that
+   records which of them fail.  LIFS must find a failure iff the oracle
+   does, its failing trace must be one of the oracle's failing
+   interleavings, and its reported race set must equal an independent
+   computation over that
    same interleaving.
 
    The fig* corpus bugs are run through a fingerprint-memoized variant
@@ -18,7 +18,6 @@
 
 module Iid = Ksim.Access.Iid
 module Schedule = Hypervisor.Schedule
-module Snapshots = Hypervisor.Snapshots
 module Lifs = Aitia.Lifs
 module Race = Aitia.Race
 
@@ -138,10 +137,8 @@ let oracle_finds o = Hashtbl.length o.failures > 0
 
 (* --- LIFS under test ------------------------------------------------------- *)
 
-let lifs_with_cache ?max_interleavings group =
-  let cache = Snapshots.create () in
-  let vm = Hypervisor.Vm.create group in
-  Lifs.search ?max_interleavings ~snapshots:cache vm
+let lifs ?max_interleavings group =
+  Lifs.search ?max_interleavings (Hypervisor.Vm.create group)
     ~target:(fun _ -> true) ()
 
 (* --- counterexample dump --------------------------------------------------- *)
@@ -169,14 +166,14 @@ let agreements_failing = ref 0
 
 let prop_lifs_matches_oracle =
   QCheck.Test.make ~count:250 ~long_factor:10
-    ~name:"LIFS+cache finds a failure iff the brute-force oracle does"
+    ~name:"LIFS finds a failure iff the brute-force oracle does"
     arb_oracle_group
     (fun group ->
       let o = enumerate group in
       if o.capped then true (* state space too large: not a verdict *)
       else begin
         incr checked;
-        let result = lifs_with_cache ~max_interleavings:16 group in
+        let result = lifs ~max_interleavings:16 group in
         let ok =
           match result.found with
           | None ->
@@ -256,10 +253,9 @@ let test_fig_bug (bug : Bugs.Bug.t) () =
     true
     (o.capped || oracle_finds o);
   if not o.capped then begin
-    (* the diagnosis pipeline (with the cache) agrees with the oracle *)
+    (* the diagnosis pipeline agrees with the oracle *)
     let report =
-      Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-        ~snapshot_cache:true case
+      Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings case
     in
     checkb
       (Fmt.str "%s: pipeline reproduces what the oracle reaches" bug.id)

@@ -1,11 +1,9 @@
 (* Worker-pool tests: work-stealing units (ordering, exhaustion,
    exception propagation), mutual exclusion through the backend lock,
    qcheck properties that no worker count changes a pooled result and
-   that the snapshot cache never changes a diagnosis, chain and
-   per-flip verdict parity between sequential and pooled (batch-style)
-   passes over every corpus bug, and the shared snapshot cache under
-   contention — including the generation counter that closes the
-   hit→store window. *)
+   that the engine never changes a diagnosis, and chain and per-flip
+   verdict parity between sequential and pooled (batch-style) passes
+   over every corpus bug. *)
 
 module Pool = Hypervisor.Pool
 
@@ -104,12 +102,11 @@ let prop_pool_order =
       && Pool.run p (fun i -> i * i) n = Array.init n (fun i -> i * i))
 
 (* Everything a diagnosis decides, rendered comparable; simulated time
-   and host time are deliberately excluded (the snapshot cache changes
-   both). *)
-let diag_fingerprint ?snapshot_cache ~prune (bug : Bugs.Bug.t) =
+   and host time are deliberately excluded. *)
+let diag_fingerprint ?engine ~prune (bug : Bugs.Bug.t) =
   let r =
     Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings ~prune
-      ?snapshot_cache (bug.case ())
+      ?engine (bug.case ())
   in
   let chain =
     match r.chain with Some c -> Aitia.Chain.to_string c | None -> "-"
@@ -137,18 +134,15 @@ let prunes = [ ("none", `None); ("invariants", `Invariants) ]
 
 let prop_chain_parity =
   QCheck.Test.make ~count:10
-    ~name:"a cached diagnosis is chain- and verdict-identical to uncached"
+    ~name:"a diagnosis is chain- and verdict-identical on both engines"
     (QCheck.make
-       ~print:(fun (i, (name, _), snapshot_cache) ->
-         Fmt.str "%s prune=%s snapshot_cache=%b" corpus.(i).id name
-           snapshot_cache)
+       ~print:(fun (i, (name, _)) ->
+         Fmt.str "%s prune=%s" corpus.(i).id name)
        QCheck.Gen.(
-         triple
-           (int_range 0 (Array.length corpus - 1))
-           (oneofl prunes) bool))
-    (fun (i, (_, prune), snapshot_cache) ->
-      diag_fingerprint ~prune corpus.(i)
-      = diag_fingerprint ~snapshot_cache ~prune corpus.(i))
+         pair (int_range 0 (Array.length corpus - 1)) (oneofl prunes)))
+    (fun (i, (_, prune)) ->
+      diag_fingerprint ~engine:Ksim.Engine.Compiled ~prune corpus.(i)
+      = diag_fingerprint ~engine:Ksim.Engine.Reference ~prune corpus.(i))
 
 (* Every corpus bug, two ways: sequential, and one batch-style pass
    fanning the whole corpus out over a 4-worker pool, one diagnosis per
@@ -163,96 +157,6 @@ let test_corpus_parity i () =
   checkb "pooled pass is fingerprint-identical to a sequential one" true
     (List.nth (Lazy.force pooled_corpus) i
     = diag_fingerprint ~prune:`None corpus.(i))
-
-(* --- shared snapshot cache under contention ------------------------------ *)
-
-(* A search's result with every run it executed, in order, seen
-   through [on_run]. *)
-let lifs_fingerprint search =
-  let runs = ref [] in
-  let on_run s (o : Hypervisor.Controller.outcome) =
-    runs :=
-      ( Hypervisor.Schedule.preemption_key s,
-        Fmt.str "%a" Hypervisor.Controller.pp_verdict o.verdict )
-      :: !runs
-  in
-  let (r : Aitia.Lifs.result) = search ~on_run in
-  ( (match r.found with
-    | Some s -> Hypervisor.Schedule.preemption_key s.schedule
-    | None -> "-"),
-    r.stats.schedules, r.stats.pruned, List.rev !runs )
-
-(* Four searches of the same slice share one cache under a 4-worker
-   pool (every run stores into and restores from it concurrently); each
-   must be fingerprint-identical to the plain, uncached one. *)
-let test_shared_cache_contention (bug : Bugs.Bug.t) () =
-  let case = bug.case () in
-  let crash = Trace.History.crash case.history in
-  let slice = List.hd (Trace.Slicer.slices case.history) in
-  match Aitia.Diagnose.realize case slice with
-  | None -> Alcotest.fail "slice not realizable"
-  | Some (group, prologue) ->
-    let search ?snapshots () =
-      let vm = Hypervisor.Vm.create group in
-      lifs_fingerprint (fun ~on_run ->
-          Aitia.Lifs.search ?max_interleavings:bug.max_interleavings
-            ~prologue ?snapshots ~on_run vm
-            ~target:(Trace.Crash.matches crash) ())
-    in
-    let plain = search () in
-    let cache = Hypervisor.Snapshots.create () in
-    let shared =
-      Pool.map_list (Pool.create ~jobs:4)
-        (fun () -> search ~snapshots:cache ())
-        [ (); (); (); () ]
-    in
-    List.iteri
-      (fun i fp ->
-        checkb
-          (Fmt.str "search %d on the shared cache is fingerprint-identical" i)
-          true (fp = plain))
-      shared;
-    checkb "the shared cache was actually exercised" true
-      (Hypervisor.Snapshots.cached_vectors cache > 0)
-
-(* The hit→store window: a store whose restored prefix came from a
-   vector poisoned in between must be dropped (stale generation), while
-   stores under a live generation or with an evicted/absent parent
-   proceed. *)
-let test_generation_drop () =
-  let group = (Bugs.Fig1_nullderef.bug.case ()).group in
-  let m0 = Ksim.Machine.create group in
-  let tid = List.hd (Ksim.Machine.thread_ids m0) in
-  let machine, ev =
-    match Ksim.Machine.step m0 tid with
-    | Ok r -> r
-    | Error _ -> Alcotest.fail "first step refused"
-  in
-  let snap =
-    { Hypervisor.Snapshots.machine; trace_rev = [ ev ]; steps = 1;
-      queue = [ tid ]; pending = [] }
-  in
-  let t = Hypervisor.Snapshots.create () in
-  Hypervisor.Snapshots.store t ~key:"p" ~base:[||] ~suffix_rev:[ snap ] ();
-  checki "parent stored" 1 (Hypervisor.Snapshots.cached_vectors t);
-  (* generation 0 is live: the child built on p's prefix is accepted *)
-  Hypervisor.Snapshots.store t ~key:"c1" ~parent:("p", 0) ~base:[||]
-    ~suffix_rev:[ snap ] ();
-  checki "fresh-generation child stored" 2
-    (Hypervisor.Snapshots.cached_vectors t);
-  Hypervisor.Snapshots.poison t ~key:"p";
-  checki "poisoning counted" 1 (Hypervisor.Snapshots.poisonings t);
-  (* generation 0 is now stale: this child restored its prefix before
-     the poisoning and must be dropped *)
-  Hypervisor.Snapshots.store t ~key:"c2" ~parent:("p", 0) ~base:[||]
-    ~suffix_rev:[ snap ] ();
-  checki "stale-generation child dropped" 2
-    (Hypervisor.Snapshots.cached_vectors t);
-  (* an evicted / absent parent is benign, not suspect *)
-  Hypervisor.Snapshots.store t ~key:"c3" ~parent:("gone", 0) ~base:[||]
-    ~suffix_rev:[ snap ] ();
-  checki "absent-parent child stored" 3
-    (Hypervisor.Snapshots.cached_vectors t)
 
 (* --- registration -------------------------------------------------------- *)
 
@@ -271,13 +175,6 @@ let () =
       ( "lock",
         [ Alcotest.test_case "mutual exclusion" `Quick
             test_lock_mutual_exclusion ] );
-      ( "shared-cache",
-        [ Alcotest.test_case "contention (fig5)" `Quick
-            (test_shared_cache_contention Bugs.Fig5_search.bug);
-          Alcotest.test_case "contention (cve-2017-15649)" `Quick
-            (test_shared_cache_contention Bugs.Cve_2017_15649.bug);
-          Alcotest.test_case "generation store-drop" `Quick
-            test_generation_drop ] );
       ( "corpus-parity",
         List.mapi
           (fun i (bug : Bugs.Bug.t) ->
