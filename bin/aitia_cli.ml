@@ -239,9 +239,8 @@ let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None) ()
              ~doc:
                "Machine implementation the guest VMs run on: \
                 $(b,compiled) (default) executes programs compiled to \
-                flat integer opcodes in a mutable arena with an undo \
-                log; $(b,reference) is the persistent reference \
-                semantics.  Chains, verdicts and race sets are \
+                flat integer opcodes in place in a mutable arena; \
+                $(b,reference) is the persistent reference semantics.  Chains, verdicts and race sets are \
                 bit-identical across engines")
   in
   let make rq_prune rq_order rq_fault_spec rq_fault_seed rq_max_retries

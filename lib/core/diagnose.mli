@@ -102,7 +102,7 @@ val diagnose :
 
     [engine] (default {!Ksim.Engine.default}) selects the machine
     implementation every VM of this diagnosis boots — the compiled
-    arena/undo-log interpreter or the persistent reference semantics.
+    in-place arena interpreter or the persistent reference semantics.
     Chains, verdicts and race sets are bit-identical across engines;
     the differential oracle in test/test_engine.ml enforces it.
 

@@ -82,18 +82,20 @@ let rec permutations = function
       l
 
 (* Index (in the trace) after which a new preemption may be placed: all
-   existing switches must already have fired. *)
+   existing switches must already have fired.  An iid names one
+   dynamic instruction, so it occurs at most once in a trace and the
+   scan stops at the last switch's trigger. *)
 let extension_start (sched : Schedule.preemption)
-    (trace : Ksim.Machine.event array) =
+    (trace : Ksim.Machine.event list) =
   match List.rev sched.switches with
   | [] -> 0
   | { after; _ } :: _ ->
-    let idx = ref 0 in
-    Array.iteri
-      (fun i (e : Ksim.Machine.event) ->
-        if Iid.equal e.iid after then idx := i + 1)
-      trace;
-    !idx
+    let rec find i = function
+      | [] -> 0
+      | (e : Ksim.Machine.event) :: rest ->
+        if Iid.equal e.iid after then i + 1 else find (i + 1) rest
+    in
+    find 0 trace
 
 (* Candidate one-preemption extensions of an executed run, each paired
    with its equivalence signature (parent schedule, static preemption
@@ -170,7 +172,7 @@ let extensions ~db ~n_top ~prologue ?hints ?invariants ?shared
     (sched : Schedule.preemption) (outcome : Controller.outcome) :
     (string * int * string * Schedule.preemption) list * int * int =
   let final = outcome.final in
-  let trace = Array.of_list outcome.trace in
+  let trace = outcome.trace in
   let start = extension_start sched trace in
   let parent_key = Schedule.preemption_key sched in
   let tids = Ksim.Machine.thread_ids final in
@@ -184,7 +186,7 @@ let extensions ~db ~n_top ~prologue ?hints ?invariants ?shared
   let finished = Array.init n_threads (Ksim.Machine.is_done final) in
   let last = Array.make n_threads (-1) in
   let spawned_at = Array.make n_threads max_int in
-  Array.iteri
+  List.iteri
     (fun i (e : Ksim.Machine.event) ->
       last.(e.iid.Iid.tid) <- i;
       List.iter
@@ -220,7 +222,7 @@ let extensions ~db ~n_top ~prologue ?hints ?invariants ?shared
      separate them. *)
   let seg = ref 0 in
   let prev_tid = ref (-1) in
-  Array.iteri
+  List.iteri
     (fun i (e : Ksim.Machine.event) ->
       (match invariants with
       | Some rel ->

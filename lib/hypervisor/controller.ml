@@ -2,7 +2,7 @@
 
    This is our KVM/QEMU analogue: where the AITIA hypervisor installs
    breakpoints, parks threads in the trampoline and resumes them per the
-   schedule, our controller steps the persistent machine one instruction
+   schedule, our controller steps the guest machine one instruction
    at a time, asking a policy which thread to run next.  A thread that the
    policy does not pick is exactly a trampoline-suspended thread: it stays
    responsive (its lock state and spawn events remain visible) but makes
@@ -59,14 +59,15 @@ let context_switches (trace : Ksim.Machine.event list) =
 (* Run [m] under [policy] until completion, failure, deadlock or the step
    watchdog.
 
-   The run's intermediate machines are unreachable once it ends, so its
-   final machine is detached from the undo log that built it: an
-   outcome kept for later (the reproducing run, a flip's outcome) then
-   holds the state alone. *)
+   The loop steps and reads only the newest machine, which is all a
+   compiled machine allows: [m] is stale once the run takes a step.
+   Each run starts from its own boot, so the final machine is the last
+   state of an arena nothing else steps, and an outcome kept for later
+   (the reproducing run, a flip's outcome) stays readable. *)
 let run_loop ?(max_steps = default_max_steps) (m : Ksim.Machine.t)
     (policy : policy) : outcome =
-  let stop verdict m acc steps =
-    { verdict; trace = List.rev acc; final = Ksim.Machine.detach m; steps }
+  let stop verdict final acc steps =
+    { verdict; trace = List.rev acc; final; steps }
   in
   (* No thread will step again: flag leaks, then classify. *)
   let settle m acc steps =

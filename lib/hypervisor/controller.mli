@@ -1,7 +1,7 @@
 (** The generic schedule-enforcement loop — the KVM/QEMU analogue.
 
     Where the AITIA hypervisor installs breakpoints and parks threads in
-    the trampoline, this controller steps the persistent machine one
+    the trampoline, this controller steps the guest machine one
     instruction at a time, asking a policy which thread runs next; a
     thread the policy does not pick is exactly a trampoline-suspended
     thread. *)
@@ -38,8 +38,10 @@ val run : ?max_steps:int -> Ksim.Machine.t -> policy -> outcome
 (** Runs under a [controller.run] telemetry span with step-loop
     counters (instructions stepped, context switches); when no sink is
     installed the instrumentation is a no-op and the outcome is
-    bit-identical.  The outcome's [final] is {!Ksim.Machine.detach}ed,
-    so a retained outcome does not retain the run's undo log. *)
+    bit-identical.  [m] must be a machine nothing else steps: on the
+    compiled engine it is stale once the run takes a step, and the
+    outcome's [final] is the newest machine of its own arena, so a
+    retained outcome stays readable while later runs boot their own. *)
 
 type recording
 (** A run reduced to what re-derives it: the thread of every step,

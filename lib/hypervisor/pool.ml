@@ -6,17 +6,15 @@
    when empty, steal from the back of the longest other queue — the
    classic split keeps owners on cheap cache-warm work and thieves on
    the large straggler tails.  All tasks exist up front, so a worker
-   that finds every queue empty can simply exit; no condition
-   variables are needed.
+   that finds every queue empty can simply return; the queues need no
+   condition variables.
 
    Determinism: results land in an array slot owned by exactly one
    task, and the caller reads them only after every worker has joined
-   (Domain.join publishes the writes), so merging in index order gives
-   output independent of scheduling.  Exceptions are captured per
-   index and the lowest-indexed one is re-raised — the one a
-   sequential left-to-right run would have hit first. *)
-
-module Lock = Pool_backend.Lock
+   (the backend's join publishes the writes), so merging in index
+   order gives output independent of scheduling.  Exceptions are
+   captured per index and the lowest-indexed one is re-raised — the
+   one a sequential left-to-right run would have hit first. *)
 
 type t = { pool_jobs : int }
 
@@ -50,13 +48,13 @@ let run_parallel t f n =
   let w = min t.pool_jobs n in
   let results = Array.make n None in
   let errors = Array.make n None in
-  let lock = Lock.create () in
+  let lock = Pool_backend.Lock.create () in
   let queues = Array.make w [] in
   for i = n - 1 downto 0 do
     queues.(i mod w) <- i :: queues.(i mod w)
   done;
   let take wid =
-    Lock.protect lock (fun () ->
+    Pool_backend.Lock.protect lock (fun () ->
         match queues.(wid) with
         | i :: rest ->
           queues.(wid) <- rest;

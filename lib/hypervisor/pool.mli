@@ -19,8 +19,11 @@ val parallel_available : bool
 
 val create : jobs:int -> t
 (** [create ~jobs] makes a pool that runs batches on [jobs] workers
-    (the calling thread participates as worker 0; [jobs - 1] domains
-    are spawned per batch).  Raises [Invalid_argument] if [jobs < 1].
+    (the calling thread participates as worker 0; [jobs - 1] worker
+    domains join it for each batch).  A worker domain is started once
+    and parks between batches, so a process that runs many batches
+    starts only as many domains as its largest batch used at once.
+    Raises [Invalid_argument] if [jobs < 1].
     On the sequential backend any [jobs] value degrades gracefully to
     in-order execution. *)
 
@@ -33,13 +36,3 @@ val run : t -> (int -> 'a) -> int -> 'a array
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list t f xs] is [run] over a list, preserving order. *)
-
-(** Mutex shim shared with the backend: a real [Mutex.t] on the
-    domains backend, a no-op below 5.0, so code that guards shared
-    state needs no threads dependency on the 4.14 leg. *)
-module Lock : sig
-  type t
-
-  val create : unit -> t
-  val protect : t -> (unit -> 'a) -> 'a
-end

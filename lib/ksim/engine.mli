@@ -2,12 +2,14 @@
 
     AITIA's diagnosis cost is dominated by guest re-execution, so the
     machine comes in two engines: the persistent {e reference} semantics
-    and the arena/undo-log {e compiled} engine (see {!Machine}).  This
-    module is the single switch point — [--engine=reference|compiled] on
-    the CLI becomes a {!kind} carried by [Hypervisor.Vm], and every
-    layer that boots a machine goes through {!boot}.  Past the boot a
-    machine of either engine answers every {!Machine} query
-    identically, so no other layer pattern-matches on the engine. *)
+    and the {e compiled} engine, whose linear machines step one arena in
+    place (see {!Machine}).  This module is the single switch point —
+    [--engine=reference|compiled] on the CLI becomes a {!kind} carried
+    by [Hypervisor.Vm], and every layer that boots a machine goes
+    through {!boot}.  Past the boot a machine of either engine answers
+    every {!Machine} query identically, so no other layer
+    pattern-matches on the engine; every layer steps only the newest
+    machine, which is all a compiled machine allows. *)
 
 type kind = Reference | Compiled
 

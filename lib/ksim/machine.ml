@@ -10,10 +10,11 @@
 
    - The *compiled* engine (module [Fast]) compiles each program once
      into a flat instruction array with integer opcodes and pre-resolved
-     operands, executes in a mutable arena, and records an undo log so a
-     snapshot is an O(1) mark into that log.  It must be observably
-     bit-identical to the pure engine — the differential oracle in
-     test/test_engine.ml holds it to that.
+     operands and executes in place in a mutable arena.  Its machines
+     are linear: once [step m] returns [m'], only [m'] may be stepped or
+     read, and every query on [m] raises [Invalid_argument].  It must be
+     observably bit-identical to the pure engine — the differential
+     oracle in test/test_engine.ml holds it to that.
 
    A scheduler decides which thread steps next; the machine itself has no
    scheduling policy. *)
@@ -701,14 +702,14 @@ let fingerprint t =
    ([Flags]) so the step loop can skip the lock-held computation for
    instructions that can never record an access.
 
-   Execution mutates an *arena* — flat arrays and a hashtable instead of
-   persistent maps — while appending inverse operations to an undo log.
-   A machine value over this engine is a [handle]: the arena plus a mark
-   into the undo log.  Exactly one handle (the arena's [ar_current]) is
-   positioned at the arena's tip and may step in place; stepping or
-   inspecting any other handle first clones the arena and rewinds the
-   clone's undo suffix back to the handle's mark, reproducing that
-   state. *)
+   Execution mutates an *arena* — flat arrays instead of persistent
+   maps — in place, and keeps no record of the states it leaves.  A
+   machine value over this engine is a [handle] on the arena.  Every
+   step and every state change allocates a fresh handle and makes it
+   the arena's tip ([ar_tip]); only the tip may be stepped or
+   inspected, so a stale handle fails loudly instead of answering with
+   a later state.  Each run boots its own arena, so the final machine
+   of a finished run stays readable for as long as it is kept. *)
 
 module Fast = struct
   type cexpr =
@@ -1014,7 +1015,6 @@ module Fast = struct
   (* --- the arena ------------------------------------------------------ *)
 
   type athread = {
-    a_id : int;
     a_name : string;
     a_base : string;
     a_context : Program.context;
@@ -1025,24 +1025,6 @@ module Fast = struct
     a_occ : int array;              (* pc -> times executed *)
     a_parent : int option;
   }
-
-  type undo =
-    | U_step of int * int
-        (* tid, old pc — one entry for a whole retired step: undoes the
-           pc advance, the occurrence bump at the old pc and the clock
-           tick, which every successful step performs together *)
-    | U_step_done of int
-        (* tid retired a Return: un-done it, occ/clock as U_step *)
-    | U_reg of int * int * Value.t option  (* tid, slot, old value *)
-    | U_global of int * Value.t option     (* global slot, old value *)
-    | U_fmem of int * int * Value.t   (* obj, field slot, old value *)
-    | U_imem of int * int * Value.t   (* obj, index, old value *)
-    | U_locks of (string * int) list       (* old lock list *)
-    | U_heap_set of int * Heap.obj         (* old object record *)
-    | U_heap_alloc                         (* pop the newest object *)
-    | U_spawn                              (* pop the newest thread *)
-    | U_failure of Failure.t option
-    | U_clock of int
 
   (* Distinguished "absent binding" marker for the per-object value
      arrays; compared physically.  [Sys.opaque_identity] guarantees a
@@ -1066,68 +1048,21 @@ module Fast = struct
     mutable ar_locks : (string * int) list;  (* sorted ascending by name *)
     mutable ar_failure : Failure.t option;
     mutable ar_clock : int;
-    mutable ar_undo : undo array array;
-        (* chunked log: spine of 128-entry chunks.  Chunks stay under
-           the minor-heap allocation limit and never move once filled,
-           so a long run costs no major-heap array churn and no
-           doubling blits; the spine itself is 1/128th the size. *)
-    mutable ar_undo_n : int;  (* total entries across all chunks *)
-    mutable ar_current : handle option;  (* the handle at the tip, if any *)
+    mutable ar_tip : handle;  (* the one handle that denotes this state *)
   }
 
-  and handle = {
-    h_arena : arena;
-    h_mark : int;  (* undo-log length at this state *)
-    (* Cached tip facts so non-tip handles answer the hot inspection
-       queries without touching the arena state. *)
-    h_nthreads : int;
-    h_failure : Failure.t option;
-    h_clock : int;
-  }
+  and handle = { h_arena : arena }
 
-  let is_current h =
-    match h.h_arena.ar_current with Some h' -> h' == h | None -> false
+  (* The arena [h] denotes; only the tip denotes one. *)
+  let arena h =
+    if h.h_arena.ar_tip == h then h.h_arena
+    else invalid_arg "Machine: stale compiled machine (a later step moved on)"
 
-  (* --- undo log ------------------------------------------------------- *)
-
-  let undo_chunk_bits = 7
-  let undo_chunk_size = 1 lsl undo_chunk_bits
-  let undo_chunk_mask = undo_chunk_size - 1
-
-  let push_undo ar u =
-    let n = ar.ar_undo_n in
-    let ci = n lsr undo_chunk_bits in
-    let spine = ar.ar_undo in
-    let spine =
-      if ci < Array.length spine then spine
-      else begin
-        let spine' = Array.make (max 8 (2 * Array.length spine)) [||] in
-        Array.blit spine 0 spine' 0 (Array.length spine);
-        ar.ar_undo <- spine';
-        spine'
-      end
-    in
-    let chunk = spine.(ci) in
-    let chunk =
-      if Array.length chunk > 0 then chunk
-      else begin
-        let c = Array.make undo_chunk_size u in
-        spine.(ci) <- c;
-        c
-      end
-    in
-    chunk.(n land undo_chunk_mask) <- u;
-    ar.ar_undo_n <- n + 1
-
-  let undo_get ar i = ar.ar_undo.(i lsr undo_chunk_bits).(i land undo_chunk_mask)
-
-  let set_reg ar th slot v =
-    push_undo ar (U_reg (th.a_id, slot, th.a_regs.(slot)));
-    th.a_regs.(slot) <- Some v
-
-  let write_global ar slot v =
-    push_undo ar (U_global (slot, ar.ar_globals.(slot)));
-    ar.ar_globals.(slot) <- Some v
+  (* A new state of [ar]: every handle so far goes stale. *)
+  let retip ar =
+    let h = { h_arena = ar } in
+    ar.ar_tip <- h;
+    h
 
   let read_global ar slot =
     match ar.ar_globals.(slot) with Some v -> v | None -> v_zero
@@ -1136,39 +1071,13 @@ module Fast = struct
      field slots are validated by [fcheck_access] / compilation before
      these run; array indices by [fcheck_access] against the object's
      slot count. *)
-  let write_field ar obj fslot v =
-    let fv = ar.ar_fvals.(obj) in
-    push_undo ar (U_fmem (obj, fslot, fv.(fslot)));
-    fv.(fslot) <- v
-
   let read_field ar obj fslot =
     let v = ar.ar_fvals.(obj).(fslot) in
     if v == v_unbound then v_zero else v
 
-  let write_idx ar obj i v =
-    let iv = ar.ar_ivals.(obj) in
-    push_undo ar (U_imem (obj, i, iv.(i)));
-    iv.(i) <- v
-
   let read_idx ar obj i =
     let v = ar.ar_ivals.(obj).(i) in
     if v == v_unbound then v_zero else v
-
-  let set_locks ar locks =
-    push_undo ar (U_locks ar.ar_locks);
-    ar.ar_locks <- locks
-
-  let set_failure ar f =
-    push_undo ar (U_failure ar.ar_failure);
-    ar.ar_failure <- Some f
-
-  let bump_clock ar =
-    push_undo ar (U_clock ar.ar_clock);
-    ar.ar_clock <- ar.ar_clock + 1
-
-  let set_obj ar id o =
-    push_undo ar (U_heap_set (id, ar.ar_objs.(id)));
-    ar.ar_objs.(id) <- o
 
   let find_obj ar id =
     if id >= 0 && id < ar.ar_nobjs then Some ar.ar_objs.(id) else None
@@ -1188,8 +1097,6 @@ module Fast = struct
       ar.ar_ivals <- ia
     end;
     ar.ar_objs.(n) <- o;
-    (* Fresh value arrays: a popped-and-reallocated slot must not see
-       stale bindings from the previous incarnation. *)
     ar.ar_fvals.(n) <- Array.make (Array.length ar.ar_cg.cg_fnames) v_unbound;
     ar.ar_ivals.(n) <- Array.make o.Heap.slots v_unbound;
     ar.ar_nobjs <- n + 1
@@ -1205,87 +1112,12 @@ module Fast = struct
     ar.ar_threads.(n) <- th;
     ar.ar_nthreads <- n + 1
 
-  let apply_undo ar = function
-    | U_step (tid, old_pc) ->
-      let th = ar.ar_threads.(tid) in
-      th.a_occ.(old_pc) <- th.a_occ.(old_pc) - 1;
-      th.a_pc <- old_pc;
-      ar.ar_clock <- ar.ar_clock - 1
-    | U_step_done tid ->
-      let th = ar.ar_threads.(tid) in
-      th.a_done <- false;
-      th.a_occ.(th.a_pc) <- th.a_occ.(th.a_pc) - 1;
-      ar.ar_clock <- ar.ar_clock - 1
-    | U_reg (tid, slot, old) -> ar.ar_threads.(tid).a_regs.(slot) <- old
-    | U_global (slot, old) -> ar.ar_globals.(slot) <- old
-    | U_fmem (obj, fslot, v) -> ar.ar_fvals.(obj).(fslot) <- v
-    | U_imem (obj, i, v) -> ar.ar_ivals.(obj).(i) <- v
-    | U_locks old -> ar.ar_locks <- old
-    | U_heap_set (id, old) -> ar.ar_objs.(id) <- old
-    | U_heap_alloc -> ar.ar_nobjs <- ar.ar_nobjs - 1
-    | U_spawn -> ar.ar_nthreads <- ar.ar_nthreads - 1
-    | U_failure old -> ar.ar_failure <- old
-    | U_clock old -> ar.ar_clock <- old
-
-  let clone_thread a =
-    { a with a_regs = Array.copy a.a_regs; a_occ = Array.copy a.a_occ }
-
-  (* Materialize the state a non-tip handle denotes: copy the arena at
-     its tip, then play the source's undo suffix backwards down to the
-     handle's mark.  O(state + suffix).  The clone starts a fresh undo
-     log: entries below the mark can never be replayed against it (every
-     handle of the new arena has a mark at or above its creation point),
-     so the prefix is not copied.  The source arena is only read. *)
-  let clone_at (h : handle) : arena =
-    let src = h.h_arena in
-    let ar =
-      { ar_cg = src.ar_cg;
-        ar_threads =
-          Array.init src.ar_nthreads (fun i -> clone_thread src.ar_threads.(i));
-        ar_nthreads = src.ar_nthreads;
-        ar_globals = Array.copy src.ar_globals;
-        ar_objs = Array.sub src.ar_objs 0 src.ar_nobjs;
-        ar_fvals =
-          Array.init src.ar_nobjs (fun i -> Array.copy src.ar_fvals.(i));
-        ar_ivals =
-          Array.init src.ar_nobjs (fun i -> Array.copy src.ar_ivals.(i));
-        ar_nobjs = src.ar_nobjs;
-        ar_locks = src.ar_locks;
-        ar_failure = src.ar_failure;
-        ar_clock = src.ar_clock;
-        ar_undo = [||];
-        ar_undo_n = 0;
-        ar_current = None }
-    in
-    for i = src.ar_undo_n - 1 downto h.h_mark do
-      apply_undo ar (undo_get src i)
-    done;
-    ar
-
-  (* Read-only view of [h]'s state: the live arena when [h] is the tip,
-     a throwaway rewound clone otherwise. *)
-  let arena h = if is_current h then h.h_arena else clone_at h
-  let reading h f = f (arena h)
-
-  let retip ar =
-    let h =
-      { h_arena = ar; h_mark = ar.ar_undo_n; h_nthreads = ar.ar_nthreads;
-        h_failure = ar.ar_failure; h_clock = ar.ar_clock }
-    in
-    ar.ar_current <- Some h;
-    h
-
-  (* [h]'s state on an arena of its own with an empty undo log.  The
-     source arena is only read, so every handle into it stays valid;
-     once those are dropped, its log can be collected. *)
-  let detach h = retip (clone_at h)
-
   (* --- construction --------------------------------------------------- *)
 
-  let new_thread (cp : cprog) ~id ~name ~base ~context ~parent ~arg =
+  let new_thread (cp : cprog) ~name ~base ~context ~parent ~arg =
     let regs = Array.make cp.c_nslots None in
     (match arg with Some v -> regs.(0) <- Some v | None -> ());
-    { a_id = id; a_name = name; a_base = base; a_context = context;
+    { a_name = name; a_base = base; a_context = context;
       a_prog = cp; a_pc = 0; a_done = false; a_regs = regs;
       a_occ = Array.make (Array.length cp.c_code) 0; a_parent = parent }
 
@@ -1296,7 +1128,7 @@ module Fast = struct
     let threads =
       Array.init n (fun i ->
           let spec = specs.(i) in
-          new_thread cg.cg_top.(i) ~id:i ~name:spec.Program.spec_name
+          new_thread cg.cg_top.(i) ~name:spec.Program.spec_name
             ~base:spec.Program.spec_name ~context:spec.Program.context
             ~parent:None ~arg:None)
     in
@@ -1304,11 +1136,13 @@ module Fast = struct
     List.iter
       (fun (name, v) -> globals.(Hashtbl.find cg.cg_gtbl name) <- Some v)
       group.Program.globals;
-    retip
+    let rec ar =
       { ar_cg = cg; ar_threads = threads; ar_nthreads = n;
         ar_globals = globals; ar_objs = [||]; ar_fvals = [||];
         ar_ivals = [||]; ar_nobjs = 0; ar_locks = []; ar_failure = None;
-        ar_clock = 0; ar_undo = [||]; ar_undo_n = 0; ar_current = None }
+        ar_clock = 0; ar_tip = h }
+    and h = { h_arena = ar } in
+    h
 
   (* --- expression evaluation ------------------------------------------ *)
 
@@ -1394,8 +1228,7 @@ module Fast = struct
 
   (* Per-step helpers are top-level and fully applied at every call
      site, so the hot loop allocates no closures: the only per-step
-     allocations are the returned event, the new tip handle and the
-     undo entries of the mutations actually performed. *)
+     allocations are the returned event and the new tip handle. *)
 
   (* Locks held by [tid]: the prepend order over the ascending lock list
      matches the pure engine's Smap fold-prepend (descending names). *)
@@ -1438,20 +1271,22 @@ module Fast = struct
 
   let write_loc ar (a : caddr) (addr : Addr.t) v =
     match (a, addr) with
-    | Ca_global (slot, _), _ -> write_global ar slot v
-    | Ca_deref (_, fslot, _), Addr.Field (obj, _) -> write_field ar obj fslot v
-    | Ca_at _, Addr.Index (obj, i) -> write_idx ar obj i v
+    | Ca_global (slot, _), _ -> ar.ar_globals.(slot) <- Some v
+    | Ca_deref (_, fslot, _), Addr.Field (obj, _) ->
+      ar.ar_fvals.(obj).(fslot) <- v
+    | Ca_at _, Addr.Index (obj, i) -> ar.ar_ivals.(obj).(i) <- v
     | (Ca_deref _ | Ca_at _), _ -> assert false (* fresolve shape *)
 
   let rec ptr_mem p = function
     | [] -> false
     | q :: rest -> Value.ptr_equal p q || ptr_mem p rest
 
+  let set_reg (th : athread) slot v = th.a_regs.(slot) <- Some v
+
   (* A completed step: clock and occurrence advance and the thread moves
-     on — one [U_step] entry undoes all three. *)
+     on. *)
   let finish_ok ar (th : athread) old_pc new_pc iid (ci : cinstr) access
       spawned lock_op =
-    push_undo ar (U_step (th.a_id, old_pc));
     ar.ar_clock <- ar.ar_clock + 1;
     th.a_occ.(old_pc) <- th.a_occ.(old_pc) + 1;
     th.a_pc <- new_pc;
@@ -1462,7 +1297,6 @@ module Fast = struct
 
   (* A retired Return: as [finish_ok] but the thread parks as done. *)
   let finish_done ar (th : athread) pc iid (ci : cinstr) =
-    push_undo ar (U_step_done th.a_id);
     ar.ar_clock <- ar.ar_clock + 1;
     th.a_occ.(pc) <- th.a_occ.(pc) + 1;
     th.a_done <- true;
@@ -1477,19 +1311,19 @@ module Fast = struct
      occurrence bump, no pc advance — mirroring the pure engine, which
      discards its locally advanced thread on this path. *)
   let finish_fail ar (th : athread) f iid (ci : cinstr) access =
-    bump_clock ar;
-    set_failure ar f;
+    ar.ar_clock <- ar.ar_clock + 1;
+    ar.ar_failure <- Some f;
     Ok
       (retip ar,
        { iid; instr = ci.ci_instr; src = ci.ci_src; access; spawned = [];
          lock_op = None; context = th.a_context; thread_name = th.a_name })
 
   let step (h : handle) (tid : int) : (handle * event, step_error) result =
-    match h.h_failure with
+    let ar = arena h in
+    match ar.ar_failure with
     | Some _ -> Error Machine_failed
     | None ->
-      if tid < 0 || tid >= h.h_nthreads then model_error "no thread %d" tid;
-      let ar = if is_current h then h.h_arena else clone_at h in
+      if tid < 0 || tid >= ar.ar_nthreads then model_error "no thread %d" tid;
       let th = ar.ar_threads.(tid) in
       if th.a_done || th.a_pc >= Array.length th.a_prog.c_code then
         Error Thread_not_runnable
@@ -1515,7 +1349,7 @@ module Fast = struct
         | O_nop -> finish_ok ar th pc (pc + 1) iid ci None [] None
         | O_assign (dst, e) ->
           let v = feval regs e in
-          set_reg ar th dst v;
+          set_reg th dst v;
           finish_ok ar th pc (pc + 1) iid ci None [] None
         | O_branch_if (cond, target) ->
           let new_pc =
@@ -1530,7 +1364,7 @@ module Fast = struct
             finish_fail ar th f iid ci
               (attempted_access regs iid time held a Instr.Read)
           | Ok addr ->
-            set_reg ar th dst (read_loc ar a addr);
+            set_reg th dst (read_loc ar a addr);
             finish_ok ar th pc (pc + 1) iid ci
               (some_access iid addr Instr.Read time held)
               [] None)
@@ -1555,7 +1389,7 @@ module Fast = struct
             let d = as_int "rmw delta" (feval regs delta) in
             write_loc ar a addr (Value.Int (old + d));
             (match ret with
-            | Some r -> set_reg ar th r (Value.Int old)
+            | Some r -> set_reg th r (Value.Int old)
             | None -> ());
             finish_ok ar th pc (pc + 1) iid ci
               (some_access iid addr Instr.Update time held)
@@ -1563,12 +1397,12 @@ module Fast = struct
         | O_alloc { al_dst; al_tag; al_fields; al_slots; al_leak } ->
           let vals = List.map (fun (f, e) -> (f, feval regs e)) al_fields in
           let obj = ar.ar_nobjs in
-          push_undo ar U_heap_alloc;
           push_obj ar
             { Heap.tag = al_tag; gen = 0; state = Heap.Live; slots = al_slots;
               leak_check = al_leak; alloc_at = iid };
-          List.iter (fun (fslot, v) -> write_field ar obj fslot v) vals;
-          set_reg ar th al_dst (Value.ptr ~obj ~gen:0);
+          let fv = ar.ar_fvals.(obj) in
+          List.iter (fun (fslot, v) -> fv.(fslot) <- v) vals;
+          set_reg th al_dst (Value.ptr ~obj ~gen:0);
           finish_ok ar th pc (pc + 1) iid ci None [] None
         | O_free e -> (
           match feval regs e with
@@ -1590,18 +1424,18 @@ module Fast = struct
                      { at = iid; obj = p.obj; tag = o.Heap.tag })
                   iid ci access
               | Heap.Live ->
-                set_obj ar p.obj { o with Heap.state = Heap.Freed iid };
+                ar.ar_objs.(p.obj) <- { o with Heap.state = Heap.Freed iid };
                 finish_ok ar th pc (pc + 1) iid ci access [] None)))
         | O_lock l ->
           if List.mem_assoc l ar.ar_locks then Error (Blocked_on_lock l)
           else begin
-            set_locks ar (lock_insert l tid ar.ar_locks);
+            ar.ar_locks <- lock_insert l tid ar.ar_locks;
             finish_ok ar th pc (pc + 1) iid ci None [] (Some (l, `Acquire))
           end
         | O_unlock l -> (
           match List.assoc_opt l ar.ar_locks with
           | Some holder when holder = tid ->
-            set_locks ar (List.remove_assoc l ar.ar_locks);
+            ar.ar_locks <- List.remove_assoc l ar.ar_locks;
             finish_ok ar th pc (pc + 1) iid ci None [] (Some (l, `Release))
           | Some _ | None ->
             model_error "thread %d unlocks %s it does not hold" tid l)
@@ -1611,11 +1445,10 @@ module Fast = struct
           let cp = List.assq prog ar.ar_cg.cg_progs in
           let id = ar.ar_nthreads in
           let nth =
-            new_thread cp ~id ~name:(Fmt.str "%s.%d" sp_entry id)
+            new_thread cp ~name:(Fmt.str "%s.%d" sp_entry id)
               ~base:sp_entry ~context:sp_ctx ~parent:(Some tid)
               ~arg:(Some argv)
           in
-          push_undo ar U_spawn;
           push_thread ar nth;
           finish_ok ar th pc (pc + 1) iid ci None [ (id, sp_entry) ] None
         | O_bug_on e ->
@@ -1698,7 +1531,7 @@ module Fast = struct
               | Value.Ptr p -> ptr_mem p cur
               | _ -> false
             in
-            set_reg ar th dst (bool_val present);
+            set_reg th dst (bool_val present);
             finish_ok ar th pc (pc + 1) iid ci
               (some_access iid addr Instr.Read time held)
               [] None)
@@ -1711,7 +1544,7 @@ module Fast = struct
               | Value.List (_ :: _) -> false
               | Value.List [] | _ -> true
             in
-            set_reg ar th dst (bool_val empty);
+            set_reg th dst (bool_val empty);
             finish_ok ar th pc (pc + 1) iid ci
               (some_access iid addr Instr.Read time held)
               [] None)
@@ -1724,7 +1557,7 @@ module Fast = struct
               | Value.List (p :: _) -> Value.Ptr p
               | Value.List [] | _ -> Value.Null
             in
-            set_reg ar th dst v;
+            set_reg th dst v;
             finish_ok ar th pc (pc + 1) iid ci
               (some_access iid addr Instr.Read time held)
               [] None)
@@ -1757,7 +1590,7 @@ module Fast = struct
             else begin
               write_loc ar a addr (Value.Int (old - 1));
               (match ret with
-              | Some r -> set_reg ar th r (Value.Int (old - 1))
+              | Some r -> set_reg th r (Value.Int (old - 1))
               | None -> ());
               finish_ok ar th pc (pc + 1) iid ci
                 (some_access iid addr Instr.Update time held)
@@ -1767,47 +1600,38 @@ module Fast = struct
 
   (* --- inspection ----------------------------------------------------- *)
 
-  let check_tid h tid =
-    if tid < 0 || tid >= h.h_nthreads then model_error "no thread %d" tid
-
-  (* Name, base, context, parent are immutable per thread record and
-     thread slots below a handle's count are never overwritten in its
-     arena, so these never need a clone. *)
+  (* [tid]'s record in the arena [h] denotes. *)
   let thread_rec h tid =
-    check_tid h tid;
-    h.h_arena.ar_threads.(tid)
+    let ar = arena h in
+    if tid < 0 || tid >= ar.ar_nthreads then model_error "no thread %d" tid;
+    ar.ar_threads.(tid)
 
+  let failed h = (arena h).ar_failure
   let thread_base h tid = (thread_rec h tid).a_base
   let thread_context h tid = (thread_rec h tid).a_context
   let thread_parent h tid = (thread_rec h tid).a_parent
-  let thread_ids h = List.init h.h_nthreads (fun i -> i)
-  let has_thread h tid = tid >= 0 && tid < h.h_nthreads
+  let thread_ids h = List.init (arena h).ar_nthreads (fun i -> i)
+  let has_thread h tid = tid >= 0 && tid < (arena h).ar_nthreads
 
   let running (th : athread) =
     (not th.a_done) && th.a_pc < Array.length th.a_prog.c_code
 
   let next_labeled h tid =
-    check_tid h tid;
-    reading h (fun ar ->
-        let th = ar.ar_threads.(tid) in
-        if running th then Some (Program.get th.a_prog.c_source th.a_pc)
-        else None)
+    let th = thread_rec h tid in
+    if running th then Some (Program.get th.a_prog.c_source th.a_pc) else None
 
-  let is_done h tid =
-    check_tid h tid;
-    reading h (fun ar -> not (running ar.ar_threads.(tid)))
+  let is_done h tid = not (running (thread_rec h tid))
 
   let blocked_on h tid =
-    check_tid h tid;
-    reading h (fun ar ->
-        let th = ar.ar_threads.(tid) in
-        if not (running th) then None
-        else
-          match th.a_prog.c_code.(th.a_pc).ci_op with
-          | O_lock l -> if List.mem_assoc l ar.ar_locks then Some l else None
-          | _ -> None)
+    let th = thread_rec h tid in
+    if not (running th) then None
+    else
+      match th.a_prog.c_code.(th.a_pc).ci_op with
+      | O_lock l ->
+        if List.mem_assoc l h.h_arena.ar_locks then Some l else None
+      | _ -> None
 
-  let lock_holder h l = reading h (fun ar -> List.assoc_opt l ar.ar_locks)
+  let lock_holder h l = List.assoc_opt l (arena h).ar_locks
 
   (* Not done and not about to block on a held lock. *)
   let steppable ar tid =
@@ -1819,24 +1643,21 @@ module Fast = struct
     | _ -> true
 
   let runnable h =
-    match h.h_failure with
+    let ar = arena h in
+    match ar.ar_failure with
     | Some _ -> []
     | None ->
-      reading h (fun ar ->
-          let acc = ref [] in
-          for tid = ar.ar_nthreads - 1 downto 0 do
-            let th = ar.ar_threads.(tid) in
-            if running th then (
-              match th.a_prog.c_code.(th.a_pc).ci_op with
-              | O_lock l when List.mem_assoc l ar.ar_locks -> ()
-              | _ -> acc := tid :: !acc)
-          done;
-          !acc)
+      let acc = ref [] in
+      for tid = ar.ar_nthreads - 1 downto 0 do
+        if steppable ar tid then acc := tid :: !acc
+      done;
+      !acc
 
   let can_step h tid =
-    match h.h_failure with
+    let ar = arena h in
+    match ar.ar_failure with
     | Some _ -> false
-    | None -> tid >= 0 && tid < h.h_nthreads && steppable (arena h) tid
+    | None -> tid >= 0 && tid < ar.ar_nthreads && steppable ar tid
 
   let rec first_steppable ar tid =
     if tid >= ar.ar_nthreads then None
@@ -1844,9 +1665,8 @@ module Fast = struct
     else first_steppable ar (tid + 1)
 
   let first_runnable h =
-    match h.h_failure with
-    | Some _ -> None
-    | None -> first_steppable (arena h) 0
+    let ar = arena h in
+    match ar.ar_failure with Some _ -> None | None -> first_steppable ar 0
 
   let pc_of_label h tid label =
     match Program.position_of_label (thread_rec h tid).a_prog.c_source label with
@@ -1854,102 +1674,76 @@ module Fast = struct
     | exception Program.Unknown_label _ -> None
 
   let next_pc h tid =
-    check_tid h tid;
-    let th = (arena h).ar_threads.(tid) in
+    let th = thread_rec h tid in
     if running th then th.a_pc else -1
 
-  let occurrences_at h tid pc =
-    check_tid h tid;
-    (arena h).ar_threads.(tid).a_occ.(pc)
+  let occurrences_at h tid pc = (thread_rec h tid).a_occ.(pc)
 
-  let all_done h =
-    reading h (fun ar ->
-        let ok = ref true in
-        for tid = 0 to ar.ar_nthreads - 1 do
-          if running ar.ar_threads.(tid) then ok := false
-        done;
-        !ok)
+  let all_finished ar =
+    let ok = ref true in
+    for tid = 0 to ar.ar_nthreads - 1 do
+      if running ar.ar_threads.(tid) then ok := false
+    done;
+    !ok
+
+  let all_done h = all_finished (arena h)
 
   let has_started h tid =
-    check_tid h tid;
-    reading h (fun ar ->
-        let th = ar.ar_threads.(tid) in
-        th.a_pc > 0 || th.a_done || Array.exists (fun n -> n > 0) th.a_occ)
+    let th = thread_rec h tid in
+    th.a_pc > 0 || th.a_done || Array.exists (fun n -> n > 0) th.a_occ
 
   let occurrences h tid label =
-    check_tid h tid;
-    reading h (fun ar ->
-        let th = ar.ar_threads.(tid) in
-        match Program.position_of_label th.a_prog.c_source label with
-        | exception Program.Unknown_label _ -> 0
-        | pc -> th.a_occ.(pc))
+    let th = thread_rec h tid in
+    match Program.position_of_label th.a_prog.c_source label with
+    | exception Program.Unknown_label _ -> 0
+    | pc -> th.a_occ.(pc)
 
   let reg h tid r =
-    check_tid h tid;
-    reading h (fun ar ->
-        let th = ar.ar_threads.(tid) in
-        match Hashtbl.find_opt th.a_prog.c_slots r with
-        | None -> None
-        | Some slot -> th.a_regs.(slot))
+    let th = thread_rec h tid in
+    match Hashtbl.find_opt th.a_prog.c_slots r with
+    | None -> None
+    | Some slot -> th.a_regs.(slot)
 
   let mem_read h addr =
-    reading h (fun ar ->
-        match addr with
-        | Addr.Global g -> (
-          match Hashtbl.find_opt ar.ar_cg.cg_gtbl g with
-          | Some slot -> read_global ar slot
-          | None -> v_zero)
-        | Addr.Field (obj, f) -> (
-          match Hashtbl.find_opt ar.ar_cg.cg_ftbl f with
-          | Some fslot when obj >= 0 && obj < ar.ar_nobjs ->
-            read_field ar obj fslot
-          | Some _ | None -> v_zero)
-        | Addr.Index (obj, i) ->
-          if
-            obj >= 0 && obj < ar.ar_nobjs && i >= 0
-            && i < Array.length ar.ar_ivals.(obj)
-          then read_idx ar obj i
-          else v_zero
-        | Addr.Whole _ -> v_zero)
+    let ar = arena h in
+    match addr with
+    | Addr.Global g -> (
+      match Hashtbl.find_opt ar.ar_cg.cg_gtbl g with
+      | Some slot -> read_global ar slot
+      | None -> v_zero)
+    | Addr.Field (obj, f) -> (
+      match Hashtbl.find_opt ar.ar_cg.cg_ftbl f with
+      | Some fslot when obj >= 0 && obj < ar.ar_nobjs -> read_field ar obj fslot
+      | Some _ | None -> v_zero)
+    | Addr.Index (obj, i) ->
+      if
+        obj >= 0 && obj < ar.ar_nobjs && i >= 0
+        && i < Array.length ar.ar_ivals.(obj)
+      then read_idx ar obj i
+      else v_zero
+    | Addr.Whole _ -> v_zero
 
   (* --- leaks ---------------------------------------------------------- *)
 
+  (* Flagging a leak is a state change like a step: it retips, so [h]
+     goes stale exactly when a leak is flagged. *)
   let check_leaks h =
-    match h.h_failure with
-    | Some _ -> h
-    | None ->
-      let decide ar =
-        let finished = ref true in
-        for tid = 0 to ar.ar_nthreads - 1 do
-          if running ar.ar_threads.(tid) then finished := false
-        done;
-        if not !finished then None
-        else begin
-          let objs = ref [] in
-          for i = ar.ar_nobjs - 1 downto 0 do
-            let o = ar.ar_objs.(i) in
-            match o.Heap.state with
-            | Heap.Live when o.Heap.leak_check ->
-              objs := (i, o.Heap.tag) :: !objs
-            | Heap.Live | Heap.Freed _ -> ()
-          done;
-          match !objs with [] -> None | objs -> Some objs
-        end
-      in
-      if is_current h then (
-        match decide h.h_arena with
-        | None -> h
-        | Some objs ->
-          let ar = h.h_arena in
-          set_failure ar (Failure.Memory_leak { objs });
-          retip ar)
-      else
-        let ar = clone_at h in
-        (match decide ar with
-        | None -> h
-        | Some objs ->
-          set_failure ar (Failure.Memory_leak { objs });
-          retip ar)
+    let ar = arena h in
+    if ar.ar_failure <> None || not (all_finished ar) then h
+    else begin
+      let objs = ref [] in
+      for i = ar.ar_nobjs - 1 downto 0 do
+        let o = ar.ar_objs.(i) in
+        match o.Heap.state with
+        | Heap.Live when o.Heap.leak_check -> objs := (i, o.Heap.tag) :: !objs
+        | Heap.Live | Heap.Freed _ -> ()
+      done;
+      match !objs with
+      | [] -> h
+      | objs ->
+        ar.ar_failure <- Some (Failure.Memory_leak { objs });
+        retip ar
+    end
 
   (* --- bridge to the pure engine -------------------------------------- *)
 
@@ -1957,68 +1751,66 @@ module Fast = struct
      fingerprinting: the digest is computed by the one canonical pure
      renderer, so fingerprint parity is structural state parity. *)
   let to_pure (h : handle) : pure =
-    let build ar =
-      let threads = ref Imap.empty in
-      for tid = ar.ar_nthreads - 1 downto 0 do
-        let a = ar.ar_threads.(tid) in
-        let regs = ref Smap.empty in
-        Array.iteri
-          (fun slot v ->
-            match v with
-            | Some v -> regs := Smap.add a.a_prog.c_regs.(slot) v !regs
-            | None -> ())
-          a.a_regs;
-        let occ = ref Smap.empty in
-        Array.iteri
-          (fun pc n ->
-            if n > 0 then occ := Smap.add a.a_prog.c_code.(pc).ci_label n !occ)
-          a.a_occ;
-        threads :=
-          Imap.add tid
-            { id = tid; name = a.a_name; base = a.a_base;
-              context = a.a_context; program = a.a_prog.c_source; pc = a.a_pc;
-              regs = !regs; occ = !occ;
-              status = (if a.a_done then Done else Runnable);
-              parent = a.a_parent }
-            !threads
-      done;
-      let mem = ref Addr.Map.empty in
+    let ar = arena h in
+    let threads = ref Imap.empty in
+    for tid = ar.ar_nthreads - 1 downto 0 do
+      let a = ar.ar_threads.(tid) in
+      let regs = ref Smap.empty in
       Array.iteri
         (fun slot v ->
           match v with
-          | Some v ->
-            mem := Addr.Map.add (Addr.Global ar.ar_cg.cg_gnames.(slot)) v !mem
+          | Some v -> regs := Smap.add a.a_prog.c_regs.(slot) v !regs
           | None -> ())
-        ar.ar_globals;
-      let fnames = ar.ar_cg.cg_fnames in
-      for obj = 0 to ar.ar_nobjs - 1 do
-        let fv = ar.ar_fvals.(obj) in
-        for fslot = 0 to Array.length fv - 1 do
-          if fv.(fslot) != v_unbound then
-            mem := Addr.Map.add (Addr.Field (obj, fnames.(fslot))) fv.(fslot) !mem
-        done;
-        let iv = ar.ar_ivals.(obj) in
-        for i = 0 to Array.length iv - 1 do
-          if iv.(i) != v_unbound then
-            mem := Addr.Map.add (Addr.Index (obj, i)) iv.(i) !mem
-        done
+        a.a_regs;
+      let occ = ref Smap.empty in
+      Array.iteri
+        (fun pc n ->
+          if n > 0 then occ := Smap.add a.a_prog.c_code.(pc).ci_label n !occ)
+        a.a_occ;
+      threads :=
+        Imap.add tid
+          { id = tid; name = a.a_name; base = a.a_base;
+            context = a.a_context; program = a.a_prog.c_source; pc = a.a_pc;
+            regs = !regs; occ = !occ;
+            status = (if a.a_done then Done else Runnable);
+            parent = a.a_parent }
+          !threads
+    done;
+    let mem = ref Addr.Map.empty in
+    Array.iteri
+      (fun slot v ->
+        match v with
+        | Some v ->
+          mem := Addr.Map.add (Addr.Global ar.ar_cg.cg_gnames.(slot)) v !mem
+        | None -> ())
+      ar.ar_globals;
+    let fnames = ar.ar_cg.cg_fnames in
+    for obj = 0 to ar.ar_nobjs - 1 do
+      let fv = ar.ar_fvals.(obj) in
+      for fslot = 0 to Array.length fv - 1 do
+        if fv.(fslot) != v_unbound then
+          mem := Addr.Map.add (Addr.Field (obj, fnames.(fslot))) fv.(fslot) !mem
       done;
-      let mem = !mem in
-      let objs = ref [] in
-      for i = ar.ar_nobjs - 1 downto 0 do
-        objs := (i, ar.ar_objs.(i)) :: !objs
-      done;
-      let heap = Heap.of_objs !objs ~next:ar.ar_nobjs in
-      let locks =
-        List.fold_left
-          (fun m (l, holder) -> Smap.add l holder m)
-          Smap.empty ar.ar_locks
-      in
-      { group = ar.ar_cg.cg_source; threads = !threads; mem; heap; locks;
-        failure = ar.ar_failure; next_tid = ar.ar_nthreads;
-        clock = ar.ar_clock }
+      let iv = ar.ar_ivals.(obj) in
+      for i = 0 to Array.length iv - 1 do
+        if iv.(i) != v_unbound then
+          mem := Addr.Map.add (Addr.Index (obj, i)) iv.(i) !mem
+      done
+    done;
+    let mem = !mem in
+    let objs = ref [] in
+    for i = ar.ar_nobjs - 1 downto 0 do
+      objs := (i, ar.ar_objs.(i)) :: !objs
+    done;
+    let heap = Heap.of_objs !objs ~next:ar.ar_nobjs in
+    let locks =
+      List.fold_left
+        (fun m (l, holder) -> Smap.add l holder m)
+        Smap.empty ar.ar_locks
     in
-    reading h build
+    { group = ar.ar_cg.cg_source; threads = !threads; mem; heap; locks;
+      failure = ar.ar_failure; next_tid = ar.ar_nthreads;
+      clock = ar.ar_clock }
 
   (* --- compile-table introspection (for the parity tests) ------------- *)
 
@@ -2043,7 +1835,7 @@ type t = Pure of pure | Fast of Fast.handle
 let create group = Pure (create group)
 let create_compiled group = Fast (Fast.create group)
 
-let failed = function Pure p -> failed p | Fast h -> h.Fast.h_failure
+let failed = function Pure p -> failed p | Fast h -> Fast.failed h
 let thread_ids = function Pure p -> thread_ids p | Fast h -> Fast.thread_ids h
 
 let has_thread m tid =
@@ -2133,10 +1925,6 @@ let check_leaks = function
 let fingerprint = function
   | Pure p -> fingerprint p
   | Fast h -> fingerprint (Fast.to_pure h)
-
-(* --- compiled-engine management -------------------------------------- *)
-
-let detach = function Pure _ as m -> m | Fast h -> Fast (Fast.detach h)
 
 let instr_flags = Fast.pc_flags
 let instr_globals = Fast.pc_globals

@@ -7,10 +7,13 @@
     the AITIA hypervisor's "revert the memory contents of the
     reproducer" becomes on this substrate.  The {e compiled} engine
     ({!create_compiled}) lowers each program once into a flat array of
-    integer opcodes with pre-resolved operands and executes in a mutable
-    arena with an undo log, so the hot step is branch-light and nearly
-    allocation-free while snapshots are O(delta) undo-log marks.  Both
-    engines answer every query below identically — {!fingerprint}
+    integer opcodes with pre-resolved operands and executes in place in
+    a mutable arena, so the hot step is branch-light and nearly
+    allocation-free.  Its machines are {e linear}: once [step m] returns
+    [m'], only [m'] may be stepped or read, and every query on [m]
+    raises [Invalid_argument].  A run that needs an earlier state boots
+    a fresh machine and re-steps it.  Both engines answer every query
+    below identically — {!fingerprint}
     parity is enforced by the differential oracle in test/test_engine.ml.
     A scheduler above (see {!Hypervisor.Controller}) decides which
     thread steps next; the machine has no policy. *)
@@ -45,9 +48,10 @@ val create : Program.group -> t
 
 val create_compiled : Program.group -> t
 (** A fresh machine on the compiled engine — observably identical to
-    {!create}, but stepping mutates an arena behind an undo log.
-    Programs are compiled once per group (a small process-wide cache
-    keyed by the group's physical identity). *)
+    {!create}, but stepping mutates its own arena in place, so the
+    machine is linear (see above).  Programs are compiled once per group
+    (a small process-wide cache keyed by the group's physical
+    identity). *)
 
 (** {1 Inspection} *)
 
@@ -116,11 +120,14 @@ val step : t -> int -> (t * event, step_error) result
 (** Execute one instruction of [tid].  On failure manifestation the new
     machine records the failure and the faulting event (including the
     attempted access, when its base pointer is known) is still
-    returned. *)
+    returned.  On the compiled engine [Ok] makes the argument stale; an
+    [Error] or a {!Model_error} leaves it as it was, still current. *)
 
 val check_leaks : t -> t
 (** Once every thread finished: flag still-live [leak_check] objects as
-    a {!Failure.Memory_leak}. *)
+    a {!Failure.Memory_leak}.  On the compiled engine, flagging a leak
+    is a state change like {!step} and makes the argument stale; when
+    nothing is flagged the argument stays current. *)
 
 val fingerprint : t -> string
 (** Canonical hex digest of the complete machine state (threads,
@@ -130,13 +137,6 @@ val fingerprint : t -> string
     compiled engine materializes the persistent representation and
     digests through the same renderer.  Used by test/test_engine.ml for
     reference-vs-compiled lockstep parity. *)
-
-val detach : t -> t
-(** The same state without the history that produced it.  On the
-    compiled engine, a clone on a fresh arena with an empty undo log,
-    so keeping the result alive does not keep the log alive; every
-    other machine stays valid.  The identity on the reference engine.
-    O(state). *)
 
 (** {1 Instrumentation tables}
 

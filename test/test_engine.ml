@@ -1,6 +1,6 @@
 (* Reference-vs-compiled differential oracle: the engine parity harness.
 
-   The compiled arena/undo-log interpreter must be observably
+   The compiled in-place arena interpreter must be observably
    indistinguishable from the persistent reference semantics.  The
    lockstep driver boots BOTH engines on the same group, drives them
    with an identical schedule, and after every step asserts: identical
@@ -21,12 +21,12 @@
    edges), the full modeled bug corpus, and fault-injected diagnoses
    with identical seeded fault streams on both engines.
 
-   Property tests additionally pin the compiled engine's undo log
-   (stepping a stale handle whose arena tip moved on == fresh
-   re-execution) and its
-   static instrumentation tables (flag-bitset and watchpoint parity
-   against dynamic events under randomly placed breakpoints and
-   watchpoints).
+   Property tests additionally pin the compiled engine's linear
+   contract (a machine a later step moved past raises on every use,
+   while the reference engine's stays valid; outcomes kept from earlier
+   VM runs keep their state) and its static instrumentation tables
+   (flag-bitset and watchpoint parity against dynamic events under
+   randomly placed breakpoints and watchpoints).
 
    QCHECK_SEED fixes the generator seed; QCHECK_LONG multiplies the
    iteration count (both read by qcheck-alcotest).  Divergences are
@@ -303,166 +303,119 @@ let test_lockstep_coverage () =
     true (!checked >= 250);
   checkb "some lockstep runs actually failed" true (!failing_runs > 0)
 
-(* --- snapshot / restore: undo-log restore == fresh re-execution ------------ *)
+(* --- linear compiled machines ---------------------------------------------- *)
 
-(* Compiled-engine snapshots are undo-log marks into a shared arena.
-   Record a full run's schedule and per-step fingerprints, then snapshot
-   at a random cut, step PAST the snapshot (so a restore must rewind the
-   arena through the undo log), restore, and re-drive the suffix: every
-   suffix fingerprint must equal the fresh run's at the same step. *)
-let arb_restore =
+(* A compiled machine is linear: once [step m] returns [m'], [m] must
+   fail loudly on every further step or state query instead of
+   answering with [m']'s state.  A refused step leaves the machine
+   current, and so does a leak check that flags nothing.  The
+   reference engine stays persistent: its old machines keep their
+   state. *)
+let raises_stale f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let stale m tid =
+  raises_stale (fun () -> Engine.step m tid)
+  && raises_stale (fun () -> Machine.runnable m)
+  && raises_stale (fun () -> Machine.first_runnable m)
+  && raises_stale (fun () -> Machine.fingerprint m)
+  && raises_stale (fun () -> Machine.can_step m tid)
+  && raises_stale (fun () -> Machine.next_pc m tid)
+  && raises_stale (fun () -> Machine.failed m)
+  && raises_stale (fun () -> Machine.check_leaks m)
+
+let arb_linear =
   QCheck.make
-    ~print:(fun (g, cut, _) ->
-      Fmt.str "cut=%d@.%s" cut (Oracle_gen.render_group g))
-    QCheck.Gen.(
-      triple Oracle_gen.gen_engine_group (int_range 0 40) (int_range 0 1000))
+    ~print:(fun (g, seed) ->
+      Fmt.str "seed=%d@.%s" seed (Oracle_gen.render_group g))
+    QCheck.Gen.(pair Oracle_gen.gen_engine_group (int_range 0 1000))
 
-let prop_restore_equals_fresh =
+let prop_stale_handles_raise =
   QCheck.Test.make ~count:120 ~long_factor:4
-    ~name:"compiled engine: undo-log restore == fresh re-execution"
-    arb_restore
-    (fun (group, cut_raw, seed) ->
-      let st = Random.State.make [| seed |] in
-      let pick _ tids =
-        List.nth tids (Random.State.int st (List.length tids))
-      in
-      (* Fresh run: record the schedule and the fingerprint after every
-         step. *)
-      let m0 = Engine.boot Engine.Compiled group in
-      let rec record m tids fps steps =
-        match Machine.runnable m with
-        | [] -> (List.rev tids, List.rev fps)
-        | _ when steps >= 2_000 -> (List.rev tids, List.rev fps)
-        | runnable -> (
-          let tid = pick steps runnable in
-          match Engine.step m tid with
-          | Error _ | (exception Machine.Model_error _) ->
-            (List.rev tids, List.rev fps)
-          | Ok (m', _) ->
-            record m' (tid :: tids) (Machine.fingerprint m' :: fps)
-              (steps + 1))
-      in
-      let sched, fps = record m0 [] [] 0 in
-      let n = List.length sched in
-      if n = 0 then QCheck.assume_fail ()
-      else begin
-        let cut = cut_raw mod n in
-        (* Replay the prefix, snapshot, dirty the arena past the cut,
-           then restore and re-drive the suffix. *)
-        let m = ref (Engine.boot Engine.Compiled group) in
-        List.iteri
-          (fun i tid ->
-            if i < cut then
-              match Engine.step !m tid with
-              | Ok (m', _) -> m := m'
-              | Error _ -> Alcotest.fail "prefix replay refused a step")
-          sched;
-        let snap = !m in
-        (* Step past the snapshot so the restore is a genuine rewind,
-           not the arena tip: stepping the stale handle must clone the
-           arena and undo back to its mark. *)
-        let dirty = ref snap in
-        List.iteri
-          (fun i tid ->
-            if i >= cut then
-              match Engine.step !dirty tid with
-              | Ok (m', _) -> dirty := m'
-              | Error _ -> ())
-          sched;
-        (* Restore and re-drive: every suffix step must reproduce the
-           fresh run's fingerprint exactly. *)
-        let r = ref snap in
-        let ok = ref true in
-        List.iteri
-          (fun i tid ->
-            if i >= cut && !ok then
-              match Engine.step !r tid with
-              | Ok (m', _) ->
-                r := m';
-                if
-                  not
-                    (String.equal (Machine.fingerprint m') (List.nth fps i))
-                then ok := false
-              | Error _ -> ok := false)
-          sched;
-        if not !ok then
-          dump_counterexample ~schedule:(Fmt.str "seeded-%d" seed)
-            ~picked:(List.rev sched) ~step:cut
-            ~reason:"restore+suffix diverges from fresh execution" group;
-        !ok
-      end)
-
-(* --- detach: the same state without the undo log ----------------------------- *)
-
-(* Detach a compiled machine at a random point of a run: the detached
-   machine must be indistinguishable from the original (fingerprint,
-   runnable set, and every event of the rest of the run under the same
-   picks), and detaching must leave the original usable.  On the
-   reference engine detach is the identity. *)
-let prop_detach_equals_original =
-  QCheck.Test.make ~count:120 ~long_factor:4
-    ~name:"compiled engine: detach preserves state and future steps"
-    arb_restore
-    (fun (group, cut, seed) ->
+    ~name:"compiled engine: a stepped-past machine raises on use"
+    arb_linear
+    (fun (group, seed) ->
       let st = Random.State.make [| seed |] in
       let pick tids = List.nth tids (Random.State.int st (List.length tids)) in
-      let r0 = Engine.boot Engine.Reference group in
-      if Machine.detach r0 != r0 then
-        Alcotest.fail "detach changed a reference-engine machine";
-      let rec prefix m k =
-        match Machine.runnable m with
-        | [] -> m
-        | runnable when k > 0 -> (
-          match try_step m (pick runnable) with
-          | S_ok (m', _) -> prefix m' (k - 1)
-          | S_err _ | S_model _ -> m)
-        | _ -> m
-      in
-      let m = prefix (Engine.boot Engine.Compiled group) cut in
-      let fp = Machine.fingerprint m and runnable = Machine.runnable m in
-      let d = Machine.detach m in
-      (* Run the detached machine to the end first, recording each step;
-         the original must then be exactly where it was and replay the
-         same steps. *)
-      let rec drive m steps acc =
-        match Machine.runnable m with
-        | [] -> List.rev acc
-        | _ when steps >= 2_000 -> List.rev acc
+      let rec drive r c steps =
+        match Machine.runnable c with
+        | [] ->
+          (* Every thread is done or blocked: the refused step and a
+             leak check that flags nothing keep [c] current; one that
+             flags a leak is a new state. *)
+          let refused =
+            match Engine.step c 0 with Error _ -> true | Ok _ -> false
+          in
+          let failure = Machine.failed c in
+          let c' = Machine.check_leaks c in
+          refused
+          && (if Machine.failed c' = failure then
+                String.equal (Machine.fingerprint c) (Machine.fingerprint c')
+              else stale c 0)
+          && String.equal (Machine.fingerprint c')
+               (Machine.fingerprint (Machine.check_leaks r))
+        | _ when steps >= 2_000 -> true
         | tids -> (
           let tid = pick tids in
-          match try_step m tid with
-          | S_ok (m', ev) ->
-            drive m' (steps + 1)
-              ((tid, `Ev ev, Machine.fingerprint m') :: acc)
-          | S_err e -> List.rev ((tid, `Err e, "") :: acc)
-          | S_model msg -> List.rev ((tid, `Model msg, "") :: acc))
+          let fp = Machine.fingerprint r in
+          match (try_step r tid, try_step c tid) with
+          | S_ok (r', _), S_ok (c', _) ->
+            stale c tid
+            && String.equal (Machine.fingerprint r) fp
+            && String.equal (Machine.fingerprint c') (Machine.fingerprint r')
+            && drive r' c' (steps + 1)
+          | S_model _, S_model _ ->
+            (* A rejected model mutates nothing before it raises. *)
+            String.equal (Machine.fingerprint c) fp
+          | _ -> false)
       in
       let ok =
-        String.equal (Machine.fingerprint d) fp
-        && Machine.runnable d = runnable
-        &&
-        let steps = drive d 0 [] in
-        String.equal (Machine.fingerprint m) fp
-        &&
-        let rec replay m = function
-          | [] -> true
-          | (tid, expected, efp) :: rest -> (
-            match (try_step m tid, expected) with
-            | S_ok (m', ev), `Ev e ->
-              event_mismatch ev e = None
-              && String.equal (Machine.fingerprint m') efp
-              && replay m' rest
-            | S_err a, `Err b -> a = b
-            | S_model a, `Model b -> String.equal a b
-            | _, _ -> false)
-        in
-        replay m steps
+        drive (Engine.boot Engine.Reference group)
+          (Engine.boot Engine.Compiled group)
+          0
       in
       if not ok then
-        dump_counterexample ~schedule:(Fmt.str "detach-seeded-%d" seed)
-          ~picked:[] ~step:cut
-          ~reason:"detached machine diverges from the original" group;
+        dump_counterexample ~schedule:(Fmt.str "linear-seeded-%d" seed)
+          ~picked:[] ~step:0
+          ~reason:"a stale compiled machine answered, or a current one raised"
+          group;
       ok)
+
+(* Without a per-run copy, each outcome's [final] must still own its
+   state: kept outcomes of earlier [Vm.run]s answer exactly as they did
+   right after their run, however many runs the same VM makes later. *)
+let test_kept_outcomes (bug : Bugs.Bug.t) () =
+  let group = (bug.case ()).group in
+  let db = Kcov.create () in
+  let learn (o : Hypervisor.Controller.outcome) =
+    Kcov.add_trace ~thread_base:(Machine.thread_base o.final) db o.trace
+  in
+  let observe (o : Hypervisor.Controller.outcome) =
+    ( Machine.fingerprint o.final,
+      failure_str (Machine.check_leaks o.final),
+      List.map Race.key (Race.pending_of_failure ~db ~final:o.final o.trace) )
+  in
+  let runs engine =
+    let vm = Hypervisor.Vm.create ~engine group in
+    let run seed =
+      let st = Random.State.make [| seed |] in
+      Hypervisor.Vm.run vm (fun m ->
+          let tids = Machine.runnable m in
+          Some (List.nth tids (Random.State.int st (List.length tids))))
+    in
+    let first = List.map run [ 1; 2; 3; 4; 5; 6 ] in
+    List.iter learn first;
+    let seen = List.map observe first in
+    List.iter (fun seed -> ignore (run seed)) [ 7; 8; 9; 10 ];
+    (seen, List.map observe first)
+  in
+  let seen_r, later_r = runs Engine.Reference in
+  let seen_c, later_c = runs Engine.Compiled in
+  checkb (bug.id ^ ": kept reference outcomes unchanged") true
+    (seen_r = later_r);
+  checkb (bug.id ^ ": kept compiled outcomes unchanged") true
+    (seen_c = later_c);
+  checkb (bug.id ^ ": engines agree on kept outcomes") true (seen_r = seen_c)
 
 (* --- static instrumentation: bitsets and watchpoints ------------------------ *)
 
@@ -625,11 +578,14 @@ let () =
         [ QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_lockstep;
           Alcotest.test_case "differential coverage" `Quick
             test_lockstep_coverage ] );
-      ( "snapshots",
-        [ QCheck_alcotest.to_alcotest ~speed_level:`Quick
-            prop_restore_equals_fresh;
-          QCheck_alcotest.to_alcotest ~speed_level:`Quick
-            prop_detach_equals_original ] );
+      ( "linear",
+        QCheck_alcotest.to_alcotest ~speed_level:`Quick
+          prop_stale_handles_raise
+        :: List.map
+             (fun (bug : Bugs.Bug.t) ->
+               Alcotest.test_case ("kept outcomes " ^ bug.id) `Quick
+                 (test_kept_outcomes bug))
+             Bugs.Registry.all );
       ( "instrumentation",
         [ QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_bitset_parity ]
       );

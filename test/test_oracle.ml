@@ -49,12 +49,12 @@ let record_failure o trace_rev f =
 (* Exhaustive enumeration: one DFS branch per runnable thread per step.
    Terminal nodes are failures (the machine faulted), completions
    (leak-checked) and deadlocks.  Matches the controller's semantics
-   exactly — the controller is one path of this tree.  Runs on the
-   reference engine by default, so the oracle's ground truth is the
-   reference semantics while LIFS under test runs the session default;
-   pass [~engine] to brute-force the other engine instead. *)
-let enumerate ?(max_paths = 60_000) ?(max_depth = 200)
-    ?(engine = Ksim.Engine.Reference) group =
+   exactly — the controller is one path of this tree.  Branching steps
+   one machine several times, which only the persistent reference
+   engine allows (a compiled machine is linear), so the oracle's ground
+   truth is the reference semantics while LIFS under test runs the
+   session default. *)
+let enumerate ?(max_paths = 60_000) ?(max_depth = 200) group =
   let o =
     { paths = 0; capped = false; failing = Hashtbl.create 64;
       failures = Hashtbl.create 8 }
@@ -86,15 +86,14 @@ let enumerate ?(max_paths = 60_000) ?(max_depth = 200)
                 | None -> go m' (ev :: trace_rev) (depth + 1)))
           tids
   in
-  go (Ksim.Engine.boot engine group) [] 0;
+  go (Ksim.Engine.boot Ksim.Engine.Reference group) [] 0;
   o
 
 (* Memoized variant: complete for WHICH failures are reachable (every
    reachable state is expanded exactly once), but does not keep the
    failing traces — used for the corpus bugs whose interleaving count
    is beyond full enumeration. *)
-let enumerate_memo ?(max_states = 300_000) ?(engine = Ksim.Engine.Reference)
-    group =
+let enumerate_memo ?(max_states = 300_000) group =
   let o =
     { paths = 0; capped = false; failing = Hashtbl.create 1;
       failures = Hashtbl.create 8 }
@@ -130,7 +129,7 @@ let enumerate_memo ?(max_states = 300_000) ?(engine = Ksim.Engine.Reference)
               tids
       end
   in
-  go (Ksim.Engine.boot engine group);
+  go (Ksim.Engine.boot Ksim.Engine.Reference group);
   o
 
 let oracle_finds o = Hashtbl.length o.failures > 0

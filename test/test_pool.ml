@@ -1,9 +1,9 @@
 (* Worker-pool tests: work-stealing units (ordering, exhaustion,
-   exception propagation), mutual exclusion through the backend lock,
-   qcheck properties that no worker count changes a pooled result and
-   that the engine never changes a diagnosis, and chain and per-flip
-   verdict parity between sequential and pooled (batch-style) passes
-   over every corpus bug. *)
+   exception propagation, worker domains reused across batches), each
+   task handed out once under the queue lock, qcheck properties that no
+   worker count changes a pooled result and that the engine never
+   changes a diagnosis, and chain and per-flip verdict parity between
+   sequential and pooled (batch-style) passes over every corpus bug. *)
 
 module Pool = Hypervisor.Pool
 
@@ -53,6 +53,20 @@ let test_exception_propagation () =
              if i mod 7 = 5 then failwith (Fmt.str "boom-%d" i) else i)
            20))
 
+(* Worker domains outlive a batch and serve the next one, also after a
+   batch whose tasks raised. *)
+let test_batches_reuse_workers () =
+  let p = Pool.create ~jobs:3 in
+  for round = 1 to 20 do
+    if round = 10 then
+      Alcotest.check_raises "a failing batch" (Failure "boom") (fun () ->
+          ignore (Pool.run p (fun _ -> failwith "boom") 9));
+    checkb
+      (Fmt.str "batch %d in index order" round)
+      true
+      (Pool.run p (fun i -> i + round) 9 = Array.init 9 (fun i -> i + round))
+  done
+
 let test_map_list () =
   let p = Pool.create ~jobs:4 in
   let words = [ "least"; "interleaving"; "first"; "search" ] in
@@ -69,20 +83,29 @@ let test_backend_sane () =
     (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
       ignore (Pool.create ~jobs:0))
 
-(* --- backend lock -------------------------------------------------------- *)
+(* --- queue lock -------------------------------------------------------- *)
 
+(* The per-worker queues sit under one lock: under contention, with
+   uneven tasks so idle workers steal, every task must still be handed
+   out exactly once. *)
 let test_lock_mutual_exclusion () =
-  let lock = Pool.Lock.create () in
-  let counter = ref 0 in
+  let n = 2_000 in
+  let hits = Array.init n (fun _ -> Atomic.make 0) in
   let p = Pool.create ~jobs:4 in
-  ignore
-    (Pool.run p
-       (fun _ ->
-         for _ = 1 to 5_000 do
-           Pool.Lock.protect lock (fun () -> incr counter)
-         done)
-       8);
-  checki "no increment lost under contention" (8 * 5_000) !counter
+  let got =
+    Pool.map_list p
+      (fun i ->
+        Atomic.incr hits.(i);
+        let spin = ref 0 in
+        for _ = 1 to (i mod 7) * 200 do
+          spin := Sys.opaque_identity (!spin + 1)
+        done;
+        i)
+      (List.init n Fun.id)
+  in
+  checkb "results in index order" true (got = List.init n Fun.id);
+  checkb "every task ran exactly once" true
+    (Array.for_all (fun h -> Atomic.get h = 1) hits)
 
 (* --- qcheck: worker count never changes a merged result ------------------ *)
 
@@ -171,7 +194,9 @@ let () =
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "map_list" `Quick test_map_list;
-          Alcotest.test_case "backend sanity" `Quick test_backend_sane ] );
+          Alcotest.test_case "backend sanity" `Quick test_backend_sane;
+          Alcotest.test_case "batches reuse workers" `Quick
+            test_batches_reuse_workers ] );
       ( "lock",
         [ Alcotest.test_case "mutual exclusion" `Quick
             test_lock_mutual_exclusion ] );
