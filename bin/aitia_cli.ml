@@ -561,16 +561,34 @@ let batch_cmd =
                 values of the same $(b,diagnose) flags (a malformed \
                 request rejects the whole manifest, exit 2)")
   in
+  (* More workers than the host runs at once only contend (on 2 vCPUs,
+     --jobs 4 took twice as long as --jobs 1), so N is capped here;
+     Batch.run itself runs as many workers as it is given. *)
   let batch_jobs =
-    Arg.(value & opt (pos_int ~what:"--jobs") 1
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:
-               (Fmt.str
-                  "Run up to $(docv) requests concurrently (pool \
-                   backend: %s), each diagnosed sequentially on its own \
-                   VMs; outcomes are reported in manifest order \
-                   regardless of completion order"
-                  Hypervisor.Pool.backend))
+    let cap jobs =
+      let most = Hypervisor.Pool.recommended_jobs in
+      if jobs <= most then jobs
+      else begin
+        Fmt.epr
+          "aitia: --jobs %d capped at %d, the %s pool backend's \
+           recommended worker count@."
+          jobs most Hypervisor.Pool.backend;
+        most
+      end
+    in
+    Term.(
+      const cap
+      $ Arg.(value & opt (pos_int ~what:"--jobs") 1
+             & info [ "jobs" ] ~docv:"N"
+                 ~doc:
+                   (Fmt.str
+                      "Run up to $(docv) requests concurrently (pool \
+                       backend: %s, capped at its recommended worker \
+                       count, %d here), each diagnosed sequentially on \
+                       its own VMs; outcomes are reported in manifest \
+                       order regardless of completion order"
+                      Hypervisor.Pool.backend
+                      Hypervisor.Pool.recommended_jobs)))
   in
   let journal_dir =
     Arg.(value & opt (some string) None

@@ -20,6 +20,7 @@ type t = { pool_jobs : int }
 
 let backend = Pool_backend.name
 let parallel_available = Pool_backend.parallel
+let recommended_jobs = Pool_backend.recommended_jobs
 
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";

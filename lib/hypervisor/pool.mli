@@ -17,6 +17,11 @@ val backend : string
 val parallel_available : bool
 (** [true] iff the backend can actually run tasks concurrently. *)
 
+val recommended_jobs : int
+(** The most workers worth running on this host:
+    [Domain.recommended_domain_count ()] on the domains backend, 1 on
+    the sequential one.  {!create} does not enforce it. *)
+
 val create : jobs:int -> t
 (** [create ~jobs] makes a pool that runs batches on [jobs] workers
     (the calling thread participates as worker 0; [jobs - 1] worker

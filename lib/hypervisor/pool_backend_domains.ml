@@ -5,6 +5,7 @@
 
 let name = "domains"
 let parallel = true
+let recommended_jobs = Domain.recommended_domain_count ()
 
 module Lock = struct
   type t = Mutex.t

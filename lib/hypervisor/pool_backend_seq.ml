@@ -5,6 +5,7 @@
 
 let name = "sequential"
 let parallel = false
+let recommended_jobs = 1
 
 module Lock = struct
   type t = unit

@@ -1,17 +1,15 @@
-(* The perf-regression gate: compare two metric documents (arrays of
-   per-bug JSON rows, as written by `bench … --json`) and flag any
-   metric that got worse.
+(* The perf-regression gate: compare two metric documents (per-bug
+   JSON rows under a ["causality"] member, as in BENCH_causality.json)
+   and flag any metric that got worse.
 
    Every numeric field of the baseline is treated as higher-is-worse —
    schedules explored, flips executed, simulated seconds — and fails
    when the fresh value exceeds baseline * (1 + tolerance).  Boolean
    fields are invariants: a [true] in the baseline (e.g.
-   [chain_identical]) must stay [true].  Fields named in
-   [ignore_fields] (host wall clock, ratios where higher is better)
-   are skipped.  Rows are matched by [id_key]; a baseline row missing
-   from the fresh document is a failure, extra fresh rows and extra
-   fresh fields are allowed (metrics can grow without invalidating old
-   baselines). *)
+   [chain_identical]) must stay [true].  Rows are matched by [id_key];
+   a baseline row missing from the fresh document is a failure, extra
+   fresh rows and extra fresh fields are allowed (metrics can grow
+   without invalidating old baselines). *)
 
 type verdict = {
   gate_ok : bool;
@@ -19,19 +17,14 @@ type verdict = {
   violations : string list;
 }
 
-let rows_of doc =
-  match doc with
-  | Json.Arr rows -> Some rows
-  | Json.Obj _ ->
-    Option.bind (Json.member "causality" doc) Json.to_list
-  | _ -> None
+let rows_of doc = Option.bind (Json.member "causality" doc) Json.to_list
 
 let row_id ~id_key row =
   match Option.bind (Json.member id_key row) Json.to_str with
   | Some id -> id
   | None -> "<no-" ^ id_key ^ ">"
 
-let compare_rows ?(tolerance = 0.02) ?(ignore_fields = []) ~id_key
+let compare_rows ?(tolerance = 0.02) ~id_key
     ~(baseline : Json.t list) ~(fresh : Json.t list) () : verdict =
   let fresh_by_id =
     List.map (fun row -> (row_id ~id_key row, row)) fresh
@@ -47,7 +40,7 @@ let compare_rows ?(tolerance = 0.02) ?(ignore_fields = []) ~id_key
         let fields = match brow with Json.Obj kvs -> kvs | _ -> [] in
         List.iter
           (fun (k, bv) ->
-            if String.equal k id_key || List.mem k ignore_fields then ()
+            if String.equal k id_key then ()
             else
               match bv with
               | Json.Num b -> (
@@ -71,8 +64,7 @@ let compare_rows ?(tolerance = 0.02) ?(ignore_fields = []) ~id_key
     checked = !checked;
     violations = List.rev !violations }
 
-let compare_docs ?ignore_fields ~(baseline : Json.t) ~(fresh : Json.t) () :
-    verdict =
+let compare_docs ~(baseline : Json.t) ~(fresh : Json.t) () : verdict =
   match (rows_of baseline, rows_of fresh) with
   | None, _ ->
     { gate_ok = false;
@@ -83,7 +75,7 @@ let compare_docs ?ignore_fields ~(baseline : Json.t) ~(fresh : Json.t) () :
       checked = 0;
       violations = [ "fresh document has no 'causality' rows" ] }
   | Some b, Some f ->
-    compare_rows ?ignore_fields ~id_key:"bug" ~baseline:b ~fresh:f ()
+    compare_rows ~id_key:"bug" ~baseline:b ~fresh:f ()
 
 (* Fresh-side checks need no baseline, so a metric or invariant that
    first appears in the fresh document is gated too. *)

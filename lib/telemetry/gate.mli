@@ -2,10 +2,10 @@
 
     Numeric fields are higher-is-worse and fail beyond
     [baseline * (1 + tolerance)]; [true] booleans are invariants that
-    must hold in the fresh document; [ignore_fields] skips metrics that
-    are non-deterministic (host wall clock) or higher-is-better.
-    {!check_floors} and {!check_identical} gate the fresh document on
-    its own, with no baseline. *)
+    must hold in the fresh document.  A baseline therefore holds only
+    deterministic, lower-is-better numbers.  {!check_floors} (for
+    host-timed ratios) and {!check_identical} gate the fresh document
+    on its own, with no baseline. *)
 
 type verdict = {
   gate_ok : bool;
@@ -15,7 +15,6 @@ type verdict = {
 
 val compare_rows :
   ?tolerance:float ->
-  ?ignore_fields:string list ->
   id_key:string ->
   baseline:Json.t list ->
   fresh:Json.t list ->
@@ -25,15 +24,10 @@ val compare_rows :
     row or field missing from the fresh side is a violation; extra
     fresh rows/fields are allowed.  [tolerance] defaults to 0.02. *)
 
-val compare_docs :
-  ?ignore_fields:string list ->
-  baseline:Json.t ->
-  fresh:Json.t ->
-  unit ->
-  verdict
-(** Extract the row array from each document — either a bare array or
-    the ["causality"] member of a merged bench object — and compare
-    with {!compare_rows} keyed on ["bug"] at the default tolerance. *)
+val compare_docs : baseline:Json.t -> fresh:Json.t -> unit -> verdict
+(** Extract the row array from each document (its ["causality"]
+    member) and compare every field with {!compare_rows} keyed on
+    ["bug"] at the default tolerance. *)
 
 val check_floors : floors:(string * float) list -> Json.t list -> verdict
 (** Every row (keyed on ["bug"]) carrying a floored field must hold a

@@ -538,24 +538,51 @@ let test_flipfeas_nesting_depth () =
 
 (* --- corpus soundness ---------------------------------------------------- *)
 
+(* Every guest instruction [f] steps, read from the controller's own
+   counter under a private recorder, so a run that bypasses the VM's
+   accounting is still counted. *)
+let guest_instrs f =
+  let rc = Telemetry.Recorder.create () in
+  let r = Telemetry.Probe.with_sink (Telemetry.Recorder.sink rc) f in
+  (r, Telemetry.Recorder.counter rc "controller.instructions")
+
+type diagnosed = {
+  bug : Bugs.Bug.t;
+  case : Aitia.Diagnose.case;
+  plain : Aitia.Diagnose.report;
+  plain_guest : int;  (** guest instructions the plain diagnosis stepped *)
+  hinted : Aitia.Diagnose.report;
+}
+
 (* One diagnosis pass per bug, plain and hinted (--prune invariants:
    the lockset hints, the invariant class collapse and the
-   flip-feasibility proofs), shared by the corpus tests below. *)
+   flip-feasibility proofs), shared by the corpus tests and the
+   causality gate below. *)
 let corpus =
   lazy
     (List.map
        (fun (bug : Bugs.Bug.t) ->
          let case = bug.case () in
-         let plain =
-           Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
-             case
+         let plain, plain_guest =
+           guest_instrs (fun () ->
+               Aitia.Diagnose.diagnose
+                 ?max_interleavings:bug.max_interleavings case)
          in
          let hinted =
            Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
              ~prune:`Invariants case
          in
-         (bug, case, plain, hinted))
+         { bug; case; plain; plain_guest; hinted })
        Bugs.Registry.all)
+
+(* The 22 real bugs (CVEs, then Syzkaller) in the corpus pass. *)
+let real_bugs () =
+  List.filter
+    (fun d ->
+      match d.bug.source with
+      | Bugs.Bug.Cve _ | Bugs.Bug.Syzkaller _ -> true
+      | Bugs.Bug.Figure _ | Bugs.Bug.Extension _ -> false)
+    (Lazy.force corpus)
 
 (* Soundness: every data race LIFS observed dynamically — both endpoints
    executed, no common lock held — must be statically classified
@@ -653,20 +680,12 @@ let test_pruning_consistency (bug : Bugs.Bug.t)
 (* In aggregate the hints must pay for themselves: on the 22 real-world
    bugs, at least half reproduce with strictly fewer schedules. *)
 let test_hinted_aggregate () =
-  let real =
-    List.filter
-      (fun ((bug : Bugs.Bug.t), _, _, _) ->
-        match bug.source with
-        | Bugs.Bug.Cve _ | Bugs.Bug.Syzkaller _ -> true
-        | Bugs.Bug.Figure _ | Bugs.Bug.Extension _ -> false)
-      (Lazy.force corpus)
-  in
+  let real = real_bugs () in
   let improved =
     List.length
       (List.filter
-         (fun (_, _, (p : Aitia.Diagnose.report),
-               (h : Aitia.Diagnose.report)) ->
-           h.lifs.stats.schedules < p.lifs.stats.schedules)
+         (fun d ->
+           d.hinted.lifs.stats.schedules < d.plain.lifs.stats.schedules)
          real)
   in
   checkb
@@ -679,14 +698,7 @@ let test_hinted_aggregate () =
    real-world bugs, at least 10 execute strictly fewer flips than the
    plain Causality Analysis runs. *)
 let test_pruning_aggregate () =
-  let real =
-    List.filter
-      (fun ((bug : Bugs.Bug.t), _, _, _) ->
-        match bug.source with
-        | Bugs.Bug.Cve _ | Bugs.Bug.Syzkaller _ -> true
-        | Bugs.Bug.Figure _ | Bugs.Bug.Extension _ -> false)
-      (Lazy.force corpus)
-  in
+  let real = real_bugs () in
   let flips (ca : Aitia.Causality.result option) =
     match ca with
     | None -> 0
@@ -699,10 +711,9 @@ let test_pruning_aggregate () =
   let improved =
     List.length
       (List.filter
-         (fun (_, _, (p : Aitia.Diagnose.report),
-               (h : Aitia.Diagnose.report)) ->
-           p.causality <> None && h.causality <> None
-           && flips h.causality < flips p.causality)
+         (fun d ->
+           d.plain.causality <> None && d.hinted.causality <> None
+           && flips d.hinted.causality < flips d.plain.causality)
          real)
   in
   checkb
@@ -734,9 +745,133 @@ let test_shared_context (bug : Bugs.Bug.t) (plain : Aitia.Diagnose.report)
         checkb (name "same verdict") true (verdict shared = verdict fresh))
       success.races
 
+(* --- the causality counter gate -------------------------------------- *)
+
+(* The counters of BENCH_causality.json, rebuilt for the 22 real bugs
+   from the plain pass above plus two diagnoses per bug: --prune
+   invariants --order gain, and default flags on the reference engine.
+   Every column is deterministic for a fixed build.  The fresh rows are
+   written to causality_fresh.json in the working directory
+   (_build/default/test under `dune test'), so a deliberate change to
+   the numbers is re-baselined with a copy:
+
+     cp _build/default/test/causality_fresh.json BENCH_causality.json
+
+   The rules are Telemetry.Gate's: no number may exceed its baseline by
+   more than 2%, a baseline [true] stays [true], a baseline row or
+   column missing from the fresh rows fails, and every [*_identical]
+   column must be [true]. *)
+let baseline_file =
+  (* the repo root under `dune exec', its build copy under `dune test' *)
+  let here = "BENCH_causality.json" in
+  if Sys.file_exists here then here
+  else Filename.concat Filename.parent_dir_name here
+
+let fresh_file = "causality_fresh.json"
+
+(* One bug's row, with whether the reference engine reported the
+   plain chain; [None] if either pipeline found no failure. *)
+let causality_row { bug; plain; plain_guest; _ } =
+  let diagnose =
+    Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+  in
+  let inv, inv_instrs =
+    guest_instrs (fun () ->
+        diagnose ~prune:`Invariants ~order:`Gain (bug.case ()))
+  in
+  let reference = diagnose ~engine:Ksim.Engine.Reference (bug.case ()) in
+  match (plain.causality, inv.causality) with
+  | Some pca, Some ica ->
+    let executed =
+      List.length
+        (List.filter
+           (fun (t : Aitia.Causality.tested) -> t.pruned = None)
+           ica.tested)
+    in
+    let inv_chain = String.equal (chain_str plain) (chain_str inv) in
+    let eng_chain = String.equal (chain_str plain) (chain_str reference) in
+    (* executed schedules, LIFS + Causality Analysis: --prune
+       invariants must never cost more than --prune none, in schedules
+       or in guest instructions *)
+    let plain_total = plain.lifs.stats.schedules + pca.stats.schedules in
+    let inv_total = inv.lifs.stats.schedules + ica.stats.schedules in
+    let open Telemetry.Json in
+    Some
+      ( eng_chain,
+        obj
+          [ ("bug", str bug.id);
+            ("flips", int (List.length ica.tested));
+            ("flips_executed", int executed);
+            ("flips_pruned", int ica.stats.flips_statically_pruned);
+            ("plain_ca_schedules", int pca.stats.schedules);
+            ("plain_ca_simulated", float pca.stats.simulated);
+            ("plain_lifs_schedules", int plain.lifs.stats.schedules);
+            ("plain_lifs_simulated", float plain.lifs.stats.simulated);
+            ("plain_instrs",
+             int
+               (plain.lifs.stats.executed_instrs
+               + pca.stats.executed_instrs));
+            ("inv_lifs_schedules", int inv.lifs.stats.schedules);
+            ("inv_ca_schedules", int ica.stats.schedules);
+            ("inv_executed_schedules", int inv_total);
+            ("inv_instrs", int inv_instrs);
+            ("invariant_pruned", int inv.lifs.stats.invariant_pruned);
+            ("gain_reorderings",
+             int
+               (inv.lifs.stats.gain_reorderings
+               + ica.stats.gain_reorderings));
+            ("inv_chain_identical", bool inv_chain);
+            ("inv_le_plain",
+             bool (inv_total <= plain_total && inv_instrs <= plain_guest));
+            ("engine_chain_identical", bool eng_chain) ] )
+  | _ -> None
+
+(* The gate's verdicts.  The fresh rows are written, then read back and
+   compared, so a failing run leaves behind exactly what it gated. *)
+let causality_gate =
+  lazy
+    (let rows = List.filter_map causality_row (real_bugs ()) in
+     let engine =
+       Telemetry.Json.(
+         obj
+           [ ("bug", str "_engine");
+             ("engine_chains_identical", bool (List.for_all fst rows)) ])
+     in
+     Out_channel.with_open_text fresh_file (fun oc ->
+         Out_channel.output_string oc
+           Telemetry.Json.(
+             obj [ ("causality", arr (List.map snd rows @ [ engine ])) ]
+             ^ "\n"));
+     let read file =
+       match
+         Telemetry.Json.of_string
+           (In_channel.with_open_text file In_channel.input_all)
+       with
+       | Ok doc -> doc
+       | Error e -> failwith (file ^ ": " ^ e)
+     in
+     let baseline = read baseline_file and fresh = read fresh_file in
+     [ Telemetry.Gate.compare_docs ~baseline ~fresh ();
+       Telemetry.Gate.check_identical
+         (Option.value ~default:[]
+            (Option.bind (Telemetry.Json.member "causality" fresh)
+               Telemetry.Json.to_list)) ])
+
+let test_causality_gate () =
+  match
+    List.concat_map
+      (fun (v : Telemetry.Gate.verdict) -> v.violations)
+      (Lazy.force causality_gate)
+  with
+  | [] -> ()
+  | violations ->
+    Alcotest.failf "causality gate against %s:@.  %a" baseline_file
+      Fmt.(list ~sep:(any "@.  ") string)
+      violations
+
 let corpus_cases () =
   List.concat_map
-    (fun (bug, case, plain, hinted) ->
+    (fun { bug; case; plain; hinted; _ } ->
       [ Alcotest.test_case
           (bug.Bugs.Bug.id ^ " soundness") `Quick
           (test_soundness bug case plain);
@@ -755,6 +890,12 @@ let corpus_cases () =
     (Lazy.force corpus)
 
 let () =
+  let corpus = corpus_cases () in
+  Fmt.pr "causality gate: %d check(s) against %s, fresh rows in %s@."
+    (List.fold_left
+       (fun n (v : Telemetry.Gate.verdict) -> n + v.checked)
+       0 (Lazy.force causality_gate))
+    baseline_file fresh_file;
   Alcotest.run "analysis"
     [ ( "absaddr",
         [ Alcotest.test_case "of_instr" `Quick test_absaddr_of_instr;
@@ -801,7 +942,10 @@ let () =
             test_flipfeas_identity_plan;
           Alcotest.test_case "nesting depth" `Quick
             test_flipfeas_nesting_depth ] );
-      ("corpus", corpus_cases ());
+      ("corpus", corpus);
+      ( "causality gate",
+        [ Alcotest.test_case "BENCH_causality.json counters" `Quick
+            test_causality_gate ] );
       ( "aggregate",
         [ Alcotest.test_case "hints pay off on half the corpus" `Quick
             test_hinted_aggregate;

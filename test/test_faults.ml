@@ -325,6 +325,32 @@ let run_cli args =
   Sys.remove err;
   (code, o, e)
 
+(* Run `aitia batch MANIFEST ARGS --out FILE`: its exit code, each
+   request's report fields but its elapsed time, and its stderr. *)
+let run_batch manifest_file args =
+  let out = Filename.temp_file "aitia-batch" ".report.json" in
+  let code, _, err =
+    run_cli ([ "batch"; manifest_file; "--out"; out ] @ args)
+  in
+  let module J = Telemetry.Json in
+  let report =
+    match J.of_string (read_file out) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "batch report: %s" e
+  in
+  Sys.remove out;
+  let outcomes =
+    match J.member "requests" report with
+    | Some (J.Arr rs) ->
+      List.map
+        (function
+          | J.Obj kvs -> J.render (J.Obj (List.remove_assoc "elapsed_s" kvs))
+          | r -> J.render r)
+        rs
+    | _ -> Alcotest.fail "batch report has no requests"
+  in
+  (code, outcomes, err)
+
 let registry_case id =
   Option.map
     (fun (b : Bugs.Bug.t) -> (b.case (), b.max_interleavings))
@@ -458,27 +484,7 @@ let test_batch_resume_own_journals () =
   Out_channel.with_open_text manifest_file (fun oc ->
       Out_channel.output_string oc doc);
   let batch args =
-    let out = base ^ ".report.json" in
-    let code, _, _ =
-      run_cli ([ "batch"; manifest_file; "--out"; out ] @ args)
-    in
-    let module J = Telemetry.Json in
-    let report =
-      match J.of_string (read_file out) with
-      | Ok j -> j
-      | Error e -> Alcotest.failf "batch report: %s" e
-    in
-    Sys.remove out;
-    let outcomes =
-      match J.member "requests" report with
-      | Some (J.Arr rs) ->
-        List.map
-          (fun r ->
-            let field k = Option.map J.render (J.member k r) in
-            (field "id", field "exit", field "chain", field "error"))
-          rs
-      | _ -> Alcotest.fail "batch report has no requests"
-    in
+    let code, outcomes, _ = run_batch manifest_file args in
     (code, outcomes)
   in
   let fresh_code, fresh = batch [] in
@@ -851,6 +857,25 @@ let test_cli_no_jobs sub () =
   checkb (sub ^ " --jobs is refused at flag parsing") true
     (contains ~sub:"unknown option '--jobs'" err)
 
+(* batch --jobs above the pool backend's recommended worker count is
+   capped when flags are parsed, with one stderr line giving both
+   numbers, and reports what --jobs 1 reports (elapsed times aside). *)
+let test_batch_jobs_cap () =
+  let manifest_file = Filename.temp_file "aitia-batch-cap" ".json" in
+  Out_channel.with_open_text manifest_file (fun oc ->
+      Out_channel.output_string oc
+        {|[{"id": "a", "bug": "fig1"}, {"id": "b", "bug": "fig5"}]|});
+  let batch jobs = run_batch manifest_file [ "--jobs"; string_of_int jobs ] in
+  let most = Hypervisor.Pool.recommended_jobs in
+  let code1, report1, err1 = batch 1 in
+  let code, report, err = batch (most + 1) in
+  checki "same exit code as --jobs 1" code1 code;
+  checkb "same report as --jobs 1" true (report1 = report);
+  checkb "--jobs 1 is not capped" false (contains ~sub:"capped" err1);
+  checkb "the cap names both numbers" true
+    (contains ~sub:(Fmt.str "--jobs %d capped at %d" (most + 1) most) err);
+  Sys.remove manifest_file
+
 (* The CLI and a one-request manifest run the same diagnosis: same
    chain, same exit code. *)
 let test_cli_manifest_parity () =
@@ -916,6 +941,7 @@ let () =
             (test_cli_no_jobs "chain");
           Alcotest.test_case "stats takes no --jobs" `Quick
             (test_cli_no_jobs "stats");
+          Alcotest.test_case "batch caps --jobs" `Quick test_batch_jobs_cap;
           Alcotest.test_case "CLI and manifest parity" `Quick
             test_cli_manifest_parity ] );
       ("chaos-parity", parity_cases);

@@ -352,7 +352,6 @@ let row ~bug ~flips ~sim ~identical =
     [ ("bug", J.Str bug);
       ("flips", J.Num (float_of_int flips));
       ("sim", J.Num sim);
-      ("host_elapsed_s", J.Num 1.0);
       ("chain_identical", J.Bool identical) ]
 
 let baseline_rows =
@@ -360,8 +359,7 @@ let baseline_rows =
     row ~bug:"b" ~flips:10 ~sim:5.0 ~identical:true ]
 
 let gate ?tolerance fresh =
-  Telemetry.Gate.compare_rows ?tolerance
-    ~ignore_fields:[ "host_elapsed_s" ] ~id_key:"bug"
+  Telemetry.Gate.compare_rows ?tolerance ~id_key:"bug"
     ~baseline:baseline_rows ~fresh ()
 
 let test_gate_pass () =
@@ -404,18 +402,6 @@ let test_gate_missing_row () =
   in
   checkb "extra fresh row is fine" true v'.gate_ok
 
-let test_gate_ignored_field () =
-  let fresh =
-    [ row ~bug:"a" ~flips:4 ~sim:2.0 ~identical:true;
-      J.Obj
-        [ ("bug", J.Str "b");
-          ("flips", J.Num 10.0);
-          ("sim", J.Num 5.0);
-          ("host_elapsed_s", J.Num 900.0);
-          ("chain_identical", J.Bool true) ] ]
-  in
-  checkb "host wall clock ignored" true (gate fresh).gate_ok
-
 (* The fresh-side checks: floors and [*_identical] columns need no
    baseline row to be gated. *)
 let engine_row speedup =
@@ -457,15 +443,15 @@ let test_gate_fresh_identical () =
 let test_gate_docs () =
   let doc rows = J.Obj [ ("causality", J.Arr rows) ] in
   let v =
-    Telemetry.Gate.compare_docs ~ignore_fields:[ "host_elapsed_s" ]
-      ~baseline:(doc baseline_rows) ~fresh:(doc baseline_rows) ()
+    Telemetry.Gate.compare_docs ~baseline:(doc baseline_rows)
+      ~fresh:(doc baseline_rows) ()
   in
   checkb "merged-object documents compare" true v.gate_ok;
   let v' =
-    Telemetry.Gate.compare_docs ~ignore_fields:[ "host_elapsed_s" ]
-      ~baseline:(J.Arr baseline_rows) ~fresh:(doc baseline_rows) ()
+    Telemetry.Gate.compare_docs ~baseline:(J.Arr baseline_rows)
+      ~fresh:(doc baseline_rows) ()
   in
-  checkb "bare-array baseline still accepted" true v'.gate_ok
+  checkb "bare-array baseline rejected" false v'.gate_ok
 
 let () =
   Alcotest.run "telemetry"
@@ -504,8 +490,6 @@ let () =
           Alcotest.test_case "tolerance" `Quick test_gate_tolerance;
           Alcotest.test_case "invariant" `Quick test_gate_invariant;
           Alcotest.test_case "missing row" `Quick test_gate_missing_row;
-          Alcotest.test_case "ignored field" `Quick
-            test_gate_ignored_field;
           Alcotest.test_case "documents" `Quick test_gate_docs;
           Alcotest.test_case "floor" `Quick test_gate_floor;
           Alcotest.test_case "floor missing" `Quick test_gate_floor_missing;
