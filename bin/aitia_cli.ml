@@ -278,14 +278,15 @@ let prune_arg =
 let order_arg =
   Cmdliner.Arg.(
     value
-    & opt (enum Aitia.Causality.order_names) `Fixed
+    & opt (enum Aitia.Lifs.order_names) `Fixed
     & info [ "order" ] ~docv:"ORDER"
         ~doc:
-          "Schedule-selection order: $(b,backward) is the paper's fixed \
-           order (flips latest-first, LIFS breadth-first); $(b,gain) \
-           ranks candidates by expected information gain — closest to \
-           even odds first, updated by the verdicts and reproduction \
-           attempts the session accumulates")
+          "LIFS search order: $(b,backward) is the paper's \
+           breadth-first search; $(b,gain) ranks candidate runs by \
+           expected information gain — closest to even odds first, \
+           updated by the reproduction attempts the search accumulates.  \
+           It orders only the LIFS search: Causality Analysis tests \
+           every flip latest-first under either order")
 
 (* The full knob set of diagnose and stats. *)
 let pipeline_term =
@@ -558,8 +559,9 @@ let batch_cmd =
                 per-request knobs $(b,prune), $(b,order), \
                 $(b,fault_spec), $(b,fault_seed), $(b,max_retries), \
                 $(b,step_timeout), $(b,journal), $(b,engine) — with the \
-                values of the same $(b,diagnose) flags (a malformed \
-                request rejects the whole manifest, exit 2)")
+                values of the same $(b,diagnose) flags ($(b,order) \
+                orders only the LIFS search; a malformed request \
+                rejects the whole manifest, exit 2)")
   in
   (* More workers than the host runs at once only contend (on 2 vCPUs,
      --jobs 4 took twice as long as --jobs 1), so N is capped here;

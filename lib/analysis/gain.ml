@@ -1,42 +1,27 @@
-(* Expected-information-gain scheduling (after Fariha et al.,
-   "Causality-Guided Adaptive Interventional Debugging").
+(* Expected-information-gain scheduling of the LIFS frontier (after
+   Fariha et al., "Causality-Guided Adaptive Interventional
+   Debugging").
 
-   Each candidate intervention — a flip in Causality Analysis, a
-   frontier extension in LIFS — is a Bernoulli experiment: the flip
-   survives (root cause) or not (benign); the extension reproduces the
-   failure or not.  The information an experiment yields is the binary
-   entropy of its success probability, so the scheduler always runs the
-   candidate whose current estimate is closest to a coin toss and
-   leaves near-certain candidates (whose outcome we can already
-   predict) for last.  Estimates start from the static classifier
-   (Summary ranks: how suspicious the racing pair looks) and are
-   updated by the evidence the session accumulates: executed-flip
-   verdicts feed a Beta posterior, repeated failures to extend at a
+   Each candidate run — a serial execution or a frontier extension —
+   is a Bernoulli experiment: it reproduces the failure or not.  The
+   information an experiment yields is the binary entropy of its
+   success probability, so the scheduler always runs the candidate
+   whose current estimate is closest to a coin toss and leaves
+   near-certain candidates (whose outcome we can already predict) for
+   last.  Estimates start from the static classifier (Summary ranks:
+   how suspicious the racing pair looks) and are updated by the
+   evidence the search accumulates: repeated failures to extend at a
    site decay its estimate, deeper preemption nests pay the paper's
-   fewest-preemptions prior. *)
+   fewest-preemptions prior.
+
+   Causality Analysis takes no part: it tests every flip, so the order
+   of its flips changes no verdict. *)
 
 let entropy p =
   if p <= 0. || p >= 1. then 0.
   else
     let q = 1. -. p in
     -.((p *. log p) +. (q *. log q)) /. log 2.
-
-(* --- Causality flips --------------------------------------------------- *)
-
-(* Rank 0: lifetime races (a Whole-object endpoint, i.e. free/realloc)
-   and write-write races — the classes the corpus' root causes live in,
-   closest to even odds of surviving.  Rank 1: everything else. *)
-let flip_prior = function 0 -> 0.5 | 1 -> 0.35 | _ -> 0.25
-
-let flip_gain ~rank ~roots ~benigns =
-  let p0 = flip_prior rank in
-  (* Beta posterior with 2 pseudo-observations of the static prior,
-     updated by this session's executed-and-pruned verdicts. *)
-  let a = (2. *. p0) +. float_of_int roots
-  and b = (2. *. (1. -. p0)) +. float_of_int benigns in
-  entropy (a /. (a +. b))
-
-(* --- LIFS frontier ----------------------------------------------------- *)
 
 let serial_gain ~index =
   (* The first serial execution seeds the whole cross-thread race

@@ -1,25 +1,15 @@
-(** Expected-information-gain scheduling for Causality flips and LIFS
-    frontier extensions (after Fariha et al., {e Causality-Guided
-    Adaptive Interventional Debugging}).
+(** Expected-information-gain scheduling for the LIFS frontier (after
+    Fariha et al., {e Causality-Guided Adaptive Interventional
+    Debugging}).
 
-    Every candidate is a Bernoulli experiment; its expected information
-    is the binary entropy of its estimated success probability.  The
-    gain-ordered schedulers in {!Causality} and {!Lifs} always run the
+    Every candidate run is a Bernoulli experiment; its expected
+    information is the binary entropy of its estimated reproduction
+    probability.  The gain-ordered search in {!Lifs} always runs the
     candidate with the highest entropy — the one whose outcome is least
-    predictable — updating estimates with the session's evidence. *)
+    predictable — updating estimates with the search's evidence. *)
 
 val entropy : float -> float
 (** Binary entropy in bits; [0.] outside (0, 1). *)
-
-val flip_prior : int -> float
-(** Prior survival probability of a flip from its static rank (0 =
-    lifetime or write-write race, 1 = other). *)
-
-val flip_gain : rank:int -> roots:int -> benigns:int -> float
-(** Expected information of executing a flip: binary entropy of the
-    Beta-posterior survival probability, seeded with two
-    pseudo-observations of {!flip_prior}[ rank] and updated with the
-    session's [roots]/[benigns] verdict counts. *)
 
 val serial_gain : index:int -> float
 (** Gain of the [index]-th serial (preemption-free) execution.  The

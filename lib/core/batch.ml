@@ -17,7 +17,7 @@ type request = {
   rq_id : string;
   rq_bug : string;
   rq_prune : Causality.prune option;
-  rq_order : Causality.order option;
+  rq_order : Lifs.order option;
   rq_fault_spec : string option;
   rq_fault_seed : int;
   rq_max_retries : int option;
@@ -101,7 +101,7 @@ let request_of_json (j : Json.t) : (request, string) result =
       | _ -> Error (Fmt.str "request %S needs a \"bug\"" rq_id)
     in
     let* rq_prune = enum_field rq_id "prune" Causality.prune_names fields in
-    let* rq_order = enum_field rq_id "order" Causality.order_names fields in
+    let* rq_order = enum_field rq_id "order" Lifs.order_names fields in
     let* rq_fault_spec = str_field "fault_spec" fields in
     let* seed = int_field "fault_seed" fields in
     let* rq_max_retries = int_field "max_retries" fields in

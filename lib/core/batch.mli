@@ -21,7 +21,8 @@ type request = {
   rq_id : string;            (** unique within the manifest *)
   rq_bug : string;           (** corpus bug id, resolved by the caller *)
   rq_prune : Causality.prune option;
-  rq_order : Causality.order option;
+  rq_order : Lifs.order option;
+      (** the LIFS search order; Causality Analysis has only one *)
   rq_fault_spec : string option;  (** {!Hypervisor.Faults.spec_of_string} *)
   rq_fault_seed : int;            (** default 1 *)
   rq_max_retries : int option;

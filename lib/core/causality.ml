@@ -17,8 +17,7 @@
    Every flip goes through one function, in test order: a journaled
    verdict is replayed, a statically pruned one recorded, any other
    flip run on the analysis VM, and each verdict not replayed is
-   checkpointed before the next flip is picked, whether the order is
-   fixed or the gain scheduler picks the flips one at a time. *)
+   checkpointed before the next flip is tested. *)
 
 module Iid = Ksim.Access.Iid
 module Schedule = Hypervisor.Schedule
@@ -33,8 +32,9 @@ type verdict = Root_cause | Benign
 type tested = {
   race : Race.t;
   verdict : verdict;
-  (* [None] when the flip was statically pruned: no re-run exists. *)
-  flip_outcome : Controller.outcome option;
+  (* The flip run's verdict; [None] when the flip was statically
+     pruned (no re-run exists) or replayed from a journal. *)
+  flip_verdict : Controller.verdict option;
   (* The static proof that skipped the re-run (flip-feasibility
      pre-analysis); [None] for flips that executed. *)
   pruned : string option;
@@ -55,8 +55,6 @@ type tested = {
 type stats = {
   schedules : int;
   flips_statically_pruned : int;
-  gain_reorderings : int;  (* times the gain scheduler picked a flip
-                              out of base (backward) order *)
   simulated : float;
   executed_instrs : int;  (* instructions executed *)
 }
@@ -64,14 +62,12 @@ type stats = {
 (* The identity for [stats_base] (resumed analyses add the journaled
    progress of the interrupted run here). *)
 let zero_stats =
-  { schedules = 0; flips_statically_pruned = 0; gain_reorderings = 0;
-    simulated = 0.; executed_instrs = 0 }
+  { schedules = 0; flips_statically_pruned = 0; simulated = 0.;
+    executed_instrs = 0 }
 
 type prune = [ `None | `Invariants ]
-type order = [ `Fixed | `Gain ]
 
 let prune_names = [ ("none", `None); ("invariants", `Invariants) ]
-let order_names = [ ("backward", `Fixed); ("gain", `Gain) ]
 
 type result = {
   tested : tested list;          (* in testing order *)
@@ -269,7 +265,7 @@ let pruned_tested (r : Race.t) reason : tested =
       m "flip %a -> statically pruned (%s)" Race.pp_short r reason);
   { race = r;
     verdict = Benign;
-    flip_outcome = None;
+    flip_verdict = None;
     pruned = Some reason;
     disappeared = [];
     ambiguous = false;
@@ -300,7 +296,7 @@ let executed_tested ~(races : Race.t list) (r : Race.t) (run : Executor.run)
         (if enforced then "" else " [vacuous]"));
   { race = r;
     verdict = (if ok then Root_cause else Benign);
-    flip_outcome = Some run.outcome;
+    flip_verdict = Some run.outcome.verdict;
     pruned = None;
     disappeared;
     ambiguous = false;
@@ -308,16 +304,15 @@ let executed_tested ~(races : Race.t list) (r : Race.t) (run : Executor.run)
     confidence = run.confidence }
 
 let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
-    ?(order = (`Fixed : order)) ?resilience
-    ?replay ?checkpoint ?(stats_base = zero_stats) (vm : Hypervisor.Vm.t)
-    ~(failing : Controller.outcome) ~(races : Race.t list) () : result =
+    ?resilience ?replay ?checkpoint ?(stats_base = zero_stats)
+    (vm : Hypervisor.Vm.t) ~(failing : Controller.outcome)
+    ~(races : Race.t list) () : result =
   Telemetry.Probe.span_begin ~cat:"causality" "causality.analyze";
   let runs_before = Hypervisor.Vm.runs vm in
   let instrs_before = Hypervisor.Vm.executed_steps vm in
   (* Everything about the failing trace that no flip changes is built
      here once, and only read afterwards. *)
   let ctx = Analysis.Flipfeas.context failing.trace in
-  let reorderings = ref 0 in
   (* Progress so far including the journaled base of an interrupted
      analysis; the pruned-flip counts are recomputed from the final
      tested list instead (adding the base would double-count replayed
@@ -325,13 +320,11 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
   let current_stats () =
     { schedules = stats_base.schedules + (Hypervisor.Vm.runs vm - runs_before);
       flips_statically_pruned = 0;
-      gain_reorderings = stats_base.gain_reorderings + !reorderings;
       simulated = stats_base.simulated +. Hypervisor.Vm.simulated_seconds vm;
       executed_instrs =
         stats_base.executed_instrs
         + (Hypervisor.Vm.executed_steps vm - instrs_before) }
   in
-  let ordered = test_order ?direction races in
   (* One span per flip test, closed with the verdict (and the static
      proof when the re-run was pruned). *)
   let flip_args (t : tested) =
@@ -346,9 +339,8 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
   (* One flip, in test order: a journaled verdict is only counted; any
      other is decided by a flip-feasibility proof or by running the
      flip, closes its flip span and is checkpointed with the progress
-     so far.  The running verdict counts feed the gain scheduler. *)
+     so far. *)
   let executed = ref 0 in
-  let roots = ref 0 and benigns = ref 0 in
   let tested_rev = ref [] in
   let test r =
     let t =
@@ -375,63 +367,9 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
         | None -> ());
         t
     in
-    (match t.verdict with
-    | Root_cause -> incr roots
-    | Benign -> incr benigns);
     tested_rev := t :: !tested_rev
   in
-  (match order with
-  | `Fixed -> List.iter test ordered
-  | `Gain ->
-    (* Adaptive order: always flip the race whose verdict is least
-       predictable.  Rank 0 (lifetime or write-write endpoints) races
-       are the likeliest survivors; the running verdict counts feed
-       the Beta posterior (pruned flips are proven Benign: they count
-       as evidence), so a streak of benign verdicts drains the
-       expected information of look-alike flips.  Nested races stay
-       ahead of the races surrounding them (the ambiguity pass
-       depends on it); ties fall back to the base backward order. *)
-    let race_rank (r : Race.t) =
-      let lifetime =
-        match (r.first.addr, r.second.addr) with
-        | Ksim.Addr.Whole _, _ | _, Ksim.Addr.Whole _ -> true
-        | _ -> false
-      in
-      let ww =
-        Ksim.Access.is_write r.first && Ksim.Access.is_write r.second
-      in
-      if lifetime || ww then 0 else 1
-    in
-    let rec loop remaining =
-      match remaining with
-      | [] -> ()
-      | hd :: _ ->
-        let eligible =
-          List.filter
-            (fun r ->
-              not (List.exists (fun r' -> Race.surrounds r r') remaining))
-            remaining
-        in
-        let eligible = if eligible = [] then remaining else eligible in
-        let gain_of r =
-          Analysis.Gain.flip_gain ~rank:(race_rank r) ~roots:!roots
-            ~benigns:!benigns
-        in
-        let pick, _ =
-          List.fold_left
-            (fun (best, bg) r ->
-              let g = gain_of r in
-              if bg >= g then (best, bg) else (r, g))
-            (List.hd eligible, gain_of (List.hd eligible))
-            (List.tl eligible)
-        in
-        if not (Race.equal hd pick) then (
-          incr reorderings;
-          Telemetry.Probe.count "causality.gain_reorderings");
-        test pick;
-        loop (List.filter (fun r -> not (Race.equal r pick)) remaining)
-    in
-    loop ordered);
+  List.iter test (test_order ?direction races);
   let tested = List.rev !tested_rev in
   let root_tested =
     List.filter (fun t -> t.verdict = Root_cause) tested

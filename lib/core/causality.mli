@@ -13,8 +13,9 @@ type verdict = Root_cause | Benign
 type tested = {
   race : Race.t;
   verdict : verdict;
-  flip_outcome : Hypervisor.Controller.outcome option;
-      (** [None] when the flip was statically pruned (never executed) *)
+  flip_verdict : Hypervisor.Controller.verdict option;
+      (** the flip run's verdict; [None] when the flip was statically
+          pruned (never executed) or replayed from a journal *)
   pruned : string option;
       (** the flip-feasibility proof that skipped the re-run, if any *)
   disappeared : Race.t list;
@@ -33,8 +34,6 @@ type stats = {
   flips_statically_pruned : int;
       (** flips proven Benign by the flip-feasibility pre-analysis,
           skipped before any VM execution *)
-  gain_reorderings : int;
-      (** times the gain scheduler picked a flip out of base order *)
   simulated : float;
   executed_instrs : int;  (** instructions executed *)
 }
@@ -47,16 +46,9 @@ type prune = [ `None | `Invariants ]
     pre-analysis ({!Analysis.Flipfeas}) that [`Invariants] runs on
     every flip plan. *)
 
-type order = [ `Fixed | `Gain ]
-(** Test order: the fixed (backward, nested-first) order, or the
-    expected-information-gain scheduler ({!Analysis.Gain}). *)
-
 val prune_names : (string * prune) list
 (** The user-facing names of the pruning levels, read by the CLI's
     [--prune] and the batch manifest's ["prune"] field. *)
-
-val order_names : (string * order) list
-(** Likewise for [--order] / ["order"]: ["backward"] is [`Fixed]. *)
 
 type result = {
   tested : tested list;           (** in testing order *)
@@ -94,7 +86,6 @@ val analyze :
   ?prologue:int list ->
   ?direction:[ `Backward | `Forward ] ->
   ?prune:prune ->
-  ?order:order ->
   ?resilience:Resilience.t ->
   ?replay:(Race.t -> tested option) ->
   ?checkpoint:(tested -> stats -> unit) ->
@@ -107,14 +98,9 @@ val analyze :
 (** [prune] (default [`None]): under [`Invariants], flips proven
     infeasible or outcome-preserving are marked Benign without a VM run
     and counted in [stats.flips_statically_pruned];
-    every other flip runs once, through {!Executor.run_plan}.  [order]
-    (default [`Fixed]) selects the gain scheduler; verdicts, chains and traces
-    are unchanged by reordering — only which schedules execute earlier.
-    With the defaults the behaviour is bit-identical to the plain
-    analysis.
+    every other flip runs once, through {!Executor.run_plan}.
 
-    Every flip runs on [vm], one at a time in test order, so each gain
-    pick reads the verdicts before it.
+    Every flip is tested on [vm], one at a time, in {!test_order}.
 
     [resilience] supplies the retry/quorum policy when the VM injects
     faults.  The remaining three parameters implement resumable

@@ -111,8 +111,8 @@ let flip_of_tested (t : Causality.tested) : Journal.flip =
 
 (* Rebuild a tested record from its journaled verdict.  [ambiguous] is
    left false — {!Causality.analyze} recomputes ambiguity over the full
-   tested list, replayed or not — and the flip outcome is gone (only
-   its consequences were journaled).  [None] when the journaled race
+   tested list, replayed or not — and the flip run's verdict is gone
+   (only its consequences were journaled).  [None] when the journaled race
    key no longer matches the test set (stale journal): the flip then
    re-executes.  [keyed] is the slice's test set in order, each race
    with its {!Race.key}, built once per slice. *)
@@ -127,7 +127,7 @@ let tested_of_flip (keyed : (string * Race.t) list) (fl : Journal.flip) :
           (match fl.f_verdict with
           | `Root_cause -> Causality.Root_cause
           | `Benign -> Causality.Benign);
-        flip_outcome = None;
+        flip_verdict = None;
         pruned = fl.f_pruned;
         disappeared =
           List.filter_map
@@ -138,7 +138,7 @@ let tested_of_flip (keyed : (string * Race.t) list) (fl : Journal.flip) :
         confidence = fl.f_confidence }
 
 let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
-    ?(order = (`Fixed : Causality.order)) ?snapshot_cache:_
+    ?(order = (`Fixed : Lifs.order)) ?snapshot_cache:_
     ?(slice_order = `Nearest_first) ?faults ?resilience:rpolicy ?journal
     ?(engine = Ksim.Engine.default) ?(on_run = fun ~slice:_ _ _ -> ())
     (case : case) : report =
@@ -264,7 +264,7 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
             record ~st ~complete_ca:false)
     in
     let ca =
-      Causality.analyze ?max_steps ~prologue ~prune ~order ?resilience
+      Causality.analyze ?max_steps ~prologue ~prune ?resilience
         ?replay ?checkpoint ~stats_base ca_vm ~failing:success.Lifs.outcome
         ~races:success.Lifs.races ()
     in

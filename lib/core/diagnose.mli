@@ -52,7 +52,7 @@ val diagnose :
   ?max_interleavings:int ->
   ?max_steps:int ->
   ?prune:Causality.prune ->
-  ?order:Causality.order ->
+  ?order:Lifs.order ->
   ?snapshot_cache:bool ->
   ?slice_order:[ `Nearest_first | `Farthest_first ] ->
   ?faults:Hypervisor.Faults.t ->
@@ -79,9 +79,10 @@ val diagnose :
     {!Causality.analyze} so provably infeasible or outcome-preserving
     flips are skipped before any VM execution; every other flip runs
     once, on the VM.
-    [order:`Gain] replaces the fixed backward flip order and the
-    breadth-first LIFS frontier with the expected-information-gain
-    scheduler ({!Analysis.Gain}).
+    [order:`Gain] replaces the breadth-first LIFS frontier with the
+    expected-information-gain scheduler ({!Analysis.Gain}); it orders
+    only the LIFS search, and Causality Analysis tests its flips in
+    {!Causality.test_order} under either order.
     A diagnosis runs sequentially, one schedule at a time on one VM per
     stage; requests run in parallel only side by side ({!Batch.run}).
     [snapshot_cache] is deprecated, accepted and ignored: the prefix

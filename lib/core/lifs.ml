@@ -69,6 +69,10 @@ type result = {
       (* the reproducing run, or nothing *)
 }
 
+type order = [ `Fixed | `Gain ]
+
+let order_names = [ ("backward", `Fixed); ("gain", `Gain) ]
+
 let default_max_interleavings = 3
 
 (* All permutations of a list. *)
@@ -354,7 +358,7 @@ type item = {
    search runs without it. *)
 let search ?(max_interleavings = default_max_interleavings) ?max_steps
     ?(prologue = []) ?(prune = true) ?static_hints ?invariants ?focus
-    ?(order = (`Fixed : [ `Fixed | `Gain ])) ?resilience
+    ?(order = (`Fixed : order)) ?resilience
     ?(on_run = fun _ _ -> ()) (vm : Hypervisor.Vm.t)
     ~(target : Ksim.Failure.t -> bool) () : result =
   Telemetry.Probe.span_begin ~cat:"lifs" "lifs.search";

@@ -34,6 +34,16 @@ type result = {
         every executed run goes to [search]'s [on_run] instead *)
 }
 
+type order = [ `Fixed | `Gain ]
+(** Search order: the paper's breadth-first phases, or the
+    expected-information-gain queue ({!Analysis.Gain}).  Causality
+    Analysis has one order of its own ([Causality.test_order]). *)
+
+val order_names : (string * order) list
+(** The user-facing names of the orders, read by the CLI's [--order]
+    and the batch manifest's ["order"] field: ["backward"] is
+    [`Fixed]. *)
+
 val default_max_interleavings : int
 
 val permutations : 'a list -> 'a list list
@@ -46,7 +56,7 @@ val search :
   ?static_hints:Analysis.Summary.hints ->
   ?invariants:Analysis.Absdom.t ->
   ?focus:int ->
-  ?order:[ `Fixed | `Gain ] ->
+  ?order:order ->
   ?resilience:Resilience.t ->
   ?on_run:
     (Hypervisor.Schedule.preemption -> Hypervisor.Controller.outcome -> unit) ->

@@ -16,13 +16,10 @@ let pp_lifs_stats ppf (s : Lifs.stats) =
     s.gain_reorderings s.interleavings s.simulated
 
 let pp_ca_stats ppf (s : Causality.stats) =
-  Fmt.pf ppf "Causality Analysis: %d schedule(s)%s%s, %.1f simulated s"
+  Fmt.pf ppf "Causality Analysis: %d schedule(s)%s, %.1f simulated s"
     s.schedules
     (if s.flips_statically_pruned > 0 then
        Fmt.str " (+%d flip(s) statically pruned)" s.flips_statically_pruned
-     else "")
-    (if s.gain_reorderings > 0 then
-       Fmt.str " (%d gain reorderings)" s.gain_reorderings
      else "")
     s.simulated
 

@@ -223,7 +223,7 @@ let drop_plan_event t (plan : Schedule.plan) =
       let k = List.nth idxs (pick t (List.length idxs)) in
       note t `Miss;
       t.attempt_tainted <- true;
-      { plan with events = List.filteri (fun i _ -> i <> k) plan.events }
+      Schedule.plan (List.filteri (fun i _ -> i <> k) plan.events)
 
 let flap t (o : Controller.outcome) =
   if not (draw t t.spec.flap) then o

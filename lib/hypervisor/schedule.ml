@@ -167,23 +167,25 @@ let with_prologue (prologue : int list) (policy : Controller.policy) :
 
 (* --- plan schedules --------------------------------------------------- *)
 
-type plan = {
-  events : Iid.t list;          (* total order to enforce *)
-  run_through_budget : int;     (* divergence tolerance per planned event *)
-}
+type plan = { events : Iid.t list (* total order to enforce *) }
 
-let plan ?(run_through_budget = 2_000) events = { events; run_through_budget }
+let plan events = { events }
+
+(* Divergence tolerance per planned event: the steps its thread may
+   take off the planned path (a race-steered control flow) before the
+   event is dropped. *)
+let run_through_budget = 2_000
 
 let pp_plan ppf p =
   Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any " => ") Iid.pp_full) p.events
 
 let plan_policy (p : plan) : Controller.policy =
   let remaining = ref p.events in
-  let budget = ref p.run_through_budget in
+  let budget = ref run_through_budget in
   let head_pc = ref unresolved in  (* of the head planned event *)
   let advance rest =
     remaining := rest;
-    budget := p.run_through_budget;
+    budget := run_through_budget;
     head_pc := unresolved
   in
   fun m ->

@@ -48,12 +48,9 @@ val with_prologue : int list -> Controller.policy -> Controller.policy
     run.  One-shot like every policy: the finished part of the prologue
     is latched, so once it is all done the wrapper costs nothing. *)
 
-type plan = {
-  events : Iid.t list;       (** the total order to enforce *)
-  run_through_budget : int;  (** divergence tolerance per planned event *)
-}
+type plan = { events : Iid.t list  (** the total order to enforce *) }
 
-val plan : ?run_through_budget:int -> Iid.t list -> plan
+val plan : Iid.t list -> plan
 val pp_plan : plan Fmt.t
 
 val plan_policy : plan -> Controller.policy

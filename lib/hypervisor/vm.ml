@@ -26,7 +26,6 @@ type stats = {
 
 type t = {
   group : Ksim.Program.group;
-  costs : cost_model;
   stats : stats;
   faults : Faults.t option;
   engine : Ksim.Engine.kind;
@@ -34,9 +33,8 @@ type t = {
 
 exception Boot_failure
 
-let create ?(costs = default_costs) ?faults ?(engine = Ksim.Engine.default)
-    group =
-  { group; costs; faults; engine;
+let create ?faults ?(engine = Ksim.Engine.default) group =
+  { group; faults; engine;
     stats = { runs = 0; failures = 0; executed = 0; penalty = 0. } }
 
 let group t = t.group
@@ -108,6 +106,6 @@ let executed_steps t = t.stats.executed
 
 (* Simulated wall-clock seconds under the cost model. *)
 let simulated_seconds t =
-  (float_of_int t.stats.runs *. t.costs.per_schedule)
-  +. (float_of_int t.stats.failures *. t.costs.per_reboot)
+  (float_of_int t.stats.runs *. default_costs.per_schedule)
+  +. (float_of_int t.stats.failures *. default_costs.per_reboot)
   +. t.stats.penalty

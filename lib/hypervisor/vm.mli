@@ -12,7 +12,8 @@ type cost_model = {
 }
 
 val default_costs : cost_model
-(** Calibrated from Table 2's per-schedule rates. *)
+(** Calibrated from Table 2's per-schedule rates; every VM runs under
+    it. *)
 
 type t
 
@@ -22,8 +23,7 @@ exception Boot_failure
     intended handler. *)
 
 val create :
-  ?costs:cost_model -> ?faults:Faults.t -> ?engine:Ksim.Engine.kind ->
-  Ksim.Program.group -> t
+  ?faults:Faults.t -> ?engine:Ksim.Engine.kind -> Ksim.Program.group -> t
 (** [faults] arms fault injection for every run of this VM; omitted,
     all paths are bit-identical to the fault-free build.  [engine]
     selects the machine implementation every boot of this guest uses
@@ -54,4 +54,4 @@ val executed_steps : t -> int
 (** Instructions executed over every run. *)
 
 val simulated_seconds : t -> float
-(** Wall-clock estimate under the cost model. *)
+(** Wall-clock estimate under {!default_costs}. *)

@@ -644,8 +644,8 @@ let test_chain_parity (bug : Bugs.Bug.t) (plain : Aitia.Diagnose.report)
     (chain_str plain) (chain_str hinted)
 
 (* Bookkeeping of the flip-feasibility pruning: the stat equals the
-   number of pruned entries, a pruned flip never ran (no outcome, not
-   enforced, Benign), and the plain pipeline never prunes. *)
+   number of pruned entries, a pruned flip never ran (no run verdict,
+   not enforced, Benign), and the plain pipeline never prunes. *)
 let test_pruning_consistency (bug : Bugs.Bug.t)
     (plain : Aitia.Diagnose.report) (hinted : Aitia.Diagnose.report) () =
   (match plain.causality with
@@ -656,7 +656,7 @@ let test_pruning_consistency (bug : Bugs.Bug.t)
     checkb (bug.id ^ " plain entries all executed") true
       (List.for_all
          (fun (t : Aitia.Causality.tested) ->
-           t.pruned = None && t.flip_outcome <> None)
+           t.pruned = None && t.flip_verdict <> None)
          ca.tested));
   match hinted.causality with
   | None -> ()
@@ -671,7 +671,7 @@ let test_pruning_consistency (bug : Bugs.Bug.t)
     List.iter
       (fun (t : Aitia.Causality.tested) ->
         checkb (bug.id ^ " pruned flip never ran") true
-          (t.flip_outcome = None);
+          (t.flip_verdict = None);
         checkb (bug.id ^ " pruned flip not enforced") false t.enforced;
         checkb (bug.id ^ " pruned flip is Benign") true
           (t.verdict = Aitia.Causality.Benign))
@@ -816,10 +816,7 @@ let causality_row { bug; plain; plain_guest; _ } =
             ("inv_executed_schedules", int inv_total);
             ("inv_instrs", int inv_instrs);
             ("invariant_pruned", int inv.lifs.stats.invariant_pruned);
-            ("gain_reorderings",
-             int
-               (inv.lifs.stats.gain_reorderings
-               + ica.stats.gain_reorderings));
+            ("gain_reorderings", int inv.lifs.stats.gain_reorderings);
             ("inv_chain_identical", bool inv_chain);
             ("inv_le_plain",
              bool (inv_total <= plain_total && inv_instrs <= plain_guest));

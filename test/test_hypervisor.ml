@@ -296,15 +296,21 @@ let test_vm_costs_shape () =
     (Hypervisor.Vm.simulated_seconds vm_fail
     > Hypervisor.Vm.simulated_seconds vm_pass)
 
-let test_vm_custom_costs () =
+(* One failing run costs one schedule plus one reboot of the default
+   model, the only one a VM runs under. *)
+let test_vm_default_costs () =
   let grp = group [ thread "A" [ bug_on "b" (cint 1) ] ] in
-  let costs = { Hypervisor.Vm.per_schedule = 2.0; per_reboot = 10.0 } in
-  let vm = Hypervisor.Vm.create ~costs grp in
+  let vm = Hypervisor.Vm.create grp in
   let _ =
     Hypervisor.Vm.run vm (Schedule.preemption_policy (Schedule.serial [ 0 ]))
   in
-  checkb "custom model applied" true
-    (Float.abs (Hypervisor.Vm.simulated_seconds vm -. 12.0) < 1e-9)
+  let { Hypervisor.Vm.per_schedule; per_reboot } =
+    Hypervisor.Vm.default_costs
+  in
+  checkb "default model applied" true
+    (Float.abs
+       (Hypervisor.Vm.simulated_seconds vm -. (per_schedule +. per_reboot))
+    < 1e-9)
 
 let test_schedule_printing () =
   let sched =
@@ -346,5 +352,5 @@ let () =
       ( "vm",
         [ Alcotest.test_case "accounting" `Quick test_vm_accounting;
           Alcotest.test_case "cost shape" `Quick test_vm_costs_shape;
-          Alcotest.test_case "custom costs" `Quick test_vm_custom_costs;
+          Alcotest.test_case "default costs" `Quick test_vm_default_costs;
           Alcotest.test_case "printers" `Quick test_schedule_printing ] ) ]

@@ -140,7 +140,7 @@ let test_flipfeas_cascade (bug : Bugs.Bug.t) () =
         in
         checkb (name "pruned by the flipfeas proof") true (t.pruned = proof);
         checkb (name "runs iff unproven") (proof = None)
-          (t.flip_outcome <> None))
+          (t.flip_verdict <> None))
       ca.tested
   | _ -> Alcotest.failf "%s did not reproduce" bug.id
 

@@ -462,10 +462,10 @@ let prop_ca_verdicts_are_witnessed =
         in
         List.for_all
           (fun (t : Aitia.Causality.tested) ->
-            match t.flip_outcome with
+            match t.flip_verdict with
             | None -> false (* no static pruning by default *)
-            | Some o -> (
-              match t.verdict, o.verdict with
+            | Some v -> (
+              match t.verdict, v with
               | Aitia.Causality.Root_cause, Hypervisor.Controller.Completed
                 ->
                 true
