@@ -124,6 +124,12 @@ let table1 () =
 
 (* --- Tables 2 and 3 -------------------------------------------------------- *)
 
+(* LIFS schedules as executed, plus derived (trace-equivalent) ones. *)
+let lifs_schedules (s : Aitia.Lifs.stats) =
+  match s.trace_equivalent with
+  | 0 -> string_of_int s.schedules
+  | d -> Printf.sprintf "%d+%d" s.schedules d
+
 let row2 (bug : Bugs.Bug.t) =
   let r = report_of bug in
   let ca_scheds, ca_sim =
@@ -140,14 +146,14 @@ let row2 (bug : Bugs.Bug.t) =
     | None -> (0.0, 0, 0, 0.0, 0)
   in
   pr
-    "%-18s %-14s | %7.1f %6d %5d | %7.1f %6d | (paper: %.0fs %d %d | %.0fs \
+    "%-18s %-14s | %7.1f %9s %5d | %7.1f %6d | (paper: %.0fs %d %d | %.0fs \
      %d)@."
-    bug.id bug.subsystem r.lifs.stats.simulated r.lifs.stats.schedules
+    bug.id bug.subsystem r.lifs.stats.simulated (lifs_schedules r.lifs.stats)
     r.lifs.stats.interleavings ca_sim ca_scheds p_lt p_ls p_i p_ct p_cs
 
 let table2 () =
   section "Table 2: CVEs (LIFS sim-time/#sched/inter | CA sim-time/#sched)";
-  pr "%-18s %-14s | %7s %6s %5s | %7s %6s@." "bug" "subsystem" "lifs(s)"
+  pr "%-18s %-14s | %7s %9s %5s | %7s %6s@." "bug" "subsystem" "lifs(s)"
     "#sched" "inter" "ca(s)" "#sched";
   List.iter row2 Bugs.Registry.cves
 
@@ -418,8 +424,8 @@ let ablation_dpor () =
         in
         let with_ = search ~prune:true in
         let without = search ~prune:false in
-        pr "%-18s %14d %14d %8d@." bug.id with_.stats.schedules
-          without.stats.schedules with_.stats.pruned)
+        pr "%-18s %14s %14s %8d@." bug.id (lifs_schedules with_.stats)
+          (lifs_schedules without.stats) with_.stats.pruned)
     [ Bugs.Cve_2017_15649.bug; Bugs.Cve_2017_7533.bug;
       Bugs.Syz_06_bpf_gpf.bug ]
 
@@ -632,8 +638,10 @@ let analysis () =
       let speedup =
         if hs = 0 then 1.0 else float_of_int ps /. float_of_int hs
       in
-      pr "%-18s %6d %8d %7.2f | %9d %9d %7d %6.2fx@." bug.id stats.n_pairs
-        stats.n_guarded stats.pruning_ratio ps hs
+      pr "%-18s %6d %8d %7.2f | %9s %9s %7d %6.2fx@." bug.id stats.n_pairs
+        stats.n_guarded stats.pruning_ratio
+        (lifs_schedules plain.lifs.stats)
+        (lifs_schedules hinted.lifs.stats)
         hinted.lifs.stats.static_pruned speedup;
       let open Telemetry.Json in
       rows :=
@@ -646,6 +654,9 @@ let analysis () =
             ("pruning_ratio", float stats.pruning_ratio);
             ("plain_schedules", int ps);
             ("hinted_schedules", int hs);
+            ("plain_trace_equivalent", int plain.lifs.stats.trace_equivalent);
+            ("hinted_trace_equivalent",
+             int hinted.lifs.stats.trace_equivalent);
             ("static_pruned", int hinted.lifs.stats.static_pruned);
             ("speedup", float speedup);
             ("plain_reproduced", bool (Aitia.Diagnose.reproduced plain));

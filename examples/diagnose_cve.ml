@@ -30,10 +30,10 @@ let () =
     Aitia.Lifs.search ~prologue vm ~target:(Trace.Crash.matches crash) ()
   in
   Fmt.pr
-    "@.[reproducing] %d schedules run, %d pruned as equivalent, \
-     interleaving count %d, %.1f simulated s@."
-    lifs.stats.schedules lifs.stats.pruned lifs.stats.interleavings
-    lifs.stats.simulated;
+    "@.[reproducing] %d schedules run, %d derived as trace-equivalent, %d \
+     pruned as equivalent, interleaving count %d, %.1f simulated s@."
+    lifs.stats.schedules lifs.stats.trace_equivalent lifs.stats.pruned
+    lifs.stats.interleavings lifs.stats.simulated;
   let success =
     match lifs.found with
     | Some s -> s

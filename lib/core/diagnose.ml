@@ -81,7 +81,7 @@ let empty_lifs_result () : Lifs.result =
   { found = None;
     stats = { schedules = 0; pruned = 0; static_pruned = 0;
               invariant_pruned = 0; gain_reorderings = 0;
-              interleavings = 0; simulated = 0.;
+              trace_equivalent = 0; interleavings = 0; simulated = 0.;
               executed_instrs = 0 };
     runs = [] }
 
@@ -140,8 +140,7 @@ let tested_of_flip (keyed : (string * Race.t) list) (fl : Journal.flip) :
 let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
     ?(order = (`Fixed : Lifs.order)) ?snapshot_cache:_
     ?(slice_order = `Nearest_first) ?faults ?resilience:rpolicy ?journal
-    ?(engine = Ksim.Engine.default) ?(on_run = fun ~slice:_ _ _ -> ())
-    (case : case) : report =
+    ?(engine = Ksim.Engine.default) ?on_run (case : case) : report =
   Telemetry.Probe.with_span ~cat:"diagnose" "diagnose"
     ~args:[ ("case", case.case_name) ]
   @@ fun () ->
@@ -333,7 +332,8 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
           let lifs =
             Lifs.search ?max_interleavings ?max_steps ~prologue
               ?static_hints:hints ?invariants ?focus ~order ?resilience
-              ~on_run:(on_run ~slice:tried) lifs_vm ~target ()
+              ?on_run:(Option.map (fun f -> f ~slice:tried) on_run)
+              lifs_vm ~target ()
           in
           match lifs.found with
           | None ->

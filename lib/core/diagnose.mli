@@ -110,4 +110,6 @@ val diagnose :
     [on_run] is {!Lifs.search}'s hook on every slice attempt's search:
     [slice] numbers the realized attempts from 0, so a reproducing
     report's runs are those with [slice = slices_tried - 1].  A slice
-    replayed from the journal runs no search and reports no run. *)
+    replayed from the journal runs no search and reports no run.
+    Without [on_run] the trace-equivalent runs LIFS derives are never
+    stepped at all. *)

@@ -111,6 +111,7 @@ let lifs_json (l : Lifs.stats) =
       ("static_pruned", J.int l.static_pruned);
       ("invariant_pruned", J.int l.invariant_pruned);
       ("gain_reorderings", J.int l.gain_reorderings);
+      ("trace_equivalent", J.int l.trace_equivalent);
       ("interleavings", J.int l.interleavings);
       ("simulated", J.float l.simulated);
       ("executed_instrs", J.int l.executed_instrs) ]
@@ -237,8 +238,9 @@ let flip_of_json j : flip =
     f_disappeared = get_strs "disappeared" j;
     f_confidence = get_num "confidence" j }
 
-(* Absent in journals written before the invariant/gain counters were
-   added; such runs executed without them, so zero is exact. *)
+(* Absent in journals written before the invariant/gain/trace-equivalent
+   counters were added; such runs executed without them, so zero is
+   exact. *)
 let get_int_opt k j =
   match Option.bind (J.member k j) J.to_num with
   | Some f -> int_of_float f
@@ -250,6 +252,7 @@ let lifs_of_json j : Lifs.stats =
     static_pruned = get_int "static_pruned" j;
     invariant_pruned = get_int_opt "invariant_pruned" j;
     gain_reorderings = get_int_opt "gain_reorderings" j;
+    trace_equivalent = get_int_opt "trace_equivalent" j;
     interleavings = get_int "interleavings" j;
     simulated = get_num "simulated" j;
     executed_instrs = get_int "executed_instrs" j }

@@ -17,11 +17,18 @@
    target — are pruned and counted, mirroring the partial-order-reduction
    skips of Figure 5.
 
+   In the breadth-first phases an extension whose new preemption
+   reorders no conflicting pair of a completed parent's trace is that
+   trace in another order (one concurrent trace, in the sense of
+   causality-based model checking): it is admitted like any candidate,
+   but its run is derived from the parent's recording instead of
+   executed, and counted as trace-equivalent.
+
    Every candidate, in either order, goes through one function: the
-   admission check, the run on the search's VM, and the accounting.  A
-   frontier is walked in order and the gain queue popped one candidate
-   at a time, each step after the previous run was accounted, and the
-   walk ends at the reproduction.
+   admission check, the run on the search's VM (or the derivation), and
+   the accounting.  A frontier is walked in order and the gain queue
+   popped one candidate at a time, each step after the previous run was
+   accounted, and the walk ends at the reproduction.
 
    The search keeps each executed run only as its schedule and its
    step sequence ({!Controller.recording}): what it needs of a run is
@@ -50,6 +57,8 @@ type stats = {
                              (error-invariant relevance closure) *)
   gain_reorderings : int; (* times the gain scheduler popped a candidate
                              out of discovery order *)
+  trace_equivalent : int; (* admitted candidates derived from their
+                             parent's run instead of run *)
   interleavings : int;    (* interleaving count of the failing schedule *)
   simulated : float;      (* modeled guest seconds (Vm cost model) *)
   executed_instrs : int;  (* instructions executed *)
@@ -147,6 +156,104 @@ let extension_start (sched : Schedule.preemption)
    pass. *)
 let neutral_rank = 3
 
+(* A candidate schedule, with its equivalence signature, static rank and
+   preemption site key; [derivable] is [Some (parent, at, u)] when the
+   run needs no execution: it is the parent's recorded run with thread
+   [u]'s steps after the first [at] moved up to step [at]
+   ({!Controller.derive}). *)
+type candidate = {
+  equiv_sig : string;
+  rank : int;
+  site : string;
+  sched : Schedule.preemption;
+  derivable : (Controller.recording * int * int) option;
+}
+
+(* May this step overtake other threads' steps whenever its access
+   conflicts with none of theirs?  Lock operations, spawns and heap
+   lifetime events (alloc, free) may not: they change which threads can
+   step, the run queue, or object identities, none of which an access
+   conflict shows. *)
+let movable (e : Ksim.Machine.event) =
+  e.spawned = [] && e.lock_op = None
+  &&
+  match e.instr with
+  | Ksim.Instr.Alloc _ | Ksim.Instr.Free _ | Ksim.Instr.Lock _
+  | Ksim.Instr.Unlock _ | Ksim.Instr.Queue_work _ | Ksim.Instr.Call_rcu _
+  | Ksim.Instr.Arm_timer _ | Ksim.Instr.Enable_irq _ ->
+    false
+  | _ -> true
+
+(* One backward pass over a trace, down to index [start]: for every
+   thread [u], the earliest index [i >= start] such that running all of
+   [u]'s steps after [i] right after step [i] reorders no conflicting
+   pair (two accesses to overlapping addresses, at least one a write)
+   and moves no step that is not {!movable}; [start - 1] when every
+   such index qualifies.  Walking back from the end, each address
+   collects the threads whose later steps read or write it, as bit
+   masks (and each object the threads accessing its fields, which a
+   free of the whole object overlaps); a step of another thread that
+   conflicts with them, or an unmovable step of [u] itself, fixes [u]'s
+   threshold at its own index.  Both conditions only get harder as [i]
+   falls, so the threshold is exact.  Thread ids must fit the masks:
+   with more threads nothing is derivable. *)
+let derive_thresholds ~start n_threads (trace : Ksim.Machine.event list) =
+  let n = List.length trace in
+  if n_threads >= Sys.int_size then Array.make n_threads n
+  else
+    let thr = Array.make n_threads (start - 1) in
+    let open_ = ref ((1 lsl n_threads) - 1) in
+    (* readers, writers *)
+    let later : (Ksim.Addr.t, int * int) Hashtbl.t = Hashtbl.create 64 in
+    let fields : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
+    let masks tbl k = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl k) in
+    let against w (r, wr) = if w then r lor wr else wr in
+    let note tbl k w bit =
+      let r, wr = masks tbl k in
+      Hashtbl.replace tbl k (if w then (r, wr lor bit) else (r lor bit, wr))
+    in
+    let close mask i =
+      for u = 0 to n_threads - 1 do
+        if mask land (1 lsl u) <> 0 then thr.(u) <- i
+      done;
+      open_ := !open_ land lnot mask
+    in
+    (* positions past [start] only: a switch is never placed earlier *)
+    let rec walk i = function
+      | (e : Ksim.Machine.event) :: rest when i > start ->
+        let bit = 1 lsl e.iid.Iid.tid in
+        (match e.access with
+        | Some a ->
+          let w = Ksim.Access.is_write a in
+          let hit =
+            against w (masks later a.addr)
+            lor
+            match a.addr with
+            | Ksim.Addr.Whole o -> against w (masks fields o)
+            | Ksim.Addr.Field (o, _) | Ksim.Addr.Index (o, _) ->
+              against w (masks later (Ksim.Addr.Whole o))
+            | Ksim.Addr.Global _ -> 0
+          in
+          close (hit land !open_ land lnot bit) i
+        | None -> ());
+        if !open_ land bit <> 0 then
+          if not (movable e) then close bit i
+          else (
+            match e.access with
+            | Some a -> (
+              let w = Ksim.Access.is_write a in
+              note later a.addr w bit;
+              match a.addr with
+              | Ksim.Addr.Field (o, _) | Ksim.Addr.Index (o, _) ->
+                note fields o w bit
+              | Ksim.Addr.Global _ | Ksim.Addr.Whole _ -> ())
+            | None -> ());
+        walk (i - 1) rest
+      | _ -> ()
+    in
+    walk (n - 1) (List.rev trace);
+    thr
+
 (* May this event move across the switch target's execution without
    changing the failure predicate?  Thread-local control (assigns,
    branches, gotos, returns, nops) always may: registers are private,
@@ -172,9 +279,9 @@ let displaceable rel (e : Ksim.Machine.event) =
        (match a.addr with Ksim.Addr.Global _ -> true | _ -> false)
        && not (Analysis.Absdom.mem_addr rel a.addr))
 
-let extensions ~db ~n_top ~prologue ?hints ?invariants ?shared
+let extensions ~db ~n_top ~prologue ?hints ?invariants ?shared ?derive
     (sched : Schedule.preemption) (outcome : Controller.outcome) :
-    (string * int * string * Schedule.preemption) list * int * int =
+    candidate list * int * int =
   let final = outcome.final in
   let trace = outcome.trace in
   let start = extension_start sched trace in
@@ -190,15 +297,51 @@ let extensions ~db ~n_top ~prologue ?hints ?invariants ?shared
   let finished = Array.init n_threads (Ksim.Machine.is_done final) in
   let last = Array.make n_threads (-1) in
   let spawned_at = Array.make n_threads max_int in
+  (* Spawns by a thread that already had a child, newest first, as
+     (trace index, spawner): see [derivable]. *)
+  let has_child = Array.make n_threads false in
+  let sibling_spawns = ref [] in
   List.iteri
     (fun i (e : Ksim.Machine.event) ->
-      last.(e.iid.Iid.tid) <- i;
+      let t = e.iid.Iid.tid in
+      last.(t) <- i;
+      if e.spawned <> [] then (
+        if has_child.(t) then sibling_spawns := (i, t) :: !sibling_spawns;
+        has_child.(t) <- true);
       List.iter
         (fun (t, _) -> if spawned_at.(t) = max_int then spawned_at.(t) <- i)
         e.spawned)
     trace;
   let exists_by u i = u < n_top || spawned_at.(u) <= i in
   let done_by u i = finished.(u) && last.(u) <= i in
+  (* Trace-equivalent candidates, given the parent's recording [derive]
+     of a completed run.  Switching to [u] after step [i] lets [u] run
+     to the end: its moved steps take no lock, so it never blocks, and
+     spawn nothing.  When they also reorder no conflicting pair, every
+     thread reads what it read in the parent, and the other threads then
+     run as they did there, in the order of the run queue with [u] moved
+     to its front.  That order is the parent's, save for a spawn after
+     [i]: the policy inserts a new thread after its spawner and the
+     spawner's children that directly follow it, so in the parent a [u]
+     standing between the spawner and an older child stops that scan
+     early.  A spawn after [i] by a thread that already had a child
+     therefore rules the candidate out, unless [u] is one of that
+     thread's children (the scan passes it either way). *)
+  let derivable =
+    match derive with
+    | Some parent when outcome.verdict = Controller.Completed ->
+      let thr = derive_thresholds ~start n_threads trace in
+      fun i u ->
+        if
+          finished.(u) && last.(u) > i && i >= thr.(u)
+          && List.for_all
+               (fun (k, p) ->
+                 k <= i || Ksim.Machine.thread_parent final u = Some p)
+               !sibling_spawns
+        then Some (parent, i + 1, u)
+        else None
+    | Some _ | None -> fun _ _ -> None
+  in
   let out = ref [] in
   let static_skips = ref 0 in
   let invariant_skips = ref 0 in
@@ -320,20 +463,20 @@ let extensions ~db ~n_top ~prologue ?hints ?invariants ?shared
                       else if
                         shared = None || once ("c" ^ equiv_sig)
                       then
-                        let site_key =
-                          site.Ksim.Kcov.site_thread ^ ":"
-                          ^ site.Ksim.Kcov.site_label
-                        in
                         out :=
-                          ( equiv_sig,
-                            rank,
-                            site_key,
-                            { sched with
-                              Schedule.switches =
-                                sched.Schedule.switches
-                                @ [ { Schedule.after = e.iid; switch_to = u }
-                                  ]
-                            } )
+                          { equiv_sig;
+                            rank;
+                            site =
+                              site.Ksim.Kcov.site_thread ^ ":"
+                              ^ site.Ksim.Kcov.site_label;
+                            sched =
+                              { sched with
+                                Schedule.switches =
+                                  sched.Schedule.switches
+                                  @ [ { Schedule.after = e.iid;
+                                        switch_to = u } ]
+                              };
+                            derivable = derivable i u }
                           :: !out))
               all_tids)
     trace;
@@ -349,8 +492,7 @@ let signature (sched : Schedule.preemption) = Schedule.preemption_key sched
 type item = {
   it_seq : int;  (* discovery order; the tie-breaker *)
   it_gain : [ `Serial of int | `Ext of int * int * string ];
-  it_sig : string;  (* equivalence signature *)
-  it_sched : Schedule.preemption;
+  it_cand : candidate;
 }
 
 (* [prune] disables the DPOR-style equivalence pruning when false — the
@@ -358,8 +500,7 @@ type item = {
    search runs without it. *)
 let search ?(max_interleavings = default_max_interleavings) ?max_steps
     ?(prologue = []) ?(prune = true) ?static_hints ?invariants ?focus
-    ?(order = (`Fixed : order)) ?resilience
-    ?(on_run = fun _ _ -> ()) (vm : Hypervisor.Vm.t)
+    ?(order = (`Fixed : order)) ?resilience ?on_run (vm : Hypervisor.Vm.t)
     ~(target : Ksim.Failure.t -> bool) () : result =
   Telemetry.Probe.span_begin ~cat:"lifs" "lifs.search";
   let group = Hypervisor.Vm.group vm in
@@ -374,6 +515,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
   let static_pruned = ref 0 in
   let invariant_pruned = ref 0 in
   let reorderings = ref 0 in
+  let trace_equivalent = ref 0 in
   let executed = ref [] in  (* (sched, recording) newest first *)
   let found = ref None in
   let runs_before = Hypervisor.Vm.runs vm in
@@ -385,6 +527,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
         static_pruned = !static_pruned;
         invariant_pruned = !invariant_pruned;
         gain_reorderings = !reorderings;
+        trace_equivalent = !trace_equivalent;
         interleavings;
         simulated = Hypervisor.Vm.simulated_seconds vm;
         executed_instrs = Hypervisor.Vm.executed_steps vm - instrs_before }
@@ -397,6 +540,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
         `Lifs_invariant;
       Telemetry.Probe.count ~by:stats.gain_reorderings
         "lifs.gain_reorderings";
+      Telemetry.Probe.count ~by:stats.trace_equivalent "lifs.trace_equivalent";
       if found <> None then Telemetry.Probe.count "lifs.reproduced";
       Telemetry.Probe.span_end
         ~args:
@@ -412,12 +556,9 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
   (* An executed run's trace and final machine, re-derived on a fresh
      boot of the VM's own engine and group: no VM run, no fault draw, no
      VM accounting. *)
+  let boot () = Ksim.Engine.boot (Hypervisor.Vm.engine vm) group in
   let replay recording =
-    let o =
-      Controller.replay
-        (Ksim.Engine.boot (Hypervisor.Vm.engine vm) group)
-        recording
-    in
+    let o = Controller.replay (boot ()) recording in
     Telemetry.Probe.count "lifs.replayed_runs";
     Telemetry.Probe.count ~by:o.steps "lifs.replayed_steps";
     o
@@ -427,25 +568,43 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
      an admitted one when [prune]; a skip is counted.  An admitted
      candidate runs, feeds the database, [on_run] and the run list, and
      the first run failing as reported is the reproduction.  Returns the
-     run. *)
-  let try_candidate equiv_sig sched =
-    let key = signature sched in
-    if Hashtbl.mem seen key || (prune && Hashtbl.mem seen equiv_sig) then (
+     run.
+
+     A derivable candidate is admitted the same way but not run: its
+     recording is rearranged from its parent's, it joins the run list
+     (later phases extend it like any run) and is counted as
+     trace-equivalent.  Its run completes, as its parent's did, and
+     accesses what the parent's accessed, so it can neither reproduce
+     nor teach the database anything.  [on_run], when given, sees it
+     through an uncounted replay. *)
+  let try_candidate (c : candidate) =
+    let key = signature c.sched in
+    if Hashtbl.mem seen key || (prune && Hashtbl.mem seen c.equiv_sig) then (
       incr pruned;
       None)
     else (
       Hashtbl.add seen key ();
-      if prune then Hashtbl.add seen equiv_sig ();
-      let r =
-        Executor.run_preemption ?max_steps ~prologue ?resilience vm sched
-      in
-      Executor.learn db r;
-      on_run sched r.outcome;
-      executed := (sched, Controller.record r.outcome) :: !executed;
-      (match Executor.failed r with
-      | Some f when target f -> found := Some (sched, r.outcome, f)
-      | Some _ | None -> ());
-      Some r)
+      if prune then Hashtbl.add seen c.equiv_sig ();
+      match c.derivable with
+      | Some (parent, at, tid) ->
+        let recording = Controller.derive parent ~at ~tid in
+        incr trace_equivalent;
+        Option.iter
+          (fun f -> f c.sched (Controller.replay (boot ()) recording))
+          on_run;
+        executed := (c.sched, recording) :: !executed;
+        None
+      | None ->
+        let r =
+          Executor.run_preemption ?max_steps ~prologue ?resilience vm c.sched
+        in
+        Executor.learn db r;
+        Option.iter (fun f -> f c.sched r.outcome) on_run;
+        executed := (c.sched, Controller.record r.outcome) :: !executed;
+        (match Executor.failed r with
+        | Some f when target f -> found := Some (c.sched, r.outcome, f)
+        | Some _ | None -> ());
+        Some r)
   in
   let success sched (outcome : Controller.outcome) failure =
     let races =
@@ -468,9 +627,18 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
     { schedule = sched; outcome; failure; races }
   in
   (* Phase 0: serial executions. *)
+  let serial_candidate o =
+    let sched = Schedule.serial o in
+    { equiv_sig = Schedule.preemption_key sched; rank = neutral_rank;
+      site = ""; sched; derivable = None }
+  in
   let serial_orders = permutations interesting in
-  let rec run_phase
-      (frontier : (string * int * string * Schedule.preemption) list) k =
+  (* Derivation serves the breadth-first phases only: the gain order
+     extends each run right after it, so a derived run would be replayed
+     at once.  An armed fault injector draws per run, so every candidate
+     runs under it. *)
+  let derive_on = Hypervisor.Vm.faults vm = None in
+  let rec run_phase (frontier : candidate list) k =
     (* With static hints the frontier is visited Unguarded-first — the
        stable sort keeps the hint-free discovery order within each rank,
        so a hint table that ranks everything equally changes nothing. *)
@@ -478,9 +646,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
       match static_hints with
       | None -> frontier
       | Some _ ->
-        List.stable_sort
-          (fun (_, ra, _, _) (_, rb, _, _) -> compare ra rb)
-          frontier
+        List.stable_sort (fun a b -> compare a.rank b.rank) frontier
     in
     Telemetry.Probe.span_begin ~cat:"lifs" "lifs.phase";
     Telemetry.Probe.observe "lifs.frontier_size"
@@ -489,8 +655,8 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
        is keyed or run. *)
     let rec walk = function
       | [] -> ()
-      | (equiv_sig, _rank, _site, sched) :: rest ->
-        ignore (try_candidate equiv_sig sched : Executor.run option);
+      | c :: rest ->
+        ignore (try_candidate c : Executor.run option);
         if !found = None then walk rest
     in
     walk frontier;
@@ -530,7 +696,9 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
                 (fun (s, recording) ->
                   let cands, skips, inv_skips =
                     extensions ~db ~n_top ~prologue ?hints:static_hints
-                      ?invariants s (replay recording)
+                      ?invariants
+                      ?derive:(if derive_on then Some recording else None)
+                      s (replay recording)
                   in
                   static_pruned := !static_pruned + skips;
                   invariant_pruned := !invariant_pruned + inv_skips;
@@ -554,10 +722,10 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
     let site_runs : (string, int) Hashtbl.t = Hashtbl.create 32 in
     let shared : (string, unit) Hashtbl.t = Hashtbl.create 256 in
     let pending = ref [] in
-    let push it_gain it_sig it_sched =
+    let push it_gain it_cand =
       let s = !seqno in
       incr seqno;
-      pending := { it_seq = s; it_gain; it_sig; it_sched } :: !pending
+      pending := { it_seq = s; it_gain; it_cand } :: !pending
     in
     (* Focus: the serial orders that start with the thread holding the
        reported crash site come first.  The failing thread must be the
@@ -578,8 +746,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
     in
     List.iteri
       (fun i o ->
-        let s = Schedule.serial o in
-        push (`Serial i) (Schedule.preemption_key s) s)
+        push (`Serial i) (serial_candidate o))
       serial_orders;
     (* Extend an executed run with the database as known now.  Called
        right after the run itself, and again on every executed run each
@@ -600,10 +767,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
         in
         static_pruned := !static_pruned + skips;
         invariant_pruned := !invariant_pruned + inv_skips;
-        List.iter
-          (fun (equiv_sig, rank, site, sched) ->
-            push (`Ext (rank, k + 1, site)) equiv_sig sched)
-          cands)
+        List.iter (fun c -> push (`Ext (c.rank, k + 1, c.site)) c) cands)
     in
     let gain it =
       match it.it_gain with
@@ -637,7 +801,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
       match pop () with
       | None -> ()
       | Some it ->
-        (match try_candidate it.it_sig it.it_sched with
+        (match try_candidate it.it_cand with
         | None -> ()
         | Some (r : Executor.run) -> (
           (match it.it_gain with
@@ -655,7 +819,7 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
                 (fun (s, recording) -> extend s (fun () -> replay recording))
                 (List.rev (List.tl !executed))
             | `Ext _ -> ());
-            extend it.it_sched (fun () -> r.outcome))));
+            extend it.it_cand.sched (fun () -> r.outcome))));
         if !found = None then loop ()
     in
     loop ();
@@ -672,13 +836,4 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
   in
   match order with
   | `Gain -> run_gain ()
-  | `Fixed ->
-    run_phase
-      (List.map
-         (fun o ->
-           ( Schedule.preemption_key (Schedule.serial o),
-             neutral_rank,
-             "",
-             Schedule.serial o ))
-         serial_orders)
-      0
+  | `Fixed -> run_phase (List.map serial_candidate serial_orders) 0

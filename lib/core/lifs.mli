@@ -1,8 +1,9 @@
 (** Least Interleaving First Search (§3.3): reproduce a reported failure
     by exploring interleavings of conflicting instructions, fewest
-    preemptions first, with DPOR-style pruning of equivalent extensions
-    and on-the-fly discovery of accesses revealed by race-steered
-    control flows. *)
+    preemptions first, with DPOR-style pruning of equivalent extensions,
+    on-the-fly discovery of accesses revealed by race-steered control
+    flows, and trace-equivalent extensions derived from their parent's
+    run instead of run. *)
 
 type stats = {
   schedules : int;      (** runs actually executed *)
@@ -13,6 +14,9 @@ type stats = {
           influence the failure predicate (relevance closure) *)
   gain_reorderings : int;
       (** candidates the gain scheduler popped out of discovery order *)
+  trace_equivalent : int;
+      (** admitted candidates derived, not run: [schedules +
+          trace_equivalent] is the number of runs the search explored *)
   interleavings : int;  (** interleaving count of the failing schedule *)
   simulated : float;    (** modeled guest seconds (Vm cost model) *)
   executed_instrs : int;  (** instructions executed *)
@@ -84,15 +88,32 @@ val search :
     to reproduce decay.  [focus] (the thread holding the reported crash
     site) runs the serial orders starting with that thread first.
 
-    Every candidate runs on [vm], one at a time and in order, and the
-    search ends at the first run whose failure satisfies [target]:
-    nothing past it is run.  [on_run] sees every executed run, in
-    order, right after it ran (the reproducing run last); it is the
-    only way to see the runs that did not reproduce.  The search itself
-    keeps each run only as its schedule and step sequence, and
-    re-derives a parent's trace by re-stepping it when extending it
-    (counted in [lifs.replayed_runs] and [lifs.replayed_steps]; no VM
-    run, fault draw or VM accounting).
+    Every admitted candidate runs on [vm], one at a time and in order,
+    and the search ends at the first run whose failure satisfies
+    [target]: nothing past it is run.  The breadth-first order without
+    an armed fault injector derives some candidates instead: one whose
+    parent completed and whose new preemption hands the CPU to a thread
+    [u] that then runs to its end reorders no conflicting pair when
+    none of [u]'s moved steps is a lock operation, spawn, alloc or free
+    and none conflicts with a step it overtakes; it must also leave the
+    run queue's later insertions as they were (no later spawn by a
+    thread that already had a child, unless [u] is one).  Its run is the
+    parent's with [u]'s steps moved ({!Hypervisor.Controller.derive}):
+    it completes and teaches the access database nothing, so it is
+    admitted, keyed and extended like a run, counted in
+    [trace_equivalent] and [lifs.trace_equivalent], and never stepped
+    on [vm].  The explored set, the reproducing run and every chain
+    are those of running every candidate.
+
+    [on_run] sees every explored run, in order, right after it was
+    admitted (the reproducing run last); it is the only way to see the
+    runs that did not reproduce.  A derived run reaches it through an
+    uncounted {!Hypervisor.Controller.replay}, so without [on_run] a
+    derived run is never stepped.  The search itself keeps each run
+    only as its schedule and step sequence, and re-derives a parent's
+    trace by re-stepping it when extending it (counted in
+    [lifs.replayed_runs] and [lifs.replayed_steps]; no VM run, fault
+    draw or VM accounting).
 
     [resilience] supplies the retry/quorum policy when the VM
     injects faults; without faults it changes nothing. *)

@@ -3,9 +3,11 @@
 
 let pp_lifs_stats ppf (s : Lifs.stats) =
   Fmt.pf ppf
-    "LIFS: %d schedule(s), %d pruned%a%a%a, interleaving count %d, %.1f \
+    "LIFS: %d schedule(s)%a, %d pruned%a%a%a, interleaving count %d, %.1f \
      simulated s"
-    s.schedules s.pruned
+    s.schedules
+    (fun ppf n -> if n > 0 then Fmt.pf ppf " (+%d trace-equivalent)" n)
+    s.trace_equivalent s.pruned
     (fun ppf n ->
       if n > 0 then Fmt.pf ppf " (+%d statically guarded)" n)
     s.static_pruned

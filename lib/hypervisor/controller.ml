@@ -155,6 +155,36 @@ let replay (m : Ksim.Machine.t) (r : recording) : outcome =
   let max_steps = r.rec_steps + if r.failed_final then 1 else 0 in
   { (run_loop ~max_steps m policy) with verdict = r.rec_verdict }
 
+(* The recording of the run that switches to [tid] after the first [at]
+   steps of [r]'s run and lets it finish there: [tid]'s later steps move
+   up to step [at], every other step keeps its order.  Pairs are merged
+   as they are emitted, so the result is as [record] would encode the
+   run.  The step count, verdict and final failure are [r]'s: the caller
+   vouches that the moved steps commute with the ones they overtake. *)
+let derive (r : recording) ~at ~tid : recording =
+  let out = ref [] in  (* [n; t] pairs, newest first *)
+  let push t n =
+    if n > 0 then
+      match !out with
+      | n' :: t' :: rest when t' = t -> out := (n' + n) :: t :: rest
+      | l -> out := n :: t :: l
+  in
+  let moved = ref 0 and stepped = ref 0 in
+  let later = ref [] in  (* the other threads' steps after [at], newest first *)
+  let pairs = Array.length r.tids / 2 in
+  for p = 0 to pairs - 1 do
+    let t = r.tids.(2 * p) and n = r.tids.((2 * p) + 1) in
+    let before = max 0 (min n (at - !stepped)) in
+    stepped := !stepped + n;
+    push t before;
+    let after = n - before in
+    if after > 0 then
+      if t = tid then moved := !moved + after else later := (t, after) :: !later
+  done;
+  push tid !moved;
+  List.iter (fun (t, n) -> push t n) (List.rev !later);
+  { r with tids = Array.of_list (List.rev !out) }
+
 (* One span per enforced schedule, plus the step-loop counters
    (instructions stepped, context switches — our breakpoint hits).  The
    counters are derived after the run from the outcome, so the disabled

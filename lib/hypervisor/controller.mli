@@ -58,6 +58,16 @@ val replay : Ksim.Machine.t -> recording -> outcome
     the verdict is the one the run reported.  Uninstrumented: no span
     and no counter, as the run was accounted when it executed. *)
 
+val derive : recording -> at:int -> tid:int -> recording
+(** [derive r ~at ~tid] rearranges [r]'s steps without running them:
+    the first [at] steps stay, then come all of thread [tid]'s later
+    steps, then everyone else's later steps in their recorded order.
+    It is the recording of the run that preempts the thread of step
+    [at] for [tid] and lets [tid] finish, whenever [tid]'s moved steps
+    are no lock operation, spawn or heap lifetime event, reorder no
+    conflicting access, and moving [tid] changes no later run-queue
+    insertion (LIFS checks all three on the parent's trace).  Step
+    count, verdict and final failure are [r]'s. *)
 
 val context_switches : Ksim.Machine.event list -> int
 (** Context switches of a trace — the scheduling analogue of the

@@ -91,7 +91,9 @@ let test_lifs_discovers_kthread_dynamically () =
     checkb "three contexts in failing run" true (List.length tids >= 3)
 
 (* The search runs one candidate at a time and ends at the reproduction:
-   the failing schedule is the last run, in either order. *)
+   the failing schedule is the last run, in either order.  [on_run] sees
+   every explored run, the derived ones too; only the executed ones run
+   on the VM. *)
 let test_lifs_stops_at_reproduction () =
   List.iter
     (fun order ->
@@ -105,11 +107,48 @@ let test_lifs_stops_at_reproduction () =
              (Hypervisor.Schedule.preemption_key last)
              (Hypervisor.Schedule.preemption_key s.schedule));
         checkb "with its own outcome" true (o == s.outcome);
-        checki "every run is seen" result.stats.schedules
+        checki "every run is seen"
+          (result.stats.schedules + result.stats.trace_equivalent)
           (List.length !seen);
-        checki "and on the VM" result.stats.schedules (Hypervisor.Vm.runs vm)
+        checki "executed runs on the VM" result.stats.schedules
+          (Hypervisor.Vm.runs vm);
+        checkb "backward order derives runs" (order = `Fixed)
+          (result.stats.trace_equivalent > 0)
       | _ -> Alcotest.fail "cve-2017-15649 not reproduced")
     [ `Fixed; `Gain ]
+
+(* Deriving trace-equivalent runs changes what runs, not what is
+   explored: an armed injector that never fires runs every candidate,
+   and against it the default search of every case reproduces with the
+   same schedule and chain, exploring as many runs as it executes. *)
+let test_lifs_derivation_explores_the_same () =
+  let zero =
+    match Hypervisor.Faults.spec_of_string "rate=0" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (bug : Bugs.Bug.t) ->
+      let run ?faults () =
+        Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+          ?faults (bug.case ())
+      in
+      let derived = run () in
+      let executed = run ~faults:(Hypervisor.Faults.create zero) () in
+      Alcotest.(check string) (bug.id ^ ": chain") (chain_string executed)
+        (chain_string derived);
+      (match (derived.lifs.found, executed.lifs.found) with
+      | Some d, Some e ->
+        Alcotest.(check string) (bug.id ^ ": reproducing schedule")
+          (Hypervisor.Schedule.preemption_key e.schedule)
+          (Hypervisor.Schedule.preemption_key d.schedule)
+      | None, None -> ()
+      | _ -> Alcotest.failf "%s: reproduction differs" bug.id);
+      checki (bug.id ^ ": nothing derived under the injector") 0
+        executed.lifs.stats.trace_equivalent;
+      checki (bug.id ^ ": explored runs") executed.lifs.stats.schedules
+        (derived.lifs.stats.schedules + derived.lifs.stats.trace_equivalent))
+    Bugs.Registry.all
 
 (* The search keeps no outcome but the reproducing one: every other run
    handed to [on_run] is garbage once the search returns, and [runs]
@@ -755,6 +794,8 @@ let () =
             test_lifs_discovers_kthread_dynamically;
           Alcotest.test_case "stops at the reproduction" `Quick
             test_lifs_stops_at_reproduction;
+          Alcotest.test_case "derivation explores the same runs" `Quick
+            test_lifs_derivation_explores_the_same;
           Alcotest.test_case "retains only the reproduction" `Quick
             test_lifs_retains_only_the_reproduction ] );
       ( "replay parity",

@@ -396,11 +396,30 @@ let test_journal_files () =
                    "elapsed": 1.5, "complete": true}}]}}}|});
   (match Journal.load legacy with
   | Ok j ->
-    checkb "a journal with \"ca\".\"elapsed\" loads" true
-      (match Journal.find_case j "c" with
-      | Some { slices = [ Journal.Reproduced r ]; _ } ->
-        r.r_lifs.executed_instrs = 9 && r.r_ca_complete
-      | _ -> false)
+    (match Journal.find_case j "c" with
+    | Some { slices = [ Journal.Reproduced r ]; _ } ->
+      checkb "a journal with \"ca\".\"elapsed\" loads" true
+        (r.r_lifs.executed_instrs = 9 && r.r_ca_complete);
+      (* written before LIFS derived trace-equivalent runs: none were *)
+      checki "no \"trace_equivalent\" loads as 0" 0
+        r.r_lifs.trace_equivalent;
+      (* and the count survives a save and a load *)
+      Journal.set_case j "c"
+        { Journal.slices =
+            [ Journal.Reproduced
+                { r with r_lifs = { r.r_lifs with trace_equivalent = 424 } }
+            ];
+          complete = true };
+      Journal.save j;
+      (match Journal.load legacy with
+      | Ok j' -> (
+        match Journal.find_case j' "c" with
+        | Some { slices = [ Journal.Reproduced r' ]; _ } ->
+          checki "\"trace_equivalent\" reloads" 424
+            r'.r_lifs.trace_equivalent
+        | _ -> Alcotest.fail "saved journal lost its case")
+      | Error e -> Alcotest.failf "saved journal: %s" e)
+    | _ -> Alcotest.fail "legacy journal lost its case")
   | Error e -> Alcotest.failf "legacy journal: %s" e);
   Sys.remove legacy;
   (* A journal whose directory is missing is refused up front: an

@@ -7,7 +7,12 @@
    fingerprint, verdict, trace — for preemption and plan schedules; and,
    over the full bug corpus, that every reproducing schedule replays on
    a fresh VM and that the deprecated [snapshot_cache] flag of
-   [Diagnose.diagnose] changes no diagnosis. *)
+   [Diagnose.diagnose] changes no diagnosis.  Trace-equivalent
+   extensions: every run a LIFS search explores, whether executed or
+   derived from its parent's run without executing it, equals its
+   schedule's run on a fresh VM — over the corpus on both engines and
+   over generated programs; failing programs are appended to
+   derive_counterexamples.txt. *)
 
 open Ksim.Program.Build
 module Iid = Ksim.Access.Iid
@@ -393,9 +398,264 @@ let test_corpus_flag_ignored (bug : Bugs.Bug.t) () =
   | None, None -> ()
   | _ -> Alcotest.fail "the flag changed reproduction"
 
+(* --- trace-equivalent extensions ----------------------------------------- *)
+
+(* A derived recording replays to the run its schedule gives: in the
+   benign group's serial run, B's steps read and write only g0, which A
+   last wrote at its first step, so switching to B right after that step
+   moves B's whole run ahead of A's rest without reordering a conflict. *)
+let test_derive_unit () =
+  let group = benign_group () in
+  let parent = run_fresh group serial_sched in
+  let child = child_of parent ~index:0 ~switch_to:1 in
+  let derived =
+    Hypervisor.Controller.derive
+      (Hypervisor.Controller.record parent)
+      ~at:1 ~tid:1
+  in
+  let replayed =
+    Hypervisor.Controller.replay (Ksim.Engine.boot Ksim.Engine.default group)
+      derived
+  in
+  let ran = run_fresh group child in
+  checkb "the child preempts A" false
+    (List.for_all2 Iid.equal (iids_of parent) (iids_of ran));
+  checkb "derived recording replays to the child's run" true
+    (same_outcome replayed ran);
+  checkb "event for event" true (replayed.trace = ran.trace)
+
+let derive_counterexample_file = "derive_counterexamples.txt"
+
+let dump_derive_counterexample group reason =
+  let oc =
+    open_out_gen [ Open_append; Open_creat ] 0o644 derive_counterexample_file
+  in
+  output_string oc
+    (Fmt.str "=== trace-equivalence counterexample: %s@.%s@." reason
+       (Oracle_gen.render_group group));
+  close_out oc
+
+(* Every run LIFS hands to [on_run], executed or derived from its
+   parent, is the run its schedule gives: enforced again on a fresh VM
+   of the same engine and slice, the same trace event for event, the
+   same verdict and the same final machine.  A derived run is one the
+   search's VM did not run; each of its instructions must also access
+   what it accessed in the parent run (the schedule without its last
+   switch), since LIFS does not feed it to the access database.
+   [explored vm] checks the runs of one search on [vm] in order and
+   returns what differs, if anything; [derived] counts derived runs. *)
+let explored ~engine ~group ~prologue ~derived vm =
+  let runs = ref (Hypervisor.Vm.runs vm) in
+  let accesses = Hashtbl.create 64 in  (* schedule key -> sorted accesses *)
+  fun (sched : Schedule.preemption) (o : Hypervisor.Controller.outcome) ->
+    let was_derived = Hypervisor.Vm.runs vm = !runs in
+    runs := Hypervisor.Vm.runs vm;
+    if was_derived then incr derived;
+    let mine =
+      List.sort compare
+        (List.filter_map
+           (fun (e : Ksim.Machine.event) ->
+             Option.map
+               (fun (a : Ksim.Access.t) -> (e.iid, a.addr, a.kind))
+               e.access)
+           o.trace)
+    in
+    Hashtbl.replace accesses (Schedule.preemption_key sched) mine;
+    let parent_accesses () =
+      let rec drop_last = function
+        | [] | [ _ ] -> []
+        | x :: rest -> x :: drop_last rest
+      in
+      Hashtbl.find_opt accesses
+        (Schedule.preemption_key
+           { sched with Schedule.switches = drop_last sched.switches })
+    in
+    let again =
+      (Executor.run_preemption ~prologue (Hypervisor.Vm.create ~engine group)
+         sched)
+        .outcome
+    in
+    if again.verdict <> o.verdict then Some "verdict"
+    else if again.trace <> o.trace then Some "trace"
+    else if
+      not
+        (String.equal
+           (Ksim.Machine.fingerprint again.final)
+           (Ksim.Machine.fingerprint o.final))
+    then Some "final machine"
+    else if was_derived && parent_accesses () <> Some mine then
+      Some "access set"
+    else None
+
+(* The corpus, on one engine: every explored run of every slice search
+   up to the reproducing one, as [Diagnose.diagnose] tries them.  The
+   reproducing search explores [schedules + trace_equivalent] runs. *)
+let test_corpus_explored_runs ~engine () =
+  let derived = ref 0 in
+  List.iter
+    (fun (bug : Bugs.Bug.t) ->
+      let case = bug.case () in
+      let target = Trace.Crash.matches (Trace.History.crash case.history) in
+      let rec search = function
+        | [] -> ()
+        | (group, prologue) :: rest ->
+          let vm = Hypervisor.Vm.create ~engine group in
+          let n = ref 0 in
+          let check = explored ~engine ~group ~prologue ~derived vm in
+          let on_run sched o =
+            incr n;
+            match check sched o with
+            | None -> ()
+            | Some what ->
+              Alcotest.failf "%s run %d (%a): %s differs" bug.id !n
+                Schedule.pp_preemption sched what
+          in
+          let r =
+            Aitia.Lifs.search ?max_interleavings:bug.max_interleavings
+              ~prologue ~on_run vm ~target ()
+          in
+          checki (bug.id ^ ": explored runs")
+            (r.stats.schedules + r.stats.trace_equivalent)
+            !n;
+          checki (bug.id ^ ": VM runs") r.stats.schedules
+            (Hypervisor.Vm.runs vm);
+          if r.found = None then search rest
+      in
+      search
+        (Trace.Slicer.slices case.history
+        |> List.filter_map (Aitia.Diagnose.realize case)))
+    Bugs.Registry.all;
+  checkb "some runs were derived" true (!derived > 0)
+
+(* The same over generated programs, searched to the interleaving bound
+   (no failure is the target), on both engines: the oracle's programs
+   (shared globals, branches, assertions) and the engine-parity ones
+   (locks, heap objects freed midway, spawned workers), where a lock,
+   heap or spawn step that moved would show. *)
+let generated_derived = ref 0
+
+let explored_runs_match group =
+  List.for_all
+    (fun engine ->
+      let vm = Hypervisor.Vm.create ~engine group in
+      let check =
+        explored ~engine ~group ~prologue:[] ~derived:generated_derived vm
+      in
+      let bad = ref None in
+      let on_run sched o = if !bad = None then bad := check sched o in
+      ignore
+        (Aitia.Lifs.search ~max_interleavings:3 ~on_run vm
+           ~target:(fun _ -> false) ()
+          : Aitia.Lifs.result);
+      match !bad with
+      | None -> true
+      | Some what ->
+        dump_derive_counterexample group
+          (Fmt.str "%s differs on the %s engine" what
+             (Ksim.Engine.to_string engine));
+        false)
+    [ Ksim.Engine.Compiled; Ksim.Engine.Reference ]
+
+(* Groups where moving a lock or heap step, or reordering the run
+   queue, would give a wrong run.
+   In each, B's first step reads what A's first step wrote, so LIFS
+   preempts A right there for B, and B's later steps overtake A's rest
+   without an access conflict.  In [lock_group] A holds [L] at the
+   switch, so B blocks at its lock and A runs on: B cannot run to its
+   end.  In [alloc_group] B's allocation overtakes A's, so the two
+   objects swap identities and B's field access lands on an object the
+   parent run never saw B touch. *)
+let lock_group () =
+  Ksim.Program.group ~name:"derive-lock" ~locks:[ "L" ]
+    ~globals:[ ("g0", Ksim.Value.Int 0); ("g1", Ksim.Value.Int 0) ]
+    [ { Ksim.Program.spec_name = "A";
+        context = Ksim.Program.Syscall { call = "A"; sysno = 0 };
+        program =
+          Ksim.Program.make ~name:"A"
+            [ lock "a0" "L"; store "a1" (g "g0") (cint 1); nop "a2";
+              unlock "a3" "L" ];
+        resources = [] };
+      { Ksim.Program.spec_name = "B";
+        context = Ksim.Program.Syscall { call = "B"; sysno = 0 };
+        program =
+          Ksim.Program.make ~name:"B"
+            [ load "b0" "r" (g "g0"); lock "b1" "L";
+              store "b2" (g "g1") (cint 1); unlock "b3" "L" ];
+        resources = [] } ]
+
+let alloc_group () =
+  let thread name ~first ~pub =
+    let p = String.lowercase_ascii name in
+    { Ksim.Program.spec_name = name;
+      context = Ksim.Program.Syscall { call = name; sysno = 0 };
+      program =
+        Ksim.Program.make ~name
+          [ first;
+            alloc ~fields:[ ("val", cint 1) ] (p ^ "1") "p" "obj";
+            store (p ^ "2") (g pub) (reg "p");
+            load (p ^ "3") "r" (reg "p" **-> "val") ];
+      resources = [] }
+  in
+  Ksim.Program.group ~name:"derive-alloc"
+    ~globals:
+      [ ("g0", Ksim.Value.Int 0); ("g1", Ksim.Value.Null);
+        ("g2", Ksim.Value.Null) ]
+    [ thread "A" ~first:(store "a0" (g "g0") (cint 1)) ~pub:"g1";
+      thread "B" ~first:(load "b0" "r" (g "g0")) ~pub:"g2" ]
+
+(* [spawn_group] is a generated counterexample: after its third switch
+   B, a top-level thread, stands between A and A's first worker in the
+   run queue, so A's second spawn inserts the new worker before B, and
+   thus before the first worker.  With B moved to the front the scan
+   passes the first worker, and the workers run the other way round. *)
+let spawn_group () =
+  let thread name instrs =
+    { Ksim.Program.spec_name = name;
+      context = Ksim.Program.Syscall { call = name; sysno = 0 };
+      program = Ksim.Program.make ~name instrs;
+      resources = [] }
+  in
+  let publish i pub =
+    [ alloc ~fields:[ ("val", cint 1) ] (Fmt.str "b%d" i) "p" "obj";
+      store (Fmt.str "b%d_pub" i) (g pub) (reg "p");
+      load (Fmt.str "b%d_fld" i) "r" (reg "p" **-> "val") ]
+  in
+  Ksim.Program.group ~name:"derive-spawn"
+    ~entries:[ ("worker", Oracle_gen.engine_worker_entry) ]
+    ~globals:[ ("g0", Ksim.Value.Int 0); ("g1", Ksim.Value.Int 0) ]
+    [ thread "A"
+        [ queue_work ~arg:(cint 0) "a0" "worker";
+          store "a1" (g "g0") (cint 1);
+          load "a2" "r" (g "g0");
+          queue_work ~arg:(cint 3) "a3" "worker";
+          nop "a4" ];
+      thread "B" (publish 0 "g1" @ publish 1 "g0" @ [ nop "b2" ]) ]
+
+let test_unmovable_steps () =
+  List.iter
+    (fun (name, group) ->
+      checkb (name ^ ": every explored run is its schedule's run") true
+        (explored_runs_match group))
+    [ ("lock", lock_group ()); ("alloc", alloc_group ());
+      ("spawn", spawn_group ()) ]
+
+let prop_derived_oracle =
+  QCheck.Test.make ~count:250 ~long_factor:10
+    ~name:"every explored run is its schedule's run (oracle programs)"
+    Oracle_gen.arb_oracle_group explored_runs_match
+
+let prop_derived_engine =
+  QCheck.Test.make ~count:250 ~long_factor:10
+    ~name:"every explored run is its schedule's run (locks, heap, spawns)"
+    Oracle_gen.arb_engine_group explored_runs_match
+
+let test_generated_coverage () =
+  checkb "generated searches derived runs" true (!generated_derived > 0)
+
 (* --- suite ---------------------------------------------------------------- *)
 
 let () =
+  (try Sys.remove derive_counterexample_file with Sys_error _ -> ());
   let per_bug test =
     List.map
       (fun (bug : Bugs.Bug.t) -> Alcotest.test_case bug.id `Quick (test bug))
@@ -416,5 +676,18 @@ let () =
       ( "qcheck",
         List.map QCheck_alcotest.to_alcotest
           [ prop_reused_identity; prop_plan_reproduces ] );
+      ( "trace-equivalent",
+        [ Alcotest.test_case "a derived recording is the child's run" `Quick
+            test_derive_unit;
+          Alcotest.test_case "lock, heap and queue order never move" `Quick
+            test_unmovable_steps;
+          Alcotest.test_case "corpus explored runs (compiled)" `Quick
+            (test_corpus_explored_runs ~engine:Ksim.Engine.Compiled);
+          Alcotest.test_case "corpus explored runs (reference)" `Quick
+            (test_corpus_explored_runs ~engine:Ksim.Engine.Reference) ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_derived_oracle; prop_derived_engine ]
+        @ [ Alcotest.test_case "generated coverage" `Quick
+              test_generated_coverage ] );
       ("corpus-replay", per_bug test_corpus_replays);
       ("corpus-deprecated-flag", per_bug test_corpus_flag_ignored) ]
