@@ -26,10 +26,6 @@
 open Cmdliner
 
 let setup_logs =
-  let debug =
-    Arg.(value & flag & info [ "debug" ] ~doc:"Enable debug logging \
-                                              (same as --log-level=debug)")
-  in
   let level =
     let doc =
       "Log verbosity: $(b,quiet), $(b,error), $(b,warning), $(b,info) or \
@@ -50,12 +46,12 @@ let setup_logs =
              ~doc:"Write flat metrics JSON (counters, histograms, span \
                    rollups) of this invocation to $(docv)")
   in
-  let init debug level trace_out metrics_out =
+  let init level trace_out metrics_out =
     Fmt_tty.setup_std_outputs ();
     Logs.set_reporter (Logs_fmt.reporter ());
     let lvl =
       match level with
-      | None -> Some (if debug then Logs.Debug else Logs.Warning)
+      | None -> Some Logs.Warning
       | Some s -> (
         match Logs.level_of_string s with
         | Ok l -> l
@@ -79,7 +75,7 @@ let setup_logs =
             (fun file -> Telemetry.Metrics.write ~file r)
             metrics_out)
   in
-  Term.(const init $ debug $ level $ trace_out $ metrics_out)
+  Term.(const init $ level $ trace_out $ metrics_out)
 
 let bug_arg =
   let doc = "Bug id(s) from the corpus (see `aitia list'); 'all' selects \
@@ -170,7 +166,7 @@ let fault_spec_conv =
   in
   Arg.conv (parse, Fmt.string)
 
-(* The robustness, engine and journal options every diagnosing
+(* The robustness and journal options every diagnosing
    subcommand but compare takes, plus the subcommand's own pipeline
    flags; the journal is opened once. *)
 let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None) ()
@@ -232,23 +228,12 @@ let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None) ()
                 journal instead of re-executed, and the report is \
                 identical to an uninterrupted run")
   in
-  let engine =
-    Arg.(value
-         & opt (enum Ksim.Engine.names) Ksim.Engine.default
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:
-               "Machine implementation the guest VMs run on: \
-                $(b,compiled) (default) executes programs compiled to \
-                flat integer opcodes in place in a mutable arena; \
-                $(b,reference) is the persistent reference semantics.  Chains, verdicts and race sets are \
-                bit-identical across engines")
-  in
   let make rq_prune rq_order rq_fault_spec rq_fault_seed rq_max_retries
-      rq_step_timeout journal_file resume engine =
+      rq_step_timeout journal_file resume =
     let knobs =
       { defaults.knobs with
         rq_prune; rq_order; rq_fault_spec; rq_fault_seed; rq_max_retries;
-        rq_step_timeout; rq_engine = Some engine }
+        rq_step_timeout }
     in
     let journal =
       match Aitia.Journal.open_ ~resume journal_file with
@@ -258,7 +243,7 @@ let diagnosis_term ?(prune = Term.const None) ?(order = Term.const None) ()
     { knobs; journal }
   in
   Term.(const make $ prune $ order $ fault_spec $ fault_seed $ max_retries
-        $ step_timeout $ journal_file $ resume $ engine)
+        $ step_timeout $ journal_file $ resume)
 
 (* Static-proof level and schedule-order selection, shared by diagnose
    and stats (analyze reads --prune too). *)
@@ -558,7 +543,7 @@ let batch_cmd =
                 a unique $(b,id), a corpus $(b,bug), and optional \
                 per-request knobs $(b,prune), $(b,order), \
                 $(b,fault_spec), $(b,fault_seed), $(b,max_retries), \
-                $(b,step_timeout), $(b,journal), $(b,engine) — with the \
+                $(b,step_timeout), $(b,journal) — with the \
                 values of the same $(b,diagnose) flags ($(b,order) \
                 orders only the LIFS search; a malformed request \
                 rejects the whole manifest, exit 2)")

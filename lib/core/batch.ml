@@ -23,13 +23,12 @@ type request = {
   rq_max_retries : int option;
   rq_step_timeout : int option;
   rq_journal : string option;
-  rq_engine : Ksim.Engine.kind option;
 }
 
 let default_request =
   { rq_id = ""; rq_bug = ""; rq_prune = None; rq_order = None;
     rq_fault_spec = None; rq_fault_seed = 1; rq_max_retries = None;
-    rq_step_timeout = None; rq_journal = None; rq_engine = None }
+    rq_step_timeout = None; rq_journal = None }
 
 type outcome = {
   o_id : string;
@@ -50,7 +49,7 @@ let ( let* ) = Result.bind
 
 let known_fields =
   [ "id"; "bug"; "prune"; "order"; "fault_spec"; "fault_seed";
-    "max_retries"; "step_timeout"; "journal"; "engine" ]
+    "max_retries"; "step_timeout"; "journal" ]
 
 let str_field name fields =
   match List.assoc_opt name fields with
@@ -107,12 +106,11 @@ let request_of_json (j : Json.t) : (request, string) result =
     let* rq_max_retries = int_field "max_retries" fields in
     let* rq_step_timeout = int_field ~min:1 "step_timeout" fields in
     let* rq_journal = str_field "journal" fields in
-    let* rq_engine = enum_field rq_id "engine" Ksim.Engine.names fields in
     Ok
       { rq_id; rq_bug; rq_prune; rq_order; rq_fault_spec;
         rq_fault_seed =
           Option.value ~default:default_request.rq_fault_seed seed;
-        rq_max_retries; rq_step_timeout; rq_journal; rq_engine }
+        rq_max_retries; rq_step_timeout; rq_journal }
   | _ -> Error "each request must be a JSON object"
 
 let manifest_of_string (s : string) : (request list, string) result =
@@ -180,7 +178,7 @@ let diagnose ?journal ?on_run ~resolve (rq : request) :
   Ok
     (Diagnose.diagnose ?max_interleavings ?max_steps:rq.rq_step_timeout
        ?prune:rq.rq_prune ?order:rq.rq_order ?faults ?resilience ?journal
-       ?engine:rq.rq_engine ?on_run case)
+       ?on_run case)
 
 let run ?(jobs = 1) ?journal_dir ?(resume = false) ~resolve
     (requests : request list) : summary =

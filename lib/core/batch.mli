@@ -28,8 +28,6 @@ type request = {
   rq_max_retries : int option;
   rq_step_timeout : int option;
   rq_journal : string option;     (** overrides the [journal_dir] path *)
-  rq_engine : Ksim.Engine.kind option;
-      (** machine implementation for this request's VMs *)
 }
 
 val default_request : request

@@ -104,8 +104,10 @@ val diagnose :
     [engine] (default {!Ksim.Engine.default}) selects the machine
     implementation every VM of this diagnosis boots — the compiled
     in-place arena interpreter or the persistent reference semantics.
-    Chains, verdicts and race sets are bit-identical across engines;
-    the differential oracle in test/test_engine.ml enforces it.
+    Reports, flip logs and telemetry counters are identical across
+    engines: test/test_engine.ml checks the machines step in lockstep,
+    test/test_parity.ml checks whole diagnoses.  No CLI option or
+    manifest field selects the engine; the CLI runs the default.
 
     [on_run] is {!Lifs.search}'s hook on every slice attempt's search:
     [slice] numbers the realized attempts from 0, so a reproducing

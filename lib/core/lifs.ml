@@ -482,10 +482,6 @@ let extensions ~db ~n_top ~prologue ?hints ?invariants ?shared ?derive
     trace;
   (List.rev !out, !static_skips, !invariant_skips)
 
-(* Exact-duplicate detection: the machine is deterministic, so the
-   schedule (order + switches) fully determines the run. *)
-let signature (sched : Schedule.preemption) = Schedule.preemption_key sched
-
 (* A pending candidate of the gain-ordered search: a serial execution
    (by index) or a one-preemption extension (by static rank, preemption
    depth and site key, the inputs of its gain estimate). *)
@@ -563,12 +559,14 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
     Telemetry.Probe.count ~by:o.steps "lifs.replayed_steps";
     o
   in
-  (* One candidate, in order.  Admission: exact duplicates of an
-     admitted schedule are skipped always, and extensions equivalent to
-     an admitted one when [prune]; a skip is counted.  An admitted
-     candidate runs, feeds the database, [on_run] and the run list, and
-     the first run failing as reported is the reproduction.  Returns the
-     run.
+  (* One candidate, in order.  Admission: when [prune], a candidate
+     equivalent to an admitted one is skipped and counted.  Exact
+     duplicates need no check: a child is its parent's switches plus
+     one, so two admitted parents never share a child, and gain
+     re-extension emits each candidate once (the shared "c" keys of
+     {!extensions}).  An admitted candidate runs, feeds the database,
+     [on_run] and the run list, and the first run failing as reported
+     is the reproduction.  Returns the run.
 
      A derivable candidate is admitted the same way but not run: its
      recording is rearranged from its parent's, it joins the run list
@@ -578,12 +576,10 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
      nor teach the database anything.  [on_run], when given, sees it
      through an uncounted replay. *)
   let try_candidate (c : candidate) =
-    let key = signature c.sched in
-    if Hashtbl.mem seen key || (prune && Hashtbl.mem seen c.equiv_sig) then (
+    if prune && Hashtbl.mem seen c.equiv_sig then (
       incr pruned;
       None)
     else (
-      Hashtbl.add seen key ();
       if prune then Hashtbl.add seen c.equiv_sig ();
       match c.derivable with
       | Some (parent, at, tid) ->
@@ -792,9 +788,8 @@ let search ?(max_interleavings = default_max_interleavings) ?max_steps
                (hd, gain hd) tl)
         in
         pending := List.filter (fun x -> x.it_seq <> it.it_seq) !pending;
-        if List.exists (fun x -> x.it_seq < it.it_seq) !pending then (
+        if List.exists (fun x -> x.it_seq < it.it_seq) !pending then
           incr reorderings;
-          Telemetry.Probe.count "lifs.gain_reorderings");
         Some it
     in
     let rec loop () =

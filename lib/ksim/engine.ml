@@ -1,6 +1,6 @@
 (* The execution-engine selector: one name for "which Machine
-   implementation runs the guest", threaded from the CLI through Vm into
-   every layer that boots machines.  Everything past the boot goes
+   implementation runs the guest", threaded from Diagnose through Vm
+   into every layer that boots machines.  Everything past the boot goes
    through [Machine] itself, which answers every query identically on
    both engines. *)
 

@@ -2,10 +2,10 @@
    format (trace-event spec, "JSON Object Format").
 
    Every closed span becomes a "ph":"X" complete event (nesting within
-   a track is inferred from ts/dur containment), every instant a
-   "ph":"i" event, and the final value of every counter a "ph":"C"
-   counter sample at the end of the timeline — so the counter tracks
-   show the run's totals.  Timestamps are the probe's microseconds. *)
+   a track is inferred from ts/dur containment), and the final value
+   of every counter a "ph":"C" counter sample at the end of the
+   timeline — so the counter tracks show the run's totals.
+   Timestamps are the probe's microseconds. *)
 
 let us f = Printf.sprintf "%.1f" f
 
@@ -23,17 +23,6 @@ let span_event (s : Sink.span) =
       ("tid", "1");
       ("args", args_json s.span_args) ]
 
-let instant_event (i : Sink.instant) =
-  Json.obj
-    [ ("name", Json.str i.i_name);
-      ("cat", Json.str i.i_cat);
-      ("ph", Json.str "i");
-      ("ts", us i.i_ts_us);
-      ("pid", "1");
-      ("tid", "1");
-      ("s", Json.str "t");
-      ("args", args_json i.i_args) ]
-
 let counter_event ~ts (name, value) =
   Json.obj
     [ ("name", Json.str name);
@@ -45,14 +34,12 @@ let counter_event ~ts (name, value) =
       ("args", Json.obj [ ("value", Json.int value) ]) ]
 
 let to_string (r : Recorder.t) =
-  let spans = Recorder.spans r and instants = Recorder.instants r in
+  let spans = Recorder.spans r in
   let timed =
-    List.map (fun (s : Sink.span) -> (s.span_start_us, span_event s)) spans
-    @ List.map (fun (i : Sink.instant) -> (i.i_ts_us, instant_event i))
-        instants
-  in
-  let timed =
-    List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) timed
+    List.stable_sort
+      (fun (a : Sink.span) (b : Sink.span) ->
+        Float.compare a.span_start_us b.span_start_us)
+      spans
   in
   let horizon =
     List.fold_left
@@ -64,7 +51,7 @@ let to_string (r : Recorder.t) =
     List.map (counter_event ~ts:horizon) (Recorder.counters r)
   in
   Json.obj
-    [ ("traceEvents", Json.arr (List.map snd timed @ counters));
+    [ ("traceEvents", Json.arr (List.map span_event timed @ counters));
       ("displayTimeUnit", Json.str "ms") ]
 
 let write ~file r =

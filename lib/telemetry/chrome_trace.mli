@@ -1,9 +1,9 @@
 (** Chrome trace-event JSON export ([chrome://tracing] / Perfetto).
 
-    Spans become ["ph":"X"] complete events, instants ["ph":"i"]
-    events, and final counter values ["ph":"C"] samples at the end of
-    the timeline.  The output is one self-contained JSON object with a
-    [traceEvents] array, loadable as-is. *)
+    Spans become ["ph":"X"] complete events and final counter values
+    ["ph":"C"] samples at the end of the timeline.  The output is one
+    self-contained JSON object with a [traceEvents] array, loadable
+    as-is. *)
 
 val to_string : Recorder.t -> string
 

@@ -97,13 +97,6 @@ let with_span ?cat ?args name f =
       span_end ~args:(("error", Printexc.to_string e) :: args) ();
       raise e)
 
-let instant ?(cat = "aitia") ?(args = []) name =
-  match (state ()).current with
-  | None -> ()
-  | Some s ->
-    s.Sink.on_instant
-      { Sink.i_name = name; i_cat = cat; i_ts_us = now_us (); i_args = args }
-
 let count ?(by = 1) name =
   match (state ()).current with
   | None -> ()

@@ -37,9 +37,6 @@ val span_end : ?args:(string * string) list -> unit -> unit
 (** Close the innermost open span.  A no-op when no sink is installed
     or no span is open. *)
 
-val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
-(** A zero-duration event. *)
-
 val count : ?by:int -> string -> unit
 (** Add [by] (default 1) to a named counter. *)
 

@@ -13,7 +13,6 @@ type span_stat = { s_count : int; s_total_us : float }
 
 type t = {
   mutable rec_spans : Sink.span list;      (* newest first *)
-  mutable rec_instants : Sink.instant list;
   mutable rec_observations : (string * float) list;  (* newest first *)
   rec_counters : (string, int) Hashtbl.t;
   rec_histograms : (string, histogram) Hashtbl.t;
@@ -21,14 +20,12 @@ type t = {
 
 let create () =
   { rec_spans = [];
-    rec_instants = [];
     rec_observations = [];
     rec_counters = Hashtbl.create 32;
     rec_histograms = Hashtbl.create 16 }
 
 let sink t =
   { Sink.on_span = (fun s -> t.rec_spans <- s :: t.rec_spans);
-    on_instant = (fun i -> t.rec_instants <- i :: t.rec_instants);
     on_count =
       (fun name by ->
         let prev =
@@ -50,7 +47,6 @@ let sink t =
         Hashtbl.replace t.rec_histograms name h) }
 
 let spans t = List.rev t.rec_spans
-let instants t = List.rev t.rec_instants
 
 let counter t name =
   Option.value ~default:0 (Hashtbl.find_opt t.rec_counters name)
@@ -70,7 +66,6 @@ let histogram t name = Hashtbl.find_opt t.rec_histograms name
    histograms match a direct recording exactly. *)
 let replay t (s : Sink.t) =
   List.iter (fun sp -> s.Sink.on_span sp) (List.rev t.rec_spans);
-  List.iter (fun i -> s.Sink.on_instant i) (List.rev t.rec_instants);
   List.iter
     (fun (name, by) -> if by <> 0 then s.Sink.on_count name by)
     (sorted_bindings t.rec_counters);

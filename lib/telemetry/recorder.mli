@@ -1,5 +1,5 @@
-(** The in-memory sink: accumulates spans, instants, counters and
-    histograms for the exporters and the tests. *)
+(** The in-memory sink: accumulates spans, counters and histograms for
+    the exporters and the tests. *)
 
 type histogram = {
   h_count : int;
@@ -20,8 +20,6 @@ val sink : t -> Sink.t
 
 val spans : t -> Sink.span list
 (** Completed spans in completion order. *)
-
-val instants : t -> Sink.instant list
 
 val counter : t -> string -> int
 (** Current value of a counter; 0 if never incremented. *)

@@ -1,7 +1,7 @@
 (* The pluggable sink interface: where telemetry events go.
 
-   A sink is a record of four callbacks — closed spans, instants,
-   counter increments, histogram observations.  The probe layer calls
+   A sink is a record of three callbacks — closed spans, counter
+   increments, histogram observations.  The probe layer calls
    them only while a sink is installed, so instrumented code pays a
    single ref read when telemetry is off.  Sinks compose with [tee]
    (e.g. a CLI-wide Chrome-trace recorder plus a per-bug stats
@@ -16,23 +16,14 @@ type span = {
   span_args : (string * string) list;
 }
 
-type instant = {
-  i_name : string;
-  i_cat : string;
-  i_ts_us : float;
-  i_args : (string * string) list;
-}
-
 type t = {
   on_span : span -> unit;              (* called when a span closes *)
-  on_instant : instant -> unit;
   on_count : string -> int -> unit;    (* named counter += n *)
   on_observe : string -> float -> unit;  (* histogram observation *)
 }
 
 let null =
   { on_span = ignore;
-    on_instant = ignore;
     on_count = (fun _ _ -> ());
     on_observe = (fun _ _ -> ()) }
 
@@ -41,10 +32,6 @@ let tee a b =
       (fun s ->
         a.on_span s;
         b.on_span s);
-    on_instant =
-      (fun i ->
-        a.on_instant i;
-        b.on_instant i);
     on_count =
       (fun name n ->
         a.on_count name n;

@@ -13,16 +13,8 @@ type span = {
   span_args : (string * string) list;
 }
 
-type instant = {
-  i_name : string;
-  i_cat : string;
-  i_ts_us : float;
-  i_args : (string * string) list;
-}
-
 type t = {
   on_span : span -> unit;  (** called when a span closes *)
-  on_instant : instant -> unit;
   on_count : string -> int -> unit;  (** named counter += n *)
   on_observe : string -> float -> unit;  (** histogram observation *)
 }

@@ -622,26 +622,11 @@ let test_soundness (bug : Bugs.Bug.t) (case : Aitia.Diagnose.case)
               bug.id Aitia.Race.pp_short r)
       success.races
 
-(* Reproduction parity: the hinted search may explore a different number
-   of schedules (usually fewer; the ordering heuristic can lose on an
-   individual case) but must reproduce exactly what the plain search
-   reproduces. *)
-let test_hinted_parity (plain : Aitia.Diagnose.report)
-    (hinted : Aitia.Diagnose.report) () =
-  checkb "hinted reproduces" (Aitia.Diagnose.reproduced plain)
-    (Aitia.Diagnose.reproduced hinted)
-
-(* Chain parity: statically pruned flips are Benign by proof, so the
-   hinted pipeline must build exactly the causality chain the plain one
-   builds. *)
+(* Chain and reproduction parity between the plain and hinted
+   pipelines is test_parity's prune axis; the gate below records it for
+   the 22 real bugs. *)
 let chain_str (r : Aitia.Diagnose.report) =
   match r.chain with Some c -> Aitia.Chain.to_string c | None -> "-"
-
-let test_chain_parity (bug : Bugs.Bug.t) (plain : Aitia.Diagnose.report)
-    (hinted : Aitia.Diagnose.report) () =
-  Alcotest.(check string)
-    (bug.id ^ " chain identical under static hints")
-    (chain_str plain) (chain_str hinted)
 
 (* Bookkeeping of the flip-feasibility pruning: the stat equals the
    number of pruned entries, a pruned flip never ran (no run verdict,
@@ -872,12 +857,6 @@ let corpus_cases () =
       [ Alcotest.test_case
           (bug.Bugs.Bug.id ^ " soundness") `Quick
           (test_soundness bug case plain);
-        Alcotest.test_case
-          (bug.Bugs.Bug.id ^ " hinted parity") `Quick
-          (test_hinted_parity plain hinted);
-        Alcotest.test_case
-          (bug.Bugs.Bug.id ^ " chain parity") `Quick
-          (test_chain_parity bug plain hinted);
         Alcotest.test_case
           (bug.Bugs.Bug.id ^ " pruning consistency") `Quick
           (test_pruning_consistency bug plain hinted);

@@ -832,9 +832,9 @@ let test_manifest_errors () =
         {|[{"id": "r1", "bug": "fig5"}, {"id": "r1", "bug": "fig1"}]|},
         {|duplicate request id "r1"|} );
       ("empty manifest", "[]", "manifest has no requests");
-      ( "unknown engine",
-        {|[{"id": "r1", "bug": "fig5", "engine": "jit"}]|},
-        "engine must be reference/compiled" );
+      ( "retired engine field",
+        {|[{"id": "r1", "bug": "fig5", "engine": "reference"}]|},
+        {|request "r1": unknown field "engine"|} );
       ( "retired snapshot_cache field",
         {|[{"id": "r1", "bug": "fig5", "snapshot_cache": true}]|},
         {|request "r1": unknown field "snapshot_cache"|} ) ]
@@ -850,7 +850,9 @@ let test_cli_prune_levels () =
   checki "--prune flipfeas is a usage error" 2 (run "flipfeas")
 
 (* Options of the retired prefix snapshot cache and its restore fault
-   kind are usage errors (exit 2) when flags are parsed. *)
+   kind, the engine selector (engines are chosen only through
+   [Diagnose.diagnose ~engine]) and the [--log-level=debug] alias
+   [--debug] are usage errors (exit 2) when flags are parsed. *)
 let test_retired_options () =
   List.iter
     (fun (args, needle) ->
@@ -866,7 +868,10 @@ let test_retired_options () =
       ([ "chain"; "fig1"; "--snapshot-budget"; "1" ],
        "unknown option '--snapshot-budget'");
       ([ "diagnose"; "fig1"; "--fault-spec"; "restore=0.1" ],
-       {|unknown fault kind "restore"|}) ]
+       {|unknown fault kind "restore"|});
+      ([ "diagnose"; "fig1"; "--engine"; "compiled" ],
+       "unknown option '--engine'");
+      ([ "diagnose"; "fig1"; "--debug" ], "unknown option '--debug'") ]
 
 (* A diagnosis runs on one VM at a time: diagnose, chain and stats
    take no --jobs (only batch does), so the flag is a parse error. *)

@@ -1,9 +1,9 @@
 (* Worker-pool tests: work-stealing units (ordering, exhaustion,
    exception propagation, worker domains reused across batches), each
-   task handed out once under the queue lock, qcheck properties that no
-   worker count changes a pooled result and that the engine never
-   changes a diagnosis, and chain and per-flip verdict parity between
-   sequential and pooled (batch-style) passes over every corpus bug. *)
+   task handed out once under the queue lock, a qcheck property that no
+   worker count changes a pooled result, and chain and per-flip verdict
+   parity between sequential and pooled (batch-style) passes over every
+   corpus bug.  Engine parity of whole diagnoses is test_parity's. *)
 
 module Pool = Hypervisor.Pool
 
@@ -126,10 +126,10 @@ let prop_pool_order =
 
 (* Everything a diagnosis decides, rendered comparable; simulated time
    and host time are deliberately excluded. *)
-let diag_fingerprint ?engine ~prune (bug : Bugs.Bug.t) =
+let diag_fingerprint (bug : Bugs.Bug.t) =
   let r =
-    Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings ~prune
-      ?engine (bug.case ())
+    Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+      (bug.case ())
   in
   let chain =
     match r.chain with Some c -> Aitia.Chain.to_string c | None -> "-"
@@ -153,33 +153,19 @@ let diag_fingerprint ?engine ~prune (bug : Bugs.Bug.t) =
 
 let corpus = Array.of_list (Bugs.Registry.cves @ Bugs.Registry.syzkaller)
 
-let prunes = [ ("none", `None); ("invariants", `Invariants) ]
-
-let prop_chain_parity =
-  QCheck.Test.make ~count:10
-    ~name:"a diagnosis is chain- and verdict-identical on both engines"
-    (QCheck.make
-       ~print:(fun (i, (name, _)) ->
-         Fmt.str "%s prune=%s" corpus.(i).id name)
-       QCheck.Gen.(
-         pair (int_range 0 (Array.length corpus - 1)) (oneofl prunes)))
-    (fun (i, (_, prune)) ->
-      diag_fingerprint ~engine:Ksim.Engine.Compiled ~prune corpus.(i)
-      = diag_fingerprint ~engine:Ksim.Engine.Reference ~prune corpus.(i))
-
 (* Every corpus bug, two ways: sequential, and one batch-style pass
    fanning the whole corpus out over a 4-worker pool, one diagnosis per
    worker.  The pooled pass runs once, shared by the per-bug cases. *)
 let pooled_corpus =
   lazy
     (Pool.map_list (Pool.create ~jobs:4)
-       (diag_fingerprint ~prune:`None)
+       diag_fingerprint
        (Array.to_list corpus))
 
 let test_corpus_parity i () =
   checkb "pooled pass is fingerprint-identical to a sequential one" true
     (List.nth (Lazy.force pooled_corpus) i
-    = diag_fingerprint ~prune:`None corpus.(i))
+    = diag_fingerprint corpus.(i))
 
 (* --- registration -------------------------------------------------------- *)
 
@@ -206,5 +192,4 @@ let () =
             Alcotest.test_case bug.id `Quick (test_corpus_parity i))
           (Array.to_list corpus) );
       ( "qcheck",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_pool_order; prop_chain_parity ] ) ]
+        [ QCheck_alcotest.to_alcotest prop_pool_order ] ) ]

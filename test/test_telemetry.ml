@@ -114,7 +114,6 @@ let test_probe_disabled () =
   Telemetry.Probe.span_end ();
   Telemetry.Probe.count "nothing";
   Telemetry.Probe.observe "nothing" 1.0;
-  Telemetry.Probe.instant "nothing";
   checki "with_span is the identity" 7
     (Telemetry.Probe.with_span "s" (fun () -> 7));
   (* Probes left nothing behind: a fresh recorder sees only its own
@@ -213,8 +212,7 @@ let test_chrome_trace () =
   let r = Telemetry.Recorder.create () in
   Telemetry.Probe.with_sink (Telemetry.Recorder.sink r) (fun () ->
       Telemetry.Probe.with_span ~cat:"test" "outer" (fun () ->
-          Telemetry.Probe.with_span "inner" (fun () -> ());
-          Telemetry.Probe.instant ~args:[ ("x", "1") ] "mark");
+          Telemetry.Probe.with_span "inner" (fun () -> ()));
       Telemetry.Probe.count ~by:3 "widgets");
   let doc = parse (Telemetry.Chrome_trace.to_string r) in
   let events =
@@ -222,8 +220,8 @@ let test_chrome_trace () =
     | Some es -> es
     | None -> Alcotest.fail "no traceEvents array"
   in
-  (* 2 spans + 1 instant + 1 counter sample *)
-  checki "event count" 4 (List.length events);
+  (* 2 spans + 1 counter sample *)
+  checki "event count" 3 (List.length events);
   let field e k = J.member k e in
   let phase e = match field e "ph" with Some (J.Str p) -> p | _ -> "?" in
   List.iter
@@ -239,8 +237,7 @@ let test_chrome_trace () =
           (match field e "dur" with Some (J.Num d) -> d >= 0.0 | _ -> false))
     events;
   let phases = List.sort_uniq compare (List.map phase events) in
-  checkb "X, i and C phases all present" true
-    (phases = [ "C"; "X"; "i" ]);
+  checkb "X and C phases both present" true (phases = [ "C"; "X" ]);
   (* Events are sorted by timestamp — what chrome://tracing expects. *)
   let ts = List.filter_map (fun e -> Option.bind (field e "ts") J.to_num) events in
   checkb "sorted by ts" true (List.sort compare ts = ts);
