@@ -214,31 +214,22 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
       ~(prior_flips : Journal.flip list)
       ~(stats_base : Causality.stats) =
     let ca_vm = Hypervisor.Vm.create ?faults ~engine group in
-    let flips = ref (List.rev prior_flips) in  (* newest first *)
-    let pushed = ref false in
-    let record ~(st : Causality.stats) ~complete_ca =
-      if journal <> None then (
-        let slice =
-          Journal.Reproduced
-            { r_threads = slice_threads;
-              r_schedule = success.Lifs.schedule;
-              r_lifs = lifs.Lifs.stats;
-              r_races = success.Lifs.races;
-              r_flips = List.rev !flips;
-              r_ca_schedules = st.Causality.schedules;
-              r_ca_simulated = st.Causality.simulated;
-              r_ca_instrs = st.Causality.executed_instrs;
-              r_ca_complete = complete_ca }
-        in
-        (if !pushed then jslices := slice :: List.tl !jslices
-         else (
-           jslices := slice :: !jslices;
-           pushed := true));
-        (* The case is done exactly when CA finishes on the reproducing
-           slice. *)
-        jsave ~complete:complete_ca)
-    in
-    record ~st:stats_base ~complete_ca:false;
+    (* The slice's first checkpoint carries its races; each flip then
+       appends only its verdict and the CA counters so far. *)
+    if journal <> None then (
+      jslices :=
+        Journal.Reproduced
+          { r_threads = slice_threads;
+            r_schedule = success.Lifs.schedule;
+            r_lifs = lifs.Lifs.stats;
+            r_races = success.Lifs.races;
+            r_flips = prior_flips;
+            r_ca_schedules = stats_base.Causality.schedules;
+            r_ca_simulated = stats_base.Causality.simulated;
+            r_ca_instrs = stats_base.Causality.executed_instrs;
+            r_ca_complete = false }
+        :: !jslices;
+      jsave ~complete:false);
     let replay =
       if prior_flips = [] then None
       else (
@@ -255,23 +246,24 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
               (tested_of_flip keyed)))
     in
     let checkpoint =
-      if journal = None then None
-      else
-        Some
-          (fun t st ->
-            flips := flip_of_tested t :: !flips;
-            record ~st ~complete_ca:false)
+      Option.map
+        (fun j t st -> Journal.add_flip j case.case_name (flip_of_tested t) st)
+        journal
     in
     let ca =
       Causality.analyze ?max_steps ~prologue ~prune ?resilience
         ?replay ?checkpoint ~stats_base ca_vm ~failing:success.Lifs.outcome
         ~races:success.Lifs.races ()
     in
-    if journal <> None then (
-      (* The authoritative flip list (ambiguity resolved, replays
-         included) supersedes the incremental checkpoints. *)
-      flips := List.rev_map flip_of_tested ca.Causality.tested;
-      record ~st:ca.Causality.stats ~complete_ca:true);
+    (* The authoritative flip list (ambiguity resolved, replays
+       included) supersedes the incremental checkpoints; the case is
+       done exactly when CA finishes on the reproducing slice. *)
+    Option.iter
+      (fun j ->
+        Journal.complete_case j case.case_name
+          (List.map flip_of_tested ca.Causality.tested)
+          ca.Causality.stats)
+      journal;
     let chain = Chain.of_causality ca ~failure:success.Lifs.failure in
     let metrics =
       { mem_accessing_instrs =

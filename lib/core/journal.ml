@@ -1,12 +1,18 @@
-(* Resumable diagnosis journal: per-slice / per-flip checkpoints as a
-   JSON file, written atomically after every unit of progress.
+(* Resumable diagnosis journal: per-slice / per-flip checkpoints in a
+   write-ahead log.  The file is one snapshot — the whole journal as a
+   JSON document, written atomically by temp file + rename — followed by
+   one compact JSON record per later checkpoint, appended with
+   O_APPEND.  A checkpoint therefore costs one small write however big
+   the journal has grown; {!load} folds the records into the snapshot.
 
    Races are journaled with their full endpoint data (thread, label,
    occurrence, address, kind, time, locks held) rather than recomputed
    on resume: [Race.pending_of_failure] depends on the cross-run access
    database, which an interrupted run accumulated along a path the
    resumed run does not retrace.  Flips, by contrast, reference races
-   by {!Race.key} — the slice's race list is the lookup table. *)
+   by {!Race.key} — the slice's race list is the lookup table — so a
+   slice's races are written once, by the record that opens the
+   slice, and flip records carry keys only. *)
 
 module J = Telemetry.Json
 module Iid = Ksim.Access.Iid
@@ -43,14 +49,74 @@ type case_entry = {
   complete : bool;
 }
 
+(* [snapshotted]: this value has written its snapshot, so later
+   checkpoints append.  It starts false for created and loaded journals
+   alike: the first write replaces whatever the file held, including
+   the torn tail of a killed run. *)
 type t = {
   path : string;
   mutable cases : (string * case_entry) list;
+  mutable snapshotted : bool;
 }
 
-let create path = { path; cases = [] }
+let create path = { path; cases = []; snapshotted = false }
 let path t = t.path
 let find_case t name = List.assoc_opt name t.cases
+
+(* One checkpoint after the snapshot. *)
+type record =
+  | Entry of string * case_entry  (* replace or add a case *)
+  | Flip of string * flip * Causality.stats
+      (* one more flip of the case's reproducing slice, with the CA
+         counters so far *)
+  | Done of string * flip list option * Causality.stats
+      (* CA finished: the counters, and the authoritative flip list
+         when it is not the one the flip records built; the case is
+         complete *)
+
+exception Bad of string
+
+let bad fmt = Fmt.kstr (fun s -> raise (Bad s)) fmt
+
+let replace_case t name entry =
+  t.cases <-
+    (if List.mem_assoc name t.cases then
+       List.map
+         (fun (n, e) -> if String.equal n name then (n, entry) else (n, e))
+         t.cases
+     else t.cases @ [ (name, entry) ])
+
+(* Flip and completion records update the case's last slice, which is
+   its reproducing one: once a slice reproduces, no other is tried. *)
+let update_ca t name ~complete flips (st : Causality.stats) =
+  let e =
+    match find_case t name with
+    | Some e -> e
+    | None -> bad "record for unknown case %S" name
+  in
+  match List.rev e.slices with
+  | Reproduced r :: older ->
+    let last =
+      Reproduced
+        { r with
+          r_flips = flips r.r_flips;
+          r_ca_schedules = st.schedules;
+          r_ca_simulated = st.simulated;
+          r_ca_instrs = st.executed_instrs;
+          r_ca_complete = complete }
+    in
+    replace_case t name
+      { slices = List.rev (last :: older); complete = e.complete || complete }
+  | _ -> bad "case %S has no reproducing slice" name
+
+let apply t = function
+  | Entry (name, entry) -> replace_case t name entry
+  | Flip (name, flip, st) ->
+    update_ca t name ~complete:false (fun fs -> fs @ [ flip ]) st
+  | Done (name, flips, st) ->
+    update_ca t name ~complete:true
+      (fun fs -> Option.value flips ~default:fs)
+      st
 
 (* --- emission ----------------------------------------------------------- *)
 
@@ -116,6 +182,11 @@ let lifs_json (l : Lifs.stats) =
       ("simulated", J.float l.simulated);
       ("executed_instrs", J.int l.executed_instrs) ]
 
+let ca_fields (st : Causality.stats) =
+  [ ("schedules", J.int st.schedules);
+    ("simulated", J.float st.simulated);
+    ("instrs", J.int st.executed_instrs) ]
+
 let slice_json = function
   | No_repro s ->
     J.obj
@@ -137,42 +208,81 @@ let slice_json = function
              ("instrs", J.int s.r_ca_instrs);
              ("complete", J.bool s.r_ca_complete) ]) ]
 
+let case_json e =
+  J.obj
+    [ ("complete", J.bool e.complete);
+      ("slices", J.arr (List.map slice_json e.slices)) ]
+
 let to_string t =
   J.obj
     [ ("version", J.int 1);
       ("cases",
-       J.obj
-         (List.map
-            (fun (name, e) ->
-              ( name,
-                J.obj
-                  [ ("complete", J.bool e.complete);
-                    ("slices", J.arr (List.map slice_json e.slices)) ] ))
-            t.cases)) ]
+       J.obj (List.map (fun (name, e) -> (name, case_json e)) t.cases)) ]
 
-(* Atomic save: a kill mid-write leaves the previous checkpoint. *)
+let record_json = function
+  | Entry (name, e) -> J.obj [ ("case", J.str name); ("entry", case_json e) ]
+  | Flip (name, f, st) ->
+    J.obj
+      [ ("case", J.str name);
+        ("flip", flip_json f);
+        ("ca", J.obj (ca_fields st)) ]
+  | Done (name, fs, st) ->
+    J.obj
+      ([ ("case", J.str name); ("complete", J.bool true) ]
+      @ (match fs with
+        | Some fs -> [ ("flips", J.arr (List.map flip_json fs)) ]
+        | None -> [])
+      @ [ ("ca", J.obj (ca_fields st)) ])
+
+(* Every write, serialization included, is a span of the "journal"
+   category and counts its bytes. *)
+let written ~span ~counter text f =
+  Telemetry.Probe.with_span ~cat:"journal" span (fun () ->
+      let text = text () in
+      f text;
+      Telemetry.Probe.count counter;
+      Telemetry.Probe.count ~by:(String.length text) "journal.bytes_written")
+
+(* Atomic snapshot: a kill mid-write leaves the previous file. *)
 let save t =
-  let tmp = t.path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (to_string t);
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp t.path
+  written ~span:"journal.snapshot" ~counter:"journal.snapshots"
+    (fun () -> to_string t ^ "\n")
+    (fun text ->
+      let tmp = t.path ^ ".tmp" in
+      Out_channel.with_open_bin tmp (fun oc -> output_string oc text);
+      Sys.rename tmp t.path);
+  t.snapshotted <- true
 
-let set_case t name entry =
-  t.cases <-
-    (if List.mem_assoc name t.cases then
-       List.map
-         (fun (n, e) -> if String.equal n name then (n, entry) else (n, e))
-         t.cases
-     else t.cases @ [ (name, entry) ]);
-  save t
+(* An append-mode write at the end of the file; a kill mid-write
+   leaves a cut-off last record, which {!load} drops. *)
+let append t record =
+  written ~span:"journal.append" ~counter:"journal.records"
+    (fun () -> record_json record ^ "\n")
+    (fun text ->
+      let fd = Unix.openfile t.path [ Unix.O_WRONLY; Unix.O_APPEND ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          ignore (Unix.write_substring fd text 0 (String.length text))))
+
+let checkpoint t record =
+  (try apply t record with Bad msg -> invalid_arg ("Journal: " ^ msg));
+  if t.snapshotted then append t record else save t
+
+let set_case t name entry = checkpoint t (Entry (name, entry))
+let add_flip t name flip st = checkpoint t (Flip (name, flip, st))
+(* The authoritative list usually equals the journaled one; the record
+   then leaves it out. *)
+let complete_case t name flips st =
+  let journaled =
+    match Option.map (fun e -> List.rev e.slices) (find_case t name) with
+    | Some (Reproduced r :: _) -> Some r.r_flips
+    | _ -> None
+  in
+  checkpoint t
+    (Done (name, (if journaled = Some flips then None else Some flips), st))
 
 (* --- parsing ------------------------------------------------------------ *)
-
-exception Bad of string
-
-let bad fmt = Fmt.kstr (fun s -> raise (Bad s)) fmt
 
 let need what = function
   | Some v -> v
@@ -281,6 +391,26 @@ let case_of_json j : case_entry =
   { complete = get_bool "complete" j;
     slices = List.map slice_of_json (get_list "slices" j) }
 
+let ca_of_json j : Causality.stats =
+  { Causality.zero_stats with
+    schedules = get_int "schedules" j;
+    simulated = get_num "simulated" j;
+    executed_instrs = get_int "instrs" j }
+
+let record_of_json j =
+  let name = get_str "case" j in
+  match (J.member "entry" j, J.member "flip" j, J.member "complete" j) with
+  | Some e, None, None -> Entry (name, case_of_json e)
+  | None, Some f, None -> Flip (name, flip_of_json f, ca_of_json (get "ca" j))
+  | None, None, Some _ ->
+    Done
+      ( name,
+        Option.map
+          (fun _ -> List.map flip_of_json (get_list "flips" j))
+          (J.member "flips" j),
+        ca_of_json (get "ca" j) )
+  | _ -> bad "unknown journal record"
+
 let of_json path j =
   (match J.member "version" j with
   | Some v when J.to_num v = Some 1. -> ()
@@ -291,7 +421,7 @@ let of_json path j =
     | J.Obj fields -> List.map (fun (n, c) -> (n, case_of_json c)) fields
     | _ -> bad "cases is not an object"
   in
-  { path; cases }
+  { path; cases; snapshotted = false }
 
 let load path =
   if not (Sys.file_exists path) then Ok (create path)
@@ -299,10 +429,14 @@ let load path =
     match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error e -> Error e
     | text -> (
-      match J.of_string text with
+      match J.of_string_seq text with
       | Error e -> Error (Fmt.str "%s: %s" path e)
-      | Ok j -> (
-        match of_json path j with
+      | Ok (snapshot, records) -> (
+        match
+          let t = of_json path snapshot in
+          List.iter (fun r -> apply t (record_of_json r)) records;
+          t
+        with
         | t -> Ok t
         | exception Bad msg -> Error (Fmt.str "%s: %s" path msg)))
 

@@ -9,8 +9,19 @@
     [replay] hook.  The final report is identical to an uninterrupted
     run; only the re-executed instruction count drops.
 
-    Saves are atomic (write-to-temp then rename), so a kill mid-save
-    leaves the previous checkpoint intact. *)
+    The file is a write-ahead log.  The first write of every [t] —
+    created or loaded — is a snapshot: the whole journal as one JSON
+    document [{"version": 1, "cases": …}], written to a temp file and
+    renamed over the path, so it replaces whatever the file held.  Each
+    later checkpoint appends one compact JSON record on its own line
+    ({!set_case}, {!add_flip}, {!complete_case}); race endpoint data is
+    written once per slice, by the record that opens the slice.  A kill
+    mid-snapshot leaves the previous file; a kill mid-append leaves a
+    record cut off at the end of the file, which {!load} drops (the
+    torn-tail rule), so a kill always leaves the last complete
+    checkpoint.  A journal written before records existed is a
+    snapshot with no records and loads unchanged; binaries from before
+    records existed cannot read a journal that holds records. *)
 
 (** The journaled verdict of one Causality flip.  Races are stored by
     {!Race.key} next to the slice's full race list, which carries the
@@ -52,11 +63,14 @@ type t
 
 val create : string -> t
 (** A fresh, empty journal that will save to the given path.  Nothing
-    is written until the first {!save} / {!set_case}. *)
+    is written until the first checkpoint, which replaces any file at
+    the path. *)
 
 val load : string -> (t, string) result
-(** Load an existing journal; a missing file yields a fresh journal
-    (resuming from nothing is starting over), a malformed one is an
+(** Load an existing journal: the snapshot with its records folded in,
+    in order.  A missing file yields a fresh journal (resuming from
+    nothing is starting over); a malformed snapshot or any malformed
+    record other than a last one cut off by the end of the file is an
     [Error] with a parse message. *)
 
 val open_ : resume:bool -> string option -> (t option, string) result
@@ -65,8 +79,26 @@ val open_ : resume:bool -> string option -> (t option, string) result
     with [resume] and for a path whose directory does not exist. *)
 
 val path : t -> string
+
 val save : t -> unit
+(** Write a snapshot of the whole journal; later checkpoints append to
+    it. *)
+
 val find_case : t -> string -> case_entry option
 
+(** Checkpoints: each updates the journal and writes it — a snapshot if
+    this [t] has written none yet, else one appended record. *)
+
 val set_case : t -> string -> case_entry -> unit
-(** Replace (or append) the entry for a case and save immediately. *)
+(** Replace (or append) the entry for a case. *)
+
+val add_flip : t -> string -> flip -> Causality.stats -> unit
+(** Add a decided flip to the case's reproducing slice (its last slice,
+    which must be [Reproduced]) and set that slice's CA counters
+    ([schedules], [simulated], [executed_instrs]) to the given
+    progress. *)
+
+val complete_case : t -> string -> flip list -> Causality.stats -> unit
+(** Causality Analysis on the case's reproducing slice finished:
+    replace its flips with the authoritative list, set its CA counters
+    and mark the slice and the case complete. *)

@@ -4,10 +4,11 @@
 
    - string-building combinators ([str], [arr], [obj], …), the one
      emitter every report in the tree is built with;
-   - a small recursive-descent parser ([of_string]) with accessors,
-     for consumers of our own artifacts: the perf-regression gate
-     compares two bench JSON files, and the tests check Chrome traces
-     for well-formedness by parsing them back. *)
+   - a small recursive-descent parser ([of_string], and
+     [of_string_seq] for the diagnosis journal's log of values) with
+     accessors, for consumers of our own artifacts: the perf-regression
+     gate compares two bench JSON files, and the tests check Chrome
+     traces for well-formedness by parsing them back. *)
 
 (* --- emission ----------------------------------------------------------- *)
 
@@ -95,15 +96,15 @@ let expect c ch =
   | Some x when x = ch -> advance c
   | _ -> fail c (Printf.sprintf "expected %c" ch)
 
+(* Every error raised for input that ends too soon sits at the end of
+   the input, so [of_string_seq] can tell a cut-off value from a bad
+   one by the error's offset alone. *)
 let literal c word value =
-  let n = String.length word in
-  if
-    c.pos + n <= String.length c.src
-    && String.equal (String.sub c.src c.pos n) word
-  then (
-    c.pos <- c.pos + n;
-    value)
-  else fail c ("expected " ^ word)
+  String.iter
+    (fun ch ->
+      if peek c = Some ch then advance c else fail c ("expected " ^ word))
+    word;
+  value
 
 (* Encode a decoded \uXXXX code point as UTF-8 (surrogate pairs are not
    recombined — trace content is ASCII in practice). *)
@@ -140,7 +141,9 @@ let parse_string c =
         | 'r' -> Buffer.add_char b '\r'
         | 't' -> Buffer.add_char b '\t'
         | 'u' ->
-          if c.pos + 4 > String.length c.src then fail c "short \\u escape";
+          if c.pos + 4 > String.length c.src then (
+            c.pos <- String.length c.src;
+            fail c "short \\u escape");
           let hex = String.sub c.src c.pos 4 in
           c.pos <- c.pos + 4;
           let cp =
@@ -232,13 +235,33 @@ let rec parse_value c =
   | Some 'n' -> literal c "null" Null
   | Some _ -> Num (parse_number c)
 
+let error_at msg pos = Error (Printf.sprintf "%s at offset %d" msg pos)
+
 let of_string s =
   let c = { src = s; pos = 0 } in
   match parse_value c with
   | v ->
     skip_ws c;
-    if c.pos <> String.length s then
-      Error (Printf.sprintf "trailing garbage at offset %d" c.pos)
+    if c.pos <> String.length s then error_at "trailing garbage" c.pos
     else Ok v
-  | exception Malformed (msg, pos) ->
-    Error (Printf.sprintf "%s at offset %d" msg pos)
+  | exception Malformed (msg, pos) -> error_at msg pos
+
+(* A write-ahead log: values back to back.  A value cut off by the end
+   of the input after at least one complete value is the torn last
+   append of a killed writer, and is dropped. *)
+let of_string_seq s =
+  let c = { src = s; pos = 0 } in
+  let len = String.length s in
+  let rec values first acc =
+    skip_ws c;
+    if c.pos >= len then Ok (first, List.rev acc)
+    else
+      match parse_value c with
+      | v -> values first (v :: acc)
+      | exception Malformed (_, pos) when pos >= len ->
+        Ok (first, List.rev acc)
+      | exception Malformed (msg, pos) -> error_at msg pos
+  in
+  match parse_value c with
+  | first -> values first []
+  | exception Malformed (msg, pos) -> error_at msg pos

@@ -36,7 +36,17 @@ type t =
 
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries a message with the
-    byte offset of the problem. *)
+    byte offset of the problem.  Anything but whitespace after the
+    value is an [Error]. *)
+
+val of_string_seq : string -> (t * t list, string) result
+(** Parse one or more JSON values written back to back (whitespace
+    between them is optional): the first and the rest, in order.  A
+    last value cut off by the end of the input, after at least one
+    complete value, is the torn tail of an interrupted append and is
+    dropped.  Empty input, a
+    malformed first value and any malformed value that is not cut off
+    by the end of the input are an [Error]. *)
 
 val render : t -> string
 (** Serialize a parsed value back to a compact document. *)

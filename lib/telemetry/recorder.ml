@@ -13,14 +13,12 @@ type span_stat = { s_count : int; s_total_us : float }
 
 type t = {
   mutable rec_spans : Sink.span list;      (* newest first *)
-  mutable rec_observations : (string * float) list;  (* newest first *)
   rec_counters : (string, int) Hashtbl.t;
   rec_histograms : (string, histogram) Hashtbl.t;
 }
 
 let create () =
   { rec_spans = [];
-    rec_observations = [];
     rec_counters = Hashtbl.create 32;
     rec_histograms = Hashtbl.create 16 }
 
@@ -34,7 +32,6 @@ let sink t =
         Hashtbl.replace t.rec_counters name (prev + by));
     on_observe =
       (fun name v ->
-        t.rec_observations <- (name, v) :: t.rec_observations;
         let h =
           match Hashtbl.find_opt t.rec_histograms name with
           | None -> { h_count = 1; h_sum = v; h_min = v; h_max = v }
@@ -58,20 +55,6 @@ let sorted_bindings tbl =
 let counters t = sorted_bindings t.rec_counters
 let histograms t = sorted_bindings t.rec_histograms
 let histogram t name = Hashtbl.find_opt t.rec_histograms name
-
-(* Replay everything this recorder captured into another sink, in
-   capture order: a private recorder forwarded to an outer sink
-   afterwards.  Counters are replayed as one on_count per name (sorted)
-   with the accumulated total; observations are kept raw so downstream
-   histograms match a direct recording exactly. *)
-let replay t (s : Sink.t) =
-  List.iter (fun sp -> s.Sink.on_span sp) (List.rev t.rec_spans);
-  List.iter
-    (fun (name, by) -> if by <> 0 then s.Sink.on_count name by)
-    (sorted_bindings t.rec_counters);
-  List.iter
-    (fun (name, v) -> s.Sink.on_observe name v)
-    (List.rev t.rec_observations)
 
 (* Per-name rollup of the recorded spans, for the flat metrics export
    and `aitia stats`. *)

@@ -32,10 +32,3 @@ val histogram : t -> string -> histogram option
 
 val span_stats : t -> (string * span_stat) list
 (** Per-span-name rollup (count, total duration), sorted by name. *)
-
-val replay : t -> Sink.t -> unit
-(** Replay everything captured by this recorder into another sink, in
-    capture order (counters as one accumulated on_count per name,
-    sorted; observations raw), so a private recorder can be forwarded
-    to an outer sink afterwards with histograms matching a direct
-    recording. *)

@@ -22,11 +22,6 @@ type t = {
   on_observe : string -> float -> unit;  (* histogram observation *)
 }
 
-let null =
-  { on_span = ignore;
-    on_count = (fun _ _ -> ());
-    on_observe = (fun _ _ -> ()) }
-
 let tee a b =
   { on_span =
       (fun s ->

@@ -19,8 +19,5 @@ type t = {
   on_observe : string -> float -> unit;  (** histogram observation *)
 }
 
-val null : t
-(** Accepts and discards everything. *)
-
 val tee : t -> t -> t
 (** Duplicate every event to both sinks, first argument first. *)

@@ -570,6 +570,198 @@ let test_journal_fixpoint () =
     (Journal.find_case j2 r.case.case_name = e1);
   Sys.remove path
 
+(* --- unit: the journal as a write-ahead log --------------------------------- *)
+
+let lines text =
+  String.split_on_char '\n' text |> List.filter (fun l -> l <> "")
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+
+let load_ok what path =
+  match Journal.load path with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+(* A kill mid-append leaves the last record cut off: wherever the cut
+   falls inside it, the journal loads as the records before it, and a
+   resume from it renders the uninterrupted report.  A bad record
+   before the last is still an Error. *)
+let test_journal_torn_tail () =
+  let case () = Bugs.Fig5_search.bug.case () in
+  let path = Filename.temp_file "aitia-journal-torn" ".json" in
+  let fresh =
+    Aitia.Diagnose.diagnose ~journal:(Journal.create path) (case ())
+  in
+  let name = fresh.case.case_name in
+  let ls = lines (read_file path) in
+  checkb "a snapshot and records" true (List.length ls > 2);
+  let n = List.length ls in
+  let last = List.nth ls (n - 1) in
+  let before =
+    String.concat ""
+      (List.filteri (fun i _ -> i < n - 1) (List.map (fun l -> l ^ "\n") ls))
+  in
+  write_file path before;
+  let expected = Journal.find_case (load_ok "complete records" path) name in
+  checkb "without the completion record the case is incomplete" true
+    (match expected with Some e -> not e.complete | None -> false);
+  for cut = 1 to String.length last - 1 do
+    write_file path (before ^ String.sub last 0 cut);
+    checkb
+      (Fmt.str "cut after %d byte(s) of the last record" cut)
+      true
+      (Journal.find_case (load_ok "torn journal" path) name = expected)
+  done;
+  write_file path (before ^ String.sub last 0 (String.length last / 2));
+  let resumed =
+    Aitia.Diagnose.diagnose ~journal:(load_ok "resume" path) (case ())
+  in
+  checks "resume from a torn journal renders the uninterrupted report"
+    (Aitia.Report.to_string fresh)
+    (Aitia.Report.to_string resumed);
+  let text = read_file path in
+  checkb "the resumed run's snapshot replaced the torn file" true
+    (match Telemetry.Json.of_string_seq text with
+    | Ok (_, records) -> 1 + List.length records = List.length (lines text)
+    | Error _ -> false);
+  let with_second f =
+    write_file path
+      (String.concat ""
+         (List.mapi (fun i l -> (if i = 1 then f l else l) ^ "\n") ls))
+  in
+  List.iter
+    (fun (what, f) ->
+      with_second f;
+      match Journal.load path with
+      | Ok _ -> Alcotest.failf "%s before the last must be an Error" what
+      | Error _ -> ())
+    [ ("a bad record", fun _ -> {|{"case": x}|});
+      ("a cut record", fun l -> String.sub l 0 (String.length l / 2)) ];
+  Sys.remove path
+
+(* [create] starts a new log: its first write replaces the file, so
+   nothing of an earlier journal at the path survives. *)
+let test_journal_create_replaces () =
+  let path = Filename.temp_file "aitia-journal-replace" ".json" in
+  let diagnose (bug : Bugs.Bug.t) =
+    Aitia.Diagnose.diagnose ~journal:(Journal.create path) (bug.case ())
+  in
+  let old = diagnose Bugs.Fig5_search.bug in
+  checkb "the old journal has records" true
+    (List.length (lines (read_file path)) > 1);
+  let fresh = diagnose Bugs.Fig1_nullderef.bug in
+  let j = load_ok "replaced journal" path in
+  checkb "the old journal's case is gone" true
+    (Journal.find_case j old.case.case_name = None);
+  checkb "the new case is there" true
+    (Journal.find_case j fresh.case.case_name <> None);
+  Sys.remove path
+
+(* A completion record leaves out a flip list equal to the journaled
+   one (every corpus diagnosis does) and carries one that differs; a
+   load sees the authoritative list either way. *)
+let test_journal_completion_flips () =
+  let path = Filename.temp_file "aitia-journal-done" ".json" in
+  let r =
+    Aitia.Diagnose.diagnose ~journal:(Journal.create path)
+      (Bugs.Fig5_search.bug.case ())
+  in
+  let name = r.case.case_name in
+  let last_line () = List.rev (lines (read_file path)) |> List.hd in
+  let carries_flips () =
+    match Telemetry.Json.of_string (last_line ()) with
+    | Ok v -> Telemetry.Json.member "flips" v <> None
+    | Error e -> Alcotest.failf "last record: %s" e
+  in
+  checkb "an unchanged list is left out" false (carries_flips ());
+  let j = load_ok "journal" path in
+  let e =
+    match Journal.find_case j name with
+    | Some e -> e
+    | None -> Alcotest.fail "case journaled"
+  in
+  let flips =
+    match List.rev e.slices with
+    | Journal.Reproduced s :: _ -> s.r_flips
+    | _ -> Alcotest.fail "last slice must be the reproducing one"
+  in
+  Journal.set_case j name e;
+  let changed =
+    List.map (fun (f : Journal.flip) -> { f with f_confidence = 0.5 }) flips
+  in
+  Journal.complete_case j name changed Aitia.Causality.zero_stats;
+  checkb "a changed list is carried" true (carries_flips ());
+  let reloaded = Journal.find_case (load_ok "reload" path) name in
+  checkb "the load sees the changed list" true
+    (reloaded = Journal.find_case j name
+    && (match reloaded with
+       | Some { slices; _ } -> (
+         match List.rev slices with
+         | Journal.Reproduced s :: _ -> s.r_flips = changed
+         | _ -> false)
+       | None -> false));
+  Sys.remove path
+
+(* Every race list found anywhere in a journal file's values. *)
+let rec race_lists (v : Telemetry.Json.t) =
+  match v with
+  | Telemetry.Json.Obj kvs ->
+    List.concat_map
+      (fun (k, x) ->
+        match (k, x) with
+        | "races", Telemetry.Json.Arr races -> races :: race_lists x
+        | _ -> race_lists x)
+      kvs
+  | Telemetry.Json.Arr xs -> List.concat_map race_lists xs
+  | _ -> []
+
+(* A journaled diagnosis writes one snapshot (its first checkpoint) and
+   then one appended record per checkpoint: one per attempted slice,
+   one per decided flip and one for the finished analysis.  Each race
+   is written once, by the record that opens the reproducing slice. *)
+let test_journal_records () =
+  let bug = Bugs.Cve_2017_15649.bug in
+  let path = Filename.temp_file "aitia-journal-records" ".json" in
+  let recorder = Telemetry.Recorder.create () in
+  let r =
+    Telemetry.Probe.with_sink (Telemetry.Recorder.sink recorder) (fun () ->
+        Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+          ~journal:(Journal.create path) (bug.case ()))
+  in
+  let text = read_file path in
+  let snapshot, records =
+    match Telemetry.Json.of_string_seq text with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "journal: %s" e
+  in
+  let tested =
+    match r.causality with
+    | Some ca -> List.length ca.tested
+    | None -> Alcotest.fail "cve-2017-15649 must reproduce"
+  in
+  let counter = Telemetry.Recorder.counter recorder in
+  checkb "the first value is the snapshot" true
+    (Telemetry.Json.member "version" snapshot <> None);
+  checkb "every later value is a record" true
+    (List.for_all (fun v -> Telemetry.Json.member "case" v <> None) records);
+  checki "one value per line" (List.length (lines text))
+    (1 + List.length records);
+  checki "one checkpoint per slice, per flip and for the end"
+    (r.slices_tried + tested + 1)
+    (1 + List.length records);
+  checki "journal.snapshots" 1 (counter "journal.snapshots");
+  checki "journal.records" (List.length records) (counter "journal.records");
+  checki "journal.bytes_written is the file" (String.length text)
+    (counter "journal.bytes_written");
+  let lists = List.concat_map race_lists (snapshot :: records) in
+  checki "one race list holds every race" 1
+    (List.length (List.filter (fun l -> l <> []) lists));
+  checki "each race written once"
+    (match r.metrics with Some m -> m.races_detected | None -> -1)
+    (List.length (List.concat lists));
+  Sys.remove path
+
 (* --- unit: exit codes ------------------------------------------------------ *)
 
 let test_exit_status () =
@@ -950,6 +1142,14 @@ let () =
             test_journal_files;
           Alcotest.test_case "save/load fixpoint" `Quick
             test_journal_fixpoint;
+          Alcotest.test_case "a torn last record is dropped" `Quick
+            test_journal_torn_tail;
+          Alcotest.test_case "create replaces an old journal" `Quick
+            test_journal_create_replaces;
+          Alcotest.test_case "one snapshot, one record per checkpoint"
+            `Quick test_journal_records;
+          Alcotest.test_case "completion records carry changed flips"
+            `Quick test_journal_completion_flips;
           Alcotest.test_case "batch creates a missing journal directory"
             `Quick test_batch_creates_journal_dir;
           Alcotest.test_case "batch resumes from per-request journals"

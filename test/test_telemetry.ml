@@ -75,6 +75,31 @@ let test_json_truncated () =
       "[1"; "[1,"; "\"unterminated"; "\"esc\\"; "\"\\u00"; "tru";
       "fal"; "nul"; "-"; "1e"; "{\"a\":[1,{\"b\":"; "[[[[" ]
 
+(* Value sequences (the journal's log): a last value cut off by the end
+   of the input is dropped, at every structural position; anything
+   else malformed is an Error. *)
+let test_json_seq () =
+  let seq s =
+    match J.of_string_seq s with
+    | Ok (v, vs) -> Some (v :: vs)
+    | Error _ -> None
+  in
+  checkb "values back to back" true
+    (seq "{\"a\":1}\n[2]\n3 {}"
+    = Some [ parse "{\"a\":1}"; parse "[2]"; J.Num 3.; J.Obj [] ]);
+  List.iter
+    (fun s ->
+      checkb (Fmt.str "torn %S dropped" s) true
+        (seq ("{}\n" ^ s) = Some [ J.Obj [] ]))
+    [ "{"; "{\"a\""; "{\"a\":"; "{\"a\":1"; "{\"a\":1,"; "[";
+      "[1"; "[1,"; "\"unterminated"; "\"esc\\"; "\"\\u00"; "tru";
+      "fal"; "nul"; "-"; "1e"; "{\"a\":[1,{\"b\":"; "[[[[" ];
+  List.iter
+    (fun s -> checkb (Fmt.str "%S rejected" s) true (seq s = None))
+    [ ""; "  \n"; "{"; "flse {}"; "{} flse"; "{} {\"a\" 1} {}"; "{} x" ];
+  checkb "of_string still rejects a second value" true
+    (match J.of_string "{}\n{}" with Ok _ -> false | Error _ -> true)
+
 (* Wrong-typed fields: the accessors answer [None] instead of raising,
    so report readers degrade gracefully on schema drift. *)
 let test_json_wrong_types () =
@@ -459,6 +484,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_json_errors;
           Alcotest.test_case "stable floats" `Quick test_json_float_stable;
           Alcotest.test_case "truncated inputs" `Quick test_json_truncated;
+          Alcotest.test_case "value sequences" `Quick test_json_seq;
           Alcotest.test_case "wrong-typed fields" `Quick
             test_json_wrong_types;
           Alcotest.test_case "duplicate keys" `Quick
