@@ -24,15 +24,30 @@ val prunable : verdict -> string option
 (** The reason to record when the flip can be skipped; [None] for
     {!Unknown}. *)
 
+type section = {
+  cs_tid : int;
+  cs_lock : string;
+  cs_start : int;  (** trace index of the Lock event *)
+  cs_stop : int option;  (** trace index of the Unlock event *)
+}
+(** A lock's critical section in the failing trace. *)
+
 type ctx
-(** What the analysis needs of one failing trace, whatever the flip: the
-    event array, the iid→index table and the dynamic backward slice
-    from the faulting event.  Immutable once built, so it may be shared
-    by every flip of an analysis and read concurrently. *)
+(** The per-trace index: what the analysis needs of one failing trace,
+    whatever the flip.  Built once per Causality Analysis and read by
+    every flip of it.  {!context} precomputes the event array, the
+    iid→index table, the critical sections and the spawning events.  The
+    proof index is built on the first {!analyze} (so an analysis that
+    never asks for a proof never pays for it): every event's address
+    and value registers, defined register, location and lock operation
+    interned as ints, each location's overlapping locations, and the
+    dynamic backward slice from the faulting event, resolved to a flag
+    per location.  Forcing it is not domain-safe, so
+    one context is read by one domain. *)
 
 val context : Ksim.Machine.event list -> ctx
-(** [context trace] indexes and slices the failing sequence (faulting
-    event last). *)
+(** [context trace] indexes the failing sequence (faulting event
+    last). *)
 
 val events : ctx -> Ksim.Machine.event array
 (** The failing sequence, in trace order. *)
@@ -40,15 +55,42 @@ val events : ctx -> Ksim.Machine.event array
 val index_of : ctx -> Ksim.Access.Iid.t -> int option
 (** Trace index of the (first) event with this iid. *)
 
+val sections : ctx -> section list
+(** The trace's critical sections, closed ones in reverse order of their
+    Unlock, then the ones never closed. *)
+
+val spawns : ctx -> int array
+(** Trace indices of the events that spawn a thread, ascending. *)
+
+type flip = {
+  lo : int;
+  window : int array;
+      (** the plan puts trace index [window.(k)] at position [lo + k];
+          every other position keeps its own trace index *)
+  pending : (int * Ksim.Access.Iid.t) option;
+      (** [Some (k, iid)]: [iid], which the trace never executed, is
+          planned just before position [k] *)
+}
+(** A flip plan over the trace's indices: a permutation of the window
+    [[lo, lo + length window)], the identity elsewhere. *)
+
 val analyze :
   ctx ->
-  plan:Ksim.Access.Iid.t list ->
+  flip ->
   first:Ksim.Access.t ->
   second:Ksim.Access.t ->
   verdict
-(** [plan] is the total order the flip would enforce on the context's
-    trace; [first]/[second] are the racing endpoints being reversed.
-    Only plan-dependent work is done per call. *)
+(** The verdict for a flip plan on the context's trace;
+    [first]/[second] are the racing endpoints being reversed.  A plan
+    that inserts a pending event, or is not a permutation of the trace,
+    is {!Unknown}.  Work per call is linear and allocates only
+    window-sized arrays: the displaced window is read off the
+    permutation, the reordered pairs are found through each location's
+    overlapping locations, and the forward taint walk starts at the
+    window's low end.  That start is sound because every event before
+    the window runs in the same order, on the same values, in the
+    flipped run, so only the window and what follows it can read a
+    changed value. *)
 
 val nesting_depth : Ksim.Machine.event list -> Ksim.Access.Iid.t -> int
 (** Critical-section nesting of an event: locks its thread holds when it
@@ -62,7 +104,5 @@ module SS : Set.S with type elt = string
 
 val expr_regs : SS.t -> Ksim.Instr.expr -> SS.t
 val addr_regs : SS.t -> Ksim.Instr.addr_expr -> SS.t
-val uses : Ksim.Instr.t -> SS.t
-val defines : Ksim.Instr.t -> string option
 
 val pp : verdict Fmt.t

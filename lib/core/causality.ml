@@ -78,147 +78,103 @@ type result = {
   stats : stats;
 }
 
-(* --- critical sections ------------------------------------------------ *)
+(* --- flip-plan construction ------------------------------------------- *)
 
-type section = {
-  cs_tid : int;
-  cs_lock : string;
-  cs_start : int;           (* trace index of the Lock event *)
-  cs_stop : int option;     (* trace index of the Unlock event *)
-}
-
-let critical_sections (ctx : Analysis.Flipfeas.ctx) : section list =
-  let open_cs : (int * string, int) Hashtbl.t = Hashtbl.create 8 in
-  let out = ref [] in
-  Array.iteri
-    (fun i (e : Ksim.Machine.event) ->
-      match e.lock_op with
-      | Some (l, `Acquire) -> Hashtbl.replace open_cs (e.iid.Iid.tid, l) i
-      | Some (l, `Release) -> (
-        match Hashtbl.find_opt open_cs (e.iid.Iid.tid, l) with
-        | Some start ->
-          Hashtbl.remove open_cs (e.iid.Iid.tid, l);
-          out :=
-            { cs_tid = e.iid.Iid.tid; cs_lock = l; cs_start = start;
-              cs_stop = Some i }
-            :: !out
-        | None -> ())
-      | None -> ())
-    (Analysis.Flipfeas.events ctx);
-  Hashtbl.iter
-    (fun (tid, l) start ->
-      out := { cs_tid = tid; cs_lock = l; cs_start = start; cs_stop = None }
-             :: !out)
-    open_cs;
-  !out
+module Flipfeas = Analysis.Flipfeas
 
 let section_containing sections ~tid ~index =
   List.find_opt
-    (fun s ->
+    (fun (s : Flipfeas.section) ->
       s.cs_tid = tid && s.cs_start <= index
       && match s.cs_stop with Some e -> index <= e | None -> true)
     sections
 
-(* --- flip-plan construction ------------------------------------------- *)
+(* The trace indices of the diagnosis schedule enforcing [r.second]
+   before [r.first] while preserving the rest of the failing sequence.
+   When both endpoints sit in critical sections of the same lock, the
+   sections are flipped as units.  For a pending race (second never
+   executed because the failure halted the machine) the second
+   instruction is inserted before the first; run-through in the plan
+   policy walks its thread to that instruction. *)
+let flip (ctx : Flipfeas.ctx) (r : Race.t) : Flipfeas.flip =
+  Telemetry.Probe.with_span ~cat:"causality" "causality.plan" @@ fun () ->
+  let events = Flipfeas.events ctx in
+  let tid k = events.(k).Ksim.Machine.iid.Iid.tid in
+  let unchanged = { Flipfeas.lo = 0; window = [||]; pending = None } in
+  let sections = Flipfeas.sections ctx in
+  match
+    (Flipfeas.index_of ctx r.first.iid, Flipfeas.index_of ctx r.second.iid)
+  with
+  | None, _ -> unchanged (* first endpoint not in trace: nothing to reorder *)
+  | Some i, None ->
+    (* Pending second: insert it just before the first endpoint — or,
+       when the first endpoint sits inside a critical section, before
+       that section's lock, so the whole section is displaced as a unit
+       (the pending thread may need the same lock). *)
+    let k =
+      match section_containing sections ~tid:(tid i) ~index:i with
+      | Some cs -> cs.cs_start
+      | None -> i
+    in
+    { unchanged with pending = Some (k, r.second.iid) }
+  | Some i, Some j when j <= i -> unchanged (* already flipped *)
+  | Some i, Some j ->
+    (* Critical-section unit adjustment: the window [lo, hi] moves. *)
+    let u = tid j in
+    let lo, hi =
+      match
+        ( section_containing sections ~tid:(tid i) ~index:i,
+          section_containing sections ~tid:u ~index:j )
+      with
+      | Some st, Some su when String.equal st.cs_lock su.cs_lock ->
+        (st.cs_start, Option.value ~default:j su.cs_stop)
+      | _ -> (i, j)
+    in
+    (* Hoist [u]'s window events ahead of [first], together with their
+       spawn prerequisites: a thread that queued a hoisted thread inside
+       the window is hoisted up to its latest such spawn (and so on
+       transitively), or the enforcement could never run [u].  [cut]
+       maps each hoisted thread to its last hoisted trace index. *)
+    let cut = Hashtbl.create 4 in
+    let rec hoist t =
+      Array.iter
+        (fun m ->
+          if
+            lo <= m && m <= hi
+            && List.exists (fun (t', _) -> t' = t) events.(m).spawned
+          then
+            match Hashtbl.find_opt cut (tid m) with
+            | Some c -> if m > c then Hashtbl.replace cut (tid m) m
+            | None ->
+              Hashtbl.replace cut (tid m) m;
+              hoist (tid m))
+        (Flipfeas.spawns ctx)
+    in
+    Hashtbl.replace cut u max_int;
+    hoist u;
+    let hoisted k =
+      match Hashtbl.find_opt cut (tid k) with Some c -> k <= c | None -> false
+    in
+    let up, rest =
+      List.partition hoisted (List.init (hi - lo + 1) (( + ) lo))
+    in
+    { unchanged with lo; window = Array.of_list (up @ rest) }
 
-(* Build the diagnosis schedule enforcing [r.second] before [r.first]
-   while preserving the rest of the failing sequence.  When both
-   endpoints sit in critical sections of the same lock, the sections are
-   flipped as units.  For a pending race (second never executed because
-   the failure halted the machine) the second instruction is inserted
-   before the first; run-through in the plan policy walks its thread to
-   that instruction. *)
-let flip_plan (ctx : Analysis.Flipfeas.ctx) (r : Race.t) : Schedule.plan =
-  let events = Analysis.Flipfeas.events ctx in
-  let arr = Array.map (fun (e : Ksim.Machine.event) -> e.iid) events in
-  let n = Array.length arr in
-  let u = r.second.iid.Iid.tid in
-  let i0 = Analysis.Flipfeas.index_of ctx r.first.iid in
-  let j0 = Analysis.Flipfeas.index_of ctx r.second.iid in
-  match i0 with
-  | None ->
-    (* First endpoint not in trace: nothing to reorder. *)
-    Schedule.plan (Array.to_list arr)
-  | Some i -> (
-    match j0 with
-    | None ->
-      (* Pending second: insert it just before the first endpoint — or,
-         when the first endpoint sits inside a critical section, before
-         that section's lock, so the whole section is displaced as a
-         unit (the pending thread may need the same lock). *)
-      let i =
-        match
-          section_containing (critical_sections ctx)
-            ~tid:r.first.iid.Iid.tid ~index:i
-        with
-        | Some cs -> cs.cs_start
-        | None -> i
-      in
-      let before = Array.to_list (Array.sub arr 0 i) in
-      let after = Array.to_list (Array.sub arr i (n - i)) in
-      Schedule.plan (before @ (r.second.iid :: after))
-    | Some j when j <= i ->
-      Schedule.plan (Array.to_list arr) (* already flipped *)
-    | Some j ->
-      (* Critical-section unit adjustment. *)
-      let sections = critical_sections ctx in
-      let t = r.first.iid.Iid.tid in
-      let i, j =
-        match
-          ( section_containing sections ~tid:t ~index:i,
-            section_containing sections ~tid:u ~index:j )
-        with
-        | Some st, Some su when String.equal st.cs_lock su.cs_lock ->
-          let i' = st.cs_start in
-          let j' = Option.value ~default:j su.cs_stop in
-          (i', j')
-        | _ -> (i, j)
-      in
-      let before = Array.to_list (Array.sub arr 0 i) in
-      let after = Array.to_list (Array.sub arr (j + 1) (n - j - 1)) in
-      (* Hoist [u]'s window events ahead of [first], together with their
-         spawn prerequisites: if [u] (or a hoisted thread) was spawned by
-         a queue_work/call_rcu/arm_timer instruction inside the window,
-         that instruction — and its thread's preceding window events —
-         must be hoisted too, or the enforcement could never run [u]. *)
-      let len = j - i + 1 in
-      let wevent k = events.(i + k) in
-      let hoist = Array.make len false in
-      for k = 0 to len - 1 do
-        if (wevent k).Ksim.Machine.iid.Iid.tid = u then hoist.(k) <- true
-      done;
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        for k = 0 to len - 1 do
-          if hoist.(k) then (
-            let t = (wevent k).Ksim.Machine.iid.Iid.tid in
-            for m = 0 to len - 1 do
-              if
-                (not hoist.(m))
-                && List.exists
-                     (fun (tid', _) -> tid' = t)
-                     (wevent m).Ksim.Machine.spawned
-              then (
-                let w = (wevent m).Ksim.Machine.iid.Iid.tid in
-                for p = 0 to m do
-                  if
-                    (not hoist.(p))
-                    && (wevent p).Ksim.Machine.iid.Iid.tid = w
-                  then (
-                    hoist.(p) <- true;
-                    changed := true)
-                done)
-            done)
-        done
-      done;
-      let u_events = ref [] and others = ref [] in
-      for k = len - 1 downto 0 do
-        let iid = (wevent k).Ksim.Machine.iid in
-        if hoist.(k) then u_events := iid :: !u_events
-        else others := iid :: !others
-      done;
-      Schedule.plan (before @ !u_events @ !others @ after))
+(* The schedule of a flip: its trace indices mapped to iids, once. *)
+let schedule (ctx : Flipfeas.ctx) (f : Flipfeas.flip) : Schedule.plan =
+  let events = Flipfeas.events ctx in
+  let acc = ref [] in
+  for p = Array.length events - 1 downto 0 do
+    let k = p - f.lo in
+    let i = if 0 <= k && k < Array.length f.window then f.window.(k) else p in
+    acc := events.(i).iid :: !acc;
+    match f.pending with
+    | Some (at, iid) when at = p -> acc := iid :: !acc
+    | _ -> ()
+  done;
+  Schedule.plan !acc
+
+let flip_plan ctx r = schedule ctx (flip ctx r)
 
 (* --- test ordering ----------------------------------------------------- *)
 
@@ -244,21 +200,6 @@ let survived (o : Controller.outcome) =
   match o.verdict with
   | Controller.Completed -> true
   | Controller.Failed _ | Controller.Deadlock | Controller.Step_limit -> false
-
-(* The static half of testing one race: the flip-feasibility proof,
-   purely on the trace, under [`Invariants].  A proof makes the flip
-   Benign without execution (the Benign verdict covers every
-   non-completing outcome).  Depends only on the failing trace and the
-   plan, never on other flips' outcomes.  [ctx] is the failing trace's
-   shared context. *)
-let static_proof ~(prune : prune) ~(ctx : Analysis.Flipfeas.ctx)
-    (r : Race.t) (plan : Schedule.plan) : string option =
-  match prune with
-  | `None -> None
-  | `Invariants ->
-    Analysis.Flipfeas.prunable
-      (Analysis.Flipfeas.analyze ctx ~plan:plan.Schedule.events
-         ~first:r.first ~second:r.second)
 
 let pruned_tested (r : Race.t) reason : tested =
   Log.debug (fun m ->
@@ -312,7 +253,7 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
   let instrs_before = Hypervisor.Vm.executed_steps vm in
   (* Everything about the failing trace that no flip changes is built
      here once, and only read afterwards. *)
-  let ctx = Analysis.Flipfeas.context failing.trace in
+  let ctx = Flipfeas.context failing.trace in
   (* Progress so far including the journaled base of an interrupted
      analysis; the pruned-flip counts are recomputed from the final
      tested list instead (adding the base would double-count replayed
@@ -349,8 +290,17 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
         Telemetry.Probe.count "causality.flips_replayed";
         t
       | None ->
-        let plan = flip_plan ctx r in
-        let proof = static_proof ~prune ~ctx r plan in
+        let f = flip ctx r in
+        (* The static half: under [`Invariants], a flip-feasibility
+           proof on the failing trace makes the flip Benign without
+           execution (Benign covers every non-completing outcome). *)
+        let proof =
+          match prune with
+          | `None -> None
+          | `Invariants ->
+            Flipfeas.prunable
+              (Flipfeas.analyze ctx f ~first:r.first ~second:r.second)
+        in
         Telemetry.Probe.span_begin ~cat:"causality" "causality.flip";
         let t =
           match proof with
@@ -358,7 +308,8 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
           | None ->
             incr executed;
             executed_tested ~races r
-              (Executor.run_plan ?max_steps ~prologue ?resilience vm plan)
+              (Executor.run_plan ?max_steps ~prologue ?resilience vm
+                 (schedule ctx f))
         in
         if Telemetry.Probe.installed () then
           Telemetry.Probe.span_end ~args:(flip_args t) ();
@@ -371,55 +322,46 @@ let analyze ?max_steps ?(prologue = []) ?direction ?(prune = (`None : prune))
   in
   List.iter test (test_order ?direction races);
   let tested = List.rev !tested_rev in
-  let root_tested =
-    List.filter (fun t -> t.verdict = Root_cause) tested
-  in
-  let in_root r =
-    List.exists (fun t -> Race.equal t.race r) root_tested
-  in
+  let is_root t = t.verdict = Root_cause in
   (* Ambiguity: a surrounding race whose nested race is also a root
      cause cannot be decided (its flip also flipped the nested one). *)
   let tested =
     List.map
       (fun t ->
-        if t.verdict <> Root_cause then t
+        if not (is_root t) then t
         else
-          let amb =
-            List.exists
-              (fun t' ->
-                t' != t && t'.verdict = Root_cause
-                && Race.surrounds t.race t'.race)
-              tested
-          in
-          { t with ambiguous = amb })
+          { t with
+            ambiguous =
+              List.exists
+                (fun t' ->
+                  t' != t && is_root t' && Race.surrounds t.race t'.race)
+                tested })
       tested
   in
+  let races_where p =
+    List.filter_map (fun t -> if p t then Some t.race else None) tested
+  in
   let root_causes =
-    List.filter (fun t -> t.verdict = Root_cause) tested
-    |> List.map (fun t -> t.race)
+    races_where is_root
     |> List.sort (fun (a : Race.t) b ->
            Int.compare a.second.time b.second.time)
   in
-  let benign =
-    List.filter (fun t -> t.verdict = Benign) tested
-    |> List.map (fun t -> t.race)
-  in
+  let benign = races_where (fun t -> t.verdict = Benign) in
+  let ambiguous = races_where (fun t -> t.ambiguous) in
   let edges =
     List.concat_map
       (fun t ->
-        if t.verdict <> Root_cause then []
+        if not (is_root t) then []
         else
           List.filter_map
             (fun r' ->
-              if in_root r' && not (Race.equal t.race r') then
-                Some (t.race, r')
+              if
+                List.exists (Race.equal r') root_causes
+                && not (Race.equal t.race r')
+              then Some (t.race, r')
               else None)
             t.disappeared)
       tested
-  in
-  let ambiguous =
-    List.filter (fun (t : tested) -> t.ambiguous) tested
-    |> List.map (fun t -> t.race)
   in
   let stats =
     { (current_stats ()) with

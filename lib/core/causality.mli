@@ -59,21 +59,15 @@ type result = {
   stats : stats;
 }
 
-type section = {
-  cs_tid : int;
-  cs_lock : string;
-  cs_start : int;
-  cs_stop : int option;
-}
-
-val critical_sections : Analysis.Flipfeas.ctx -> section list
-(** Lock sections of the context's failing trace, by trace index. *)
+val flip : Analysis.Flipfeas.ctx -> Race.t -> Analysis.Flipfeas.flip
+(** The flip plan enforcing [second => first] while preserving the rest
+    of the failing sequence, as trace indices: critical sections move as
+    units, background threads' spawning instructions are hoisted along
+    (a closure over threads, O(window × spawns)), a pending second
+    endpoint is inserted before the first. *)
 
 val flip_plan : Analysis.Flipfeas.ctx -> Race.t -> Hypervisor.Schedule.plan
-(** The diagnosis schedule enforcing [second => first] while preserving
-    the rest of the failing sequence: critical sections move as units,
-    background threads' spawning instructions are hoisted along, pending
-    second endpoints are inserted before the first. *)
+(** The diagnosis schedule of {!flip}. *)
 
 val test_order :
   ?direction:[ `Backward | `Forward ] -> Race.t list -> Race.t list

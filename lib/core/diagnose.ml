@@ -170,22 +170,37 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
   in
   (* Journal state: [recorded] is what a previous (interrupted) run left
      for this case, indexed by realized-attempt order; [jslices] is the
-     entry being rebuilt by this run, newest first. *)
-  let recorded =
-    match journal with
-    | None -> [||]
-    | Some j -> (
-      match Journal.find_case j case.case_name with
-      | Some e -> Array.of_list e.Journal.slices
-      | None -> [||])
+     entry being rebuilt by this run, newest first.  Replaying what the
+     journal holds writes nothing: a case it records as complete is not
+     journaled again unless a slice must be rediagnosed ([replay_only]
+     until then), and a slice is journaled only once the rebuilt entry
+     stops being a prefix of the recorded one. *)
+  let recorded_entry =
+    Option.bind journal (fun j -> Journal.find_case j case.case_name)
+  in
+  let recorded_slices, replay_only =
+    match recorded_entry with
+    | Some e -> (e.Journal.slices, ref e.complete)
+    | None -> ([], ref false)
+  in
+  let recorded = Array.of_list recorded_slices in
+  let rec is_prefix xs ys =
+    match (xs, ys) with
+    | [], _ -> true
+    | x :: xs, y :: ys -> x = y && is_prefix xs ys
+    | _ :: _, [] -> false
   in
   let jslices = ref [] in
   let jsave ~complete =
     match journal with
     | None -> ()
     | Some j ->
-      Journal.set_case j case.case_name
-        { Journal.slices = List.rev !jslices; complete }
+      let slices = List.rev !jslices in
+      if
+        not
+          (!replay_only
+          || ((not complete) && is_prefix slices recorded_slices))
+      then Journal.set_case j case.case_name { Journal.slices; complete }
   in
   let crash = Trace.History.crash case.history in
   let target = Trace.Crash.matches crash in
@@ -258,12 +273,13 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
     (* The authoritative flip list (ambiguity resolved, replays
        included) supersedes the incremental checkpoints; the case is
        done exactly when CA finishes on the reproducing slice. *)
-    Option.iter
-      (fun j ->
-        Journal.complete_case j case.case_name
-          (List.map flip_of_tested ca.Causality.tested)
-          ca.Causality.stats)
-      journal;
+    if not !replay_only then
+      Option.iter
+        (fun j ->
+          Journal.complete_case j case.case_name
+            (List.map flip_of_tested ca.Causality.tested)
+            ca.Causality.stats)
+        journal;
     let chain = Chain.of_causality ca ~failure:success.Lifs.failure in
     let metrics =
       { mem_accessing_instrs =
@@ -299,6 +315,7 @@ let diagnose ?max_interleavings ?max_steps ?(prune = (`None : Causality.prune))
            — is one slice span; the recursion to the next slice happens
            outside it, so slice spans are siblings in the trace. *)
         let fresh () =
+          replay_only := false;
           let lifs_vm = Hypervisor.Vm.create ?faults ~engine group in
           (* [`Invariants] brings the lockset hints and the
              failure-relevance closure of the realized slice. *)

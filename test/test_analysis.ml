@@ -491,18 +491,17 @@ let test_flipfeas_identity_plan () =
       (Aitia.Race.of_trace o.trace)
   in
   let ctx = Analysis.Flipfeas.context o.trace in
-  let feas plan =
-    Analysis.Flipfeas.analyze ctx ~plan ~first:r.first ~second:r.second
+  let feas f =
+    Analysis.Flipfeas.analyze ctx f ~first:r.first ~second:r.second
   in
   checkb "identity plan is infeasible" true
     (match
-       feas (List.map (fun (e : Ksim.Machine.event) -> e.iid) o.trace)
+       feas { lo = 0; window = [||]; pending = None }
      with
     | Analysis.Flipfeas.Infeasible _ -> true
     | _ -> false);
-  let flipped = Aitia.Causality.flip_plan ctx r in
   checkb "reordering the sliced pair stays unknown" true
-    (match feas flipped.Hypervisor.Schedule.events with
+    (match feas (Aitia.Causality.flip ctx r) with
     | Analysis.Flipfeas.Unknown _ -> true
     | _ -> false)
 
@@ -721,8 +720,8 @@ let test_shared_context (bug : Bugs.Bug.t) (plain : Aitia.Diagnose.report)
         let fresh = Analysis.Flipfeas.context trace in
         let plan ctx = (Aitia.Causality.flip_plan ctx r).events in
         let verdict ctx =
-          Analysis.Flipfeas.analyze ctx ~plan:(plan ctx) ~first:r.first
-            ~second:r.second
+          Analysis.Flipfeas.analyze ctx (Aitia.Causality.flip ctx r)
+            ~first:r.first ~second:r.second
         in
         let name what = Fmt.str "%s %a: %s" bug.id Aitia.Race.pp_short r what in
         checkb (name "same plan") true

@@ -549,6 +549,56 @@ let test_flip_nested_sections () =
   checkb "B's outer lock moved with it" true (p "bo" < p "bm");
   checkb "whole nested unit precedes A's sections" true (p "vo" < p "ao")
 
+let test_flip_hoists_nested_spawns () =
+  (* Inside the flip window X queues worker w and w queues u, the
+     switch target: u can only run once w has queued it and w once X
+     has, so the plan hoists X up to its queue_work and w up to its own,
+     and leaves the rest of the window (x2, w3) behind the first
+     endpoint. *)
+  let open Ksim.Program.Build in
+  let entry name instrs = (name, Ksim.Program.make ~name instrs) in
+  let grp =
+    Ksim.Program.group ~name:"nested-spawn-flip"
+      ~globals:[ ("x", Ksim.Value.Int 0) ]
+      ~entries:
+        [ entry "w" [ nop "w1"; queue_work "w2" "u"; nop "w3" ];
+          entry "u" [ load "u1" "v" (g "x") ] ]
+      [ spec "A" [ store "a1" (g "x") (cint 1); nop "a2" ];
+        spec "X" [ queue_work "x1" "w"; nop "x2" ] ]
+  in
+  let trace =
+    [ (0, "a1"); (1, "x1"); (2, "w1"); (2, "w2"); (1, "x2"); (2, "w3");
+      (3, "u1"); (0, "a2") ]
+  in
+  let o =
+    Hypervisor.Controller.run (Ksim.Machine.create grp)
+      (Hypervisor.Schedule.plan_policy (plan_of trace))
+  in
+  Alcotest.(check (list string))
+    "the failing order ran as planned" (List.map snd trace)
+    (List.map (fun (e : Ksim.Machine.event) -> e.iid.Iid.label) o.trace);
+  let r =
+    List.find
+      (fun (r : Aitia.Race.t) -> r.first.iid.Iid.label = "a1")
+      (Aitia.Race.of_trace o.trace)
+  in
+  let plan =
+    Aitia.Causality.flip_plan (Analysis.Flipfeas.context o.trace) r
+  in
+  Alcotest.(check (list string))
+    "planned order"
+    [ "t1:x1"; "t2:w1"; "t2:w2"; "t3:u1"; "t0:a1"; "t1:x2"; "t2:w3";
+      "t0:a2" ]
+    (List.map
+       (fun (iid : Iid.t) -> Fmt.str "t%d:%s" iid.tid iid.label)
+       plan.Hypervisor.Schedule.events);
+  let o' =
+    Hypervisor.Controller.run (Ksim.Machine.create grp)
+      (Hypervisor.Schedule.plan_policy plan)
+  in
+  checkb "u's endpoint runs before the first endpoint" true
+    (pos_in o' "u1" >= 0 && pos_in o' "u1" < pos_in o' "a1")
+
 let test_flip_unit_spans_whole_section () =
   (* The race is in the middle of A's critical section; flipping it must
      displace B's whole section before A's section *start*, not merely
@@ -832,6 +882,8 @@ let () =
             test_flip_nested_sections;
           Alcotest.test_case "flip unit spans section" `Quick
             test_flip_unit_spans_whole_section;
+          Alcotest.test_case "flip hoists nested spawns" `Quick
+            test_flip_hoists_nested_spawns;
           Alcotest.test_case "nested+surrounding ambiguity" `Quick
             test_ambiguity_both_root_causes;
           Alcotest.test_case "irq boundary" `Quick

@@ -703,6 +703,56 @@ let test_journal_completion_flips () =
        | None -> false));
   Sys.remove path
 
+(* A resume writes only what the journal lacks.  On a case the journal
+   records as complete it writes nothing, so the file stays
+   byte-identical; after the last flip and the completion record are
+   cut off, it writes one checkpoint for that flip and one for the end,
+   and never re-journals the replayed slices. *)
+let test_journal_resume_writes_nothing_twice () =
+  let bug = Bugs.Cve_2017_15649.bug in
+  let path = Filename.temp_file "aitia-journal-resume" ".json" in
+  let diagnose args =
+    let code, out, _ =
+      run_cli ([ "diagnose"; bug.id; "--journal"; path ] @ args)
+    in
+    checki ("exit code " ^ String.concat " " args) 0 code;
+    out
+  in
+  let fresh = diagnose [] in
+  let journaled = read_file path in
+  checks "a complete resume renders the same report" fresh
+    (diagnose [ "--resume" ]);
+  checks "a complete resume leaves the journal byte-identical" journaled
+    (read_file path);
+  let ls = lines journaled in
+  write_file path
+    (String.concat ""
+       (List.filteri (fun i _ -> i < List.length ls - 2) ls
+       |> List.map (fun l -> l ^ "\n")));
+  let recorder = Telemetry.Recorder.create () in
+  let resumed =
+    Telemetry.Probe.with_sink (Telemetry.Recorder.sink recorder) (fun () ->
+        Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+          ~journal:(load_ok "cut journal" path) (bug.case ()))
+  in
+  let counter = Telemetry.Recorder.counter recorder in
+  checki "one checkpoint for the cut flip, one for the end" 2
+    (counter "journal.snapshots" + counter "journal.records");
+  checki "one flip re-run" 1 (counter "causality.flips_executed");
+  checks "the resume renders the uninterrupted report"
+    (Aitia.Report.to_string
+       (Aitia.Diagnose.diagnose ?max_interleavings:bug.max_interleavings
+          (bug.case ())))
+    (Aitia.Report.to_string resumed);
+  checkb "the resumed journal records the case as complete" true
+    (match
+       Journal.find_case (load_ok "resumed journal" path)
+         resumed.case.case_name
+     with
+    | Some e -> e.complete
+    | None -> false);
+  Sys.remove path
+
 (* Every race list found anywhere in a journal file's values. *)
 let rec race_lists (v : Telemetry.Json.t) =
   match v with
@@ -1150,6 +1200,8 @@ let () =
             `Quick test_journal_records;
           Alcotest.test_case "completion records carry changed flips"
             `Quick test_journal_completion_flips;
+          Alcotest.test_case "a resume writes nothing twice" `Quick
+            test_journal_resume_writes_nothing_twice;
           Alcotest.test_case "batch creates a missing journal directory"
             `Quick test_batch_creates_journal_dir;
           Alcotest.test_case "batch resumes from per-request journals"

@@ -132,10 +132,10 @@ let test_flipfeas_cascade (bug : Bugs.Bug.t) () =
         let name what =
           Fmt.str "%s %a: %s" bug.id Aitia.Race.pp_short t.race what
         in
-        let plan = Aitia.Causality.flip_plan ctx t.race in
         let proof =
           Analysis.Flipfeas.prunable
-            (Analysis.Flipfeas.analyze ctx ~plan:plan.events
+            (Analysis.Flipfeas.analyze ctx
+               (Aitia.Causality.flip ctx t.race)
                ~first:t.race.first ~second:t.race.second)
         in
         checkb (name "pruned by the flipfeas proof") true (t.pruned = proof);

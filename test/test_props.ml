@@ -477,6 +477,117 @@ let prop_ca_verdicts_are_witnessed =
               | _, _ -> false))
           ca.tested)
 
+(* Failing groups with noise around the failure.  Every thread reads,
+   writes and copies a few noise globals and may carry a gadget that
+   loads a noise global and branches on it over a store to the failure's
+   global [g0]; A stores 1 to [g0] and B, last in the group, asserts
+   that [g0] is not 1.  Many races lie off the failure slice, and a
+   reordered noise read can steer a gadget into the store the failing
+   run skipped, which only the taint walk sees. *)
+let gen_noisy_failing_group : Ksim.Program.group QCheck.Gen.t =
+  let open QCheck.Gen in
+  let noise = [ "n0"; "n1"; "n2" ] in
+  let gen_noise ~prefix n =
+    flatten_l
+      (List.init n (fun i ->
+           let label = Fmt.str "%s%d" prefix i in
+           let* k = int_range 0 6 in
+           let* gvar = oneofl noise in
+           let* v = int_range 0 2 in
+           match k with
+           | 0 | 1 -> return (load label "t" (g gvar))
+           | 2 | 3 -> return (store label (g gvar) (cint v))
+           | 4 -> return (store label (g gvar) (reg "t"))
+           | 5 -> return (store label (g "g0") (cint v))
+           | _ -> return (nop label)))
+  in
+  let gen_gadget ~prefix =
+    let* gvar = oneofl noise and* v = int_range 0 2 and* w = int_range 0 2 in
+    let* on = bool in
+    let l x = prefix ^ x in
+    return
+      (if not on then []
+       else
+         [ load (l "_gl") "t" (g gvar);
+           branch_if (l "_gb") (Eq (reg "t", cint v)) (l "_gx");
+           store (l "_gs") (g "g0") (cint w);
+           nop (l "_gx") ])
+  in
+  let gen_thread ~prefix ~last =
+    let* n1 = int_range 0 3 and* n2 = int_range 0 3 in
+    let* pre = gen_noise ~prefix:(prefix ^ "p") n1 in
+    let* gadget = gen_gadget ~prefix in
+    let* post = gen_noise ~prefix:(prefix ^ "q") n2 in
+    return (pre @ gadget @ post @ last)
+  in
+  let* a =
+    gen_thread ~prefix:"a" ~last:[ store "a_g0" (g "g0") (cint 1) ]
+  in
+  let* c = gen_thread ~prefix:"c" ~last:[] in
+  let* b =
+    gen_thread ~prefix:"b"
+      ~last:
+        [ load "b_ld" "r" (g "g0"); bug_on "b_chk" (Eq (reg "r", cint 1)) ]
+  in
+  let thread name instrs =
+    { Ksim.Program.spec_name = name;
+      context = Ksim.Program.Syscall { call = name; sysno = 0 };
+      program =
+        Ksim.Program.make ~name
+          (assign (name ^ "_init") "t" (cint 0) :: instrs);
+      resources = [] }
+  in
+  return
+    (Ksim.Program.group ~name:"prop-noisy-fail"
+       ~globals:(List.map (fun gv -> (gv, Ksim.Value.Int 0)) ("g0" :: noise))
+       [ thread "A" a; thread "C" c; thread "B" b ])
+
+(* Flip-feasibility soundness: a flip Causality Analysis skips under
+   [`Invariants] is one whose re-run provably cannot complete.  Run every
+   pruned flip's plan on a fresh VM anyway and check that it does not
+   complete.  The taint walk starts at the flip window, so this also
+   guards that start.  The property must not hold vacuously: across the
+   generated groups at least one pruned flip has to be executed. *)
+let test_pruned_flips_never_complete () =
+  let executed = ref 0 in
+  let prop =
+    QCheck.Test.make ~count:150
+      ~name:"statically pruned flips never complete when run"
+      (QCheck.make
+         ~print:(fun g -> g.Ksim.Program.group_name)
+         gen_noisy_failing_group)
+      (fun group ->
+        let vm = Hypervisor.Vm.create group in
+        let lifs =
+          Aitia.Lifs.search ~max_interleavings:2 vm ~target:(fun _ -> true)
+            ()
+        in
+        match lifs.found with
+        | None -> QCheck.assume_fail ()
+        | Some s ->
+          let ca =
+            Aitia.Causality.analyze ~prune:`Invariants
+              (Hypervisor.Vm.create group) ~failing:s.outcome ~races:s.races
+              ()
+          in
+          let ctx = Analysis.Flipfeas.context s.outcome.trace in
+          List.for_all
+            (fun (t : Aitia.Causality.tested) ->
+              t.pruned = None
+              ||
+              let run =
+                Aitia.Executor.run_plan (Hypervisor.Vm.create group)
+                  (Aitia.Causality.flip_plan ctx t.race)
+              in
+              incr executed;
+              run.outcome.verdict <> Hypervisor.Controller.Completed)
+            ca.tested)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 31 |]) prop;
+  Alcotest.(check bool)
+    (Fmt.str "pruned flips executed (%d)" !executed)
+    true (!executed > 0)
+
 (* --- static analysis soundness ---------------------------------------------- *)
 
 (* Straight-line programs whose accesses are randomly wrapped in
@@ -685,5 +796,7 @@ let () =
             prop_lifs_matches_brute_force_k2; prop_failing_schedule_replays;
             prop_ca_verdicts_are_witnessed;
             prop_guarded_pairs_never_data_race;
-            prop_preemption_policy_matches_spec ]
-      ) ]
+            prop_preemption_policy_matches_spec ] );
+      ( "flip-feasibility",
+        [ Alcotest.test_case "pruned flips never complete" `Quick
+            test_pruned_flips_never_complete ] ) ]
